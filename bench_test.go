@@ -463,57 +463,6 @@ func BenchmarkCampaignJournaled(b *testing.B) {
 	b.ReportMetric(float64(records), "journal-records")
 }
 
-// BenchmarkCampaignSharded sweeps the multi-process shard fan-out over a
-// full Apache1 stand-alone campaign: each shard count runs the campaign
-// through the coordinator (in-process workers speaking the full wire
-// protocol, one run-pool slot each) and reports wall-clock relative to
-// the 1-shard sweep measured in the same process. On a multi-core host
-// 4 shards should finish in well under 0.6x the 1-shard time — the CI
-// shard job gates on exactly that metric; on a single-core host the
-// ratio only shows the protocol overhead. The merged results stay
-// byte-identical at every shard count (the shard tests pin that).
-func BenchmarkCampaignSharded(b *testing.B) {
-	campaign := func(shards int) *core.SetResult {
-		opts := []core.Option{core.WithParallelism(1)}
-		if shards > 1 {
-			opts = append(opts,
-				core.WithShards(shards),
-				core.WithShardExecutor(shard.New(shard.Options{})))
-		}
-		set, err := core.NewCampaign(
-			core.NewRunner(workload.NewApache1(workload.Standalone), core.RunnerOptions{}),
-			opts...).Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return set
-	}
-
-	// Warm-up, then the unsharded baseline every shard count compares
-	// against, timed in this process.
-	campaign(1)
-	start := time.Now()
-	base := campaign(1)
-	baseSec := time.Since(start).Seconds()
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			totalRuns := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				set := campaign(shards)
-				if len(set.Runs) != len(base.Runs) {
-					b.Fatalf("sharded campaign ran %d faults, baseline %d", len(set.Runs), len(base.Runs))
-				}
-				totalRuns += len(set.Runs)
-			}
-			sec := b.Elapsed().Seconds() / float64(b.N)
-			b.ReportMetric(float64(totalRuns)/b.Elapsed().Seconds(), "runs/sec")
-			b.ReportMetric(sec/baseSec, "time-vs-1shard")
-		})
-	}
-}
-
 // BenchmarkAblationSkipModes compares the calibration-informed skip (ours)
 // with the paper's one-probe-per-unactivated-function procedure: identical
 // outcome data, very different campaign cost.
@@ -624,66 +573,59 @@ func BenchmarkWorkloadGen(b *testing.B) {
 	b.ReportMetric(float64(traceBytes), "trace-bytes")
 }
 
-// BenchmarkCampaignFleet prices the work-stealing dispatcher against the
-// static -shards partitioning over the same Apache1 stand-alone
-// campaign, at 1/2/4 workers, clean and with a deliberate straggler
-// (ChaosSlow wedges worker 0 into sleeping before every run). On a
-// balanced fleet stealing should cost about what static costs; with a
-// straggler the stealing fleet shrinks the slow worker's chunks and
-// speculates its tail, so steal-4 must beat static-4 — the CI
-// fleet-chaos job gates on that ratio end to end through the CLI.
+// BenchmarkCampaignFleet sweeps the work-stealing fleet over a full
+// Apache1 stand-alone campaign: each worker count runs the campaign
+// through the dispatcher (in-process workers speaking the full wire
+// protocol, one run-pool slot each) and reports wall-clock relative to a
+// 1-worker fleet measured in the same process. On a multi-core host 4
+// workers should finish in well under 0.6x the 1-worker time — the CI
+// shard job gates on exactly that metric; on a single-core host the
+// ratio only shows the dispatch overhead. The straggler case has worker 0
+// sleep 5ms before every run: the fleet shrinks the slow worker's chunks
+// and speculates its tail. The merged results stay byte-identical at
+// every shape (the shard tests pin that).
 func BenchmarkCampaignFleet(b *testing.B) {
-	campaign := func(mode string, workers int, slow string) *core.SetResult {
-		opts := []core.Option{core.WithParallelism(1)}
-		switch {
-		case mode == "static" && workers > 1:
-			opts = append(opts,
-				core.WithShards(workers),
-				core.WithShardExecutor(shard.New(shard.Options{WorkerParallelism: 1, ChaosSlow: slow})))
-		case mode == "steal":
-			opts = append(opts,
-				core.WithShards(2), // engages the executor; FleetOptions sizes the fleet
-				core.WithShardExecutor(shard.NewFleet(shard.FleetOptions{
-					Workers: workers, WorkerParallelism: 1, ChaosSlow: slow})))
-		}
+	campaign := func(workers int, slow string) *core.SetResult {
 		set, err := core.NewCampaign(
 			core.NewRunner(workload.NewApache1(workload.Standalone), core.RunnerOptions{}),
-			opts...).Run(context.Background())
+			core.WithShardExecutor(shard.NewFleet(shard.FleetOptions{
+				Workers: workers, WorkerParallelism: 1, ChaosSlow: slow}))).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if mode == "steal" && set.Dispatch != nil && set.Dispatch.Degraded {
-			b.Fatal("stealing fleet completed degraded in a clean benchmark")
+		if set.Dispatch.Degraded {
+			b.Fatal("fleet completed degraded in a clean benchmark")
 		}
 		return set
 	}
 
-	base := campaign("static", 1, "") // warm-up and run-count baseline
+	// Warm-up, then the 1-worker baseline every fleet shape compares
+	// against, timed in this process.
+	campaign(1, "")
+	start := time.Now()
+	base := campaign(1, "")
+	baseSec := time.Since(start).Seconds()
 
-	bench := func(name, mode string, workers int, slow string) {
+	bench := func(name string, workers int, slow string) {
 		b.Run(name, func(b *testing.B) {
 			totalRuns := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				set := campaign(mode, workers, slow)
+				set := campaign(workers, slow)
 				if len(set.Runs) != len(base.Runs) {
 					b.Fatalf("%s ran %d faults, baseline %d", name, len(set.Runs), len(base.Runs))
 				}
 				totalRuns += len(set.Runs)
 			}
+			sec := b.Elapsed().Seconds() / float64(b.N)
 			b.ReportMetric(float64(totalRuns)/b.Elapsed().Seconds(), "runs/sec")
+			b.ReportMetric(sec/baseSec, "time-vs-1worker")
 		})
 	}
-
-	for _, w := range []int{1, 2, 4} {
-		bench(fmt.Sprintf("static/workers=%d", w), "static", w, "")
-		bench(fmt.Sprintf("steal/workers=%d", w), "steal", w, "")
+	for _, w := range []int{1, 2, 4, 8} {
+		bench(fmt.Sprintf("workers=%d", w), w, "")
 	}
-	// The straggler pair: worker 0 sleeps 5ms before every run. Static
-	// partitioning eats the full delay on a quarter of the campaign;
-	// stealing routes work around the slow slot.
-	bench("static/workers=4/straggler", "static", 4, "0:5")
-	bench("steal/workers=4/straggler", "steal", 4, "0:5")
+	bench("straggler/workers=4", 4, "0:5")
 }
 
 // BenchmarkReplay measures what the divergence oracle buys: a campaign

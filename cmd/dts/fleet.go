@@ -1,10 +1,9 @@
 package main
 
-// The -workers flag family: work-stealing campaign fleets. Where
-// -shards K partitions the job list up front, -workers runs the
-// failure-adaptive dispatcher — bounded chunks on demand, lost chunks
-// re-dispatched, straggler tails speculated, and in-process completion
-// (exit code 5) when every worker budget is exhausted.
+// The -workers flag family: work-stealing campaign fleets. -workers runs
+// the failure-adaptive dispatcher — bounded chunks on demand, lost
+// chunks re-dispatched, straggler tails speculated, and in-process
+// completion (exit code 5) when every worker budget is exhausted.
 //
 //	dts -config dts.cfg -workers 4            # 4 self-exec workers
 //	dts -config dts.cfg -workers h1:9433,h2:9433  # TCP workers
@@ -46,10 +45,10 @@ func (f fleetFlags) sessionKey() string {
 	return os.Getenv("DTS_WORKER_KEY")
 }
 
-// options translates the flags into FleetOptions plus the worker count.
-// An integer -workers spawns that many local dts worker processes; a
-// comma-separated host:port list dials one TCP session per address.
-func (f fleetFlags) options(parallel int) (shard.FleetOptions, int, error) {
+// options translates the flags into FleetOptions. An integer -workers
+// spawns that many local dts worker processes; a comma-separated
+// host:port list dials one TCP session per address.
+func (f fleetFlags) options(parallel int) (shard.FleetOptions, error) {
 	opts := shard.FleetOptions{
 		WorkerParallelism: parallel,
 		ChunkSize:         f.chunk,
@@ -61,11 +60,11 @@ func (f fleetFlags) options(parallel int) (shard.FleetOptions, int, error) {
 	}
 	if n, err := strconv.Atoi(f.workers); err == nil {
 		if n < 1 {
-			return opts, 0, fmt.Errorf("-workers must be >= 1 (got %d)", n)
+			return opts, fmt.Errorf("-workers must be >= 1 (got %d)", n)
 		}
 		opts.Workers = n
 		opts.Spawn = workerSpawner()
-		return opts, n, nil
+		return opts, nil
 	}
 	key := f.sessionKey()
 	for _, addr := range strings.Split(f.workers, ",") {
@@ -74,14 +73,14 @@ func (f fleetFlags) options(parallel int) (shard.FleetOptions, int, error) {
 			continue
 		}
 		if _, _, err := net.SplitHostPort(addr); err != nil {
-			return opts, 0, fmt.Errorf("-workers %q: %q is neither a worker count nor host:port", f.workers, addr)
+			return opts, fmt.Errorf("-workers %q: %q is neither a worker count nor host:port", f.workers, addr)
 		}
 		opts.Spawners = append(opts.Spawners, shard.TCPSpawner(addr, key, shard.TCPOptions{}))
 	}
 	if len(opts.Spawners) == 0 {
-		return opts, 0, fmt.Errorf("-workers %q names no workers", f.workers)
+		return opts, fmt.Errorf("-workers %q names no workers", f.workers)
 	}
-	return opts, len(opts.Spawners), nil
+	return opts, nil
 }
 
 // printFleetSummary renders the dispatch statistics under the campaign

@@ -15,6 +15,7 @@
 //	dts -conformance [-golden path] [-update] [-sample n] [-seed n]
 //	dts ... [-trace-out trace.jsonl] [-metrics] [-trace-cap n]
 //	dts -config dts.cfg -workers 4 | -workers h1:9433,h2:9433 [-worker-key k]
+//	dts -experiment figure2 -workers 4
 //	dts -worker-listen :9433 [-worker-key k]
 //	dts serve [-addr host:port] [-worker-key k]
 //
@@ -33,30 +34,28 @@
 // summary — byte-identical at any -parallel setting. dtsreport -trace
 // summarizes an exported trace.
 //
-// -shards N fans a campaign out over N worker processes (dts re-executes
-// itself with the internal -shard-worker flag); the merged archive,
-// trace, and metrics are byte-identical to the unsharded run, and a
-// worker that dies mid-shard is respawned with only its remaining specs.
-//
 // -cohort replaces the canned client with a generated multi-client cohort
 // (seeded arrival processes, per-class request mixes — see DESIGN.md §4h);
 // the campaign summary then includes a per-class reliability table.
 // -workload-trace-out records the generated schedule; -workload-trace
 // replays a recorded schedule as the campaign input. Both the spec and the
-// trace path ride the journal header, so shard workers and -resume rebuild
+// trace path ride the journal header, so fleet workers and -resume rebuild
 // the identical schedule, and archives are byte-identical at any
-// -parallel/-shards setting and across record/replay.
+// -parallel/-workers setting and across record/replay.
 //
-// -workers runs the campaign as a work-stealing fleet (DESIGN.md §4j):
-// workers pull bounded chunks on demand, lost chunks are re-dispatched,
-// straggler tails are speculated, and the merged archive is byte-identical
-// to an unsharded run under any kill schedule. An integer count spawns
-// local worker processes; a host:port list dials `dts -worker-listen`
-// hosts over authenticated, reconnect-resumable TCP. A campaign that
-// finishes only by in-process fallback (every worker budget exhausted)
-// exits 5. `dts serve` exposes the same engine as a long-running HTTP
-// service: submit campaigns with config and fault list inline, stream
-// progress as JSONL, fetch the archive and report.
+// -workers runs a -config or -experiment campaign as a work-stealing
+// fleet of worker processes (DESIGN.md §4j; dts re-executes itself with
+// the internal -shard-worker flag): workers pull bounded chunks on
+// demand, lost chunks are re-dispatched, straggler tails are speculated,
+// and the merged archive, trace and metrics are byte-identical to an
+// unsharded run under any kill schedule. -parallel then sizes each
+// worker's run pool. An integer count spawns local worker processes; a
+// host:port list dials `dts -worker-listen` hosts over authenticated,
+// reconnect-resumable TCP. A campaign that finishes only by in-process
+// fallback (every worker budget exhausted) exits 5. `dts serve` exposes
+// the same engine as a long-running HTTP service: submit campaigns with
+// config and fault list inline, stream progress as JSONL, fetch the
+// archive and report.
 //
 // -middleware overrides the configured substrate ("none", "watchd",
 // "watchd-v1".."v3", "mscs") without editing the config file. With
@@ -75,8 +74,8 @@
 // lists gain an optional node=<i> address and three cluster scenario
 // pseudo-faults (DTSClusterNodeCrash, DTSClusterServiceCrash,
 // DTSClusterPartition); the summary and dtsreport grow a per-node cluster
-// view. The topology rides the journal header, so shard workers rebuild
-// it and archives stay byte-identical at any -parallel/-shards setting.
+// view. The topology rides the journal header, so fleet workers rebuild
+// it and archives stay byte-identical at any -parallel/-workers setting.
 package main
 
 import (
@@ -149,8 +148,7 @@ func run(args []string, out io.Writer) error {
 	maxQuarantined := fs.Int("max-quarantined", 0, "stop the campaign once this many runs are quarantined (0 = unlimited)")
 	retries := fs.Int("retries", 2, "retry budget for indeterminate runs (hang, panic, error) before quarantine")
 	chaos := fs.Bool("chaos", false, "recognize the reserved DTSChaos* fault functions and the DTS_SHARD_CHAOS_KILL drill (self-tests)")
-	shards := fs.Int("shards", 0, "fan the campaign out over this many worker processes (results byte-identical to unsharded; -parallel then sizes each worker's pool)")
-	workers := fs.String("workers", "", `work-stealing campaign fleet: a worker count ("4" spawns local dts workers) or a comma-separated host:port list (dials dts -worker-listen hosts); results byte-identical to unsharded under any kill schedule`)
+	workers := fs.String("workers", "", `work-stealing campaign fleet: a worker count ("4" spawns local dts workers) or a comma-separated host:port list (dials dts -worker-listen hosts); results byte-identical to unsharded under any kill schedule; -parallel then sizes each worker's pool`)
 	workerListen := fs.String("worker-listen", "", "host fleet workers for remote -workers coordinators on this TCP address (long-running; authenticate with -worker-key)")
 	workerKey := fs.String("worker-key", "", "shared session key for the -workers/-worker-listen TCP transport (default $DTS_WORKER_KEY)")
 	chunk := fs.Int("chunk", 0, "fleet dispatch chunk size (0 = auto; degraded workers receive smaller chunks automatically)")
@@ -159,9 +157,9 @@ func run(args []string, out io.Writer) error {
 	replayPath := fs.String("replay", "", "re-execute a journaled campaign under the -middleware substrate, eliding runs the recorded evidence proves unaffected (archive byte-identical to a from-scratch run)")
 	middlewareSpec := fs.String("middleware", "", `middleware substrate: "none", "watchd", "watchd-v1".."v3" or "mscs" (the -replay target, or a -config override)`)
 	noElide := fs.Bool("no-elide", false, "disable the -replay divergence oracle so every run re-executes (the equivalence baseline)")
-	clusterN := fs.Int("cluster", 0, "run every fault on an N-node simulated cluster (0 = single host; 1 = single host with DTSCluster* scenario faults enabled; topology rides the journal header so -parallel/-shards/-resume rebuild it)")
+	clusterN := fs.Int("cluster", 0, "run every fault on an N-node simulated cluster (0 = single host; 1 = single host with DTSCluster* scenario faults enabled; topology rides the journal header so -parallel/-workers/-resume rebuild it)")
 	routing := fs.String("routing", "", `client routing policy across -cluster nodes: "failover" (default), "round-robin" or "least-loaded"`)
-	cohort := fs.String("cohort", "", `generated multi-client workload: a seeded cohort spec, e.g. "seed=42;class=browser,clients=4,requests=6,arrival=poisson,rate=2,mix=static-115k:3/cgi-1k:1" (same seed, same schedule at any -parallel/-shards)`)
+	cohort := fs.String("cohort", "", `generated multi-client workload: a seeded cohort spec, e.g. "seed=42;class=browser,clients=4,requests=6,arrival=poisson,rate=2,mix=static-115k:3/cgi-1k:1" (same seed, same schedule at any -parallel/-workers)`)
 	workloadTrace := fs.String("workload-trace", "", "replay a recorded schedule trace (JSONL) as the client workload instead of the canned client")
 	workloadTraceOut := fs.String("workload-trace-out", "", "record the -cohort schedule to this trace file (replayable with -workload-trace)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole command to this file")
@@ -209,14 +207,11 @@ func run(args []string, out io.Writer) error {
 	if *retries < 0 {
 		return fmt.Errorf("-retries must be >= 0 (got %d)", *retries)
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be >= 0 (got %d)", *shards)
-	}
 
 	// SIGINT/SIGTERM cancel this context; the campaign engine converts
 	// the cancellation into a graceful stop (supervised campaigns drain,
-	// flush the journal, and print the resume command — the coordinator
-	// cancels shard workers through the same path).
+	// flush the journal, and print the resume command — the fleet
+	// coordinator cancels its workers through the same path).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -255,7 +250,7 @@ func run(args []string, out io.Writer) error {
 		// optionally override the recorded topology. Everything that would
 		// change what the journal already fixed is rejected.
 		if *cfgPath != "" || *experiment != "" || *conformance || *resume != "" ||
-			*faultSpec != "" || *journalPath != "" || *shards > 0 || fflags.active() ||
+			*faultSpec != "" || *journalPath != "" || fflags.active() ||
 			*runDeadline > 0 || *maxQuarantined > 0 || wflags.active() {
 			return fmt.Errorf("-replay re-executes a journaled campaign under a new -middleware; it combines only with -middleware, -cluster/-routing, -out, -parallel, -no-elide and -q")
 		}
@@ -273,35 +268,27 @@ func run(args []string, out io.Writer) error {
 		mwOverride = &spec
 	}
 
+	// The fleet replaces the supervisor: worker processes isolate harness
+	// faults, and -journal records committed runs plus the dispatch
+	// provenance trail.
+	var fleet *shard.FleetOptions
 	if fflags.active() {
-		if *shards > 0 {
-			return fmt.Errorf("-workers (work-stealing fleet) and -shards (static partitions) are mutually exclusive")
+		if *resume != "" || *conformance || *faultSpec != "" || *runDeadline > 0 || *maxQuarantined > 0 {
+			return fmt.Errorf("-workers runs unsupervised -config and -experiment campaigns; drop -resume/-conformance/-fault/-run-deadline/-max-quarantined (-journal is allowed: the fleet journals every committed run plus its dispatch provenance)")
 		}
-		if *resume != "" || *conformance || *experiment != "" || *faultSpec != "" ||
-			*runDeadline > 0 || *maxQuarantined > 0 {
-			return fmt.Errorf("-workers runs unsupervised -config campaigns only; drop -resume/-conformance/-experiment/-fault/-run-deadline/-max-quarantined (-journal is allowed: the fleet journals every committed run plus its dispatch provenance)")
+		fopts, err := fflags.options(*parallel)
+		if err != nil {
+			return err
 		}
+		fleet = &fopts
 	}
 
-	var shardExec core.ShardExecutor
-	if *shards > 1 {
-		if *resume != "" || *conformance || *faultSpec != "" || *journalPath != "" ||
-			*runDeadline > 0 || *maxQuarantined > 0 {
-			return fmt.Errorf("-shards runs unsupervised campaigns only; drop -resume/-conformance/-fault/-journal/-run-deadline/-max-quarantined (worker processes already isolate harness faults)")
-		}
-		sopts := shard.Options{WorkerParallelism: *parallel, Spawn: workerSpawner()}
-		if *chaos {
-			sopts.ChaosKill = os.Getenv("DTS_SHARD_CHAOS_KILL")
-			sopts.ChaosSlow = os.Getenv("DTS_SHARD_CHAOS_SLOW")
-		}
-		shardExec = shard.New(sopts)
-	}
-
-	ecfg := experiments.Config{Progress: progress, Parallelism: *parallel,
-		Shards: *shards, ShardExec: shardExec}
+	ecfg := experiments.Config{Progress: progress, Parallelism: *parallel}
 	ecfg.Opts.Telemetry = tflags.options()
 	ecfg.Opts.FreshBoot = *freshBoot
-	if sflags.active() && *shards <= 1 && !fflags.active() {
+	if fleet != nil {
+		ecfg.ShardExec = shard.NewFleet(*fleet)
+	} else if sflags.active() {
 		opts := sflags.options()
 		ecfg.Supervise = &opts
 	}
@@ -324,13 +311,13 @@ func run(args []string, out io.Writer) error {
 	case *cfgPath != "" && *faultSpec != "":
 		return runSingleFault(*cfgPath, *faultSpec, *trace, *freshBoot, mwOverride, cflags, wflags, tflags, out)
 	case *cfgPath != "":
-		return runConfigured(ctx, *cfgPath, *outPath, *parallel, *shards, *freshBoot, shardExec, mwOverride, cflags, wflags, tflags, sflags, fflags, progress, out)
+		return runConfigured(ctx, *cfgPath, *outPath, *parallel, *freshBoot, fleet, mwOverride, cflags, wflags, tflags, sflags, progress, out)
 	default:
 		return fmt.Errorf("one of -config, -experiment or -resume is required")
 	}
 }
 
-// workerSpawner builds the self-exec spawner for shard workers. Under
+// workerSpawner builds the self-exec spawner for fleet workers. Under
 // `go test` the binary is the test harness, so workers re-enter through
 // TestHelperProcess — the same re-exec pattern the chaos tests use.
 func workerSpawner() shard.Spawner {
@@ -602,7 +589,7 @@ func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemet
 	return saveArchive(archive, outPath)
 }
 
-func runConfigured(ctx context.Context, cfgPath, outPath string, parallel, shards int, freshBoot bool, shardExec core.ShardExecutor, mw *middleware.Spec, cflags clusterFlags, wflags workloadFlags, tflags telemetryFlags, sflags superviseFlags, fflags fleetFlags, progress func(string), out io.Writer) error {
+func runConfigured(ctx context.Context, cfgPath, outPath string, parallel int, freshBoot bool, fleet *shard.FleetOptions, mw *middleware.Spec, cflags clusterFlags, wflags workloadFlags, tflags telemetryFlags, sflags superviseFlags, progress func(string), out io.Writer) error {
 	f, err := os.Open(cfgPath)
 	if err != nil {
 		return err
@@ -632,31 +619,24 @@ func runConfigured(ctx context.Context, cfgPath, outPath string, parallel, shard
 		outPath = cfg.Results
 	}
 
-	var fleetJW *journal.Writer
-	if fflags.active() {
-		// The fleet replaces both the static executor and the
-		// supervisor: worker processes isolate harness faults, and the
-		// journal (when requested) records committed runs plus the
-		// dispatch provenance trail.
-		fopts, n, ferr := fflags.options(parallel)
-		if ferr != nil {
-			return ferr
-		}
+	var (
+		shardExec core.ShardExecutor
+		fleetJW   *journal.Writer
+	)
+	if fleet != nil {
+		fopts := *fleet
 		if sflags.journal != "" {
-			fleetJW, ferr = journal.Create(sflags.journal, journalHeader(cfg, def, opts, tflags, sflags))
-			if ferr != nil {
-				return ferr
+			fleetJW, err = journal.Create(sflags.journal, journalHeader(cfg, def, opts, tflags, sflags))
+			if err != nil {
+				return err
 			}
 			fopts.Journal = fleetJW
 		}
 		shardExec = shard.NewFleet(fopts)
-		if shards = n; shards < 2 {
-			shards = 2 // engage the executor; FleetOptions sizes the fleet
-		}
 	}
 
 	var sup *core.Supervisor
-	if sflags.active() && shards <= 1 && !fflags.active() {
+	if sflags.active() && fleet == nil {
 		sup = core.NewSupervisor(sflags.options())
 		if sflags.journal != "" {
 			jw, jerr := journal.Create(sflags.journal, journalHeader(cfg, def, opts, tflags, sflags))
@@ -671,7 +651,6 @@ func runConfigured(ctx context.Context, cfgPath, outPath string, parallel, shard
 		core.WithParallelism(parallel),
 		core.WithProgress(campaignProgress(progress)),
 		core.WithSupervision(sup),
-		core.WithShards(shards),
 		core.WithShardExecutor(shardExec),
 	}
 	if cfg.FaultList != "" {

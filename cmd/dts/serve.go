@@ -211,17 +211,11 @@ func (s *campaignServer) start(req submitRequest) (*servedCampaign, error) {
 	}
 	if req.Workers != "" {
 		ff := fleetFlags{workers: req.Workers, key: s.workerKey}
-		fopts, n, ferr := ff.options(req.Parallel)
+		fopts, ferr := ff.options(req.Parallel)
 		if ferr != nil {
 			return nil, ferr
 		}
-		shards := n
-		if shards < 2 {
-			shards = 2
-		}
-		copts = append(copts,
-			core.WithShards(shards),
-			core.WithShardExecutor(shard.NewFleet(fopts)))
+		copts = append(copts, core.WithShardExecutor(shard.NewFleet(fopts)))
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

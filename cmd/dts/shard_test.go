@@ -1,10 +1,11 @@
 package main
 
-// Sharded-execution self-tests: the coordinator in this process spawns
-// real dts worker processes (this test binary re-exec'd through
+// Fleet self-tests with real worker processes: the coordinator in this
+// process spawns dts workers (this test binary re-exec'd through
 // TestHelperProcess, exactly like the chaos tests) and the merged
 // archive must be byte-identical to the unsharded run — including after
-// a worker SIGKILLs itself mid-shard and its remainder is re-dispatched.
+// a worker SIGKILLs itself mid-chunk and its remainder is re-dispatched,
+// and for a whole -experiment fanned out over fleets.
 
 import (
 	"bytes"
@@ -30,11 +31,11 @@ func unshardedArchive(t *testing.T, dir, cfgPath string) []byte {
 }
 
 // TestShardedArchiveMatchesUnsharded fans the 200-spec campaign out over
-// four real worker processes and byte-compares the merged archive with
-// the unsharded run.
+// four real worker processes, each running a two-wide run pool, and
+// byte-compares the merged archive with the unsharded run.
 func TestShardedArchiveMatchesUnsharded(t *testing.T) {
 	if testing.Short() {
-		t.Skip("re-exec shard test")
+		t.Skip("re-exec fleet test")
 	}
 	t.Setenv("DTS_HELPER_PROCESS", "1") // workerSpawner re-enters via TestHelperProcess
 	dir := t.TempDir()
@@ -44,29 +45,61 @@ func TestShardedArchiveMatchesUnsharded(t *testing.T) {
 	outPath := filepath.Join(dir, "sharded.json")
 	var out bytes.Buffer
 	if err := run([]string{"-config", cfgPath, "-out", outPath, "-q",
-		"-shards", "4", "-parallel", "1"}, &out); err != nil {
-		t.Fatalf("sharded campaign: %v", err)
+		"-workers", "4", "-parallel", "2"}, &out); err != nil {
+		t.Fatalf("fleet campaign: %v", err)
 	}
 	sharded, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(golden, sharded) {
-		t.Fatal("archive from dts -shards 4 differs from the unsharded run")
+		t.Fatal("archive from dts -workers 4 -parallel 2 differs from the unsharded run")
 	}
 }
 
-// TestShardedWorkerSigkillRedispatch is the tentpole failure drill: one
-// worker SIGKILLs itself mid-shard (the DTS_SHARD_CHAOS_KILL hook behind
-// -chaos), the coordinator keeps its streamed prefix, re-dispatches only
-// the remaining specs to a fresh worker, and the merged archive still
-// byte-matches the unsharded run.
-func TestShardedWorkerSigkillRedispatch(t *testing.T) {
+// TestExperimentWorkersMatchesInProcess runs a whole paper experiment —
+// nine Figure 5 campaigns, each on its own two-worker fleet — and
+// byte-compares the archive with the in-process experiment.
+func TestExperimentWorkersMatchesInProcess(t *testing.T) {
 	if testing.Short() {
-		t.Skip("re-exec shard test")
+		t.Skip("re-exec fleet test")
 	}
 	t.Setenv("DTS_HELPER_PROCESS", "1")
-	t.Setenv("DTS_SHARD_CHAOS_KILL", "1:5") // shard 1's first worker dies after 5 records
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "inprocess.json")
+	fleetPath := filepath.Join(dir, "fleet.json")
+	var out bytes.Buffer
+	if err := run([]string{"-experiment", "figure5", "-q", "-out", inPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-experiment", "figure5", "-q", "-out", fleetPath,
+		"-workers", "2", "-parallel", "1"}, &out); err != nil {
+		t.Fatalf("figure5 on fleets: %v", err)
+	}
+	want, err := os.ReadFile(inPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(fleetPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatal("figure5 archive from -workers 2 differs from the in-process experiment")
+	}
+}
+
+// TestShardedWorkerSigkillRedispatch is the SIGKILL drill on a small
+// fleet: worker 0 kills itself after its first record (the
+// DTS_SHARD_CHAOS_KILL hook behind -chaos) while its two-wide pool still
+// has runs in flight; the coordinator keeps what streamed, re-dispatches
+// the rest, and the merged archive still byte-matches the unsharded run.
+func TestShardedWorkerSigkillRedispatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec fleet test")
+	}
+	t.Setenv("DTS_HELPER_PROCESS", "1")
+	t.Setenv("DTS_SHARD_CHAOS_KILL", "0:1")
 	dir := t.TempDir()
 	cfgPath := chaosCampaign(t, dir)
 	golden := unshardedArchive(t, dir, cfgPath)
@@ -74,8 +107,8 @@ func TestShardedWorkerSigkillRedispatch(t *testing.T) {
 	outPath := filepath.Join(dir, "chaos-sharded.json")
 	var out bytes.Buffer
 	if err := run([]string{"-config", cfgPath, "-out", outPath, "-q",
-		"-shards", "4", "-chaos"}, &out); err != nil {
-		t.Fatalf("sharded campaign with killed worker: %v", err)
+		"-workers", "2", "-parallel", "2", "-chaos"}, &out); err != nil {
+		t.Fatalf("fleet campaign with killed worker: %v", err)
 	}
 	sharded, err := os.ReadFile(outPath)
 	if err != nil {
@@ -86,26 +119,29 @@ func TestShardedWorkerSigkillRedispatch(t *testing.T) {
 	}
 }
 
-// TestShardsFlagValidation: -shards campaigns are unsupervised by
-// design; the conflicting flag families must fail fast with a clear
-// message, and negative counts are rejected.
+// TestShardsFlagValidation: -workers is the one way to fan out. The
+// retired -shards flag is unknown to the flag package, and -workers
+// rejects the flags that need the in-process supervisor or a single
+// process.
 func TestShardsFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := chaosCampaign(t, dir)
 	var out bytes.Buffer
+	if err := run([]string{"-config", cfgPath, "-shards", "4"}, &out); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Errorf("-shards: err = %v, want the undefined-flag error", err)
+	}
 	for _, args := range [][]string{
-		{"-config", cfgPath, "-shards", "4", "-journal", filepath.Join(dir, "j")},
-		{"-config", cfgPath, "-shards", "4", "-run-deadline", "1s"},
-		{"-config", cfgPath, "-shards", "4", "-max-quarantined", "3"},
-		{"-config", cfgPath, "-shards", "2", "-fault", "ReadFile 0 1 zero"},
+		{"-config", cfgPath, "-workers", "4", "-resume", filepath.Join(dir, "j")},
+		{"-workers", "4", "-conformance"},
+		{"-config", cfgPath, "-workers", "2", "-fault", "ReadFile 0 1 zero"},
+		{"-config", cfgPath, "-workers", "4", "-run-deadline", "1s"},
+		{"-config", cfgPath, "-workers", "4", "-max-quarantined", "3"},
 	} {
 		err := run(args, &out)
-		if err == nil || !strings.Contains(err.Error(), "-shards") {
-			t.Errorf("%v: err = %v, want a -shards conflict", args[2:], err)
+		if err == nil || !strings.Contains(err.Error(), "-workers runs unsupervised") {
+			t.Errorf("%v: err = %v, want the -workers exclusion", args, err)
 		}
-	}
-	if err := run([]string{"-config", cfgPath, "-shards", "-1"}, &out); err == nil {
-		t.Error("negative -shards accepted")
 	}
 }
 
@@ -114,18 +150,18 @@ func TestShardsFlagValidation(t *testing.T) {
 // demonstrably reaches the coordinator — and inert without -chaos.
 func TestShardChaosEnvGating(t *testing.T) {
 	if testing.Short() {
-		t.Skip("re-exec shard test")
+		t.Skip("re-exec fleet test")
 	}
 	t.Setenv("DTS_HELPER_PROCESS", "1")
 	t.Setenv("DTS_SHARD_CHAOS_KILL", "bogus")
 	dir := t.TempDir()
 	cfgPath := chaosCampaign(t, dir)
 	var out bytes.Buffer
-	err := run([]string{"-config", cfgPath, "-q", "-shards", "2", "-chaos"}, &out)
+	err := run([]string{"-config", cfgPath, "-q", "-workers", "2", "-chaos"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "chaos kill spec") {
 		t.Fatalf("armed bogus chaos spec: err = %v, want a parse error", err)
 	}
-	if err := run([]string{"-config", cfgPath, "-q", "-shards", "2"}, &out); err != nil {
+	if err := run([]string{"-config", cfgPath, "-q", "-workers", "2"}, &out); err != nil {
 		t.Fatalf("unarmed chaos env must be ignored: %v", err)
 	}
 }

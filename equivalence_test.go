@@ -1,7 +1,7 @@
 // End-to-end engine-equivalence oracle: the snapshot-fork run engine
 // must produce archives byte-identical to the legacy fresh-boot engine
-// through every execution topology — sequential, worker pools, and the
-// multi-process shard fan-out. The per-package tests pin the same
+// through every execution topology — sequential, worker pools, and a
+// work-stealing fleet of workers. The per-package tests pin the same
 // property at the runner and campaign layers; this test pins it at the
 // outermost layer users see (the archive the dts binary writes).
 package ntdts_test
@@ -33,8 +33,7 @@ func TestEngineEquivalence(t *testing.T) {
 		}
 		if shards > 1 {
 			opts = append(opts,
-				core.WithShards(shards),
-				core.WithShardExecutor(shard.New(shard.Options{WorkerParallelism: 1})))
+				core.WithShardExecutor(shard.NewFleet(shard.FleetOptions{Workers: shards, WorkerParallelism: 1})))
 		}
 		set, err := core.NewCampaign(
 			core.NewRunner(workload.NewApache1(workload.Standalone), core.RunnerOptions{}),

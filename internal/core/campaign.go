@@ -149,12 +149,13 @@ type Campaign struct {
 	// specs, when non-empty, replaces the generated catalog sweep with an
 	// explicit fault list (the dts fault-list-file path).
 	specs []inject.FaultSpec
-	// shards, when > 1, fans the job list out over that many worker
-	// processes through a ShardExecutor; results merge byte-identical to
-	// an unsharded run.
-	shards int
-	// shardExec overrides the process-registered ShardExecutor.
+	// shardExec, when non-nil, fans the job list out over worker
+	// processes instead of the in-process pool; results merge
+	// byte-identical to an unsharded run.
 	shardExec ShardExecutor
+	// shards is the fleet size an executor falls back to when it is not
+	// sized itself.
+	shards int
 	// replay, when non-nil, resolves jobs from a recorded source
 	// campaign before execution (see WithReplay).
 	replay ReplaySource
@@ -163,8 +164,7 @@ type Campaign struct {
 // Runner returns the campaign's workload runner.
 func (c *Campaign) Runner() *Runner { return c.runner }
 
-// Shards returns the configured worker-process fan-out (<= 1 means
-// in-process execution).
+// Shards returns the WithShards fleet size (0 when unset).
 func (c *Campaign) Shards() int { return c.shards }
 
 // HasProgress reports whether a progress callback is registered, so
@@ -182,7 +182,7 @@ func (c *Campaign) ReportProgress(done, total int) {
 // Prepared is a campaign after calibration and planning, ready to
 // execute: the frozen job list plus everything Assemble needs to build
 // the SetResult. The coordinator/worker split lives on this boundary —
-// a ShardExecutor partitions Jobs and Assemble merges the results.
+// a ShardExecutor dispatches Jobs and Assemble merges the results.
 type Prepared struct {
 	c *Campaign
 	// Calib is the fault-free calibration result.
@@ -240,39 +240,6 @@ func (c *Campaign) Prepare() (*Prepared, error) {
 	return p, nil
 }
 
-// SiteGroup is one activation site's slice of the fault plan: the indices
-// of every job arming at the same (function, invocation), with the prefix
-// tier the runner resumes those runs from.
-type SiteGroup struct {
-	Site inject.Site
-	// Tier is the deepest snapshot the runner can fork for this site.
-	Tier SnapshotTier
-	// Jobs indexes into Prepared.Jobs, in plan order.
-	Jobs []int
-}
-
-// SiteGroups partitions the job list by activation site, in plan order of
-// each site's first job. Runs in one group share their entire execution
-// prefix up to fault activation; the snapshot-fork engine resumes all of
-// them from the same captured prefix (Tier reports how deep that capture
-// reaches — TierBoot today, since live goroutine stacks bound how much of
-// a run is capturable).
-func (p *Prepared) SiteGroups() []SiteGroup {
-	index := make(map[inject.Site]int)
-	var groups []SiteGroup
-	for i, j := range p.Jobs {
-		site := j.Spec.Site()
-		gi, ok := index[site]
-		if !ok {
-			gi = len(groups)
-			index[site] = gi
-			groups = append(groups, SiteGroup{Site: site, Tier: p.c.runner.SnapshotAt(site)})
-		}
-		groups[gi].Jobs = append(groups[gi].Jobs, i)
-	}
-	return groups
-}
-
 // Assemble builds the SetResult from the executed (possibly partial)
 // run list. A supervisor stop (interrupt, quarantine budget) is
 // graceful degradation: the partial set returns alongside the cause so
@@ -314,31 +281,24 @@ func (p *Prepared) Assemble(runs []RunResult, runErr error) (*SetResult, error) 
 }
 
 // Run executes the campaign: Prepare, then the job list on the
-// in-process worker pool — or, with Shards > 1, fanned out across
-// worker processes by the ShardExecutor — then Assemble. Cancel ctx to
-// stop between runs; a supervised campaign converts the cancellation
-// into its partial-results ErrInterrupted contract.
+// in-process worker pool — or, with WithShardExecutor, fanned out
+// across worker processes — then Assemble. Cancel ctx to stop between
+// runs; a supervised campaign converts the cancellation into its
+// partial-results ErrInterrupted contract.
 func (c *Campaign) Run(ctx context.Context) (*SetResult, error) {
 	p, err := c.Prepare()
 	if err != nil {
 		return nil, err
 	}
 	if c.replay != nil {
-		if c.shards > 1 || c.supervise != nil {
+		if c.shardExec != nil || c.supervise != nil {
 			return nil, errors.New("campaign: replay is mutually exclusive with sharding and supervision")
 		}
 		return c.runReplay(ctx, p)
 	}
-	if c.shards > 1 {
-		exec := c.shardExec
-		if exec == nil {
-			exec = registeredShardExecutor()
-		}
-		if exec == nil {
-			return nil, errors.New("campaign: Shards > 1 but no ShardExecutor available (import ntdts/internal/shard)")
-		}
+	if exec := c.shardExec; exec != nil {
 		if c.supervise != nil {
-			return nil, errors.New("campaign: sharding and supervision are mutually exclusive (each worker process already isolates harness faults; journal a shard-worker run instead)")
+			return nil, errors.New("campaign: sharding and supervision are mutually exclusive (each worker process already isolates harness faults)")
 		}
 		runs, runErr := exec.ExecuteShards(ctx, c, p)
 		set, err := p.Assemble(runs, runErr)

@@ -1,12 +1,22 @@
 package core
 
-// The fleet-dispatch reporting seam. The work-stealing executor lives
-// in internal/shard (which imports core), so core sees it only through
-// the ShardExecutor interface; DispatchReporter is the optional
-// extension Campaign.Run queries after a sharded run to surface how the
-// fleet behaved — chunks redispatched, workers lost, whether the
-// campaign finished degraded. The stats ride SetResult outside the JSON
-// archive, so archives stay byte-identical at any fleet shape.
+// The shard executor seam. Sharded execution lives in internal/shard,
+// which imports core for the campaign plumbing — so core cannot import
+// it back. Callers hand Campaign.Run an executor through
+// WithShardExecutor; DispatchReporter is the optional extension
+// Campaign.Run queries afterwards to surface how the fleet behaved —
+// chunks redispatched, workers lost, whether the campaign finished
+// degraded. The stats ride SetResult outside the JSON archive, so
+// archives stay byte-identical at any fleet shape.
+
+import "context"
+
+// ShardExecutor executes a prepared campaign's job list across worker
+// processes and returns the results in job order — the same contract as
+// the in-process pool, so Assemble merges either interchangeably.
+type ShardExecutor interface {
+	ExecuteShards(ctx context.Context, c *Campaign, p *Prepared) ([]RunResult, error)
+}
 
 // DispatchStats summarizes one fleet execution.
 type DispatchStats struct {

@@ -52,14 +52,15 @@ func WithProgress(f func(done, total int)) Option {
 	return func(c *Campaign) { c.progress = f }
 }
 
-// WithShards fans the campaign out over n worker processes (n <= 1
-// stays in-process). The executor comes from WithShardExecutor or the
-// process registration performed by importing ntdts/internal/shard.
+// WithShards sizes the fleet of an executor that is not sized itself
+// (shard.FleetOptions.Workers == 0). It does not engage sharding on its
+// own; WithShardExecutor does.
 func WithShards(n int) Option {
 	return func(c *Campaign) { c.shards = n }
 }
 
-// WithShardExecutor overrides the registered ShardExecutor.
+// WithShardExecutor fans the job list out over worker processes through
+// e instead of the in-process pool (nil keeps the pool).
 func WithShardExecutor(e ShardExecutor) Option {
 	return func(c *Campaign) { c.shardExec = e }
 }
@@ -74,7 +75,7 @@ func WithSpecs(specs []inject.FaultSpec) Option {
 // resolves every job whose recorded trace proves the outcome cannot
 // change under this campaign's substrate, and only the rest re-execute
 // (see internal/replay for the divergence oracle). Mutually exclusive
-// with WithShards and WithSupervision.
+// with WithShardExecutor and WithSupervision.
 func WithReplay(src ReplaySource) Option {
 	return func(c *Campaign) { c.replay = src }
 }
@@ -109,7 +110,7 @@ func WithFreshBoot() Option {
 // cluster with the given client routing policy ("round-robin",
 // "least-loaded" or "failover"; "" = failover). n == 1 keeps the
 // single-kernel engine but enables the DTSCluster* scenario faults. The
-// topology rides the journal header, so -parallel, -shards and -resume
+// topology rides the journal header, so -parallel, -workers and -resume
 // all rebuild identical clusters.
 func WithCluster(n int, routing string) Option {
 	return func(c *Campaign) {

@@ -151,6 +151,26 @@ func buildPlan(activated map[string]bool, types []inject.FaultType, invocation i
 	return p
 }
 
+// FinishJob is the per-job decision every executor applies to a run's
+// outcome — the in-process pool, a fleet worker and the fleet's local
+// drain alike: a run error names its job (probe or run, spec, and the
+// fingerprint — the journal key's hash, so a failed run is greppable in
+// the journal by the same identifier), and a probe's result is marked
+// Skipped.
+func FinishJob(job PlanJob, res *RunResult, err error) (*RunResult, error) {
+	if err != nil {
+		spec := job.Spec
+		if job.Probe {
+			return nil, fmt.Errorf("skip probe %v [%s]: %w", spec, spec.Fingerprint(), err)
+		}
+		return nil, fmt.Errorf("run %v [%s]: %w", spec, spec.Fingerprint(), err)
+	}
+	if job.Probe {
+		res.Skipped = true
+	}
+	return res, nil
+}
+
 // jobError carries the failing job's list position so concurrent failures
 // resolve to the same error a sequential sweep would have reported first.
 type jobError struct {
@@ -250,19 +270,9 @@ func executeJobs(ctx context.Context, base *Runner, jobs []PlanJob, parallelism 
 				} else {
 					res, err = runner.Run(&spec)
 				}
-				if err != nil {
-					// The fingerprint is the journal key's hash, so a failed
-					// run is greppable in the journal by the same identifier
-					// the error names.
-					if job.Probe {
-						fail(i, fmt.Errorf("skip probe %v [%s]: %w", spec, spec.Fingerprint(), err))
-					} else {
-						fail(i, fmt.Errorf("run %v [%s]: %w", spec, spec.Fingerprint(), err))
-					}
+				if res, err = FinishJob(job, res, err); err != nil {
+					fail(i, err)
 					return
-				}
-				if job.Probe {
-					res.Skipped = true
 				}
 				results[i] = *res
 				if progress != nil && !job.Probe {
@@ -290,30 +300,4 @@ func executeJobs(ctx context.Context, base *Runner, jobs []PlanJob, parallelism 
 		return nil, ErrInterrupted
 	}
 	return results, nil
-}
-
-// RunSpecs executes an explicit fault list on the campaign worker pool,
-// returning results in spec order. This is the engine behind Campaign
-// and the dts fault-list-file path; parallelism semantics match
-// Campaign.Parallelism (0 = GOMAXPROCS, 1 = sequential). Cancel ctx to
-// stop the pool between runs.
-func RunSpecs(ctx context.Context, r *Runner, specs []inject.FaultSpec, parallelism int, progress func(done, total int)) ([]RunResult, error) {
-	return RunSpecsSupervised(ctx, r, specs, parallelism, progress, nil)
-}
-
-// RunSpecsSupervised is RunSpecs under a campaign supervisor: runs gain
-// the watchdog/quarantine/retry/journal layer, completed runs replay
-// from a resumed journal, and a supervisor stop (or ctx cancellation)
-// returns partial results with the stop cause.
-func RunSpecsSupervised(ctx context.Context, r *Runner, specs []inject.FaultSpec, parallelism int, progress func(done, total int), sup *Supervisor) ([]RunResult, error) {
-	jobs := make([]PlanJob, len(specs))
-	for i, s := range specs {
-		jobs[i] = PlanJob{Spec: s}
-	}
-	if sup != nil {
-		if err := sup.syncPlan(jobs); err != nil {
-			return nil, err
-		}
-	}
-	return executeJobs(ctx, r, jobs, parallelism, len(jobs), progress, sup)
 }

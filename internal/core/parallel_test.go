@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"ntdts/internal/determinism"
@@ -100,9 +101,36 @@ func TestCampaignParallelFaithfulSkips(t *testing.T) {
 	}
 }
 
-// TestRunSpecsParallel checks the explicit-fault-list entry point (the
-// dts -config path) against its sequential result.
-func TestRunSpecsParallel(t *testing.T) {
+// specRuns executes an explicit fault list as a campaign — the dts
+// -config fault-list path — and returns its runs in spec order. A
+// supervisor stop still hands back the partial runs with the cause.
+func specRuns(r *Runner, specs []inject.FaultSpec, par int, opts ...Option) ([]RunResult, error) {
+	opts = append([]Option{WithSpecs(specs), WithParallelism(par)}, opts...)
+	set, err := NewCampaign(r, opts...).Run(context.Background())
+	if set == nil {
+		return nil, err
+	}
+	return set.Runs, err
+}
+
+// failingRunsDef is Apache1 whose calibration succeeds but whose every
+// fault run fails to start its client with failure.
+func failingRunsDef(failure error) workload.Definition {
+	def := workload.NewApache1(workload.Standalone)
+	spawn := def.SpawnClient
+	var calls atomic.Int32
+	def.SpawnClient = func(k *ntsim.Kernel) (*ntsim.Process, *workload.Report, error) {
+		if calls.Add(1) == 1 {
+			return spawn(k) // the calibration run, which Prepare runs first
+		}
+		return nil, nil, failure
+	}
+	return def
+}
+
+// TestSpecCampaignParallel checks the explicit-fault-list entry point
+// (the dts -config path) against its sequential result.
+func TestSpecCampaignParallel(t *testing.T) {
 	specs := []inject.FaultSpec{
 		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits},
 		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.ZeroBits},
@@ -110,15 +138,15 @@ func TestRunSpecsParallel(t *testing.T) {
 		{Function: "CreateFileA", Param: 0, Invocation: 1, Type: inject.ZeroBits},
 	}
 	runner := NewRunner(workload.NewIIS(workload.Standalone), RunnerOptions{})
-	seq, err := RunSpecs(context.Background(), runner, specs, 1, nil)
+	seq, err := specRuns(runner, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSpecs(context.Background(), runner, specs, 4, nil)
+	par, err := specRuns(runner, specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	determinism.AssertEqualSlices(t, "RunSpecs results", par, seq, func(i int) string {
+	determinism.AssertEqualSlices(t, "fault-list campaign runs", par, seq, func(i int) string {
 		return fmt.Sprintf("dts -config <IIS/none> -fault %q -parallel 4", specs[i].String())
 	})
 	if len(seq) != len(specs) {
@@ -126,15 +154,11 @@ func TestRunSpecsParallel(t *testing.T) {
 	}
 }
 
-// TestRunSpecsFirstError checks deterministic error selection: when every
-// run fails, the pool reports the lowest-indexed spec's error — the one a
-// sequential sweep would have hit first — at any worker count.
-func TestRunSpecsFirstError(t *testing.T) {
+// TestSpecCampaignFirstError checks deterministic error selection: when
+// every run fails, the pool reports the lowest-indexed spec's error — the
+// one a sequential sweep would have hit first — at any worker count.
+func TestSpecCampaignFirstError(t *testing.T) {
 	failure := errors.New("client refused to start")
-	def := workload.NewApache1(workload.Standalone)
-	def.SpawnClient = func(k *ntsim.Kernel) (*ntsim.Process, *workload.Report, error) {
-		return nil, nil, failure
-	}
 	specs := []inject.FaultSpec{
 		{Function: "ReadFile", Param: 0, Invocation: 1, Type: inject.ZeroBits},
 		{Function: "WriteFile", Param: 0, Invocation: 1, Type: inject.ZeroBits},
@@ -142,7 +166,7 @@ func TestRunSpecsFirstError(t *testing.T) {
 		{Function: "CreateFileA", Param: 0, Invocation: 1, Type: inject.ZeroBits},
 	}
 	for _, par := range []int{1, 4} {
-		_, err := RunSpecs(context.Background(), NewRunner(def, RunnerOptions{}), specs, par, nil)
+		_, err := specRuns(NewRunner(failingRunsDef(failure), RunnerOptions{}), specs, par)
 		if err == nil {
 			t.Fatalf("parallelism %d: no error from failing runs", par)
 		}

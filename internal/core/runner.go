@@ -190,45 +190,6 @@ func (r *Runner) Clone() *Runner {
 	return &c
 }
 
-// SnapshotTier names how much of a run's prefix a snapshot captures.
-type SnapshotTier int
-
-const (
-	// TierNone means the run boots a fresh kernel and replays its whole
-	// prefix (the workload's Setup leaves the kernel non-quiescent, or
-	// fresh-boot mode is forced).
-	TierNone SnapshotTier = iota
-	// TierBoot means the run resumes from the quiescent boot prefix —
-	// registered images, populated filesystem, tuned cost model —
-	// captured once per campaign.
-	TierBoot
-)
-
-// String names the tier for stats output.
-func (t SnapshotTier) String() string {
-	if t == TierBoot {
-		return "boot"
-	}
-	return "none"
-}
-
-// SnapshotAt reports the deepest prefix tier the runner can resume from
-// for a fault at the given activation site. Mid-run sites all resolve to
-// the boot prefix: simulated processes are live goroutines whose stacks
-// cannot be captured, so TierBoot is the deepest capturable tier, reached
-// without executing a single wasted quantum. Workloads whose Setup leaves
-// the kernel non-quiescent (spawned processes, scheduled timers, open IPC)
-// resolve to TierNone and fall back to a fresh boot.
-func (r *Runner) SnapshotAt(inject.Site) SnapshotTier {
-	if r.Opts.FreshBoot {
-		return TierNone
-	}
-	if _, err := r.prefixSnapshot(); err != nil {
-		return TierNone
-	}
-	return TierBoot
-}
-
 // prefixSnapshot builds (once) and returns the shared boot-prefix
 // snapshot: a donor kernel runs the workload's Setup and is captured at
 // the quiescent pre-spawn instant. Safe for concurrent callers.

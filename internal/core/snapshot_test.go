@@ -123,8 +123,8 @@ func TestSnapshotForkAllWorkloads(t *testing.T) {
 
 // TestSnapshotFallback proves the transparent fresh-boot fallback: a
 // workload whose Setup leaves the kernel non-quiescent (a background
-// timer here) resolves to TierNone and still produces results identical
-// to forced fresh-boot.
+// timer here) cannot be captured as a boot prefix and still produces
+// results identical to forced fresh-boot.
 func TestSnapshotFallback(t *testing.T) {
 	def := workload.NewApache1(workload.Standalone)
 	base := def.Setup
@@ -135,9 +135,8 @@ func TestSnapshotFallback(t *testing.T) {
 		k.Clock().ScheduleAfter(24*time.Hour, func() {})
 	}
 
-	r := NewRunner(def, RunnerOptions{})
-	if tier := r.SnapshotAt(inject.Site{Function: "WriteFile", Invocation: 1}); tier != TierNone {
-		t.Fatalf("non-quiescent setup got tier %v, want none", tier)
+	if _, err := NewRunner(def, RunnerOptions{}).prefixSnapshot(); err == nil {
+		t.Fatal("non-quiescent setup was captured as a boot prefix")
 	}
 
 	specs := planSpecs(t, workload.NewApache1(workload.Standalone), 8)
@@ -152,50 +151,6 @@ func TestSnapshotFallback(t *testing.T) {
 	}
 	if fresh, fallback := run(true), run(false); !reflect.DeepEqual(fresh, fallback) {
 		t.Fatal("fallback path diverges from fresh-boot")
-	}
-}
-
-// TestSnapshotAtTier: quiescent workloads resolve every site to the boot
-// tier; fresh-boot mode forces TierNone.
-func TestSnapshotAtTier(t *testing.T) {
-	site := inject.Site{Function: "ReadFile", Invocation: 1}
-	r := NewRunner(workload.NewIIS(workload.Standalone), RunnerOptions{})
-	if tier := r.SnapshotAt(site); tier != TierBoot {
-		t.Fatalf("IIS setup got tier %v, want boot", tier)
-	}
-	fb := NewRunner(workload.NewIIS(workload.Standalone), RunnerOptions{FreshBoot: true})
-	if tier := fb.SnapshotAt(site); tier != TierNone {
-		t.Fatalf("fresh-boot got tier %v, want none", tier)
-	}
-}
-
-// TestSiteGroups: the plan partitions cleanly by activation site — every
-// job in exactly one group, grouped jobs sharing their (function,
-// invocation), groups at the boot tier for a snapshot-capable workload.
-func TestSiteGroups(t *testing.T) {
-	c := NewCampaign(NewRunner(workload.NewApache1(workload.Standalone), RunnerOptions{}))
-	p, err := c.Prepare()
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := p.SiteGroups()
-	seen := make(map[int]bool)
-	for _, g := range groups {
-		if g.Tier != TierBoot {
-			t.Fatalf("site %v: tier %v, want boot", g.Site, g.Tier)
-		}
-		for _, ji := range g.Jobs {
-			if seen[ji] {
-				t.Fatalf("job %d in two groups", ji)
-			}
-			seen[ji] = true
-			if got := p.Jobs[ji].Spec.Site(); got != g.Site {
-				t.Fatalf("job %d site %v grouped under %v", ji, got, g.Site)
-			}
-		}
-	}
-	if len(seen) != len(p.Jobs) {
-		t.Fatalf("groups cover %d of %d jobs", len(seen), len(p.Jobs))
 	}
 }
 

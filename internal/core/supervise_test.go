@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,7 +14,6 @@ import (
 
 	"ntdts/internal/inject"
 	"ntdts/internal/journal"
-	"ntdts/internal/ntsim"
 	"ntdts/internal/telemetry"
 	"ntdts/internal/workload"
 )
@@ -44,7 +42,7 @@ func supervisedSweep(t *testing.T, specs []inject.FaultSpec, par int, jpath stri
 		t.Fatal(err)
 	}
 	sup.AttachJournal(jw)
-	runs, err := RunSpecsSupervised(context.Background(), runner, specs, par, nil, sup)
+	runs, err := specRuns(runner, specs, par, WithSupervision(sup))
 	if err != nil {
 		t.Fatalf("supervised sweep: %v", err)
 	}
@@ -174,7 +172,7 @@ func TestSupervisorQuarantine(t *testing.T) {
 		WallDeadline: 100 * time.Millisecond,
 		Backoff:      time.Millisecond,
 	})
-	runs, err := RunSpecsSupervised(context.Background(), runner, specs, 2, nil, sup)
+	runs, err := specRuns(runner, specs, 2, WithSupervision(sup))
 	if err != nil {
 		t.Fatalf("campaign failed instead of quarantining: %v", err)
 	}
@@ -277,7 +275,7 @@ func TestQuarantineBudget(t *testing.T) {
 		WallDeadline:   50 * time.Millisecond,
 		MaxQuarantined: 1,
 	})
-	runs, err := RunSpecsSupervised(context.Background(), runner, specs, 1, nil, sup)
+	runs, err := specRuns(runner, specs, 1, WithSupervision(sup))
 	var budget *QuarantineBudgetError
 	if !errors.As(err, &budget) {
 		t.Fatalf("error %v, want QuarantineBudgetError", err)
@@ -325,7 +323,7 @@ func TestSupervisorInterrupt(t *testing.T) {
 			sup.RequestStop(ErrInterrupted)
 		}
 	}
-	_, err = RunSpecsSupervised(context.Background(), runner, specs, 4, progress, sup)
+	_, err = specRuns(runner, specs, 4, WithSupervision(sup), WithProgress(progress))
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted campaign returned %v, want ErrInterrupted", err)
 	}
@@ -349,16 +347,13 @@ func TestSupervisorInterrupt(t *testing.T) {
 	}
 }
 
-// TestRunSpecsErrorFingerprint pins the satellite fix: first-error
+// TestSpecCampaignErrorFingerprint pins the satellite fix: first-error
 // reports carry the FaultSpec fingerprint (the journal key hash), so a
 // failed run is greppable in the journal by the same identifier.
-func TestRunSpecsErrorFingerprint(t *testing.T) {
-	def := workload.NewApache1(workload.Standalone)
-	def.SpawnClient = func(k *ntsim.Kernel) (*ntsim.Process, *workload.Report, error) {
-		return nil, nil, errors.New("client refused to start")
-	}
+func TestSpecCampaignErrorFingerprint(t *testing.T) {
+	def := failingRunsDef(errors.New("client refused to start"))
 	spec := inject.FaultSpec{Function: "ReadFile", Param: 0, Invocation: 1, Type: inject.ZeroBits}
-	_, err := RunSpecs(context.Background(), NewRunner(def, RunnerOptions{}), []inject.FaultSpec{spec}, 1, nil)
+	_, err := specRuns(NewRunner(def, RunnerOptions{}), []inject.FaultSpec{spec}, 1)
 	if err == nil {
 		t.Fatal("no error from failing run")
 	}

@@ -51,7 +51,7 @@ func TestCampaignTelemetryDeterministic(t *testing.T) {
 	sweep := func(par int) (trace []byte, metrics string) {
 		opts := RunnerOptions{Telemetry: telemetry.Options{Enabled: true}}
 		runner := NewRunner(workload.NewApache1(workload.Standalone), opts)
-		runs, err := RunSpecs(context.Background(), runner, specs, par, nil)
+		runs, err := specRuns(runner, specs, par)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

@@ -37,13 +37,10 @@ type Config struct {
 	// with this policy (watchdog, quarantine, retries). Journaling is a
 	// single-campaign facility and is not wired through experiments.
 	Supervise *core.SupervisorOptions
-	// Shards fans each campaign's run list out over that many worker
-	// processes (<= 1 stays in-process). Table 1 is calibration-only and
-	// always runs in-process. Mutually exclusive with Supervise: worker
-	// processes already isolate harness faults.
-	Shards int
-	// ShardExec overrides the registered shard executor (tests use
-	// in-process executors).
+	// ShardExec, when non-nil, fans each campaign's run list out over
+	// worker processes. Table 1 is calibration-only and always runs
+	// in-process. Mutually exclusive with Supervise: worker processes
+	// already isolate harness faults.
 	ShardExec core.ShardExecutor
 }
 
@@ -203,12 +200,8 @@ func RunFigure2(cfg Config) (*core.Experiment, error) {
 }
 
 func runSet(def workload.Definition, cfg Config) (*core.SetResult, error) {
-	if cfg.Shards > 1 && cfg.Supervise != nil {
-		return nil, fmt.Errorf("%s/%s: sharding and supervision are mutually exclusive", def.Name, def.Supervision)
-	}
 	opts := []core.Option{
 		core.WithParallelism(cfg.Parallelism),
-		core.WithShards(cfg.Shards),
 		core.WithShardExecutor(cfg.ShardExec),
 	}
 	if cfg.Supervise != nil {
@@ -440,7 +433,7 @@ func RunFigure5(cfg Config) (*Figure5Result, error) {
 		opts := cfg.Opts
 		opts.WatchdVersion = cells[i].version
 		set, err := runSet(cells[i].def, Config{Opts: opts, Parallelism: cfg.Parallelism, Progress: cfg.Progress,
-			Shards: cfg.Shards, ShardExec: cfg.ShardExec})
+			ShardExec: cfg.ShardExec})
 		if err != nil {
 			return fmt.Errorf("%v: %w", cells[i].version, err)
 		}

@@ -83,22 +83,6 @@ func (s FaultSpec) String() string {
 	return fmt.Sprintf("%s p%d i%d %s", s.Function, s.Param, s.Invocation, s.Type)
 }
 
-// Site is a fault's activation site: the (function, invocation) pair at
-// which the injector arms. Every run sharing a site executes the identical
-// deterministic prefix up to activation — the property that lets the
-// campaign engine resume such runs from a shared kernel snapshot instead
-// of re-booting (the paper's §3 methodology makes each fault a pure suffix
-// divergence).
-type Site struct {
-	Function   string `json:"function"`
-	Invocation int    `json:"invocation"`
-}
-
-// Site returns the spec's activation site.
-func (s FaultSpec) Site() Site {
-	return Site{Function: s.Function, Invocation: s.Invocation}
-}
-
 // Key returns the canonical identity of the spec: the string two specs
 // share exactly when they describe the same fault. It is the basis for
 // cross-set run matching and for the journal fingerprint.

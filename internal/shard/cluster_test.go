@@ -40,8 +40,8 @@ func TestClusterHeaderRoundTrip(t *testing.T) {
 }
 
 // TestShardedClusterMatchesUnsharded: a 3-node cluster campaign fanned
-// out over shard workers produces archive, trace and metrics
-// byte-identical to the in-process run.
+// out over fleet workers with two-wide run pools produces archive, trace
+// and metrics byte-identical to the in-process run.
 func TestShardedClusterMatchesUnsharded(t *testing.T) {
 	specs := []inject.FaultSpec{
 		{Function: core.ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits},
@@ -58,32 +58,30 @@ func TestShardedClusterMatchesUnsharded(t *testing.T) {
 	}
 	wantArchive, wantTrace, wantMetrics := artifacts(t, base)
 
-	for _, shards := range []int{2, 4} {
+	for _, workers := range []int{2, 4} {
 		set, err := core.NewCampaign(newClusterRunner(3, "round-robin"),
 			core.WithSpecs(specs),
-			core.WithShards(shards),
-			core.WithShardExecutor(New(Options{WorkerParallelism: 2})),
+			core.WithShardExecutor(NewFleet(FleetOptions{Workers: workers, WorkerParallelism: 2})),
 		).Run(context.Background())
 		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
 		archive, trace, metrics := artifacts(t, set)
 		if !bytes.Equal(archive, wantArchive) {
-			t.Errorf("shards %d: cluster archive differs from unsharded run", shards)
+			t.Errorf("workers %d: cluster archive differs from unsharded run", workers)
 		}
 		if !bytes.Equal(trace, wantTrace) {
-			t.Errorf("shards %d: cluster telemetry trace differs from unsharded run", shards)
+			t.Errorf("workers %d: cluster telemetry trace differs from unsharded run", workers)
 		}
 		if metrics != wantMetrics {
-			t.Errorf("shards %d: cluster metrics text differs from unsharded run", shards)
+			t.Errorf("workers %d: cluster metrics text differs from unsharded run", workers)
 		}
 	}
 }
 
 // TestClusterFleetMatrix is the cross-transport equivalence drill: one
-// 3-node cluster campaign executed as {static shards 4, stealing fleet
-// of 4, stealing fleet with one worker killed mid-stream, TCP loopback
-// fleet} must produce archive, trace and metrics byte-identical to the
+// 3-node cluster campaign executed as {fleet of 4, fleet of 4 with one
+// worker killed mid-stream, TCP loopback fleet} must produce archive, trace and metrics byte-identical to the
 // in-process run. CI runs this under -race.
 func TestClusterFleetMatrix(t *testing.T) {
 	specs := []inject.FaultSpec{
@@ -124,7 +122,6 @@ func TestClusterFleetMatrix(t *testing.T) {
 		name string
 		exec core.ShardExecutor
 	}{
-		{"static-4", New(Options{WorkerParallelism: 2})},
 		{"steal-4", NewFleet(FleetOptions{Workers: 4})},
 		{"steal-4-killed", NewFleet(FleetOptions{
 			Workers: 4, Spawn: severing(),
@@ -137,7 +134,6 @@ func TestClusterFleetMatrix(t *testing.T) {
 	for _, shape := range shapes {
 		set, err := core.NewCampaign(newClusterRunner(3, "round-robin"),
 			core.WithSpecs(specs),
-			core.WithShards(4),
 			core.WithShardExecutor(shape.exec),
 		).Run(context.Background())
 		if err != nil {

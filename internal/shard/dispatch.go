@@ -1,11 +1,9 @@
 package shard
 
-// The work-stealing fleet coordinator. Where the static Executor
-// partitions the job list into contiguous ranges up front, the Fleet
-// hands out bounded chunks of global spec indices on demand: a fast
-// worker comes back for more, a slow one strands at most one chunk, and
-// a dead one strands nothing — its chunk's uncommitted remainder is
-// re-dispatched (with exponential backoff and a per-chunk retry budget)
+// The work-stealing fleet coordinator. The Fleet hands out bounded
+// chunks of global spec indices on demand: a fast worker comes back for
+// more, a slow one strands at most one chunk, and a dead one strands
+// nothing — its chunk's uncommitted remainder is re-dispatched (with exponential backoff and a per-chunk retry budget)
 // to whichever worker asks next. At the tail, idle workers speculatively
 // re-execute the largest still-streaming chunk; every result commits at
 // its global job-list index exactly once, first writer wins, so the
@@ -26,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,6 +35,15 @@ import (
 
 // Fleet defaults for FleetOptions zero values.
 const (
+	// DefaultHeartbeat is the liveness beacon period workers are asked
+	// for.
+	DefaultHeartbeat = 500 * time.Millisecond
+	// DefaultStallDeadline kills a worker whose stream produced nothing
+	// — no record, no heartbeat — for this long.
+	DefaultStallDeadline = 30 * time.Second
+	// DefaultMaxRespawns bounds the replacement workers one slot may
+	// consume before it leaves the fleet.
+	DefaultMaxRespawns = 2
 	// DefaultChunkRetries is how many re-dispatches one chunk may
 	// consume before it is drained in-process.
 	DefaultChunkRetries = 3
@@ -173,6 +182,11 @@ func (f *Fleet) spawnerFor(slot int) Spawner {
 type sessionChaos struct {
 	kill, hang, slowMS int
 }
+
+// errWorkerDied marks a detectable worker death (severed stream, torn
+// record, stall, wedge): the chunk's remainder is re-dispatched. Any
+// other session error is fatal to the campaign.
+var errWorkerDied = errors.New("shard worker died")
 
 // errFatalReported marks a session error already recorded in the
 // dispatcher's failure slot (worker error records, protocol breaches).
@@ -514,17 +528,9 @@ func (f *Fleet) localLoop(d *dispatcher) {
 			job := d.jobs[g]
 			spec := job.Spec
 			res, err := rnr.Run(&spec)
-			if err != nil {
-				// Same spelling as the in-process pool and the workers.
-				if job.Probe {
-					d.fail(g, fmt.Errorf("skip probe %v [%s]: %v", spec, spec.Fingerprint(), err))
-				} else {
-					d.fail(g, fmt.Errorf("run %v [%s]: %v", spec, spec.Fingerprint(), err))
-				}
+			if res, err = core.FinishJob(job, res, err); err != nil {
+				d.fail(g, err)
 				return
-			}
-			if job.Probe {
-				res.Skipped = true
 			}
 			d.commitLocal(g, res)
 		}
@@ -948,4 +954,23 @@ func (d *dispatcher) grabLocal() *assignment {
 		}
 		d.cond.Wait()
 	}
+}
+
+// parseChaosKill parses a "worker:N" drill spec (empty = disabled,
+// worker index -1).
+func parseChaosKill(s string) (worker, n int, err error) {
+	if s == "" {
+		return -1, 0, nil
+	}
+	idx, rest, ok := strings.Cut(s, ":")
+	if ok {
+		worker, err = strconv.Atoi(idx)
+		if err == nil {
+			n, err = strconv.Atoi(rest)
+		}
+	}
+	if !ok || err != nil || worker < 0 || n < 1 {
+		return -1, 0, fmt.Errorf("bad chaos kill spec %q (want \"worker:afterRecords\")", s)
+	}
+	return worker, n, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,16 +21,15 @@ func fleetCampaign(t *testing.T, n int, f *Fleet, extra ...core.Option) (*core.S
 	t.Helper()
 	opts := append([]core.Option{
 		core.WithSpecs(campaignSpecs(n)),
-		core.WithShards(2), // overridden by FleetOptions.Workers when set
 		core.WithShardExecutor(f),
 	}, extra...)
 	return core.NewCampaign(newRunner(true), opts...).Run(context.Background())
 }
 
-// TestFleetMatchesUnsharded is the tentpole guarantee: the same 200-spec
-// campaign the static-shard test pins, dispatched by the work-stealing
-// fleet at several shapes, merges archive, trace and metrics
-// byte-identical to the -parallel 1 run. CI runs this under -race.
+// TestFleetMatchesUnsharded is the tentpole guarantee: a 200-spec
+// campaign dispatched by the work-stealing fleet at several shapes
+// merges archive, trace and metrics byte-identical to the -parallel 1
+// run. CI runs this under -race.
 func TestFleetMatchesUnsharded(t *testing.T) {
 	specs := campaignSpecs(200)
 	base, err := core.NewCampaign(newRunner(true),
@@ -235,7 +235,6 @@ func TestFleetJournalProvenance(t *testing.T) {
 	f := NewFleet(FleetOptions{Workers: 2, Journal: jw})
 	set, err := core.NewCampaign(r,
 		core.WithSpecs(campaignSpecs(30)),
-		core.WithShards(2),
 		core.WithShardExecutor(f),
 	).Run(context.Background())
 	if err != nil {
@@ -282,14 +281,12 @@ func TestFleetJournalProvenance(t *testing.T) {
 }
 
 // TestFleetCancellation: cancelling mid-campaign surfaces
-// ErrInterrupted with no set, matching the in-process pool and the
-// static coordinator.
+// ErrInterrupted with no set, matching the in-process pool.
 func TestFleetCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	set, err := core.NewCampaign(newRunner(false),
 		core.WithSpecs(campaignSpecs(120)),
-		core.WithShards(2),
 		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2})),
 		core.WithProgress(func(done, total int) {
 			if done == 5 {
@@ -306,13 +303,12 @@ func TestFleetCancellation(t *testing.T) {
 }
 
 // TestFleetWorkerErrorIsFatal: an error record is a deterministic run
-// failure — the fleet fails the campaign without burning respawns, like
-// the static coordinator.
+// failure — the fleet fails the campaign without burning respawns.
 func TestFleetWorkerErrorIsFatal(t *testing.T) {
 	var spawned atomic.Int32
-	// Unlike the static protocol, the fleet holds the assignment stream
-	// open for more chunks — the fake worker must volunteer its error
-	// record rather than wait for stdin EOF.
+	// The fleet holds the assignment stream open for more chunks — the
+	// fake worker must volunteer its error record rather than wait for
+	// stdin EOF.
 	spawn := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
 		go io.Copy(io.Discard, in) // keep the assignment stream drained
 		io.WriteString(out, `{"kind":"error","index":3,"message":"run exploded"}`+"\n")
@@ -323,7 +319,6 @@ func TestFleetWorkerErrorIsFatal(t *testing.T) {
 	}
 	_, err := core.NewCampaign(newRunner(false),
 		core.WithSpecs(campaignSpecs(8)),
-		core.WithShards(2),
 		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, Spawn: counted})),
 	).Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "run exploded") {
@@ -334,14 +329,21 @@ func TestFleetWorkerErrorIsFatal(t *testing.T) {
 	}
 }
 
-// TestFleetProgressContract: the fleet preserves the Progress contract
-// under work stealing — serialized, strictly +1, probes excluded.
+// TestFleetProgressContract: the fleet runs the generated catalog sweep
+// with paper-faithful skip probes — probes keep their positions and the
+// merged set deep-equals the unsharded one — and preserves the Progress
+// contract under work stealing: serialized, strictly +1, probes
+// excluded.
 func TestFleetProgressContract(t *testing.T) {
+	base, err := core.NewCampaign(newRunner(false),
+		core.WithPaperFaithfulSkips()).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var calls []int
 	var total int
 	set, err := core.NewCampaign(newRunner(false),
 		core.WithPaperFaithfulSkips(),
-		core.WithShards(3),
 		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 3, WorkerParallelism: 2})),
 		core.WithProgress(func(done, n int) {
 			calls = append(calls, done)
@@ -350,6 +352,9 @@ func TestFleetProgressContract(t *testing.T) {
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base, withoutDispatch(set)) {
+		t.Fatal("fleet generated campaign diverges from unsharded")
 	}
 	if len(calls) != total || total == 0 || total == len(set.Runs) {
 		t.Fatalf("%d progress calls, total %d, %d runs (probes must not count)",

@@ -2,62 +2,24 @@
 //
 // The paper's DTS confined a campaign to one machine and one process;
 // at the ROADMAP's million-run scale a harness-level fault shares fate
-// with every in-flight run. The coordinator here partitions the
-// prepared job list into contiguous shards, hands each to a worker
-// process (dts -shard-worker) over a pipe, and merges the streamed
-// results back at their global job-list positions — so the archive,
-// trace, and metrics are byte-identical to an unsharded run, the same
-// guarantee the in-process pool gives at any parallelism.
+// with every in-flight run. The work-stealing Fleet here hands bounded
+// chunks of the prepared job list to worker processes (dts
+// -shard-worker) on demand, over a pipe or a TCP session, and merges the
+// streamed results back at their global job-list positions — so the
+// archive, trace, and metrics are byte-identical to an unsharded run,
+// the same guarantee the in-process pool gives at any parallelism.
 //
-// The wire format is the PR 4 journal line format verbatim: the
-// assignment is a header line plus a plan line (job keys with their
+// The wire format is the journal line format verbatim: a session opens
+// with a header line, each chunk is a plan line (job keys with their
 // global indices), and each completed run streams back as a run record
 // carrying the same JSON payloads a journal would. A worker that is
-// SIGKILLed or wedges mid-shard is detected by the coordinator
-// (heartbeat records + a stall deadline); its streamed prefix is
-// already merged — the stream is its own journal replay — so only the
-// remaining specs are re-dispatched to a fresh worker.
+// SIGKILLed or wedges mid-chunk is detected by the coordinator
+// (heartbeat records, a stall deadline and a progress deadline); its
+// streamed prefix is already merged — the stream is its own journal
+// replay — so only the chunk's remaining specs are re-dispatched.
 //
 // Spawner is the process seam: Exec runs a local child, SelfExec
-// re-executes the current binary with -shard-worker, and InProcess runs
-// ServeWorker in a goroutine over pipes (the default registration, and
-// what tests and benchmarks use). An address-based Spawner dialing a
-// remote worker needs nothing else from this package — the protocol is
-// already a byte stream.
+// re-executes the current binary with -shard-worker, TCPSpawner dials a
+// dts -worker-listen host, and InProcess runs ServeWorker in a goroutine
+// over pipes (the default, and what tests and benchmarks use).
 package shard
-
-// Range is one contiguous shard of the global job list: indices
-// [Start, End).
-type Range struct {
-	Start, End int
-}
-
-// Len returns the number of jobs in the range.
-func (r Range) Len() int { return r.End - r.Start }
-
-// Partition splits n jobs into k contiguous ranges whose sizes differ
-// by at most one, larger shards first. k is clamped to [1, n]; n == 0
-// yields nil.
-func Partition(n, k int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	base, extra := n/k, n%k
-	out := make([]Range, 0, k)
-	start := 0
-	for i := 0; i < k; i++ {
-		size := base
-		if i < extra {
-			size++
-		}
-		out = append(out, Range{Start: start, End: start + size})
-		start += size
-	}
-	return out
-}

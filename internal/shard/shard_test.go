@@ -68,51 +68,6 @@ func artifacts(t *testing.T, set *core.SetResult) (archive, trace []byte, metric
 	return archive, trace, metrics
 }
 
-func TestPartition(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want []Range
-	}{
-		{0, 4, nil},
-		{-1, 4, nil},
-		{5, 1, []Range{{0, 5}}},
-		{5, 2, []Range{{0, 3}, {3, 5}}},
-		{6, 3, []Range{{0, 2}, {2, 4}, {4, 6}}},
-		{7, 3, []Range{{0, 3}, {3, 5}, {5, 7}}},
-		{3, 8, []Range{{0, 1}, {1, 2}, {2, 3}}}, // k clamps to n
-		{5, 0, []Range{{0, 5}}},                 // k clamps to 1
-		{5, -2, []Range{{0, 5}}},
-	}
-	for _, c := range cases {
-		got := Partition(c.n, c.k)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Partition(%d, %d) = %v, want %v", c.n, c.k, got, c.want)
-		}
-	}
-	// Property check: contiguous cover, sizes differ by at most one.
-	for n := 1; n < 40; n++ {
-		for k := 1; k <= 10; k++ {
-			rs := Partition(n, k)
-			next, min, max := 0, n, 0
-			for _, r := range rs {
-				if r.Start != next {
-					t.Fatalf("Partition(%d, %d): gap before %v", n, k, r)
-				}
-				next = r.End
-				if r.Len() < min {
-					min = r.Len()
-				}
-				if r.Len() > max {
-					max = r.Len()
-				}
-			}
-			if next != n || max-min > 1 || min < 1 {
-				t.Fatalf("Partition(%d, %d) = %v: bad cover or balance", n, k, rs)
-			}
-		}
-	}
-}
-
 func TestParseChaosKill(t *testing.T) {
 	if s, a, err := parseChaosKill(""); err != nil || s != -1 || a != 0 {
 		t.Fatalf("empty spec: %d %d %v", s, a, err)
@@ -144,10 +99,11 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesUnsharded is the tentpole guarantee: a 200-spec
-// campaign fanned out over 1, 2, 4 and 8 shard workers produces an
-// archive, telemetry trace and metrics summary byte-identical to the
-// unsharded run. CI runs this under -race.
+// TestShardedMatchesUnsharded pins the WithShards sizing path: a
+// 200-spec campaign on a fleet that leaves its own size unset, sized at
+// 1, 2, 4 and 8 workers by the campaign, produces an archive, telemetry
+// trace and metrics summary byte-identical to the unsharded run. CI runs
+// this under -race.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	specs := campaignSpecs(200)
 	if len(specs) != 200 {
@@ -164,7 +120,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		set, err := core.NewCampaign(newRunner(true),
 			core.WithSpecs(specs),
 			core.WithShards(shards),
-			core.WithShardExecutor(New(Options{WorkerParallelism: 2})),
+			core.WithShardExecutor(NewFleet(FleetOptions{WorkerParallelism: 2})),
 		).Run(context.Background())
 		if err != nil {
 			t.Fatalf("shards %d: %v", shards, err)
@@ -179,14 +135,17 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		if metrics != wantMetrics {
 			t.Errorf("shards %d: metrics text differs from unsharded run", shards)
 		}
+		if st := set.Dispatch; st == nil || st.Workers != shards {
+			t.Errorf("shards %d: dispatch stats %+v", shards, st)
+		}
 	}
 }
 
 // TestShardedGeneratedCampaign shards the generated catalog sweep with
-// paper-faithful skip probes: probe runs keep their positions, stay
-// invisible to Progress, and the merged set deep-equals the unsharded
-// one. The progress contract survives sharding: serialized, strictly +1,
-// ending at (total, total).
+// paper-faithful skip probes through the WithShards sizing path: probe
+// runs keep their positions, stay invisible to Progress, and the merged
+// set deep-equals the unsharded one. The progress contract survives
+// sharding: serialized, strictly +1, ending at (total, total).
 func TestShardedGeneratedCampaign(t *testing.T) {
 	run := func(shards int, progress func(done, total int)) *core.SetResult {
 		opts := []core.Option{
@@ -196,7 +155,7 @@ func TestShardedGeneratedCampaign(t *testing.T) {
 		if shards > 1 {
 			opts = append(opts,
 				core.WithShards(shards),
-				core.WithShardExecutor(New(Options{WorkerParallelism: 2})))
+				core.WithShardExecutor(NewFleet(FleetOptions{WorkerParallelism: 2})))
 		}
 		set, err := core.NewCampaign(newRunner(false), opts...).Run(context.Background())
 		if err != nil {
@@ -212,7 +171,10 @@ func TestShardedGeneratedCampaign(t *testing.T) {
 		calls = append(calls, done)
 		total = n
 	})
-	if !reflect.DeepEqual(base, set) {
+	if st := set.Dispatch; st == nil || st.Workers != 3 {
+		t.Fatalf("dispatch stats %+v, want 3 workers", st)
+	}
+	if !reflect.DeepEqual(base, withoutDispatch(set)) {
 		t.Fatal("sharded generated campaign diverges from unsharded")
 	}
 	if len(calls) != total || total == 0 || total == len(base.Runs) {
@@ -227,9 +189,17 @@ func TestShardedGeneratedCampaign(t *testing.T) {
 	}
 }
 
+// withoutDispatch returns the set with its (archive-excluded) dispatch
+// stats cleared, for deep comparison against an in-process set.
+func withoutDispatch(set *core.SetResult) *core.SetResult {
+	out := *set
+	out.Dispatch = nil
+	return &out
+}
+
 // severReader passes a worker's stream through until it has delivered n
 // lines, then kills the worker — the InProcess stand-in for a SIGKILL
-// mid-shard.
+// mid-chunk.
 type severReader struct {
 	r     io.Reader
 	kill  func()
@@ -252,9 +222,10 @@ func (s *severReader) Read(p []byte) (int, error) {
 }
 
 // TestWorkerDeathRedispatch kills the first worker after three streamed
-// records. The coordinator must keep the prefix, respawn the shard with
-// only its remaining jobs, and still merge a result list identical to
-// the unsharded run.
+// records with no respawn budget: the dead slot leaves the fleet, its
+// chunk's remainder is re-dispatched to the surviving slot, and the
+// merged set equals the unsharded run without degrading to in-process
+// execution.
 func TestWorkerDeathRedispatch(t *testing.T) {
 	specs := campaignSpecs(60)
 	base, err := core.NewCampaign(newRunner(false),
@@ -277,17 +248,23 @@ func TestWorkerDeathRedispatch(t *testing.T) {
 	}
 	set, err := core.NewCampaign(newRunner(false),
 		core.WithSpecs(specs),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{Spawn: spawn})),
+		core.WithShardExecutor(NewFleet(FleetOptions{
+			Workers: 2, Spawn: spawn, MaxRespawns: -1,
+			RedispatchBackoff: 5 * time.Millisecond,
+		})),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(base, set) {
+	if !reflect.DeepEqual(base, withoutDispatch(set)) {
 		t.Fatal("merged set after worker death diverges from unsharded run")
 	}
-	if n := spawned.Load(); n != 3 {
-		t.Fatalf("%d workers spawned, want 3 (2 shards + 1 respawn)", n)
+	if n := spawned.Load(); n != 2 {
+		t.Fatalf("%d workers spawned, want 2 (no respawn budget)", n)
+	}
+	st := set.Dispatch
+	if st.WorkersLost != 1 || st.Redispatched < 1 || st.Degraded {
+		t.Fatalf("dispatch stats %+v, want one lost slot, a re-dispatch, no degradation", st)
 	}
 }
 
@@ -316,54 +293,40 @@ func fakeSpawner(serve func(in io.Reader, out io.Writer, killed <-chan struct{})
 	}
 }
 
-// TestWorkerErrorRecordIsFatal: an error record is a deterministic run
-// failure, not a worker death — the campaign fails without respawning.
+// TestWorkerErrorRecordIsFatal: a run that fails inside a real worker
+// (a cluster scenario fault on a single-host topology) comes back as an
+// error record that fails the campaign without respawning, spelled
+// exactly as the in-process pool spells it.
 func TestWorkerErrorRecordIsFatal(t *testing.T) {
+	specs := campaignSpecs(8)
+	specs[5] = inject.FaultSpec{Function: core.ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits}
+	_, local := core.NewCampaign(newRunner(false), core.WithSpecs(specs)).Run(context.Background())
+	if local == nil {
+		t.Fatal("in-process campaign accepted a cluster fault on a single host")
+	}
+
+	inner := InProcess()
 	var spawned atomic.Int32
-	spawn := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
-		io.Copy(io.Discard, in)
-		io.WriteString(out, `{"kind":"error","index":7,"message":"run exploded"}`+"\n")
-	})
 	counted := func() (*Conn, error) {
 		spawned.Add(1)
-		return spawn()
+		return inner()
 	}
 	_, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(campaignSpecs(8)),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{Spawn: counted})),
+		core.WithSpecs(specs),
+		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, Spawn: counted})),
 	).Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "run exploded") {
-		t.Fatalf("error = %v, want the worker's error message", err)
-	}
-	if !strings.Contains(err.Error(), "shard 0") {
-		t.Fatalf("error = %v, want the lowest shard's failure", err)
+	if err == nil || !strings.Contains(err.Error(), local.Error()) {
+		t.Fatalf("error = %v, want the in-process spelling %q", err, local)
 	}
 	if n := spawned.Load(); n != 2 {
 		t.Fatalf("%d workers spawned, want 2 (error records must not respawn)", n)
 	}
 }
 
-// TestWorkerPrematureDoneIsFatal: a done record with runs still open is
-// protocol corruption, not death — fail, don't respawn.
-func TestWorkerPrematureDoneIsFatal(t *testing.T) {
-	spawn := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
-		io.Copy(io.Discard, in)
-		io.WriteString(out, `{"kind":"done","index":0}`+"\n")
-	})
-	_, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(campaignSpecs(6)),
-		core.WithShards(1+1),
-		core.WithShardExecutor(New(Options{Spawn: spawn})),
-	).Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "runs missing") {
-		t.Fatalf("error = %v, want a missing-runs protocol failure", err)
-	}
-}
-
-// TestStallDetectionRespawns: a worker that accepts its assignment and
-// then goes silent — no records, no heartbeats — is killed at the stall
-// deadline and its whole shard re-dispatched.
+// TestStallDetectionRespawns: a worker that accepts its chunk and then
+// goes silent — no records, no heartbeats — is killed at the stall
+// deadline, its slot respawns, and the chunk is re-dispatched. One slot,
+// so no sibling can speculate the silent chunk away.
 func TestStallDetectionRespawns(t *testing.T) {
 	specs := campaignSpecs(20)
 	base, err := core.NewCampaign(newRunner(false),
@@ -374,65 +337,65 @@ func TestStallDetectionRespawns(t *testing.T) {
 
 	inner := InProcess()
 	var spawned atomic.Int32
-	wedged := fakeSpawner(func(in io.Reader, out io.Writer, killed <-chan struct{}) {
+	silent := fakeSpawner(func(in io.Reader, out io.Writer, killed <-chan struct{}) {
 		io.Copy(io.Discard, in)
 		<-killed
 	})
 	spawn := func() (*Conn, error) {
 		if spawned.Add(1) == 1 {
-			return wedged()
+			return silent()
 		}
 		return inner()
 	}
 	set, err := core.NewCampaign(newRunner(false),
 		core.WithSpecs(specs),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{
-			Spawn:         spawn,
-			StallDeadline: 50 * time.Millisecond,
-			Heartbeat:     10 * time.Millisecond,
+		core.WithShardExecutor(NewFleet(FleetOptions{
+			Workers:           1,
+			Spawn:             spawn,
+			StallDeadline:     50 * time.Millisecond,
+			Heartbeat:         10 * time.Millisecond,
+			RedispatchBackoff: 5 * time.Millisecond,
 		})),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(base, set) {
+	if !reflect.DeepEqual(base, withoutDispatch(set)) {
 		t.Fatal("merged set after stalled worker diverges from unsharded run")
 	}
-	if n := spawned.Load(); n != 3 {
-		t.Fatalf("%d workers spawned, want 3 (2 shards + 1 stall respawn)", n)
+	if n := spawned.Load(); n != 2 {
+		t.Fatalf("%d workers spawned, want 2 (1 slot + 1 stall respawn)", n)
+	}
+	if st := set.Dispatch; st.WorkerDeaths != 1 || st.Redispatched < 1 {
+		t.Fatalf("dispatch stats %+v, want one stall death and a re-dispatch", st)
 	}
 }
 
-// TestRespawnBudgetExhausted: a shard whose workers keep dying fails the
-// campaign once MaxRespawns replacements are used up.
-func TestRespawnBudgetExhausted(t *testing.T) {
-	spawn := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
-		io.Copy(io.Discard, in) // accept the assignment, then drop dead
-	})
-	_, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(campaignSpecs(10)),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{Spawn: spawn, MaxRespawns: 1})),
-	).Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "workers died") {
-		t.Fatalf("error = %v, want a respawn-budget failure", err)
-	}
-	if !errors.Is(err, errWorkerDied) {
-		t.Fatalf("error %v does not wrap errWorkerDied", err)
-	}
-}
-
-// TestShardedCancellation: cancelling the context mid-campaign kills the
-// workers and surfaces ErrInterrupted, the same contract as the
-// in-process pool.
+// TestShardedCancellation: cancelling the context kills even a worker
+// no deadline would catch — silent, with stall detection off — and
+// surfaces ErrInterrupted, the same contract as the in-process pool.
 func TestShardedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	inner := InProcess()
+	var spawned atomic.Int32
+	silentKilled := make(chan struct{})
+	silent := fakeSpawner(func(in io.Reader, out io.Writer, killed <-chan struct{}) {
+		go io.Copy(io.Discard, in)
+		<-killed
+		close(silentKilled)
+	})
+	spawn := func() (*Conn, error) {
+		if spawned.Add(1) == 1 {
+			return silent()
+		}
+		return inner()
+	}
 	set, err := core.NewCampaign(newRunner(false),
 		core.WithSpecs(campaignSpecs(120)),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{})),
+		core.WithShardExecutor(NewFleet(FleetOptions{
+			Workers: 2, Spawn: spawn, StallDeadline: -1, ProgressDeadline: -1,
+		})),
 		core.WithProgress(func(done, total int) {
 			if done == 5 {
 				cancel()
@@ -443,8 +406,9 @@ func TestShardedCancellation(t *testing.T) {
 		t.Fatalf("error = %v, want ErrInterrupted", err)
 	}
 	if set != nil {
-		t.Fatal("cancelled unsupervised campaign must not return a set")
+		t.Fatal("cancelled fleet campaign must not return a set")
 	}
+	<-silentKilled
 }
 
 // TestShardingRejectsSupervision: the two resilience layers are mutually
@@ -452,8 +416,7 @@ func TestShardedCancellation(t *testing.T) {
 func TestShardingRejectsSupervision(t *testing.T) {
 	_, err := core.NewCampaign(newRunner(false),
 		core.WithSpecs(campaignSpecs(4)),
-		core.WithShards(2),
-		core.WithShardExecutor(New(Options{})),
+		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2})),
 		core.WithSupervision(core.NewSupervisor(core.SupervisorOptions{MaxAttempts: 1})),
 	).Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {

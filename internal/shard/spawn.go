@@ -14,7 +14,8 @@ import (
 
 // Conn is one live worker connection.
 type Conn struct {
-	// In carries the assignment (header line + plan line) to the worker.
+	// In carries the assignment (header line, then plan lines) to the
+	// worker.
 	In io.WriteCloser
 	// Out streams the worker's journal-format records back.
 	Out io.Reader
@@ -54,7 +55,7 @@ func Exec(bin string, args ...string) Spawner {
 	}
 }
 
-// SelfExec spawns the current binary as a worker — what dts -shards
+// SelfExec spawns the current binary as a worker — what dts -workers N
 // uses, with args = ["-shard-worker"].
 func SelfExec(args ...string) Spawner {
 	return func() (*Conn, error) {

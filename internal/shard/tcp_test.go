@@ -47,7 +47,6 @@ func TestTCPLoopbackMatchesUnsharded(t *testing.T) {
 	})
 	set, err := core.NewCampaign(newRunner(true),
 		core.WithSpecs(specs),
-		core.WithShards(4),
 		core.WithShardExecutor(f),
 	).Run(context.Background())
 	if err != nil {
@@ -159,7 +158,6 @@ func TestTCPReconnectResume(t *testing.T) {
 	})
 	set, err := core.NewCampaign(newRunner(true),
 		core.WithSpecs(specs),
-		core.WithShards(2), // engages the executor; slots = len(Spawners) = 1
 		core.WithShardExecutor(f),
 	).Run(context.Background())
 	if err != nil {
@@ -227,7 +225,6 @@ func TestTCPRedialBudgetIsWorkerDeath(t *testing.T) {
 	})
 	set, err := core.NewCampaign(newRunner(true),
 		core.WithSpecs(specs),
-		core.WithShards(2), // engages the executor; slots = len(Spawners) = 1
 		core.WithShardExecutor(f),
 	).Run(context.Background())
 	if err != nil {

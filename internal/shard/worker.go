@@ -8,11 +8,9 @@ package shard
 // carry their global job-list index — so the worker never buffers or
 // sorts.
 //
-// The static shard coordinator sends exactly one plan and closes the
-// assignment stream, so its workers behave as before: one chunk, done.
-// The work-stealing fleet keeps the stream open and feeds chunk after
-// chunk to the same session, which amortizes the runner build and keeps
-// the worker's streamed prefix final across chunks.
+// The fleet keeps the assignment stream open and feeds chunk after chunk
+// to the same session, which amortizes the runner build and keeps the
+// worker's streamed prefix final across chunks.
 
 import (
 	"encoding/json"
@@ -225,18 +223,9 @@ func runChunk(runner *core.Runner, plan *journal.Plan, w *wire, written *atomic.
 					time.Sleep(chaos.slow)
 				}
 				res, err := rnr.Run(&spec)
-				if err != nil {
-					// Mirror the in-process pool's error spelling so a
-					// sharded failure reads the same in dts output.
-					if job.Probe {
-						fail(global, fmt.Sprintf("skip probe %v [%s]: %v", spec, spec.Fingerprint(), err))
-					} else {
-						fail(global, fmt.Sprintf("run %v [%s]: %v", spec, spec.Fingerprint(), err))
-					}
+				if res, err = core.FinishJob(job, res, err); err != nil {
+					fail(global, err.Error())
 					return
-				}
-				if job.Probe {
-					res.Skipped = true
 				}
 				resultRaw, telRaw, err := core.MarshalRunRecord(res)
 				if err != nil {

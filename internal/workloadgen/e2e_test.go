@@ -170,8 +170,7 @@ func runCampaign(t *testing.T, def workload.Definition, parallel, shards int) []
 	}
 	if shards > 1 {
 		opts = append(opts,
-			core.WithShards(shards),
-			core.WithShardExecutor(shard.New(shard.Options{WorkerParallelism: 1})))
+			core.WithShardExecutor(shard.NewFleet(shard.FleetOptions{Workers: shards, WorkerParallelism: 1})))
 	}
 	set, err := core.NewCampaign(
 		core.NewRunner(def, core.RunnerOptions{}), opts...).Run(context.Background())
@@ -187,7 +186,7 @@ func runCampaign(t *testing.T, def workload.Definition, parallel, shards int) []
 
 // TestCohortCampaignDeterminism is the acceptance oracle: the generated
 // 8-client cohort campaign produces byte-identical archives at -parallel
-// 1, 4 and 16, across a 4-way multi-process shard fan-out (whose workers
+// 1, 4 and 16, across a 4-worker fleet (whose workers
 // rebuild the cohort from the journal header's spec string), and when
 // the recorded schedule trace is replayed in place of the generator.
 func TestCohortCampaignDeterminism(t *testing.T) {

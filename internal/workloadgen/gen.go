@@ -5,7 +5,7 @@
 // production-shaped traffic.
 //
 // Generation is fully deterministic: the schedule is a pure function of
-// the cohort spec (seed included), independent of -parallel, -shards, Go
+// the cohort spec (seed included), independent of -parallel, -workers, Go
 // version and host. Each (class, client) pair owns a decorrelated
 // substream derived from the seed and the class *name*, so editing one
 // class never perturbs another's schedule. A generated schedule compiles

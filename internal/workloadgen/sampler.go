@@ -4,7 +4,7 @@ package workloadgen
 // splitmix64 uniform stream rather than math/rand: the generated schedule
 // is a regression artifact (pinned goldens, byte-identical campaign
 // archives), so the byte stream must be a pure function of the seed —
-// independent of Go version, GOMAXPROCS, -parallel and -shards — and the
+// independent of Go version, GOMAXPROCS, -parallel and -workers — and the
 // only way to guarantee that is to own every bit of the pipeline.
 
 import (

@@ -21,20 +21,20 @@
 package apiharness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ntdts/internal/inject"
 	"ntdts/internal/ntsim"
 	"ntdts/internal/ntsim/win32"
 	"ntdts/internal/telemetry"
+	"ntdts/internal/workpool"
 )
 
 // Class is the failure-mode classification of one corrupted invocation.
@@ -399,73 +399,33 @@ func Sweep(opts Options) (*SweepResult, error) {
 	return res, nil
 }
 
-// executeCells runs the job list on a bounded worker pool, writing each
-// cell — and, when recs is non-nil, its telemetry collector — at its
-// fixed index so the matrix and merged trace are identical at any worker
-// count. On failure the lowest-indexed error wins — the one a sequential
-// sweep would have reported first.
+// executeCells runs the job list on the shared worker pool (workpool.Run),
+// writing each cell — and, when recs is non-nil, its telemetry collector
+// — at its fixed index so the matrix and merged trace are identical at
+// any worker count.
 func executeCells(jobs []cellJob, cells []CellResult, recs []*telemetry.Recorder, oracles []Oracle, opts Options) error {
-	if len(jobs) == 0 {
-		return nil
-	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-
 	var (
-		cursor atomic.Int64
-		stop   atomic.Bool
-
-		errMu     sync.Mutex
-		firstErr  error
-		firstErrI int
-
 		progressMu sync.Mutex
 		done       int
 	)
-	cursor.Store(-1)
-	fail := func(index int, err error) {
-		errMu.Lock()
-		if firstErr == nil || index < firstErrI {
-			firstErr, firstErrI = err, index
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(cursor.Add(1))
-				if i >= len(jobs) {
-					return
-				}
-				job := jobs[i]
-				cell, rec, err := runCell(job.fn, job.param, job.fault, oracles, opts.Telemetry)
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				cells[job.index] = cell
-				if recs != nil {
-					recs[job.index] = rec
-				}
-				if opts.Progress != nil {
-					progressMu.Lock()
-					done++
-					opts.Progress(done, len(jobs))
-					progressMu.Unlock()
-				}
+	return workpool.Run(context.Background(), len(jobs), opts.Parallelism, func() func(int) error {
+		return func(i int) error {
+			job := jobs[i]
+			cell, rec, err := runCell(job.fn, job.param, job.fault, oracles, opts.Telemetry)
+			if err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+			cells[job.index] = cell
+			if recs != nil {
+				recs[job.index] = rec
+			}
+			if opts.Progress != nil {
+				progressMu.Lock()
+				done++
+				opts.Progress(done, len(jobs))
+				progressMu.Unlock()
+			}
+			return nil
+		}
+	})
 }

@@ -50,12 +50,3 @@ type DispatchStats struct {
 type DispatchReporter interface {
 	DispatchStats() *DispatchStats
 }
-
-// JobKeys returns the job identity sequence of a plan — each job's spec
-// key, probe jobs suffixed "/probe" — in job-list order.
-func JobKeys(jobs []PlanJob) []string { return jobKeys(jobs) }
-
-// PlanFingerprint returns the fnv64a fingerprint of the job list, the
-// same value the campaign supervisor journals. Exported so the fleet
-// coordinator can write journals dts -resume accepts.
-func PlanFingerprint(jobs []PlanJob) string { return planFingerprint(jobKeys(jobs)) }

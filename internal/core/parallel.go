@@ -12,15 +12,14 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"ntdts/internal/inject"
 	"ntdts/internal/ntsim/win32"
+	"ntdts/internal/workpool"
 )
 
 // PlanJob is one schedulable run of a campaign: a real fault from the
@@ -171,18 +170,10 @@ func FinishJob(job PlanJob, res *RunResult, err error) (*RunResult, error) {
 	return res, nil
 }
 
-// jobError carries the failing job's list position so concurrent failures
-// resolve to the same error a sequential sweep would have reported first.
-type jobError struct {
-	index int
-	err   error
-}
-
-// executeJobs runs the job list on a bounded worker pool and returns the
-// results in job order, regardless of completion order or worker count.
-// Each worker owns its own Runner clone. On error the pool stops handing
-// out new jobs, in-flight runs finish, and the lowest-indexed error is
-// returned — the one the sequential engine would have hit first.
+// executeJobs runs the job list on the shared worker pool and returns
+// the results in job order, regardless of completion order or worker
+// count. Each pool goroutine owns its own Runner clone; failures follow
+// the workpool.Run contract (the lowest-indexed error wins).
 //
 // With a non-nil Supervisor every run routes through its resilience
 // layer (watchdog, panic quarantine, retries, journal, replay-on-resume)
@@ -201,29 +192,19 @@ func executeJobs(ctx context.Context, base *Runner, jobs []PlanJob, parallelism 
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	poolCtx := ctx
 	if sup != nil {
 		// Route cancellation through the supervisor's stop latch so the
 		// partial-results path (journal flush, resume hint) is identical
-		// for a canceled context and a direct RequestStop.
+		// for a canceled context and a direct RequestStop. The pool itself
+		// keeps claiming; claims after the stop return at once.
 		stopWatch := context.AfterFunc(ctx, func() { sup.RequestStop(ErrInterrupted) })
 		defer stopWatch()
-	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+		poolCtx = context.WithoutCancel(ctx)
 	}
 
 	results := make([]RunResult, len(jobs))
 	var (
-		cursor atomic.Int64 // next job to claim, minus one
-		stop   atomic.Bool
-
-		errMu    sync.Mutex
-		firstErr *jobError
-
 		// done and the user callback live under one mutex so the
 		// callback observes a strictly increasing counter and its final
 		// invocation is (total, total) — the same contract callers relied
@@ -231,63 +212,38 @@ func executeJobs(ctx context.Context, base *Runner, jobs []PlanJob, parallelism 
 		progressMu sync.Mutex
 		done       int
 	)
-	cursor.Store(-1)
-
-	fail := func(index int, err error) {
-		errMu.Lock()
-		if firstErr == nil || index < firstErr.index {
-			firstErr = &jobError{index: index, err: err}
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runner := base.Clone()
-			for !stop.Load() {
-				if sup != nil && sup.stopped() {
-					return
-				}
-				if sup == nil && ctx.Err() != nil {
-					return
-				}
-				i := int(cursor.Add(1))
-				if i >= len(jobs) {
-					return
-				}
-				job := jobs[i]
-				spec := job.Spec // plans are shared; never hand out interior pointers
-				var (
-					res *RunResult
-					err error
-				)
-				if sup != nil {
-					res, err = sup.execute(ctx, runner, i, job)
-				} else {
-					res, err = runner.Run(&spec)
-				}
-				if res, err = FinishJob(job, res, err); err != nil {
-					fail(i, err)
-					return
-				}
-				results[i] = *res
-				if progress != nil && !job.Probe {
-					progressMu.Lock()
-					done++
-					progress(done, progressTotal)
-					progressMu.Unlock()
-				}
+	err := workpool.Run(poolCtx, len(jobs), parallelism, func() func(int) error {
+		runner := base.Clone()
+		return func(i int) error {
+			if sup != nil && sup.stopped() {
+				return nil // unexecuted slots stay zero-valued
 			}
-		}()
-	}
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr.err
+			job := jobs[i]
+			spec := job.Spec // plans are shared; never hand out interior pointers
+			var (
+				res *RunResult
+				err error
+			)
+			if sup != nil {
+				res, err = sup.execute(ctx, runner, i, job)
+			} else {
+				res, err = runner.Run(&spec)
+			}
+			if res, err = FinishJob(job, res, err); err != nil {
+				return err
+			}
+			results[i] = *res
+			if progress != nil && !job.Probe {
+				progressMu.Lock()
+				done++
+				progress(done, progressTotal)
+				progressMu.Unlock()
+			}
+			return nil
+		}
+	})
+	if err != nil && err != poolCtx.Err() {
+		return nil, err // a run error; Run returns a cancellation bare
 	}
 	if sup != nil {
 		if cause := sup.stopCause(); cause != nil {

@@ -210,10 +210,10 @@ func (s *Supervisor) Quarantined() []QuarantineEntry {
 	return out
 }
 
-// jobKeys renders the plan's job identity sequence: FaultSpec.Key per
-// job, probe jobs marked. This is what the journal's plan line records
+// JobKeys renders the plan's job identity sequence: PlanJob.Key per
+// job, in job-list order. This is what the journal's plan line records
 // and what a resume must reproduce exactly.
-func jobKeys(jobs []PlanJob) []string {
+func JobKeys(jobs []PlanJob) []string {
 	keys := make([]string, len(jobs))
 	for i, j := range jobs {
 		keys[i] = j.Key()
@@ -221,8 +221,9 @@ func jobKeys(jobs []PlanJob) []string {
 	return keys
 }
 
-// planFingerprint hashes the job identity sequence (fnv64a).
-func planFingerprint(keys []string) string {
+// PlanFingerprint hashes the job identity sequence (fnv64a): the value
+// journal plan lines carry and dts -resume validates.
+func PlanFingerprint(keys []string) string {
 	h := fnv.New64a()
 	for _, k := range keys {
 		io.WriteString(h, k)
@@ -236,8 +237,8 @@ func planFingerprint(keys []string) string {
 // that the rebuilt plan reproduces the journaled fingerprint — the
 // precondition for trusting any journaled record's index.
 func (s *Supervisor) syncPlan(jobs []PlanJob) error {
-	keys := jobKeys(jobs)
-	fp := planFingerprint(keys)
+	keys := JobKeys(jobs)
+	fp := PlanFingerprint(keys)
 	if s.resumePlan != nil {
 		if s.resumePlan.Fingerprint != fp {
 			return fmt.Errorf("resume plan mismatch: journal fingerprint %s, rebuilt %s (different fault list, workload, or catalog?)",

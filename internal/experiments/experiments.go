@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"ntdts/internal/avail"
 	"ntdts/internal/core"
@@ -17,6 +16,7 @@ import (
 	"ntdts/internal/stats"
 	"ntdts/internal/telemetry"
 	"ntdts/internal/workload"
+	"ntdts/internal/workpool"
 )
 
 // Config tunes an experiment execution.
@@ -66,37 +66,6 @@ func (c Config) serialized() Config {
 	return c
 }
 
-// fanOut runs fn(0..n-1) concurrently — one goroutine per independent
-// workload set, errgroup-style — and waits for all of them. On failure
-// the lowest-indexed error is returned (the one a sequential sweep would
-// have hit first) and goroutines that have not started real work yet
-// observe the cancellation and return early.
-func fanOut(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if failed.Load() {
-				return
-			}
-			if err := fn(i); err != nil {
-				errs[i] = err
-				failed.Store(true)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Supervisions is the paper's configuration order: stand-alone, MSCS,
 // watchd.
 func Supervisions() []workload.Supervision {
@@ -135,16 +104,18 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 	defs := standardPairs()
 	counts := make([]int, len(defs))
 	recs := make([]*telemetry.Recorder, len(defs))
-	err := fanOut(len(defs), func(i int) error {
-		def := defs[i]
-		_, res, err := core.NewRunner(def, cfg.Opts).ActivationScan()
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", def.Name, def.Supervision, err)
+	err := workpool.Run(context.Background(), len(defs), len(defs), func() func(int) error {
+		return func(i int) error {
+			def := defs[i]
+			_, res, err := core.NewRunner(def, cfg.Opts).ActivationScan()
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", def.Name, def.Supervision, err)
+			}
+			counts[i] = res.ActivatedFns
+			recs[i] = res.Telemetry
+			cfg.progress("table1 %s/%s: %d activated functions", def.Name, def.Supervision, res.ActivatedFns)
+			return nil
 		}
-		counts[i] = res.ActivatedFns
-		recs[i] = res.Telemetry
-		cfg.progress("table1 %s/%s: %d activated functions", def.Name, def.Supervision, res.ActivatedFns)
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -185,13 +156,15 @@ func RunFigure2(cfg Config) (*core.Experiment, error) {
 	}
 	defs := standardPairs()
 	sets := make([]*core.SetResult, len(defs))
-	err := fanOut(len(defs), func(i int) error {
-		set, err := runSet(defs[i], cfg)
-		if err != nil {
-			return err
+	err := workpool.Run(context.Background(), len(defs), len(defs), func() func(int) error {
+		return func(i int) error {
+			set, err := runSet(defs[i], cfg)
+			if err != nil {
+				return err
+			}
+			sets[i] = set
+			return nil
 		}
-		sets[i] = set
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -429,16 +402,18 @@ func RunFigure5(cfg Config) (*Figure5Result, error) {
 		}
 	}
 	sets := make([]*core.SetResult, len(cells))
-	err := fanOut(len(cells), func(i int) error {
-		opts := cfg.Opts
-		opts.WatchdVersion = cells[i].version
-		set, err := runSet(cells[i].def, Config{Opts: opts, Parallelism: cfg.Parallelism, Progress: cfg.Progress,
-			ShardExec: cfg.ShardExec})
-		if err != nil {
-			return fmt.Errorf("%v: %w", cells[i].version, err)
+	err := workpool.Run(context.Background(), len(cells), len(cells), func() func(int) error {
+		return func(i int) error {
+			opts := cfg.Opts
+			opts.WatchdVersion = cells[i].version
+			set, err := runSet(cells[i].def, Config{Opts: opts, Parallelism: cfg.Parallelism, Progress: cfg.Progress,
+				ShardExec: cfg.ShardExec})
+			if err != nil {
+				return fmt.Errorf("%v: %w", cells[i].version, err)
+			}
+			sets[i] = set
+			return nil
 		}
-		sets[i] = set
-		return nil
 	})
 	if err != nil {
 		return nil, err

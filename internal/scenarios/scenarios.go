@@ -8,14 +8,15 @@
 package scenarios
 
 import (
+	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"ntdts/internal/core"
 	"ntdts/internal/inject"
 	"ntdts/internal/middleware"
 	"ntdts/internal/workload"
+	"ntdts/internal/workpool"
 )
 
 // The swept dimensions, in rendering order.
@@ -127,34 +128,20 @@ func (r Row) String() string {
 // so the output is byte-identical at any parallelism.
 func Matrix(parallelism int) (string, error) {
 	cells := Cells()
-	if parallelism < 1 {
-		parallelism = 1
-	}
 	rows := make([]Row, len(cells))
-	errs := make([]error, len(cells))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				rows[i], errs[i] = Run(cells[i])
-			}
-		}()
+	err := workpool.Run(context.Background(), len(cells), max(parallelism, 1), func() func(int) error {
+		return func(i int) (err error) {
+			rows[i], err = Run(cells[i])
+			return err
+		}
+	})
+	if err != nil {
+		return "", err
 	}
-	for i := range cells {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 	var b strings.Builder
 	b.WriteString("# Cluster scenario matrix: {nodes} x {routing} x {fault} x {middleware}, IIS workload.\n")
 	b.WriteString("# Regenerate with: go test ./internal/scenarios/ -run TestClusterMatrix -update\n")
 	for i := range cells {
-		if errs[i] != nil {
-			return "", errs[i]
-		}
 		b.WriteString(rows[i].String())
 		b.WriteByte('\n')
 	}

@@ -31,6 +31,7 @@ import (
 
 	"ntdts/internal/core"
 	"ntdts/internal/journal"
+	"ntdts/internal/workpool"
 )
 
 // Fleet defaults for FleetOptions zero values.
@@ -236,7 +237,8 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 	header := HeaderFor(c.Runner())
 	d := newDispatcher(f, c, p, workers)
 	if d.jw != nil {
-		d.jw.WritePlan(core.JobKeys(jobs), core.PlanFingerprint(jobs))
+		keys := core.JobKeys(jobs)
+		d.jw.WritePlan(keys, core.PlanFingerprint(keys))
 	}
 
 	// Cancellation watcher: ctx cancellation releases every slot and
@@ -340,11 +342,6 @@ func (f *Fleet) session(ctx context.Context, slot int, d *dispatcher, header jou
 	if err != nil {
 		return fmt.Errorf("fleet worker %d: spawn: %w (%w)", slot, err, errWorkerDied)
 	}
-	defer conn.Kill()
-	w := &wire{w: conn.In}
-	if err := w.writeLine(header); err != nil {
-		return fmt.Errorf("fleet worker %d: send header: %w (%w)", slot, err, errWorkerDied)
-	}
 
 	// Reader goroutine: the stream is a blocking pipe, so deadline and
 	// cancellation handling need Next off the main select loop. The
@@ -352,9 +349,10 @@ func (f *Fleet) session(ctx context.Context, slot int, d *dispatcher, header jou
 	// chunk after chunk so no line is ever dropped between chunks.
 	lines := make(chan streamLine)
 	quit := make(chan struct{})
-	defer close(quit)
+	readerDone := make(chan struct{})
 	st := journal.NewStream(conn.Out)
 	go func() {
+		defer close(readerDone)
 		for {
 			l, err := st.Next()
 			select {
@@ -367,6 +365,20 @@ func (f *Fleet) session(ctx context.Context, slot int, d *dispatcher, header jou
 			}
 		}
 	}()
+	defer func() {
+		close(quit)
+		conn.Kill()
+		// Reap only once the reader is gone (exec.Cmd.Wait closes the
+		// stdout pipe under it), and in the background: a wedged
+		// in-process worker never returns from Wait.
+		<-readerDone
+		go conn.Wait()
+	}()
+
+	w := &wire{w: conn.In}
+	if err := w.writeLine(header); err != nil {
+		return fmt.Errorf("fleet worker %d: send header: %w (%w)", slot, err, errWorkerDied)
+	}
 
 	first := true
 	for {
@@ -510,29 +522,40 @@ func (f *Fleet) awaitChunk(d *dispatcher, slot int, a *assignment, lines <-chan 
 
 // localLoop is the graceful-degradation drain: it executes chunks whose
 // re-dispatch budget is exhausted, and — once every slot has left the
-// fleet — everything still unassigned, in-process on a cloned runner.
+// fleet — everything still unassigned, in-process on the shared worker
+// pool at the width of the workers it stands in for.
 func (f *Fleet) localLoop(d *dispatcher) {
-	var rnr *core.Runner
-	for {
-		a := d.grabLocal()
-		if a == nil {
+	for a := d.grabLocal(); a != nil; a = d.grabLocal() {
+		err := workpool.Run(context.Background(), len(a.indices), f.opts.WorkerParallelism, func() func(int) error {
+			rnr := d.c.Runner().Clone()
+			return func(i int) error {
+				g := a.indices[i]
+				if d.isCommitted(g) || d.finished() {
+					return nil
+				}
+				job := d.jobs[g]
+				spec := job.Spec
+				res, err := rnr.Run(&spec)
+				res, err = core.FinishJob(job, res, err)
+				var resultRaw, telRaw []byte
+				if err == nil && d.jw != nil {
+					resultRaw, telRaw, err = core.MarshalRunRecord(res)
+				}
+				if err != nil {
+					d.fail(g, err)
+					return err
+				}
+				if d.commit(g, res, resultRaw, telRaw) {
+					d.mu.Lock()
+					d.stats.LocalRuns++
+					d.stats.Degraded = true
+					d.mu.Unlock()
+				}
+				return nil
+			}
+		})
+		if err != nil {
 			return
-		}
-		if rnr == nil {
-			rnr = d.c.Runner().Clone()
-		}
-		for _, g := range a.indices {
-			if d.isCommitted(g) || d.finished() {
-				continue
-			}
-			job := d.jobs[g]
-			spec := job.Spec
-			res, err := rnr.Run(&spec)
-			if res, err = core.FinishJob(job, res, err); err != nil {
-				d.fail(g, err)
-				return
-			}
-			d.commitLocal(g, res)
 		}
 		d.finish(a)
 	}
@@ -763,7 +786,7 @@ func (d *dispatcher) speculateLocked(slot int) *assignment {
 	return &assignment{ch: best, indices: bestUn, slot: slot, speculative: true}
 }
 
-// commit merges one remote result at its global index, exactly once;
+// commit merges one result at its global index, exactly once;
 // duplicate results from speculative copies return without a trace.
 // Progress is reported under the lock, so invocations stay serialized
 // and strictly incrementing, the in-process pool's contract.
@@ -776,39 +799,6 @@ func (d *dispatcher) commit(global int, res *core.RunResult, resultRaw, telRaw [
 	d.committed[global] = true
 	d.results[global] = *res
 	d.nCommitted++
-	if d.jw != nil {
-		d.jw.WriteRun(global, d.jobs[global].Key(), 1, resultRaw, telRaw)
-	}
-	d.reportLocked(global)
-	if d.nCommitted == len(d.jobs) {
-		d.signalDone()
-	} else {
-		d.cond.Broadcast()
-	}
-	d.mu.Unlock()
-	return true
-}
-
-// commitLocal merges one locally-executed result, marshalling the
-// record for the journal only when one is attached.
-func (d *dispatcher) commitLocal(global int, res *core.RunResult) bool {
-	var resultRaw, telRaw []byte
-	if d.jw != nil {
-		r, t, err := core.MarshalRunRecord(res)
-		if err == nil {
-			resultRaw, telRaw = r, t
-		}
-	}
-	d.mu.Lock()
-	if d.committed[global] {
-		d.mu.Unlock()
-		return false
-	}
-	d.committed[global] = true
-	d.results[global] = *res
-	d.nCommitted++
-	d.stats.LocalRuns++
-	d.stats.Degraded = true
 	if d.jw != nil {
 		d.jw.WriteRun(global, d.jobs[global].Key(), 1, resultRaw, telRaw)
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -195,30 +196,34 @@ func TestFleetDegradedCompletion(t *testing.T) {
 	dead := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
 		io.Copy(io.Discard, in) // accept the assignment, then drop dead
 	})
-	f := NewFleet(FleetOptions{
-		Workers: 2, Spawn: dead,
-		MaxRespawns:       1,
-		ChunkRetries:      1,
-		RedispatchBackoff: time.Millisecond,
-		StallDeadline:     time.Second,
-	})
-	set, err := fleetCampaign(t, 20, f)
-	if err != nil {
-		t.Fatalf("budget exhaustion must degrade, not fail: %v", err)
-	}
-	archive, trace, _ := artifacts(t, set)
-	if !bytes.Equal(archive, wantArchive) || !bytes.Equal(trace, wantTrace) {
-		t.Error("degraded completion artifacts differ from unsharded run")
-	}
-	st := set.Dispatch
-	if !st.Degraded {
-		t.Fatalf("in-process fallback not reported degraded: %+v", st)
-	}
-	if st.LocalRuns != len(base.Runs) {
-		t.Errorf("%d of %d runs executed locally", st.LocalRuns, len(base.Runs))
-	}
-	if st.WorkersLost != 2 {
-		t.Errorf("%d slots reported lost, want 2", st.WorkersLost)
+	// The drain runs at the width of the workers it replaces.
+	for _, width := range []int{1, 4} {
+		f := NewFleet(FleetOptions{
+			Workers: 2, Spawn: dead,
+			WorkerParallelism: width,
+			MaxRespawns:       1,
+			ChunkRetries:      1,
+			RedispatchBackoff: time.Millisecond,
+			StallDeadline:     time.Second,
+		})
+		set, err := fleetCampaign(t, 20, f)
+		if err != nil {
+			t.Fatalf("width %d: budget exhaustion must degrade, not fail: %v", width, err)
+		}
+		archive, trace, _ := artifacts(t, set)
+		if !bytes.Equal(archive, wantArchive) || !bytes.Equal(trace, wantTrace) {
+			t.Errorf("width %d: degraded completion artifacts differ from unsharded run", width)
+		}
+		st := set.Dispatch
+		if !st.Degraded {
+			t.Fatalf("width %d: in-process fallback not reported degraded: %+v", width, st)
+		}
+		if st.LocalRuns != len(base.Runs) {
+			t.Errorf("width %d: %d of %d runs executed locally", width, st.LocalRuns, len(base.Runs))
+		}
+		if st.WorkersLost != 2 {
+			t.Errorf("width %d: %d slots reported lost, want 2", width, st.WorkersLost)
+		}
 	}
 }
 
@@ -364,5 +369,104 @@ func TestFleetProgressContract(t *testing.T) {
 		if done != i+1 {
 			t.Fatalf("progress call %d reported done=%d; counter must increase strictly by one", i, done)
 		}
+	}
+}
+
+// reapCounter wraps a Spawner and records every Wait call on the Conns
+// it hands out.
+type reapCounter struct {
+	mu    sync.Mutex
+	conns []*reapedConn
+}
+
+type reapedConn struct {
+	calls  atomic.Int32
+	called chan struct{} // closed by the first Wait call
+}
+
+func (r *reapCounter) wrap(inner Spawner) Spawner {
+	return func() (*Conn, error) {
+		conn, err := inner()
+		if err != nil {
+			return nil, err
+		}
+		rc := &reapedConn{called: make(chan struct{})}
+		r.mu.Lock()
+		r.conns = append(r.conns, rc)
+		r.mu.Unlock()
+		wait := conn.Wait
+		conn.Wait = func() error {
+			if rc.calls.Add(1) == 1 {
+				close(rc.called)
+			}
+			return wait()
+		}
+		return conn, nil
+	}
+}
+
+// TestFleetReapsWorkers: every spawned worker Conn is Waited exactly
+// once shortly after the campaign returns — cleanly finished, killed
+// after a severed stream, and wedged alike. The wedged in-process worker
+// never returns from Wait, so the campaign returning at all proves that
+// reaping never blocks a session.
+func TestFleetReapsWorkers(t *testing.T) {
+	cases := []struct {
+		name  string
+		opts  FleetOptions
+		sever bool
+	}{
+		{name: "clean", opts: FleetOptions{Workers: 2}},
+		{name: "death", sever: true, opts: FleetOptions{
+			Workers: 2, RedispatchBackoff: 5 * time.Millisecond}},
+		{name: "wedge", opts: FleetOptions{
+			Workers:           1,
+			Heartbeat:         10 * time.Millisecond,
+			StallDeadline:     2 * time.Second,
+			ProgressDeadline:  150 * time.Millisecond,
+			RedispatchBackoff: 5 * time.Millisecond,
+			ChaosHang:         "0:2",
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := InProcess()
+			var spawned atomic.Int32
+			spawn := func() (*Conn, error) {
+				conn, err := inner()
+				if err == nil && tc.sever && spawned.Add(1) == 1 {
+					conn.Out = &severReader{r: conn.Out, kill: conn.Kill, after: 3}
+				}
+				return conn, err
+			}
+			var rc reapCounter
+			tc.opts.Spawn = rc.wrap(spawn)
+			set, err := fleetCampaign(t, 30, NewFleet(tc.opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name != "clean" && set.Dispatch.WorkerDeaths < 1 {
+				t.Fatalf("no worker died: %+v", set.Dispatch)
+			}
+			rc.mu.Lock()
+			conns := append([]*reapedConn(nil), rc.conns...)
+			rc.mu.Unlock()
+			if len(conns) < tc.opts.Workers {
+				t.Fatalf("%d workers spawned, want at least %d", len(conns), tc.opts.Workers)
+			}
+			timeout := time.After(5 * time.Second)
+			for i, c := range conns {
+				select {
+				case <-c.called:
+				case <-timeout:
+					t.Fatalf("worker %d of %d never reaped", i, len(conns))
+				}
+			}
+			for i, c := range conns {
+				if n := c.calls.Load(); n != 1 {
+					t.Errorf("worker %d reaped %d times, want once", i, n)
+				}
+			}
+		})
 	}
 }

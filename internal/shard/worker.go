@@ -13,6 +13,7 @@ package shard
 // worker's streamed prefix final across chunks.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,6 +25,7 @@ import (
 
 	"ntdts/internal/core"
 	"ntdts/internal/journal"
+	"ntdts/internal/workpool"
 )
 
 // wire serializes journal-format lines onto a stream: one marshal, one
@@ -165,14 +167,19 @@ func ServeWorker(in io.Reader, out io.Writer) error {
 	return nil
 }
 
-// runFailure describes the lowest-indexed run error of a chunk.
+// runFailure is a chunk's lowest-indexed run error, tagged with the
+// global job index its error record carries.
 type runFailure struct {
 	global  int
 	message string
 }
 
-// runChunk executes one plan's jobs on a local pool, streaming a run
-// record per completion. A non-nil return is fatal to the session.
+func (f *runFailure) Error() string { return f.message }
+
+// runChunk executes one plan's jobs on the shared worker pool, streaming
+// a run record per completion. A non-nil return is fatal to the session.
+// Chunk indices ascend, so the pool's lowest local failure is also the
+// lowest global one.
 func runChunk(runner *core.Runner, plan *journal.Plan, w *wire, written *atomic.Int64, chaos chaosThresholds) *runFailure {
 	jobs := make([]core.PlanJob, len(plan.Jobs))
 	for i, key := range plan.Jobs {
@@ -181,79 +188,43 @@ func runChunk(runner *core.Runner, plan *journal.Plan, w *wire, written *atomic.
 			return &runFailure{global: plan.Index[i], message: fmt.Sprintf("plan job %d: %v", i, err)}
 		}
 	}
-
-	var (
-		cursor  atomic.Int64
-		stop    atomic.Bool
-		failMu  sync.Mutex
-		failure *runFailure
-	)
-	cursor.Store(-1)
-	fail := func(global int, message string) {
-		failMu.Lock()
-		if failure == nil || global < failure.global {
-			failure = &runFailure{global: global, message: message}
-		}
-		failMu.Unlock()
-		stop.Store(true)
-	}
-
-	parallelism := plan.Parallelism
-	if parallelism <= 0 {
-		parallelism = 1
-	}
-	if parallelism > len(jobs) {
-		parallelism = len(jobs)
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < parallelism; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rnr := runner.Clone()
-			for !stop.Load() {
-				i := int(cursor.Add(1))
-				if i >= len(jobs) {
-					return
-				}
-				job := jobs[i]
-				global := plan.Index[i]
-				spec := job.Spec
-				if chaos.slow > 0 {
-					time.Sleep(chaos.slow)
-				}
-				res, err := rnr.Run(&spec)
-				if res, err = core.FinishJob(job, res, err); err != nil {
-					fail(global, err.Error())
-					return
-				}
-				resultRaw, telRaw, err := core.MarshalRunRecord(res)
-				if err != nil {
-					fail(global, err.Error())
-					return
-				}
-				if err := w.writeLine(journal.Record{
-					Kind: journal.KindRun, Index: global, Key: plan.Jobs[i],
-					Result: resultRaw, Tel: telRaw,
-				}); err != nil {
-					fail(global, fmt.Sprintf("result stream: %v", err))
-					return
-				}
-				n := int(written.Add(1))
-				if chaos.killAfter > 0 && n >= chaos.killAfter {
-					chaosSelfKill()
-				}
-				if chaos.hangAfter > 0 && n >= chaos.hangAfter {
-					chaosHang()
-				}
+	err := workpool.Run(context.Background(), len(jobs), max(plan.Parallelism, 1), func() func(int) error {
+		rnr := runner.Clone()
+		return func(i int) error {
+			job := jobs[i]
+			global := plan.Index[i]
+			spec := job.Spec
+			if chaos.slow > 0 {
+				time.Sleep(chaos.slow)
 			}
-		}()
+			res, err := rnr.Run(&spec)
+			if res, err = core.FinishJob(job, res, err); err != nil {
+				return &runFailure{global: global, message: err.Error()}
+			}
+			resultRaw, telRaw, err := core.MarshalRunRecord(res)
+			if err != nil {
+				return &runFailure{global: global, message: err.Error()}
+			}
+			if err := w.writeLine(journal.Record{
+				Kind: journal.KindRun, Index: global, Key: plan.Jobs[i],
+				Result: resultRaw, Tel: telRaw,
+			}); err != nil {
+				return &runFailure{global: global, message: fmt.Sprintf("result stream: %v", err)}
+			}
+			n := int(written.Add(1))
+			if chaos.killAfter > 0 && n >= chaos.killAfter {
+				chaosSelfKill()
+			}
+			if chaos.hangAfter > 0 && n >= chaos.hangAfter {
+				chaosHang()
+			}
+			return nil
+		}
+	})
+	if err != nil {
+		return err.(*runFailure) // the body returns no other error type
 	}
-	wg.Wait()
-
-	failMu.Lock()
-	defer failMu.Unlock()
-	return failure
+	return nil
 }
 
 // chaosSelfKill terminates the worker process the hard way — no flush,

@@ -125,8 +125,27 @@ func (s *Stream) readLine() ([]byte, error) {
 	return s.buf, err
 }
 
-// decodeLine parses one newline-stripped journal line.
+// decodeLine parses one newline-stripped journal line. Nearly every line
+// is a record (one per run on the journal and on the shard wire), so it
+// decodes straight into a Record: one pass over the bytes instead of a
+// kind probe plus a second full decode. A clean decode carrying a record
+// kind is exactly what decodeLineByKind would return. Header and plan
+// lines, and any line the Record decode rejects, take decodeLineByKind,
+// so every other Line and every error stays as that path spells it.
 func decodeLine(data []byte) (*Line, error) {
+	rec := &Record{}
+	if json.Unmarshal(data, rec) == nil {
+		switch rec.Kind {
+		case KindRun, KindQuarantine, KindAssign, KindHeartbeat, KindDone, KindError:
+			return &Line{Kind: rec.Kind, Rec: rec}, nil
+		}
+	}
+	return decodeLineByKind(data)
+}
+
+// decodeLineByKind probes a line's kind, then decodes it into the type
+// that kind names.
+func decodeLineByKind(data []byte) (*Line, error) {
 	var probe struct {
 		Kind string `json:"kind"`
 	}

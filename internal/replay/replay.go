@@ -11,8 +11,10 @@
 package replay
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 
 	"ntdts/internal/core"
@@ -23,6 +25,7 @@ import (
 	"ntdts/internal/shard"
 	"ntdts/internal/telemetry"
 	"ntdts/internal/workload"
+	"ntdts/internal/workpool"
 )
 
 // Source is a loaded campaign journal: the recorded configuration, the
@@ -53,7 +56,11 @@ type SourceRun struct {
 	HasTrace bool
 }
 
-// Load parses a campaign journal into a replay source.
+// Load parses a campaign journal into a replay source. The journal is
+// read in one sequential pass; decoding each run's result and trace, the
+// bulk of the work, runs on workpool.Run in journal-index order. A bad
+// record fails the load with the error of the lowest-indexed one,
+// whatever the pool width.
 func Load(path string) (*Source, error) {
 	rep, err := journal.Replay(path)
 	if err != nil {
@@ -70,21 +77,45 @@ func Load(path string) (*Source, error) {
 		Quarantined: len(rep.Quarantined),
 		Torn:        rep.Torn,
 	}
-	for _, rec := range rep.Runs {
-		res, err := core.UnmarshalRunRecord(rec.Result, nil)
-		if err != nil {
-			return nil, fmt.Errorf("replay source %s: run %q: %w", path, rec.Key, err)
-		}
-		sr := SourceRun{Result: res}
-		if len(rec.Tel) != 0 {
-			var snap telemetry.Snapshot
-			if err := json.Unmarshal(rec.Tel, &snap); err != nil {
-				return nil, fmt.Errorf("replay source %s: run %q trace: %w", path, rec.Key, err)
+	indices := make([]int, 0, len(rep.Runs))
+	for i := range rep.Runs {
+		indices = append(indices, i)
+	}
+	sort.Ints(indices)
+	recs := make([]journal.RunRecord, len(indices))
+	for n, i := range indices {
+		recs[n] = rep.Runs[i]
+	}
+	// From here recs holds the only reference to each record's raw bytes,
+	// so a record's bytes can be collected as soon as it is decoded.
+	rep.Runs = nil
+	runs := make([]SourceRun, len(recs))
+	err = workpool.Run(context.TODO(), len(recs), 0, func() func(int) error {
+		return func(n int) error {
+			rec := &recs[n]
+			res, err := core.UnmarshalRunRecord(rec.Result, nil)
+			if err != nil {
+				return fmt.Errorf("replay source %s: run %q: %w", path, rec.Key, err)
 			}
-			sr.Touch = snap.Touchpoints()
-			sr.HasTrace = true
+			sr := SourceRun{Result: res}
+			if len(rec.Tel) != 0 {
+				var snap telemetry.Snapshot
+				if err := json.Unmarshal(rec.Tel, &snap); err != nil {
+					return fmt.Errorf("replay source %s: run %q trace: %w", path, rec.Key, err)
+				}
+				sr.Touch = snap.Touchpoints()
+				sr.HasTrace = true
+			}
+			rec.Result, rec.Tel = nil, nil
+			runs[n] = sr
+			return nil
 		}
-		src.Runs[rec.Key] = sr
+	})
+	if err != nil {
+		return nil, err
+	}
+	for n := range recs {
+		src.Runs[recs[n].Key] = runs[n]
 	}
 	return src, nil
 }

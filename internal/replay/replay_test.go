@@ -3,7 +3,13 @@ package replay_test
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ntdts/internal/core"
@@ -221,4 +227,78 @@ func TestOracleSoundnessSampled(t *testing.T) {
 	if sampled == 0 {
 		t.Fatal("no elided runs sampled")
 	}
+}
+
+// TestLoadNamesLowestIndexedBadRecord: Load decodes every run's result
+// and full trace, and a journal with two bad records fails naming the
+// lower-indexed one on every call, at any GOMAXPROCS.
+func TestLoadNamesLowestIndexedBadRecord(t *testing.T) {
+	source, _ := middleware.Parse("watchd-v2")
+	path := journalCampaign(t, testSpecs(12), source, true)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name  string
+		field func(*journal.Record) *json.RawMessage
+		bad   *regexp.Regexp
+		with  string
+	}{
+		{"trace event", func(r *journal.Record) *json.RawMessage { return &r.Tel }, regexp.MustCompile(`"at":\d+`), `"at":"x"`},
+		{"result", func(r *journal.Record) *json.RawMessage { return &r.Result }, regexp.MustCompile(`"restarts":\d+`), `"restarts":"x"`},
+	} {
+		bad, low, high := corruptTwoRuns(t, path, c.field, c.bad, c.with)
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			for call := 0; call < 20; call++ {
+				_, err := replay.Load(bad)
+				if err == nil || !strings.Contains(err.Error(), strconv.Quote(low)) || strings.Contains(err.Error(), strconv.Quote(high)) {
+					t.Fatalf("%s, GOMAXPROCS %d, call %d: error %v, want one naming %q", c.name, procs, call, err, low)
+				}
+			}
+		}
+	}
+}
+
+// corruptTwoRuns copies the journal with the first match of bad in the
+// payload field of its lowest- and highest-indexed run records replaced
+// by with, and returns the copy's path and the two records' keys.
+func corruptTwoRuns(t *testing.T, path string, field func(*journal.Record) *json.RawMessage, bad *regexp.Regexp, with string) (string, string, string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	recs := map[int]*journal.Record{}
+	lineOf := map[int]int{}
+	for n, line := range lines {
+		var rec journal.Record
+		if json.Unmarshal([]byte(line), &rec) == nil && rec.Kind == journal.KindRun {
+			recs[rec.Index], lineOf[rec.Index] = &rec, n
+		}
+	}
+	lo, hi := math.MaxInt, -1
+	for i := range recs {
+		lo, hi = min(lo, i), max(hi, i)
+	}
+	if lo >= hi {
+		t.Fatalf("journal has %d run records, want at least two", len(recs))
+	}
+	for _, i := range []int{lo, hi} {
+		p := field(recs[i])
+		loc := bad.FindIndex(*p)
+		if loc == nil {
+			t.Fatalf("run %q: no %v in %s", recs[i].Key, bad, *p)
+		}
+		*p = json.RawMessage(string((*p)[:loc[0]]) + with + string((*p)[loc[1]:]))
+		b, err := json.Marshal(recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[lineOf[i]] = string(b) + "\n"
+	}
+	out := filepath.Join(t.TempDir(), "bad.journal")
+	if err := os.WriteFile(out, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return out, recs[lo].Key, recs[hi].Key
 }

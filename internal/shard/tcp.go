@@ -304,7 +304,7 @@ type tcpSession struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	inCount   int      // coordinator lines consumed (worker-bound and control)
+	inCount   int // coordinator lines consumed (worker-bound and control)
 	inClosed  bool
 	out       [][]byte // every worker output line, for replay
 	outDone   bool

@@ -10,8 +10,9 @@ package main
 //	dts -worker-listen :9433                  # host workers for the above
 //
 // TCP fleets authenticate with a shared key (-worker-key or
-// DTS_WORKER_KEY) and survive connection drops by replaying the
-// journal-line streams from the acknowledged offsets.
+// DTS_WORKER_KEY). Each connection carries one worker, so a dropped
+// connection is a worker death: the slot respawns and the chunk's
+// uncommitted runs are re-dispatched.
 
 import (
 	"context"
@@ -29,8 +30,7 @@ import (
 // fleetFlags carries the work-stealing fleet flag family.
 type fleetFlags struct {
 	workers string // "" = off; integer count or comma-separated host:port list
-	key     string // shared TCP session key ("" = DTS_WORKER_KEY)
-	chunk   int    // chunk size override (0 = auto)
+	key     string // shared TCP key ("" = DTS_WORKER_KEY)
 	chaos   bool   // arm the DTS_SHARD_CHAOS_* drills
 }
 
@@ -47,12 +47,10 @@ func (f fleetFlags) sessionKey() string {
 
 // options translates the flags into FleetOptions. An integer -workers
 // spawns that many local dts worker processes; a comma-separated
-// host:port list dials one TCP session per address.
+// host:port list gives each address one slot, whose workers each dial
+// a TCP connection of their own.
 func (f fleetFlags) options(parallel int) (shard.FleetOptions, error) {
-	opts := shard.FleetOptions{
-		WorkerParallelism: parallel,
-		ChunkSize:         f.chunk,
-	}
+	opts := shard.FleetOptions{WorkerParallelism: parallel}
 	if f.chaos {
 		opts.ChaosKill = os.Getenv("DTS_SHARD_CHAOS_KILL")
 		opts.ChaosHang = os.Getenv("DTS_SHARD_CHAOS_HANG")
@@ -75,7 +73,7 @@ func (f fleetFlags) options(parallel int) (shard.FleetOptions, error) {
 		if _, _, err := net.SplitHostPort(addr); err != nil {
 			return opts, fmt.Errorf("-workers %q: %q is neither a worker count nor host:port", f.workers, addr)
 		}
-		opts.Spawners = append(opts.Spawners, shard.TCPSpawner(addr, key, shard.TCPOptions{}))
+		opts.Spawners = append(opts.Spawners, shard.TCPSpawner(addr, key))
 	}
 	if len(opts.Spawners) == 0 {
 		return opts, fmt.Errorf("-workers %q names no workers", f.workers)

@@ -50,12 +50,13 @@
 // and the merged archive, trace and metrics are byte-identical to an
 // unsharded run under any kill schedule. -parallel then sizes each
 // worker's run pool. An integer count spawns local worker processes; a
-// host:port list dials `dts -worker-listen` hosts over authenticated,
-// reconnect-resumable TCP. A campaign that finishes only by in-process
-// fallback (every worker budget exhausted) exits 5. `dts serve` exposes
-// the same engine as a long-running HTTP service: submit campaigns with
-// config and fault list inline, stream progress as JSONL, fetch the
-// archive and report.
+// host:port list dials `dts -worker-listen` hosts over authenticated
+// TCP, one connection per worker, so a dropped connection is a worker
+// death. A campaign that finishes only by in-process fallback (every
+// worker budget exhausted) exits 5. `dts serve` exposes the same engine
+// as a long-running HTTP service: submit campaigns with config and
+// fault list inline, stream progress as JSONL, fetch the archive and
+// report.
 //
 // -middleware overrides the configured substrate ("none", "watchd",
 // "watchd-v1".."v3", "mscs") without editing the config file. With
@@ -151,7 +152,6 @@ func run(args []string, out io.Writer) error {
 	workers := fs.String("workers", "", `work-stealing campaign fleet: a worker count ("4" spawns local dts workers) or a comma-separated host:port list (dials dts -worker-listen hosts); results byte-identical to unsharded under any kill schedule; -parallel then sizes each worker's pool`)
 	workerListen := fs.String("worker-listen", "", "host fleet workers for remote -workers coordinators on this TCP address (long-running; authenticate with -worker-key)")
 	workerKey := fs.String("worker-key", "", "shared session key for the -workers/-worker-listen TCP transport (default $DTS_WORKER_KEY)")
-	chunk := fs.Int("chunk", 0, "fleet dispatch chunk size (0 = auto; degraded workers receive smaller chunks automatically)")
 	shardWorker := fs.Bool("shard-worker", false, "internal: serve one shard assignment on stdin/stdout")
 	freshBoot := fs.Bool("fresh-boot", false, "boot a fresh kernel for every run instead of forking the boot-prefix snapshot (slower; archives are byte-identical either way)")
 	replayPath := fs.String("replay", "", "re-execute a journaled campaign under the -middleware substrate, eliding runs the recorded evidence proves unaffected (archive byte-identical to a from-scratch run)")
@@ -200,7 +200,7 @@ func run(args []string, out io.Writer) error {
 		// the coordinator is the only intended invoker.
 		return shard.ServeWorker(os.Stdin, out)
 	}
-	fflags := fleetFlags{workers: *workers, key: *workerKey, chunk: *chunk, chaos: *chaos}
+	fflags := fleetFlags{workers: *workers, key: *workerKey, chaos: *chaos}
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (got %d)", *parallel)
 	}

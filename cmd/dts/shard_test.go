@@ -156,12 +156,13 @@ func TestShardChaosEnvGating(t *testing.T) {
 	t.Setenv("DTS_SHARD_CHAOS_KILL", "bogus")
 	dir := t.TempDir()
 	cfgPath := chaosCampaign(t, dir)
+	outPath := filepath.Join(dir, "gated.json")
 	var out bytes.Buffer
-	err := run([]string{"-config", cfgPath, "-q", "-workers", "2", "-chaos"}, &out)
+	err := run([]string{"-config", cfgPath, "-out", outPath, "-q", "-workers", "2", "-chaos"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "chaos kill spec") {
 		t.Fatalf("armed bogus chaos spec: err = %v, want a parse error", err)
 	}
-	if err := run([]string{"-config", cfgPath, "-q", "-workers", "2"}, &out); err != nil {
+	if err := run([]string{"-config", cfgPath, "-out", outPath, "-q", "-workers", "2"}, &out); err != nil {
 		t.Fatalf("unarmed chaos env must be ignored: %v", err)
 	}
 }

@@ -105,15 +105,3 @@ func WithPaperFaithfulSkips() Option {
 func WithFreshBoot() Option {
 	return func(c *Campaign) { c.runner.Opts.FreshBoot = true }
 }
-
-// WithCluster executes every run of the campaign on an n-node simulated
-// cluster with the given client routing policy ("round-robin",
-// "least-loaded" or "failover"; "" = failover). n == 1 keeps the
-// single-kernel engine but enables the DTSCluster* scenario faults. The
-// topology rides the journal header, so -parallel, -workers and -resume
-// all rebuild identical clusters.
-func WithCluster(n int, routing string) Option {
-	return func(c *Campaign) {
-		c.runner.Opts.Cluster = ClusterConfig{Nodes: n, Routing: routing}
-	}
-}

@@ -239,7 +239,7 @@ func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error
 	// engine; only the scenario pseudo-faults need interpreting here.
 	scen := scenarioFor(spec)
 	if scen != nil && !r.Opts.Cluster.Enabled() {
-		return nil, nil, fmt.Errorf("fault %s: cluster scenario faults require a cluster topology (WithCluster / -cluster)", spec.Function)
+		return nil, nil, fmt.Errorf("fault %s: cluster scenario faults require a cluster topology (-cluster)", spec.Function)
 	}
 	if spec != nil && spec.Node != 0 {
 		return nil, nil, fmt.Errorf("fault %s: node %d does not exist on a %d-node topology", spec.Function, spec.Node, max(1, r.Opts.Cluster.Nodes))

@@ -115,8 +115,8 @@ func TestClusterFleetMatrix(t *testing.T) {
 			return conn, nil
 		}
 	}
-	tcpAddr := startWorkerServer(t, "cluster-matrix-key")
-	tcpSpawner := TCPSpawner(tcpAddr, "cluster-matrix-key", TCPOptions{})
+	tcpAddr := startWorkerServer(t, "cluster-matrix-key", InProcess())
+	tcpSpawner := TCPSpawner(tcpAddr, "cluster-matrix-key")
 
 	shapes := []struct {
 		name string

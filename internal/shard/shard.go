@@ -4,8 +4,8 @@
 // at the ROADMAP's million-run scale a harness-level fault shares fate
 // with every in-flight run. The work-stealing Fleet here hands bounded
 // chunks of the prepared job list to worker processes (dts
-// -shard-worker) on demand, over a pipe or a TCP session, and merges the
-// streamed results back at their global job-list positions — so the
+// -shard-worker) on demand, over a pipe or a TCP connection, and merges
+// the streamed results back at their global job-list positions — so the
 // archive, trace, and metrics are byte-identical to an unsharded run,
 // the same guarantee the in-process pool gives at any parallelism.
 //
@@ -20,6 +20,8 @@
 //
 // Spawner is the process seam: Exec runs a local child, SelfExec
 // re-executes the current binary with -shard-worker, TCPSpawner dials a
-// dts -worker-listen host, and InProcess runs ServeWorker in a goroutine
-// over pipes (the default, and what tests and benchmarks use).
+// dts -worker-listen host for one worker per connection (a dropped
+// connection is that worker's death), and InProcess runs ServeWorker in
+// a goroutine over pipes (the default, and what tests and benchmarks
+// use).
 package shard

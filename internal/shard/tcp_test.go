@@ -14,15 +14,15 @@ import (
 	"ntdts/internal/core"
 )
 
-// startWorkerServer runs a WorkerServer on a loopback port for the
-// test's lifetime and returns its address.
-func startWorkerServer(t *testing.T, key string) string {
+// startWorkerServer runs a WorkerServer backed by spawn on a loopback
+// port for the test's lifetime and returns its address.
+func startWorkerServer(t *testing.T, key string, spawn Spawner) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWorkerServer(key, InProcess())
+	srv := NewWorkerServer(key, spawn)
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	return ln.Addr().String()
@@ -40,8 +40,8 @@ func TestTCPLoopbackMatchesUnsharded(t *testing.T) {
 	}
 	wantArchive, wantTrace, wantMetrics := artifacts(t, base)
 
-	addr := startWorkerServer(t, "fleet-test-key")
-	spawner := TCPSpawner(addr, "fleet-test-key", TCPOptions{})
+	addr := startWorkerServer(t, "fleet-test-key", InProcess())
+	spawner := TCPSpawner(addr, "fleet-test-key")
 	f := NewFleet(FleetOptions{
 		Spawners: []Spawner{spawner, spawner, spawner, spawner},
 	})
@@ -68,10 +68,10 @@ func TestTCPLoopbackMatchesUnsharded(t *testing.T) {
 }
 
 // TestTCPAuthRejected: a coordinator with the wrong key is denied at
-// the handshake — the session never reaches a worker.
+// the handshake — the connection never reaches a worker.
 func TestTCPAuthRejected(t *testing.T) {
-	addr := startWorkerServer(t, "right-key")
-	_, err := TCPSpawner(addr, "wrong-key", TCPOptions{})()
+	addr := startWorkerServer(t, "right-key", InProcess())
+	_, err := TCPSpawner(addr, "wrong-key")()
 	if err == nil || !strings.Contains(err.Error(), "refused") {
 		t.Fatalf("spawn error = %v, want a session-refused failure", err)
 	}
@@ -128,12 +128,12 @@ func (p *severingProxy) bridge(c net.Conn, sever bool) {
 	b.Close()
 }
 
-// TestTCPReconnectResume cuts the first coordinator connection after a
-// handful of result lines. The client must redial, replay its input
-// lines, resume the output stream at the acknowledged offset, and merge
-// artifacts byte-identical to the unsharded run — the worker process
-// itself never restarts.
-func TestTCPReconnectResume(t *testing.T) {
+// TestTCPDropIsWorkerDeath cuts the first coordinator connection after
+// a handful of result lines. The drop is a worker death: the slot
+// respawns over a fresh connection, the chunk's uncommitted runs are
+// re-dispatched once, and the merged artifacts are byte-identical to
+// the unsharded run.
+func TestTCPDropIsWorkerDeath(t *testing.T) {
 	specs := campaignSpecs(60)
 	base, err := core.NewCampaign(newRunner(true),
 		core.WithParallelism(1), core.WithSpecs(specs)).Run(context.Background())
@@ -142,7 +142,7 @@ func TestTCPReconnectResume(t *testing.T) {
 	}
 	wantArchive, wantTrace, _ := artifacts(t, base)
 
-	backend := startWorkerServer(t, "resume-key")
+	backend := startWorkerServer(t, "resume-key", InProcess())
 	pln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -152,9 +152,7 @@ func TestTCPReconnectResume(t *testing.T) {
 	go proxy.run()
 
 	f := NewFleet(FleetOptions{
-		Spawners: []Spawner{TCPSpawner(pln.Addr().String(), "resume-key", TCPOptions{
-			RedialBackoff: 10 * time.Millisecond,
-		})},
+		Spawners: []Spawner{TCPSpawner(pln.Addr().String(), "resume-key")},
 	})
 	set, err := core.NewCampaign(newRunner(true),
 		core.WithSpecs(specs),
@@ -168,18 +166,18 @@ func TestTCPReconnectResume(t *testing.T) {
 	}
 	archive, trace, _ := artifacts(t, set)
 	if !bytes.Equal(archive, wantArchive) || !bytes.Equal(trace, wantTrace) {
-		t.Error("artifacts differ from unsharded run after reconnect-resume")
+		t.Error("artifacts differ from unsharded run after a dropped connection")
 	}
-	if st := set.Dispatch; st.WorkerDeaths != 0 || st.Degraded {
-		t.Errorf("reconnect must be invisible to the fleet: %+v", st)
+	if st := set.Dispatch; st.WorkerDeaths != 1 || st.Redispatched != 1 || st.Degraded {
+		t.Errorf("dispatch stats %+v, want one worker death, one re-dispatch, no degradation", st)
 	}
 }
 
-// TestTCPRedialBudgetIsWorkerDeath: when the server is gone for good,
-// the session dies after its redial budget and the fleet treats it as a
-// worker death — here with no respawn budget either, the campaign
+// TestTCPServerLossIsWorkerDeath: when the server goes away for good
+// mid-campaign, the dropped connection is a worker death and the
+// respawn cannot dial — with the respawn budget spent, the campaign
 // degrades to in-process completion instead of failing.
-func TestTCPRedialBudgetIsWorkerDeath(t *testing.T) {
+func TestTCPServerLossIsWorkerDeath(t *testing.T) {
 	specs := campaignSpecs(10)
 	base, err := core.NewCampaign(newRunner(true),
 		core.WithParallelism(1), core.WithSpecs(specs)).Run(context.Background())
@@ -198,9 +196,7 @@ func TestTCPRedialBudgetIsWorkerDeath(t *testing.T) {
 	addr := ln.Addr().String()
 
 	killSrv := sync.OnceFunc(func() { srv.Close() })
-	spawner := TCPSpawner(addr, "k", TCPOptions{
-		RedialAttempts: 1, RedialBackoff: 5 * time.Millisecond, ConnectTimeout: 200 * time.Millisecond,
-	})
+	spawner := TCPSpawner(addr, "k")
 	killing := func() (*Conn, error) {
 		conn, err := spawner()
 		if err != nil {
@@ -238,6 +234,123 @@ func TestTCPRedialBudgetIsWorkerDeath(t *testing.T) {
 	if !st.Degraded || st.WorkerDeaths < 1 || st.WorkersLost != 1 {
 		t.Errorf("dispatch stats %+v, want a degraded run with the slot lost", st)
 	}
+}
+
+// TestTCPHostWorkerDeath: the host's first worker dies after five
+// result lines. The host must close that worker's connection, so the
+// coordinator sees the death at once — with both deadlines off nothing
+// else could notice it — and the respawned worker finishes the
+// campaign byte-identical to the unsharded run.
+func TestTCPHostWorkerDeath(t *testing.T) {
+	specs := campaignSpecs(40)
+	base, err := core.NewCampaign(newRunner(true),
+		core.WithParallelism(1), core.WithSpecs(specs)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantArchive, wantTrace, _ := artifacts(t, base)
+
+	inner := InProcess()
+	var spawned atomic.Int32
+	dying := func() (*Conn, error) {
+		conn, err := inner()
+		if err == nil && spawned.Add(1) == 1 {
+			conn.Out = &severReader{r: conn.Out, kill: conn.Kill, after: 5}
+		}
+		return conn, err
+	}
+	addr := startWorkerServer(t, "death-key", dying)
+	f := NewFleet(FleetOptions{
+		Spawners:         []Spawner{TCPSpawner(addr, "death-key")},
+		StallDeadline:    -1,
+		ProgressDeadline: -1,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	set, err := core.NewCampaign(newRunner(true),
+		core.WithSpecs(specs),
+		core.WithShardExecutor(f),
+	).Run(ctx)
+	if err != nil {
+		t.Fatalf("campaign over a dying host worker: %v", err)
+	}
+	archive, trace, _ := artifacts(t, set)
+	if !bytes.Equal(archive, wantArchive) || !bytes.Equal(trace, wantTrace) {
+		t.Error("artifacts differ from unsharded run after a host-side worker death")
+	}
+	if st := set.Dispatch; st.WorkerDeaths != 1 || st.Degraded {
+		t.Errorf("dispatch stats %+v, want one worker death and no degradation", st)
+	}
+}
+
+// TestTCPHostReapsWorkers: the host Waits once on every worker it
+// spawned after that worker's connection ends — a clean 2-slot campaign,
+// and one whose coordinator kills its first connection mid-chunk — and
+// spawns nothing for a coordinator that fails the handshake.
+func TestTCPHostReapsWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		deaths int // the coordinator severs its first connection when 1
+	}{{"clean", 0}, {"killed", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rc reapCounter
+			addr := startWorkerServer(t, "reap-key", rc.wrap(InProcess()))
+			tcp := TCPSpawner(addr, "reap-key")
+			var dialed atomic.Int32
+			spawn := func() (*Conn, error) {
+				conn, err := tcp()
+				if err == nil && tc.deaths > 0 && dialed.Add(1) == 1 {
+					conn.Out = &severReader{r: conn.Out, kill: conn.Kill, after: 3}
+				}
+				return conn, err
+			}
+			set, err := fleetCampaign(t, 30, NewFleet(FleetOptions{
+				Spawners:          []Spawner{spawn, spawn},
+				RedispatchBackoff: 5 * time.Millisecond,
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := set.Dispatch; st.WorkerDeaths != tc.deaths {
+				t.Fatalf("dispatch stats %+v, want %d worker deaths", st, tc.deaths)
+			}
+			rc.mu.Lock()
+			conns := append([]*reapedConn(nil), rc.conns...)
+			rc.mu.Unlock()
+			if len(conns) < 2 {
+				t.Fatalf("host spawned %d workers, want at least 2", len(conns))
+			}
+			timeout := time.After(5 * time.Second)
+			for i, c := range conns {
+				select {
+				case <-c.called:
+				case <-timeout:
+					waits := 0
+					for _, c := range conns {
+						waits += int(c.calls.Load())
+					}
+					t.Fatalf("host worker %d never reaped: spawns=%d waits=%d", i, len(conns), waits)
+				}
+			}
+			for i, c := range conns {
+				if n := c.calls.Load(); n != 1 {
+					t.Errorf("host worker %d reaped %d times, want once", i, n)
+				}
+			}
+		})
+	}
+	t.Run("denied", func(t *testing.T) {
+		var rc reapCounter
+		addr := startWorkerServer(t, "reap-key", rc.wrap(InProcess()))
+		if _, err := TCPSpawner(addr, "wrong-key")(); err == nil {
+			t.Fatal("wrong key admitted")
+		}
+		rc.mu.Lock()
+		defer rc.mu.Unlock()
+		if n := len(rc.conns); n != 0 {
+			t.Errorf("host spawned %d workers for a refused coordinator, want 0", n)
+		}
+	})
 }
 
 // readerFunc adapts a closure to io.Reader.

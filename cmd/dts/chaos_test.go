@@ -124,7 +124,9 @@ func waitForJournal(t *testing.T, path string, minLines int) {
 // TestChaosKillResume is the PR's headline chaos test: SIGKILL a child
 // dts mid-campaign — the one failure no in-process handler can soften —
 // then resume from the torn journal and require the final archive to be
-// byte-identical to the uninterrupted golden run.
+// byte-identical to the uninterrupted golden run. A -workers fleet's
+// journal (dispatch lines among the runs) resumes the same way, in
+// process.
 func TestChaosKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec chaos test")
@@ -133,27 +135,37 @@ func TestChaosKillResume(t *testing.T) {
 	cfgPath := chaosCampaign(t, dir)
 	golden := goldenArchive(t, dir, cfgPath)
 
-	jpath := filepath.Join(dir, "killed.journal")
-	child := dtsChild("-config", cfgPath, "-out", filepath.Join(dir, "killed.json"),
-		"-q", "-journal", jpath, "-parallel", "2")
-	if err := child.Start(); err != nil {
-		t.Fatal(err)
-	}
-	waitForJournal(t, jpath, 20)
-	child.Process.Kill() // SIGKILL: no flush, no handler, torn tail likely
-	child.Wait()
+	for _, c := range []struct {
+		name  string
+		extra []string
+	}{
+		{"local", nil},
+		{"workers", []string{"-workers", "2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			jpath := filepath.Join(dir, c.name+".journal")
+			child := dtsChild(append([]string{"-config", cfgPath, "-out", filepath.Join(dir, c.name+"-killed.json"),
+				"-q", "-journal", jpath, "-parallel", "2"}, c.extra...)...)
+			if err := child.Start(); err != nil {
+				t.Fatal(err)
+			}
+			waitForJournal(t, jpath, 20)
+			child.Process.Kill() // SIGKILL: no flush, no handler, torn tail likely
+			child.Wait()
 
-	outPath := filepath.Join(dir, "resumed.json")
-	var out bytes.Buffer
-	if err := run([]string{"-resume", jpath, "-out", outPath, "-q"}, &out); err != nil {
-		t.Fatalf("resume after SIGKILL: %v", err)
-	}
-	resumed, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(golden, resumed) {
-		t.Fatal("archive resumed after SIGKILL differs from uninterrupted golden run")
+			outPath := filepath.Join(dir, c.name+"-resumed.json")
+			var out bytes.Buffer
+			if err := run([]string{"-resume", jpath, "-out", outPath, "-q"}, &out); err != nil {
+				t.Fatalf("resume after SIGKILL: %v", err)
+			}
+			resumed, err := os.ReadFile(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(golden, resumed) {
+				t.Fatal("archive resumed after SIGKILL differs from uninterrupted golden run")
+			}
+		})
 	}
 }
 

@@ -181,7 +181,7 @@ func TestWorkersFlagValidation(t *testing.T) {
 	}{
 		{[]string{"-config", cfgPath, "-workers", "4", "-run-deadline", "1s"}, "-workers"},
 		{[]string{"-config", cfgPath, "-workers", "4", "-max-quarantined", "3"}, "-workers"},
-		{[]string{"-workers", "4", "-experiment", "table1", "-journal", "j"}, "-journal requires a -config campaign"},
+		{[]string{"-workers", "4", "-experiment", "table1", "-journal", "j"}, "-experiment does not take -journal"},
 		{[]string{"-config", cfgPath, "-workers", "0"}, ">= 1"},
 		{[]string{"-config", cfgPath, "-workers", "bogus"}, "neither a worker count nor host:port"},
 		{[]string{"-config", cfgPath, "-workers", ","}, "names no workers"},

@@ -19,6 +19,14 @@
 //	dts -worker-listen :9433 [-worker-key k]
 //	dts serve [-addr host:port] [-worker-key k]
 //
+// Each mode honours a fixed set of flags (the modes table below) and
+// rejects any other flag by name, so no flag is silently ignored; -q,
+// -cpuprofile and -memprofile work everywhere. Every campaign entry
+// point — -config, -fault, serve, -resume, a fleet worker and -replay —
+// builds its runner from one journal header (shard.RunnerFromHeader):
+// for -config, -fault and serve, campaignHeader makes that header from
+// the config text plus the flags or the submit body.
+//
 // With -config, dts runs a single workload set as configured (workload,
 // middleware, fault list). With -fault, dts runs exactly one fault —
 // optionally with a kernel trace — which is the §4.3 debugging workflow:
@@ -28,11 +36,12 @@
 // fault set and prints (or checks against a golden file) the per-call
 // failure-mode matrix — the API-level companion to the workload campaigns.
 //
-// -trace-out and -metrics work with every mode: they switch the telemetry
-// layer on, collect one recorder per run (so parallel workers never
-// contend), and export the merged virtual-time trace (JSONL) and metrics
-// summary — byte-identical at any -parallel setting. dtsreport -trace
-// summarizes an exported trace.
+// -trace-out and -metrics work with every campaign mode but -replay
+// (which re-executes with telemetry off): they switch the telemetry layer
+// on, collect one recorder per run (so parallel workers never contend),
+// and export the merged virtual-time trace (JSONL) and metrics summary —
+// byte-identical at any -parallel setting. dtsreport -trace summarizes an
+// exported trace.
 //
 // -cohort replaces the canned client with a generated multi-client cohort
 // (seeded arrival processes, per-class request mixes — see DESIGN.md §4h);
@@ -89,6 +98,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -135,7 +145,7 @@ func run(args []string, out io.Writer) error {
 	trace := fs.Bool("trace", false, "print the kernel trace (with -fault)")
 	quiet := fs.Bool("q", false, "suppress progress output")
 	parallel := fs.Int("parallel", 0, "concurrent fault-injection runs per campaign (0 = all CPUs, 1 = sequential; results are identical either way)")
-	conformance := fs.Bool("conformance", false, "run the catalog-wide API conformance sweep")
+	fs.Bool("conformance", false, "run the catalog-wide API conformance sweep")
 	golden := fs.String("golden", "", "golden failure-mode matrix to check the sweep against (with -conformance)")
 	update := fs.Bool("update", false, "rewrite the -golden file from live behaviour instead of checking it")
 	sample := fs.Int("sample", 0, "run only a seeded sample of n live cells (with -conformance; 0 = full sweep)")
@@ -152,7 +162,7 @@ func run(args []string, out io.Writer) error {
 	workers := fs.String("workers", "", `work-stealing campaign fleet: a worker count ("4" spawns local dts workers) or a comma-separated host:port list (dials dts -worker-listen hosts); results byte-identical to unsharded under any kill schedule; -parallel then sizes each worker's pool`)
 	workerListen := fs.String("worker-listen", "", "host fleet workers for remote -workers coordinators on this TCP address (long-running; authenticate with -worker-key)")
 	workerKey := fs.String("worker-key", "", "shared session key for the -workers/-worker-listen TCP transport (default $DTS_WORKER_KEY)")
-	shardWorker := fs.Bool("shard-worker", false, "internal: serve one shard assignment on stdin/stdout")
+	fs.Bool("shard-worker", false, "internal: serve one shard assignment on stdin/stdout")
 	freshBoot := fs.Bool("fresh-boot", false, "boot a fresh kernel for every run instead of forking the boot-prefix snapshot (slower; archives are byte-identical either way)")
 	replayPath := fs.String("replay", "", "re-execute a journaled campaign under the -middleware substrate, eliding runs the recorded evidence proves unaffected (archive byte-identical to a from-scratch run)")
 	middlewareSpec := fs.String("middleware", "", `middleware substrate: "none", "watchd", "watchd-v1".."v3" or "mscs" (the -replay target, or a -config override)`)
@@ -165,6 +175,10 @@ func run(args []string, out io.Writer) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole command to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (taken after the command finishes) to this file")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	mode, err := flagMode(fs)
+	if err != nil {
 		return err
 	}
 	if *cpuProfile != "" {
@@ -195,17 +209,25 @@ func run(args []string, out io.Writer) error {
 			}
 		}()
 	}
-	if *shardWorker {
+	if mode == "shard-worker" {
 		// Worker mode speaks the journal wire protocol and nothing else;
 		// the coordinator is the only intended invoker.
 		return shard.ServeWorker(os.Stdin, out)
 	}
-	fflags := fleetFlags{workers: *workers, key: *workerKey, chaos: *chaos}
 	if *parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (got %d)", *parallel)
 	}
 	if *retries < 0 {
 		return fmt.Errorf("-retries must be >= 0 (got %d)", *retries)
+	}
+	if *clusterN < 0 {
+		return fmt.Errorf("-cluster must be >= 0 (got %d)", *clusterN)
+	}
+	if *routing != "" && *clusterN == 0 {
+		return fmt.Errorf("-routing selects a policy for a -cluster topology; add -cluster N")
+	}
+	if _, err := cluster.ParsePolicy(*routing); err != nil {
+		return err
 	}
 
 	// SIGINT/SIGTERM cancel this context; the campaign engine converts
@@ -220,101 +242,132 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, line)
 		}
 	}
-	if *workerListen != "" {
-		if *cfgPath != "" || *experiment != "" || *conformance || fflags.active() {
-			return fmt.Errorf("-worker-listen hosts fleet workers for a remote coordinator; run the campaign from the coordinator side")
-		}
-		return runWorkerListen(ctx, *workerListen, *workerKey, progress)
-	}
 	tflags := telemetryFlags{traceOut: *traceOut, metrics: *metrics, traceCap: *traceCap}
-	sflags := superviseFlags{journal: *journalPath, runDeadline: *runDeadline,
-		maxQuarantined: *maxQuarantined, retries: *retries, chaos: *chaos}
-	wflags := workloadFlags{cohort: *cohort, trace: *workloadTrace, traceOut: *workloadTraceOut}
-	if err := wflags.validate(); err != nil {
-		return err
+	// The flags that shape a campaign beyond its config text, in the
+	// header that will describe it; campaignHeader adds the config.
+	fromFlags := journal.Header{
+		Telemetry: tflags.options().Enabled, TraceCapacity: *traceCap, FreshBoot: *freshBoot,
+		ClusterNodes: *clusterN, ClusterRouting: *routing,
+		Cohort: *cohort, WorkloadTrace: *workloadTrace,
+		WallDeadlineNS: int64(*runDeadline), MaxAttempts: *retries + 1,
+		MaxQuarantined: *maxQuarantined, Chaos: *chaos,
 	}
-	if wflags.active() && (*experiment != "" || *conformance || *resume != "") {
-		return fmt.Errorf("-cohort/-workload-trace drive a -config campaign; they cannot combine with -experiment/-conformance (fixed workloads) or -resume (the journal header already names the schedule)")
-	}
-	cflags := clusterFlags{nodes: *clusterN, routing: *routing}
-	if err := cflags.validate(); err != nil {
-		return err
-	}
-	if cflags.active() && (*experiment != "" || *conformance || *resume != "") {
-		return fmt.Errorf("-cluster/-routing configure a -config or -replay campaign; they cannot combine with -experiment/-conformance (fixed topologies) or -resume (the journal header already carries the topology)")
-	}
-
-	if *replayPath != "" {
-		// Counterfactual replay is its own mode: the journal supplies the
-		// campaign, -middleware the target substrate, and -cluster/-routing
-		// optionally override the recorded topology. Everything that would
-		// change what the journal already fixed is rejected.
-		if *cfgPath != "" || *experiment != "" || *conformance || *resume != "" ||
-			*faultSpec != "" || *journalPath != "" || fflags.active() ||
-			*runDeadline > 0 || *maxQuarantined > 0 || wflags.active() {
-			return fmt.Errorf("-replay re-executes a journaled campaign under a new -middleware; it combines only with -middleware, -cluster/-routing, -out, -parallel, -no-elide and -q")
-		}
-		return runReplay(ctx, *replayPath, *middlewareSpec, *outPath, *parallel, *noElide, cflags, progress, out)
-	}
-	var mwOverride *middleware.Spec
-	if *middlewareSpec != "" {
-		spec, err := middleware.Parse(*middlewareSpec)
-		if err != nil {
-			return err
-		}
-		if *cfgPath == "" {
-			return fmt.Errorf("-middleware overrides a -config campaign's substrate (or names the -replay target); add -config or -replay")
-		}
-		mwOverride = &spec
-	}
-
 	// The fleet replaces the supervisor: worker processes isolate harness
 	// faults, and -journal records committed runs plus the dispatch
 	// provenance trail.
 	var fleet *shard.FleetOptions
-	if fflags.active() {
-		if *resume != "" || *conformance || *faultSpec != "" || *runDeadline > 0 || *maxQuarantined > 0 {
-			return fmt.Errorf("-workers runs unsupervised -config and -experiment campaigns; drop -resume/-conformance/-fault/-run-deadline/-max-quarantined (-journal is allowed: the fleet journals every committed run plus its dispatch provenance)")
-		}
-		fopts, err := fflags.options(*parallel)
+	if *workers != "" {
+		fopts, err := fleetFlags{workers: *workers, key: *workerKey, chaos: *chaos}.options(*parallel)
 		if err != nil {
 			return err
 		}
 		fleet = &fopts
 	}
 
-	ecfg := experiments.Config{Progress: progress, Parallelism: *parallel}
-	ecfg.Opts.Telemetry = tflags.options()
-	ecfg.Opts.FreshBoot = *freshBoot
-	if fleet != nil {
-		ecfg.ShardExec = shard.NewFleet(*fleet)
-	} else if sflags.active() {
-		opts := sflags.options()
-		ecfg.Supervise = &opts
-	}
-
-	if *resume != "" {
-		if *cfgPath != "" || *experiment != "" || *conformance || *journalPath != "" {
-			return fmt.Errorf("-resume takes the campaign from its journal; drop -config/-experiment/-conformance/-journal")
-		}
+	switch mode {
+	case "worker-listen":
+		return runWorkerListen(ctx, *workerListen, *workerKey, progress)
+	case "replay":
+		cc := core.ClusterConfig{Nodes: *clusterN, Routing: *routing}
+		return runReplay(ctx, *replayPath, *middlewareSpec, *outPath, *parallel, *noElide, cc, progress, out)
+	case "resume":
 		return runResume(ctx, *resume, *outPath, *parallel, tflags, progress, out)
-	}
-	if *journalPath != "" && (*experiment != "" || *conformance || *faultSpec != "") {
-		return fmt.Errorf("-journal requires a -config campaign (generated or fault-list)")
+	case "conformance":
+		return runConformance(*golden, *update, *sample, *seed, *parallel, tflags, progress, out)
+	case "experiment":
+		ecfg := experiments.Config{Progress: progress, Parallelism: *parallel}
+		ecfg.Opts.Telemetry = tflags.options()
+		ecfg.Opts.FreshBoot = *freshBoot
+		if fleet != nil {
+			ecfg.ShardExec = shard.NewFleet(*fleet)
+		} else if supervised(fromFlags) {
+			policy := supervisorPolicy(fromFlags)
+			ecfg.Supervise = &policy
+		}
+		return runExperiment(*experiment, *outPath, ecfg, tflags, out)
 	}
 
-	switch {
-	case *conformance:
-		return runConformance(*golden, *update, *sample, *seed, *parallel, tflags, progress, out)
-	case *experiment != "":
-		return runExperiment(*experiment, *outPath, ecfg, tflags, out)
-	case *cfgPath != "" && *faultSpec != "":
-		return runSingleFault(*cfgPath, *faultSpec, *trace, *freshBoot, mwOverride, cflags, wflags, tflags, out)
-	case *cfgPath != "":
-		return runConfigured(ctx, *cfgPath, *outPath, *parallel, *freshBoot, fleet, mwOverride, cflags, wflags, tflags, sflags, progress, out)
-	default:
-		return fmt.Errorf("one of -config, -experiment or -resume is required")
+	// -fault and -config: the config file plus the flags give the
+	// campaign's header, and the header gives the runner.
+	if *cfgPath == "" {
+		return fmt.Errorf("-fault replays one fault of a -config workload; add -config")
 	}
+	f, err := os.Open(*cfgPath)
+	if err != nil {
+		return err
+	}
+	h, results, err := campaignHeader(f, *middlewareSpec, fromFlags)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	if *workloadTraceOut != "" {
+		if err := recordSchedule(h.Cohort, *workloadTraceOut); err != nil {
+			return err
+		}
+	}
+	runner, err := shard.RunnerFromHeader(h)
+	if err != nil {
+		return err
+	}
+	if mode == "fault" {
+		return runSingleFault(runner, *faultSpec, *trace, tflags, out)
+	}
+	if *outPath == "" {
+		*outPath = results
+	}
+	return runConfigured(ctx, runner, h, *journalPath, *outPath, *parallel, fleet, tflags, progress, out)
+}
+
+// modes is the flag table: every way dts runs, in the order a set flag
+// selects it, with the flags it honours. -q, -cpuprofile and -memprofile
+// are global. Any other set flag is rejected by name, so no flag is
+// silently ignored.
+var modes = []struct{ flag, takes string }{
+	{"shard-worker", ""},
+	{"worker-listen", "worker-key"},
+	{"replay", "middleware cluster routing out parallel no-elide"},
+	{"resume", "out parallel trace-out metrics"},
+	{"conformance", "golden update sample seed parallel trace-out metrics trace-cap"},
+	{"experiment", "out parallel fresh-boot trace-out metrics trace-cap run-deadline max-quarantined retries chaos workers worker-key"},
+	{"fault", "config trace fresh-boot middleware cluster routing cohort workload-trace workload-trace-out trace-out metrics trace-cap"},
+	{"config", "out parallel fresh-boot middleware cluster routing cohort workload-trace workload-trace-out trace-out metrics trace-cap journal run-deadline max-quarantined retries chaos workers worker-key"},
+}
+
+// flagMode returns the mode the set flags select, rejecting every set
+// flag that mode does not honour. A flag set to its default changes
+// nothing, so it counts as unset. A -workers fleet also rejects the
+// supervisor flags: its workers run chunks unsupervised.
+func flagMode(fs *flag.FlagSet) (string, error) {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Value.String() != f.DefValue {
+			set = append(set, f.Name)
+		}
+	})
+	for _, m := range modes {
+		if !slices.Contains(set, m.flag) {
+			continue
+		}
+		takes := strings.Fields(m.flag + " " + m.takes + " q cpuprofile memprofile")
+		var bad, unsupervised []string
+		for _, name := range set {
+			switch {
+			case !slices.Contains(takes, name):
+				bad = append(bad, "-"+name)
+			case name == "run-deadline" || name == "max-quarantined" || name == "retries":
+				unsupervised = append(unsupervised, "-"+name)
+			}
+		}
+		if len(bad) > 0 {
+			return "", fmt.Errorf("-%s does not take %s", m.flag, strings.Join(bad, ", "))
+		}
+		if len(unsupervised) > 0 && slices.Contains(set, "workers") {
+			return "", fmt.Errorf("a -workers fleet runs unsupervised: it does not take %s", strings.Join(unsupervised, ", "))
+		}
+		return m.flag, nil
+	}
+	return "", fmt.Errorf("one of -config, -experiment, -conformance, -resume, -replay or -worker-listen is required")
 }
 
 // workerSpawner builds the self-exec spawner for fleet workers. Under
@@ -325,88 +378,6 @@ func workerSpawner() shard.Spawner {
 		return shard.SelfExec("-test.run=TestHelperProcess", "--", "-shard-worker")
 	}
 	return shard.SelfExec("-shard-worker")
-}
-
-// workloadFlags carries the generated-workload flag family: -cohort
-// compiles a seeded statistical cohort onto the configured workload,
-// -workload-trace replays a recorded schedule instead, and
-// -workload-trace-out records the generated schedule for later replay.
-type workloadFlags struct {
-	cohort   string
-	trace    string
-	traceOut string
-}
-
-// active reports whether the campaign's client is generated rather than
-// canned.
-func (w workloadFlags) active() bool { return w.cohort != "" || w.trace != "" }
-
-// validate rejects contradictory combinations up front.
-func (w workloadFlags) validate() error {
-	if w.cohort != "" && w.trace != "" {
-		return fmt.Errorf("-cohort and -workload-trace are mutually exclusive (a trace already fixes the schedule)")
-	}
-	if w.traceOut != "" && w.cohort == "" {
-		return fmt.Errorf("-workload-trace-out records a generated schedule; it requires -cohort")
-	}
-	return nil
-}
-
-// apply swaps the definition's canned client for the requested generated
-// cohort or replayed trace, recording the -cohort schedule first when
-// -workload-trace-out asks for it.
-func (w workloadFlags) apply(def workload.Definition) (workload.Definition, error) {
-	switch {
-	case w.cohort != "":
-		spec, err := workloadgen.Parse(w.cohort)
-		if err != nil {
-			return workload.Definition{}, err
-		}
-		if w.traceOut != "" {
-			sched, serr := spec.Schedule()
-			if serr != nil {
-				return workload.Definition{}, serr
-			}
-			if terr := workloadgen.WriteTraceFile(w.traceOut, spec.String(), sched); terr != nil {
-				return workload.Definition{}, terr
-			}
-		}
-		return workloadgen.Compile(def, spec)
-	case w.trace != "":
-		return workloadgen.CompileTrace(def, w.trace)
-	default:
-		return def, nil
-	}
-}
-
-// clusterFlags carries the -cluster/-routing pair. Zero nodes is the
-// classic single-host suite; the pair rides the journal header so shard
-// workers and -resume rebuild the identical topology.
-type clusterFlags struct {
-	nodes   int
-	routing string
-}
-
-// active reports whether a cluster topology was requested.
-func (c clusterFlags) active() bool { return c.nodes != 0 || c.routing != "" }
-
-// validate rejects bad combinations before any campaign work starts.
-func (c clusterFlags) validate() error {
-	if c.nodes < 0 {
-		return fmt.Errorf("-cluster must be >= 0 (got %d)", c.nodes)
-	}
-	if c.routing != "" && c.nodes == 0 {
-		return fmt.Errorf("-routing selects a policy for a -cluster topology; add -cluster N")
-	}
-	if _, err := cluster.ParsePolicy(c.routing); err != nil {
-		return err
-	}
-	return nil
-}
-
-// config translates the flags into the runner's cluster configuration.
-func (c clusterFlags) config() core.ClusterConfig {
-	return core.ClusterConfig{Nodes: c.nodes, Routing: c.routing}
 }
 
 // telemetryFlags carries the -trace-out/-metrics/-trace-cap triple. Either
@@ -447,43 +418,79 @@ func (t telemetryFlags) emit(set *telemetry.Set, out io.Writer) error {
 	return nil
 }
 
+// campaignHeader turns config text plus command-line or serve-body
+// overrides into the journal header that describes the campaign, and
+// returns the config's results path too. The config supplies the
+// workload, substrate, timeouts and fault list; mw, when set, overrides
+// the substrate as the config's "middleware" key would (an unpinned
+// "watchd" keeps the configured generation); o supplies every other
+// field. Every runner is built from such a header, by
+// shard.RunnerFromHeader, and a journal records the same header.
+func campaignHeader(cfgText io.Reader, mw string, o journal.Header) (journal.Header, string, error) {
+	cfg, err := config.ParseMain(cfgText)
+	if err != nil {
+		return o, "", err
+	}
+	if mw != "" {
+		spec, err := middleware.Parse(mw)
+		if err != nil {
+			return o, "", err
+		}
+		cfg.Middleware = spec.Supervision
+		if spec.WatchdVersion != 0 {
+			cfg.WatchdVersion = spec.WatchdVersion
+		}
+	}
+	h := o
+	h.Workload, h.Supervision = cfg.Workload, cfg.Middleware.String()
+	if cfg.Middleware == workload.Watchd {
+		h.WatchdVersion = int(cfg.WatchdVersion)
+	}
+	h.ServerUpTimeoutNS, h.RunDeadlineNS = int64(cfg.ServerUpTimeout), int64(cfg.RunDeadline)
+	h.FaultList = cfg.FaultList
+	if o.Cohort != "" {
+		if o.WorkloadTrace != "" {
+			return o, "", fmt.Errorf("-cohort and -workload-trace are mutually exclusive (a trace already fixes the schedule)")
+		}
+		spec, err := workloadgen.Parse(o.Cohort)
+		if err != nil {
+			return o, "", err
+		}
+		h.Cohort = spec.String()
+	}
+	return h, cfg.Results, nil
+}
+
+// recordSchedule writes the schedule of a -cohort spec to a trace file
+// that -workload-trace replays.
+func recordSchedule(cohort, path string) error {
+	if cohort == "" {
+		return fmt.Errorf("-workload-trace-out records a generated schedule; it requires -cohort")
+	}
+	spec, err := workloadgen.Parse(cohort)
+	if err != nil {
+		return err
+	}
+	sched, err := spec.Schedule()
+	if err != nil {
+		return err
+	}
+	return workloadgen.WriteTraceFile(path, spec.String(), sched)
+}
+
 // runSingleFault replays one fault with full result detail — the paper's
 // "individual fault injection runs provide reproducible feedback" workflow.
-func runSingleFault(cfgPath, faultSpec string, trace, freshBoot bool, mw *middleware.Spec, cflags clusterFlags, wflags workloadFlags, tflags telemetryFlags, out io.Writer) error {
-	f, err := os.Open(cfgPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	cfg, err := config.ParseMain(f)
-	if err != nil {
-		return err
-	}
-	applyMiddleware(&cfg, mw)
-	def, err := cfg.Definition()
-	if err != nil {
-		return err
-	}
-	if def, err = wflags.apply(def); err != nil {
-		return err
-	}
+func runSingleFault(runner *core.Runner, faultSpec string, trace bool, tflags telemetryFlags, out io.Writer) error {
 	specs, err := config.ParseFaultList(strings.NewReader(faultSpec))
 	if err != nil || len(specs) != 1 {
 		return fmt.Errorf("bad -fault %q (want \"Function param invocation type\")", faultSpec)
 	}
-	opts := core.DefaultRunnerOptions()
-	opts.ServerUpTimeout = cfg.ServerUpTimeout
-	opts.RunDeadline = cfg.RunDeadline
-	opts.WatchdVersion = cfg.WatchdVersion
-	opts.Telemetry = tflags.options()
-	opts.FreshBoot = freshBoot
-	opts.Cluster = cflags.config()
 	if trace {
-		opts.Trace = func(at vclock.Time, pid ntsim.PID, msg string) {
+		runner.Opts.Trace = func(at vclock.Time, pid ntsim.PID, msg string) {
 			fmt.Fprintf(out, "%-14s pid%-3d %s\n", at, pid, msg)
 		}
 	}
-	res, err := core.NewRunner(def, opts).Run(&specs[0])
+	res, err := runner.Run(&specs[0])
 	if err != nil {
 		return err
 	}
@@ -493,7 +500,7 @@ func runSingleFault(cfgPath, faultSpec string, trace, freshBoot bool, mw *middle
 		}
 	}
 	fmt.Fprintf(out, "\nfault:     %s\n", res.Fault.String())
-	fmt.Fprintf(out, "workload:  %s/%s\n", def.Name, def.Supervision)
+	fmt.Fprintf(out, "workload:  %s/%s\n", runner.Def.Name, runner.Def.Supervision)
 	fmt.Fprintf(out, "activated: %v, injected: %v\n", res.Activated, res.Injected)
 	fmt.Fprintf(out, "outcome:   %s\n", res.Outcome)
 	fmt.Fprintf(out, "crash:     %v, restarts: %d\n", res.ServerCrash, res.Restarts)
@@ -589,116 +596,37 @@ func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemet
 	return saveArchive(archive, outPath)
 }
 
-func runConfigured(ctx context.Context, cfgPath, outPath string, parallel int, freshBoot bool, fleet *shard.FleetOptions, mw *middleware.Spec, cflags clusterFlags, wflags workloadFlags, tflags telemetryFlags, sflags superviseFlags, progress func(string), out io.Writer) error {
-	f, err := os.Open(cfgPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	cfg, err := config.ParseMain(f)
-	if err != nil {
-		return err
-	}
-	applyMiddleware(&cfg, mw)
-	def, err := cfg.Definition()
-	if err != nil {
-		return err
-	}
-	if def, err = wflags.apply(def); err != nil {
-		return err
-	}
-	opts := core.DefaultRunnerOptions()
-	opts.ServerUpTimeout = cfg.ServerUpTimeout
-	opts.RunDeadline = cfg.RunDeadline
-	opts.WatchdVersion = cfg.WatchdVersion
-	opts.Telemetry = tflags.options()
-	opts.FreshBoot = freshBoot
-	opts.Cluster = cflags.config()
-	runner := core.NewRunner(def, opts)
-	if outPath == "" {
-		outPath = cfg.Results
-	}
-
-	var (
-		shardExec core.ShardExecutor
-		fleetJW   *journal.Writer
-	)
-	if fleet != nil {
-		fopts := *fleet
-		if sflags.journal != "" {
-			fleetJW, err = journal.Create(sflags.journal, journalHeader(cfg, def, opts, tflags, sflags))
-			if err != nil {
-				return err
-			}
-			fopts.Journal = fleetJW
-		}
-		shardExec = shard.NewFleet(fopts)
-	}
-
-	var sup *core.Supervisor
-	if sflags.active() && fleet == nil {
-		sup = core.NewSupervisor(sflags.options())
-		if sflags.journal != "" {
-			jw, jerr := journal.Create(sflags.journal, journalHeader(cfg, def, opts, tflags, sflags))
-			if jerr != nil {
-				return jerr
-			}
-			sup.AttachJournal(jw)
-		}
-	}
-
-	copts := []core.Option{
-		core.WithParallelism(parallel),
-		core.WithProgress(campaignProgress(progress)),
-		core.WithSupervision(sup),
-		core.WithShardExecutor(shardExec),
-	}
-	if cfg.FaultList != "" {
-		specs, serr := loadFaultList(cfg.FaultList)
-		if serr != nil {
-			return serr
-		}
-		copts = append(copts, core.WithSpecs(specs))
-	}
-	set, err := core.NewCampaign(runner, copts...).Run(ctx)
-	if sup == nil {
-		if fleetJW != nil {
-			if serr := fleetJW.Sync(); serr != nil && err == nil {
-				err = serr
-			}
-			fleetJW.Close()
-		}
+// runConfigured executes a -config campaign from its header: in-process,
+// under the supervisor, or on a -workers fleet. A -journal records the
+// same header, so -resume rebuilds the campaign from the journal alone.
+func runConfigured(ctx context.Context, runner *core.Runner, h journal.Header, jpath, outPath string, parallel int, fleet *shard.FleetOptions, tflags telemetryFlags, progress func(string), out io.Writer) error {
+	copts := []core.Option{core.WithParallelism(parallel), core.WithProgress(campaignProgress(progress))}
+	if h.FaultList != "" {
+		specs, err := loadFaultList(h.FaultList)
 		if err != nil {
 			return err
 		}
-		printSetSummary(set, out)
-		printFleetSummary(set.Dispatch, out)
-		if err := tflags.emit(set.Telemetry, out); err != nil {
+		copts = append(copts, core.WithSpecs(specs))
+	}
+	var jw *journal.Writer
+	if jpath != "" {
+		var err error
+		if jw, err = journal.Create(jpath, h); err != nil {
 			return err
 		}
-		if err := saveSet(set, outPath); err != nil {
-			return err
-		}
-		// A degraded completion exits with its own code: the results
-		// are complete, but the fleet did not survive as a fleet.
-		return fleetExit(set.Dispatch)
 	}
-	hint := resumeCommand(sflags.journal, outPath, parallel, tflags)
-	return finishSupervised(set, err, outPath, sup, hint, tflags, out)
-}
-
-// applyMiddleware rewrites the configured substrate from a -middleware
-// override, with the same semantics as the config file's "middleware"
-// key: an unpinned "watchd" keeps the configured (or default) watchd
-// generation.
-func applyMiddleware(cfg *config.Main, mw *middleware.Spec) {
-	if mw == nil {
-		return
+	switch {
+	case fleet != nil:
+		fopts := *fleet
+		fopts.Journal = jw
+		copts = append(copts, core.WithShardExecutor(shard.NewFleet(fopts)))
+	case jw != nil || supervised(h):
+		sup := core.NewSupervisor(supervisorPolicy(h))
+		sup.AttachJournal(jw)
+		copts = append(copts, core.WithSupervision(sup))
 	}
-	cfg.Middleware = mw.Supervision
-	if mw.WatchdVersion != 0 {
-		cfg.WatchdVersion = mw.WatchdVersion
-	}
+	set, err := core.NewCampaign(runner, copts...).Run(ctx)
+	return finish(set, err, jw, outPath, resumeCommand(jpath, outPath, parallel, tflags), tflags, out)
 }
 
 // campaignProgress adapts the line-oriented progress sink to the

@@ -11,11 +11,12 @@ import (
 	"fmt"
 	"io"
 
+	"ntdts/internal/core"
 	"ntdts/internal/middleware"
 	"ntdts/internal/replay"
 )
 
-func runReplay(ctx context.Context, journalPath, target, outPath string, parallel int, noElide bool, cflags clusterFlags, progress func(string), out io.Writer) error {
+func runReplay(ctx context.Context, journalPath, target, outPath string, parallel int, noElide bool, cc core.ClusterConfig, progress func(string), out io.Writer) error {
 	if target == "" {
 		return fmt.Errorf("-replay needs -middleware naming the target substrate (none, watchd-v1, watchd-v2, watchd-v3 or mscs)")
 	}
@@ -37,8 +38,7 @@ func runReplay(ctx context.Context, journalPath, target, outPath string, paralle
 		NoElide:     noElide,
 		Progress:    campaignProgress(progress),
 	}
-	if cflags.active() {
-		cc := cflags.config()
+	if cc != (core.ClusterConfig{}) {
 		opts.Cluster = &cc
 	}
 	c, oracle, err := replay.Build(src, opts)

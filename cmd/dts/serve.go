@@ -40,6 +40,7 @@ import (
 	"ntdts/internal/config"
 	"ntdts/internal/core"
 	"ntdts/internal/experiments"
+	"ntdts/internal/journal"
 	"ntdts/internal/shard"
 )
 
@@ -178,21 +179,17 @@ func (s *campaignServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // start validates the submission and launches the campaign goroutine.
+// The runner comes from the same header the CLI builds, so a served
+// campaign's archive is byte-identical to dts -config's.
 func (s *campaignServer) start(req submitRequest) (*servedCampaign, error) {
-	cfg, err := config.ParseMain(strings.NewReader(req.Config))
+	h, _, err := campaignHeader(strings.NewReader(req.Config), "", journal.Header{Telemetry: req.Telemetry})
 	if err != nil {
 		return nil, fmt.Errorf("config: %v", err)
 	}
-	def, err := cfg.Definition()
+	runner, err := shard.RunnerFromHeader(h)
 	if err != nil {
 		return nil, err
 	}
-	opts := core.DefaultRunnerOptions()
-	opts.ServerUpTimeout = cfg.ServerUpTimeout
-	opts.RunDeadline = cfg.RunDeadline
-	opts.WatchdVersion = cfg.WatchdVersion
-	opts.Telemetry.Enabled = req.Telemetry
-	runner := core.NewRunner(def, opts)
 
 	copts := []core.Option{core.WithParallelism(req.Parallel)}
 	switch {
@@ -202,8 +199,8 @@ func (s *campaignServer) start(req submitRequest) (*servedCampaign, error) {
 			return nil, fmt.Errorf("faults: %v", serr)
 		}
 		copts = append(copts, core.WithSpecs(specs))
-	case cfg.FaultList != "":
-		specs, serr := loadFaultList(cfg.FaultList)
+	case h.FaultList != "":
+		specs, serr := loadFaultList(h.FaultList)
 		if serr != nil {
 			return nil, serr
 		}
@@ -237,7 +234,7 @@ func (s *campaignServer) start(req submitRequest) (*servedCampaign, error) {
 	s.mu.Unlock()
 
 	c.appendEvent(map[string]any{"event": "accepted", "id": c.id,
-		"workload": def.Name, "supervision": def.Supervision.String()})
+		"workload": runner.Def.Name, "supervision": h.Supervision})
 	go s.execute(ctx, c, runner, copts)
 	return c, nil
 }

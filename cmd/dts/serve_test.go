@@ -8,9 +8,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +181,59 @@ func TestServeCampaignLifecycle(t *testing.T) {
 	rep.ReadFrom(rresp.Body)
 	if !strings.Contains(rep.String(), "IIS/none") {
 		t.Fatalf("report missing the workload line:\n%s", rep.String())
+	}
+}
+
+// TestServeArchiveMatchesCLI: a served campaign builds its runner from
+// the same header as dts -config, so its archive is byte-identical to
+// the CLI's over the same config and fault list — in process and on a
+// two-worker fleet.
+func TestServeArchiveMatchesCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real campaigns")
+	}
+	t.Setenv("DTS_HELPER_PROCESS", "1") // fleet workers re-enter via TestHelperProcess
+	dir := t.TempDir()
+	cfgText := "workload = IIS\nmiddleware = watchd-v2\n"
+	faults := serveFaultList(t, 120)
+	listPath, cfgPath := filepath.Join(dir, "faults.lst"), filepath.Join(dir, "dts.cfg")
+	if err := os.WriteFile(listPath, []byte(faults), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfgPath, []byte(cfgText+"fault_list = "+listPath+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outPath := filepath.Join(dir, "cli.json")
+	var out bytes.Buffer
+	if err := run([]string{"-config", cfgPath, "-out", outPath, "-q"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cs := newCampaignServer("")
+	ts := httptest.NewServer(cs.mux())
+	defer ts.Close()
+	defer cs.cancelAll()
+	for _, workers := range []string{"", "2"} {
+		id := submitCampaign(t, ts, submitRequest{Config: cfgText, Faults: faults, Parallel: 2, Workers: workers})
+		if st := campaignState(t, ts, id); st["state"] != "done" {
+			t.Fatalf("workers=%q: final state = %v, want done", workers, st["state"])
+		}
+		resp, err := http.Get(ts.URL + "/api/campaigns/" + id + "/archive")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Errorf("workers=%q: served archive differs from dts -config's", workers)
+		}
 	}
 }
 

@@ -131,16 +131,19 @@ func TestShardsFlagValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "flag provided but not defined: -shards") {
 		t.Errorf("-shards: err = %v, want the undefined-flag error", err)
 	}
-	for _, args := range [][]string{
-		{"-config", cfgPath, "-workers", "4", "-resume", filepath.Join(dir, "j")},
-		{"-workers", "4", "-conformance"},
-		{"-config", cfgPath, "-workers", "2", "-fault", "ReadFile 0 1 zero"},
-		{"-config", cfgPath, "-workers", "4", "-run-deadline", "1s"},
-		{"-config", cfgPath, "-workers", "4", "-max-quarantined", "3"},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-config", cfgPath, "-workers", "4", "-resume", filepath.Join(dir, "j")}, "-resume does not take -config, -workers"},
+		{[]string{"-workers", "4", "-conformance"}, "-conformance does not take -workers"},
+		{[]string{"-config", cfgPath, "-workers", "2", "-fault", "ReadFile 0 1 zero"}, "-fault does not take -workers"},
+		{[]string{"-config", cfgPath, "-workers", "4", "-run-deadline", "1s"}, "does not take -run-deadline"},
+		{[]string{"-config", cfgPath, "-workers", "4", "-max-quarantined", "3"}, "does not take -max-quarantined"},
 	} {
-		err := run(args, &out)
-		if err == nil || !strings.Contains(err.Error(), "-workers runs unsupervised") {
-			t.Errorf("%v: err = %v, want the -workers exclusion", args, err)
+		err := run(c.args, &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package main
 
-// Campaign supervision in the CLI: the -journal/-resume/-run-deadline/
-// -max-quarantined/-retries/-chaos flag family, SIGINT/SIGTERM handling
-// that flushes the journal and prints the exact resume command, and the
-// distinct exit codes automation keys on.
+// Campaign supervision in the CLI: the supervisor policy a journal
+// header carries (-run-deadline/-max-quarantined/-retries/-chaos), -resume,
+// the one finish path that flushes the journal and prints the exact
+// resume command on SIGINT/SIGTERM, and the distinct exit codes
+// automation keys on.
 
 import (
 	"context"
@@ -13,13 +14,11 @@ import (
 	"strings"
 	"time"
 
-	"ntdts/internal/config"
 	"ntdts/internal/core"
 	"ntdts/internal/inject"
 	"ntdts/internal/journal"
 	"ntdts/internal/report"
 	"ntdts/internal/shard"
-	"ntdts/internal/workload"
 )
 
 // Exit codes beyond the generic 1: automation around long campaigns
@@ -42,57 +41,24 @@ type exitError struct {
 
 func (e *exitError) Error() string { return e.msg }
 
-// superviseFlags carries the supervisor flag family.
-type superviseFlags struct {
-	journal        string
-	runDeadline    time.Duration // wall-clock watchdog per attempt
-	maxQuarantined int
-	retries        int
-	chaos          bool
-}
-
-// active reports whether any supervision was requested. The retry count
-// alone does not activate the supervisor: retries only matter once a
-// watchdog, journal, quarantine budget or chaos hook is in play.
-func (s superviseFlags) active() bool {
-	return s.journal != "" || s.runDeadline > 0 || s.maxQuarantined > 0 || s.chaos
-}
-
-// options translates the flags into the supervisor policy.
-func (s superviseFlags) options() core.SupervisorOptions {
+// supervisorPolicy reads the supervisor policy a journal header
+// records: the flags put it there for a fresh campaign, and the journal
+// keeps it for a resumed one.
+func supervisorPolicy(h journal.Header) core.SupervisorOptions {
 	return core.SupervisorOptions{
-		WallDeadline:   s.runDeadline,
-		MaxAttempts:    s.retries + 1,
-		MaxQuarantined: s.maxQuarantined,
-		Chaos:          s.chaos,
+		WallDeadline:   time.Duration(h.WallDeadlineNS),
+		MaxAttempts:    h.MaxAttempts,
+		MaxQuarantined: h.MaxQuarantined,
+		Chaos:          h.Chaos,
 	}
 }
 
-// journalHeader records everything a resume needs to rebuild this
-// campaign from the journal alone.
-func journalHeader(cfg config.Main, def workload.Definition, opts core.RunnerOptions, tflags telemetryFlags, sflags superviseFlags) journal.Header {
-	h := journal.Header{
-		Workload:          def.Name,
-		Supervision:       def.Supervision.String(),
-		ServerUpTimeoutNS: int64(opts.ServerUpTimeout),
-		RunDeadlineNS:     int64(opts.RunDeadline),
-		Telemetry:         opts.Telemetry.Enabled,
-		TraceCapacity:     opts.Telemetry.TraceCap,
-		FreshBoot:         opts.FreshBoot,
-		FaultList:         cfg.FaultList,
-		WallDeadlineNS:    int64(sflags.runDeadline),
-		MaxAttempts:       sflags.retries + 1,
-		MaxQuarantined:    sflags.maxQuarantined,
-		Chaos:             sflags.chaos,
-	}
-	if def.Supervision == workload.Watchd {
-		h.WatchdVersion = int(opts.WatchdVersion)
-	}
-	h.Cohort = def.Cohort
-	h.WorkloadTrace = def.WorkloadTrace
-	h.ClusterNodes = opts.Cluster.Nodes
-	h.ClusterRouting = opts.Cluster.Routing
-	return h
+// supervised reports whether a fresh campaign's policy needs the
+// supervisor (a -journal always does). The retry budget alone does not:
+// retries only matter once a watchdog, quarantine budget or chaos hook
+// is in play.
+func supervised(h journal.Header) bool {
+	return h.WallDeadlineNS > 0 || h.MaxQuarantined > 0 || h.Chaos
 }
 
 // resumeCommand renders the exact command that continues an interrupted
@@ -118,15 +84,11 @@ func resumeCommand(jpath, outPath string, parallel int, tflags telemetryFlags) s
 	return b.String()
 }
 
-// finishSupervised is the single exit path of every supervised (and
-// unsupervised configured) campaign: flush and close the journal, map
-// supervisor stop causes to their exit codes, render the quarantine
-// report, emit telemetry, and save the archive.
-func finishSupervised(set *core.SetResult, runErr error, savePath string, sup *core.Supervisor, resumeHint string, tflags telemetryFlags, out io.Writer) error {
-	var jw *journal.Writer
-	if sup != nil {
-		jw = sup.Journal()
-	}
+// finish is the single exit path of every -config and -resume campaign,
+// whether it ran locally, under the supervisor or on a fleet: flush and
+// close the journal, map stop causes to their exit codes, render the
+// summary and quarantine report, emit telemetry, and save the archive.
+func finish(set *core.SetResult, runErr error, jw *journal.Writer, savePath, resumeHint string, tflags telemetryFlags, out io.Writer) error {
 	if jw != nil {
 		defer jw.Close()
 		if err := jw.Sync(); err != nil && runErr == nil {
@@ -165,17 +127,24 @@ func finishSupervised(set *core.SetResult, runErr error, savePath string, sup *c
 	if len(set.Quarantined) != 0 {
 		fmt.Fprint(out, "\n", report.Quarantine(set.Quarantined))
 	}
+	printFleetSummary(set.Dispatch, out)
 	if err := tflags.emit(set.Telemetry, out); err != nil {
 		return err
 	}
-	return saveSet(set, savePath)
+	if err := saveSet(set, savePath); err != nil {
+		return err
+	}
+	// A degraded completion exits with its own code: the results are
+	// complete, but the fleet did not survive as a fleet.
+	return fleetExit(set.Dispatch)
 }
 
 // runResume continues an interrupted journaled campaign: replay the
-// journal, truncate its torn tail, rebuild the runner from the header,
-// and execute the remaining runs — completed runs replay from the
-// journal, so the final results are byte-identical to an uninterrupted
-// campaign at any -parallel setting.
+// journal, truncate its torn tail, rebuild the runner and the supervisor
+// policy from the header, and execute the remaining runs — completed
+// runs replay from the journal, so the final results are byte-identical
+// to an uninterrupted campaign at any -parallel setting. The journal is
+// self-contained: a fault-list campaign's specs come from its plan.
 func runResume(ctx context.Context, jpath, outPath string, parallel int, tflags telemetryFlags, progress func(string), out io.Writer) error {
 	rep, err := journal.Replay(jpath)
 	if err != nil {
@@ -188,9 +157,27 @@ func runResume(ctx context.Context, jpath, outPath string, parallel int, tflags 
 		}
 		return fmt.Errorf("journal %s collected no telemetry; -trace-out/-metrics cannot be added on resume", jpath)
 	}
-	sup, runner, err := resumeSupervisor(rep)
+	runner, err := shard.RunnerFromHeader(h)
 	if err != nil {
 		return err
+	}
+	sup := core.NewSupervisor(supervisorPolicy(h))
+	sup.LoadResume(rep)
+	copts := []core.Option{core.WithParallelism(parallel), core.WithProgress(campaignProgress(progress)),
+		core.WithSupervision(sup)}
+	if h.FaultList != "" {
+		if rep.Plan == nil {
+			return fmt.Errorf("journal %s has no plan record; nothing to resume — rerun the campaign", jpath)
+		}
+		specs := make([]inject.FaultSpec, len(rep.Plan.Jobs))
+		for i, key := range rep.Plan.Jobs {
+			job, err := core.ParseJobKey(key)
+			if err != nil {
+				return fmt.Errorf("journal plan job %d: %w", i, err)
+			}
+			specs[i] = job.Spec
+		}
+		copts = append(copts, core.WithSpecs(specs))
 	}
 	if rep.Torn {
 		progress("discarded torn final journal record")
@@ -202,57 +189,6 @@ func runResume(ctx context.Context, jpath, outPath string, parallel int, tflags 
 	sup.AttachJournal(jw)
 	progress(fmt.Sprintf("resuming %s/%s from %s: %d runs journaled",
 		h.Workload, h.Supervision, jpath, rep.Records))
-
-	copts := []core.Option{
-		core.WithParallelism(parallel),
-		core.WithProgress(campaignProgress(progress)),
-		core.WithSupervision(sup),
-	}
-	if h.FaultList != "" {
-		specs, serr := planSpecs(rep)
-		if serr != nil {
-			return serr
-		}
-		copts = append(copts, core.WithSpecs(specs))
-	}
 	set, err := core.NewCampaign(runner, copts...).Run(ctx)
-	hint := resumeCommand(jpath, outPath, parallel, tflags)
-	return finishSupervised(set, err, outPath, sup, hint, tflags, out)
-}
-
-// resumeSupervisor rebuilds the runner and supervisor a journal header
-// describes. The runner half is shared with shard workers, which receive
-// the same header as their assignment.
-func resumeSupervisor(rep *journal.Replayed) (*core.Supervisor, *core.Runner, error) {
-	h := rep.Header
-	runner, err := shard.RunnerFromHeader(h)
-	if err != nil {
-		return nil, nil, err
-	}
-	sup := core.NewSupervisor(core.SupervisorOptions{
-		WallDeadline:   time.Duration(h.WallDeadlineNS),
-		MaxAttempts:    h.MaxAttempts,
-		MaxQuarantined: h.MaxQuarantined,
-		Chaos:          h.Chaos,
-	})
-	sup.LoadResume(rep)
-	return sup, runner, nil
-}
-
-// planSpecs rebuilds a fault-list campaign's spec list from the
-// journaled plan — the journal is self-contained; the original fault
-// list file is not needed to resume.
-func planSpecs(rep *journal.Replayed) ([]inject.FaultSpec, error) {
-	if rep.Plan == nil {
-		return nil, fmt.Errorf("journal %s has no plan record; nothing to resume — rerun the campaign", rep.Header.FaultList)
-	}
-	specs := make([]inject.FaultSpec, len(rep.Plan.Jobs))
-	for i, key := range rep.Plan.Jobs {
-		s, err := inject.ParseKey(strings.TrimSuffix(key, "/probe"))
-		if err != nil {
-			return nil, fmt.Errorf("journal plan job %d: %w", i, err)
-		}
-		specs[i] = s
-	}
-	return specs, nil
+	return finish(set, err, jw, outPath, resumeCommand(jpath, outPath, parallel, tflags), tflags, out)
 }

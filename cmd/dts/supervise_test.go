@@ -105,19 +105,43 @@ func TestRunMaxQuarantinedBudget(t *testing.T) {
 	}
 }
 
+// TestRunFlagConflicts: each mode rejects, by name, every flag it does
+// not honour. The rows after the first seven once ran to completion with
+// the named flag silently ignored.
 func TestRunFlagConflicts(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := writeChaosList(t, dir, "ReadFile 1 1 flip\nGetVersionExA 0 1 zero\n")
+	jpath := filepath.Join(dir, "c.journal")
 	var out bytes.Buffer
-	for _, tc := range [][]string{
-		{"-resume", "x.journal", "-config", "dts.cfg"},
-		{"-resume", "x.journal", "-experiment", "table1"},
-		{"-resume", "x.journal", "-conformance"},
-		{"-resume", "x.journal", "-journal", "y.journal"},
-		{"-journal", "x.journal", "-experiment", "table1"},
-		{"-journal", "x.journal", "-conformance"},
-		{"-experiment", "table1", "-retries", "-1"},
+	if err := run([]string{"-config", cfgPath, "-q", "-journal", jpath,
+		"-out", filepath.Join(dir, "c.json")}, &out); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("DTS_HELPER_PROCESS", "1") // fleet workers re-enter via TestHelperProcess
+	tracePath, outPath := filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "x.json")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-resume", "x.journal", "-config", "dts.cfg"}, "-resume does not take -config"},
+		{[]string{"-resume", "x.journal", "-experiment", "table1"}, "-resume does not take -experiment"},
+		{[]string{"-resume", "x.journal", "-conformance"}, "-resume does not take -conformance"},
+		{[]string{"-resume", "x.journal", "-journal", "y.journal"}, "-resume does not take -journal"},
+		{[]string{"-journal", "x.journal", "-experiment", "table1"}, "-experiment does not take -journal"},
+		{[]string{"-journal", "x.journal", "-conformance"}, "-conformance does not take -journal"},
+		{[]string{"-experiment", "table1", "-retries", "-1"}, "-retries must be >= 0"},
+		{[]string{"-replay", jpath, "-middleware", "watchd-v3", "-trace-out", tracePath, "-metrics"},
+			"-replay does not take -metrics, -trace-out"},
+		{[]string{"-resume", jpath, "-fresh-boot"}, "-resume does not take -fresh-boot"},
+		{[]string{"-resume", jpath, "-run-deadline", "5s"}, "-resume does not take -run-deadline"},
+		{[]string{"-config", cfgPath, "-fault", "ReadFile 1 1 flip", "-out", outPath}, "-fault does not take -out"},
+		{[]string{"-config", cfgPath, "-no-elide"}, "-config does not take -no-elide"},
+		{[]string{"-config", cfgPath, "-workers", "2", "-retries", "7"}, "does not take -retries"},
+		{[]string{"-config", cfgPath, "-experiment", "table1"}, "-experiment does not take -config"},
+		{[]string{"-conformance", "-config", cfgPath}, "-conformance does not take -config"},
 	} {
-		if err := run(tc, &out); err == nil {
-			t.Errorf("args %v accepted", tc)
+		if err := run(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
 		}
 	}
 }

@@ -165,9 +165,6 @@ func (s *Supervisor) Options() SupervisorOptions { return s.opts }
 // quarantined run to w.
 func (s *Supervisor) AttachJournal(w *journal.Writer) { s.jw = w }
 
-// Journal returns the attached journal writer (nil when not journaling).
-func (s *Supervisor) Journal() *journal.Writer { return s.jw }
-
 // LoadResume installs the replayed state of an interrupted campaign:
 // completed runs replay from it instead of re-executing. The rebuilt
 // plan is validated against rep.Plan in syncPlan.

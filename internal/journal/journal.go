@@ -93,7 +93,11 @@ type Header struct {
 	Cohort        string `json:"cohort,omitempty"`
 	WorkloadTrace string `json:"workloadTrace,omitempty"`
 
-	FaultList string `json:"faultList,omitempty"` // source path, informational
+	// FaultList is the source fault-list path. A non-empty value marks
+	// an explicit spec list: dts -resume and replay.Build run the
+	// journaled plan verbatim (the file itself is never reopened), where
+	// an empty one regenerates the catalog plan.
+	FaultList string `json:"faultList,omitempty"`
 
 	WallDeadlineNS int64 `json:"wallDeadlineNS,omitempty"`
 	MaxAttempts    int   `json:"maxAttempts,omitempty"`

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 
 	"ntdts/internal/core"
 	"ntdts/internal/inject"
@@ -192,24 +191,15 @@ func Build(src *Source, opts Options) (*core.Campaign, *Oracle, error) {
 	// scan (the censuses can differ across substrate families), exactly
 	// as a from-scratch campaign would.
 	if h.FaultList != "" {
-		specs, err := planSpecs(src.PlanKeys)
-		if err != nil {
-			return nil, nil, err
+		specs := make([]inject.FaultSpec, len(src.PlanKeys))
+		for i, k := range src.PlanKeys {
+			job, err := core.ParseJobKey(k)
+			if err != nil {
+				return nil, nil, fmt.Errorf("replay plan key %q: %w", k, err)
+			}
+			specs[i] = job.Spec
 		}
 		copts = append(copts, core.WithSpecs(specs))
 	}
 	return core.NewCampaign(runner, copts...), oracle, nil
-}
-
-// planSpecs rebuilds the fault-spec list from journaled plan keys.
-func planSpecs(keys []string) ([]inject.FaultSpec, error) {
-	specs := make([]inject.FaultSpec, len(keys))
-	for i, k := range keys {
-		s, err := inject.ParseKey(strings.TrimSuffix(k, "/probe"))
-		if err != nil {
-			return nil, fmt.Errorf("replay plan key %q: %w", k, err)
-		}
-		specs[i] = s
-	}
-	return specs, nil
 }

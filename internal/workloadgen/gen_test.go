@@ -1,6 +1,7 @@
 package workloadgen
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -219,4 +220,35 @@ func TestCompileStampsCohort(t *testing.T) {
 	if def.WorkloadTrace != "" {
 		t.Fatalf("def.WorkloadTrace = %q, want empty", def.WorkloadTrace)
 	}
+}
+
+// FuzzParseRoundTrip: a cohort spec that parses renders back (String) to
+// a spec string that parses to the same spec.
+func FuzzParseRoundTrip(f *testing.F) {
+	for _, seed := range []string{
+		mixedCohortSpec(1).String(),
+		"seed=42;class=browser,clients=4,requests=6,arrival=poisson,rate=2,mix=static-115k:3/cgi-1k:1",
+		"class=b,clients=1,requests=1,arrival=gamma,rate=1,shape=0.5,mix=r:1,mode=closed",
+		"seed=42;class=browser,clients=5,requests=6,arrival=poisson,rate=0.05,mix=static-115k:3/cgi-1k:1;" +
+			"class=batch,clients=3,requests=4,arrival=gamma,rate=0.2,shape=0.5,mix=cgi-1k:1,mode=closed",
+		"class=w,clients=2,requests=3,arrival=weibull,rate=1.5,shape=2,mix=a:1/b:2,mode=open",
+		"", "seed=42", "seed=x;class=a,clients=1,requests=1,arrival=poisson,rate=1,mix=r:1",
+		"class=a,clients=1,requests=1,arrival=gamma,rate=1,mix=r:1",
+		"class=a,clients=1,requests=1,arrival=poisson,rate=1,mix=r:1/r:2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := Parse(s)
+		if err != nil {
+			return
+		}
+		again, err := Parse(spec.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) renders as %q, which does not parse: %v", s, spec.String(), err)
+		}
+		if !reflect.DeepEqual(spec, again) {
+			t.Fatalf("round trip drift through %q:\n%+v\n%+v", spec.String(), spec, again)
+		}
+	})
 }

@@ -428,7 +428,8 @@ func (s *Supervisor) quarantineResult(r *Runner, spec inject.FaultSpec, reason s
 
 // MarshalRunRecord serializes a run result into the journal's payload
 // pair: the JSON result and, when the run collected telemetry, its
-// snapshot. This is the wire encoding shard workers stream back, so the
+// snapshot (telemetry's own codec, the bytes json.Marshal would write).
+// This is the wire encoding shard workers stream back, so the
 // byte-identical resume guarantee extends to sharded merges.
 func MarshalRunRecord(res *RunResult) (result, tel json.RawMessage, err error) {
 	result, err = json.Marshal(res)
@@ -436,10 +437,7 @@ func MarshalRunRecord(res *RunResult) (result, tel json.RawMessage, err error) {
 		return nil, nil, fmt.Errorf("run record result marshal: %w", err)
 	}
 	if res.Telemetry != nil {
-		tel, err = json.Marshal(res.Telemetry.Snapshot())
-		if err != nil {
-			return nil, nil, fmt.Errorf("run record telemetry marshal: %w", err)
-		}
+		tel = res.Telemetry.AppendSnapshotJSON(nil)
 	}
 	return result, tel, nil
 }
@@ -453,7 +451,7 @@ func UnmarshalRunRecord(result, tel json.RawMessage) (*RunResult, error) {
 	}
 	if len(tel) != 0 {
 		var snap telemetry.Snapshot
-		if err := json.Unmarshal(tel, &snap); err != nil {
+		if err := telemetry.DecodeSnapshot(tel, &snap); err != nil {
 			return nil, fmt.Errorf("run record telemetry: %w", err)
 		}
 		res.Telemetry = snap.Restore()

@@ -1,12 +1,15 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"testing"
+
+	"ntdts/internal/jsonwire"
 )
 
 // FuzzDecodeLine: the one-decode record path returns exactly the Line
@@ -42,6 +45,15 @@ func FuzzDecodeLine(f *testing.F) {
 		`{"kind":"run","result":{"outcome":1}`,
 		`null`,
 		``,
+		// The edges of the run-line fast path (decodeRunLine).
+		`{"kind":"run","index":0,"key":"AddAtomA/0/1/1","result":{"outcome":1},"tel":{"cap":8,"counters":{"proc.exit":1}}}`,
+		`{"kind":"run","index":7,"key":"a/0/1/1","attempts":2,"result":{"outcome":1}}`,
+		`{"kind":"run","index":7,"key":"a/0/1/1","result":{"outcome": 1}}`,
+		`{"kind":"run","index":7,"key":"a\u002f0","result":{"outcome":1}}`,
+		`{"kind":"run","index":7,"key":"a/0/1/1","result":null}`,
+		`{"kind":"run","index":7,"key":"a/0/1/1","tel":{"cap":8},"result":{"outcome":1}}`,
+		`{"kind":"run","index":7,"index":8,"key":"a/0/1/1","result":{"outcome":1}}`,
+		`{"kind":"run","index":7,"key":"a/0/1/1","result":{"outcome":1}} `,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -180,6 +192,57 @@ func FuzzReplayTruncate(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut at %d of %d:\n got %+v\nwant %+v", cut, len(full), got, want)
+		}
+	})
+}
+
+// FuzzAppendRun: a run line built by AppendRun is exactly json.Marshal
+// of the same Record plus a newline, or fails with json.Marshal's error,
+// whatever the payloads hold; and the reader decodes it as the
+// probe-then-kind path does.
+func FuzzAppendRun(f *testing.F) {
+	for _, seed := range []struct {
+		result, tel string
+	}{
+		{`{"outcome":1,"responseSec":18.9}`, `{"cap":8,"events":[{"at":1,"pid":4,"kind":"exit","name":"w3svc"}]}`},
+		{`{"outcome":1}`, ``},
+		{``, ``},
+		{`{"outcome": 1}`, " {\"cap\":8}\n"},
+		{`{"name":"<a&b>"}`, `"\u2028"`},
+		{"\"\u2028\"", `null`},
+		{`{"outcome":1`, `{"cap":8}`},
+		{`{"outcome":1}`, `nul`},
+		{` `, `{}`},
+	} {
+		f.Add(3, "ReadFile/0/1/1", 0, []byte(seed.result), []byte(seed.tel))
+	}
+	f.Add(-1, "q\"<>&\x01\u2028\xff", 2, []byte(`[]`), []byte(`0`))
+	f.Fuzz(func(t *testing.T, index int, key string, attempts int, result, tel []byte) {
+		got, gotErr := AppendRun([]byte("prefix"), index, key, attempts, result, tel)
+		want, wantErr := json.Marshal(Record{
+			Kind: KindRun, Index: index, Key: key, Attempts: attempts, Result: result, Tel: tel,
+		})
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("error %q, want %q", errText(gotErr), errText(wantErr))
+		}
+		if wantErr != nil {
+			if string(got) != "prefix" {
+				t.Fatalf("failed AppendRun returned %q, want dst unchanged", got)
+			}
+			return
+		}
+		if want = append([]byte("prefix"), append(want, '\n')...); !bytes.Equal(got, want) {
+			t.Fatalf("line\n got %s\nwant %s", got, want)
+		}
+		line := got[len("prefix") : len(got)-1]
+		gotLine, gotErr := decodeLine(line)
+		wantLine, wantErr := decodeLineByKind(line)
+		if errText(gotErr) != errText(wantErr) || !reflect.DeepEqual(gotLine, wantLine) {
+			t.Fatalf("decodeLine(%s) = %+v, %v; want %+v, %v", line, gotLine, gotErr, wantLine, wantErr)
+		}
+		spliced := (len(result) == 0 || jsonwire.Compact(result)) && (len(tel) == 0 || jsonwire.Compact(tel))
+		if spliced && string(jsonwire.AppendString(nil, key)) == `"`+key+`"` && decodeRunLine(line) == nil {
+			t.Fatalf("spliced line with a plain key missed the fast path: %s", line)
 		}
 	})
 }

@@ -17,10 +17,13 @@
 // last checkpoint" (corruption).
 //
 // The package is deliberately payload-agnostic: run results and
-// telemetry snapshots travel as json.RawMessage, so journal does not
-// import internal/core (core imports journal) and the replayed bytes
-// are exactly the written bytes — the foundation of the byte-identical
-// resume guarantee.
+// telemetry snapshots travel as raw JSON bytes (json.RawMessage), so
+// journal does not import internal/core (core imports journal) and the
+// replayed bytes are exactly the written bytes — the foundation of the
+// byte-identical resume guarantee. Run lines, the bulk of every journal
+// and of the fleet wire, are built by AppendRun, which splices already
+// compact payloads in verbatim instead of re-marshalling them, and the
+// reader decodes them on a matching fast path.
 package journal
 
 import (
@@ -31,7 +34,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+
+	"ntdts/internal/jsonwire"
 )
 
 // Version is the journal format version; Replay rejects others.
@@ -271,7 +277,12 @@ func (w *Writer) writeRecord(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("journal marshal: %w", err)
 	}
-	data = append(data, '\n')
+	return w.appendRecord(append(data, '\n'))
+}
+
+// appendRecord writes one encoded, newline-terminated record line and
+// maintains the checkpoint cycle.
+func (w *Writer) appendRecord(data []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -303,12 +314,50 @@ func (w *Writer) WritePlan(jobs []string, fingerprint string) error {
 	return w.writeLine(Plan{Kind: KindPlan, Jobs: jobs, Fingerprint: fingerprint})
 }
 
-// WriteRun appends one completed-run record.
+// WriteRun appends one completed-run record, built by AppendRun.
 func (w *Writer) WriteRun(index int, key string, attempts int, result, tel json.RawMessage) error {
-	return w.writeRecord(Record{
-		Kind: KindRun, Index: index, Key: key, Attempts: attempts,
-		Result: result, Tel: tel,
-	})
+	data, err := AppendRun(nil, index, key, attempts, result, tel)
+	if err != nil {
+		return fmt.Errorf("journal marshal: %w", err)
+	}
+	return w.appendRecord(data)
+}
+
+// AppendRun appends one newline-terminated run line to dst: exactly
+// json.Marshal(Record{Kind: KindRun, Index: index, Key: key, Attempts:
+// attempts, Result: result, Tel: tel}) plus "\n", or that call's error.
+// Payloads that are already compact (jsonwire.Compact), as every
+// payload json.Marshal or AppendSnapshotJSON writes is, are spliced in
+// verbatim; any other payload sends the whole line through json.Marshal,
+// which compacts and validates it.
+func AppendRun(dst []byte, index int, key string, attempts int, result, tel json.RawMessage) ([]byte, error) {
+	if (len(result) != 0 && !jsonwire.Compact(result)) || (len(tel) != 0 && !jsonwire.Compact(tel)) {
+		data, err := json.Marshal(Record{
+			Kind: KindRun, Index: index, Key: key, Attempts: attempts,
+			Result: result, Tel: tel,
+		})
+		if err != nil {
+			return dst, err
+		}
+		return append(append(dst, data...), '\n'), nil
+	}
+	dst = append(dst, `{"kind":"run","index":`...)
+	dst = strconv.AppendInt(dst, int64(index), 10)
+	dst = append(dst, `,"key":`...)
+	dst = jsonwire.AppendString(dst, key)
+	if attempts != 0 {
+		dst = append(dst, `,"attempts":`...)
+		dst = strconv.AppendInt(dst, int64(attempts), 10)
+	}
+	if len(result) != 0 {
+		dst = append(dst, `,"result":`...)
+		dst = append(dst, result...)
+	}
+	if len(tel) != 0 {
+		dst = append(dst, `,"tel":`...)
+		dst = append(dst, tel...)
+	}
+	return append(dst, "}\n"...), nil
 }
 
 // WriteAssign appends one fleet-dispatch provenance line. It uses the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -254,5 +255,25 @@ func TestJournalVersionAndHeaderChecks(t *testing.T) {
 	}
 	if _, err := Replay(badVer); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future-version journal returned %v", err)
+	}
+}
+
+// TestRunLineCodecFieldSet pins the Record shape AppendRun and
+// decodeRunLine know. A new or changed field must be taught to both
+// (journal.go and stream.go) before this list is updated: a field
+// without omitempty, for one, would appear on every run line.
+func TestRunLineCodecFieldSet(t *testing.T) {
+	want := "kind string; index int; key string; attempts,omitempty int; " +
+		"result,omitempty json.RawMessage; tel,omitempty json.RawMessage; fault,omitempty json.RawMessage; " +
+		"reason,omitempty string; message,omitempty string; stack,omitempty string; " +
+		"worker,omitempty int; event,omitempty string; indices,omitempty []int"
+	rt := reflect.TypeOf(Record{})
+	var fields []string
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		fields = append(fields, f.Tag.Get("json")+" "+f.Type.String())
+	}
+	if got := strings.Join(fields, "; "); got != want {
+		t.Errorf("Record fields changed: update AppendRun and decodeRunLine, then this test\n got %s\nwant %s", got, want)
 	}
 }

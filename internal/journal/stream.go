@@ -14,10 +14,14 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
+
+	"ntdts/internal/jsonwire"
 )
 
 // Wire-only line kinds: they appear on shard protocol streams, never in
@@ -126,13 +130,17 @@ func (s *Stream) readLine() ([]byte, error) {
 }
 
 // decodeLine parses one newline-stripped journal line. Nearly every line
-// is a record (one per run on the journal and on the shard wire), so it
-// decodes straight into a Record: one pass over the bytes instead of a
-// kind probe plus a second full decode. A clean decode carrying a record
-// kind is exactly what decodeLineByKind would return. Header and plan
-// lines, and any line the Record decode rejects, take decodeLineByKind,
-// so every other Line and every error stays as that path spells it.
+// is a run record (one per run on the journal and on the shard wire), so
+// it first tries decodeRunLine, then decodes straight into a Record: one
+// pass over the bytes instead of a kind probe plus a second full decode.
+// A clean decode carrying a record kind is exactly what decodeLineByKind
+// would return. Header and plan lines, and any line the Record decode
+// rejects, take decodeLineByKind, so every other Line and every error
+// stays as that path spells it.
 func decodeLine(data []byte) (*Line, error) {
+	if rec := decodeRunLine(data); rec != nil {
+		return &Line{Kind: KindRun, Rec: rec}, nil
+	}
 	rec := &Record{}
 	if json.Unmarshal(data, rec) == nil {
 		switch rec.Kind {
@@ -141,6 +149,32 @@ func decodeLine(data []byte) (*Line, error) {
 		}
 	}
 	return decodeLineByKind(data)
+}
+
+// decodeRunLine decodes a run line in the canonical form AppendRun
+// writes, validating each payload and copying it once, and returns the
+// Record json.Unmarshal would. On any deviation it returns nil.
+func decodeRunLine(data []byte) *Record {
+	rd := jsonwire.NewReader(data)
+	rec := &Record{Kind: KindRun}
+	rd.Expect(`{"kind":"run","index":`)
+	rec.Index = int(rd.Int(strconv.IntSize))
+	rd.Expect(`,"key":`)
+	rec.Key = string(rd.String())
+	if rd.Skip(`,"attempts":`) {
+		rec.Attempts = int(rd.Int(strconv.IntSize))
+	}
+	if rd.Skip(`,"result":`) {
+		rec.Result = bytes.Clone(rd.Value())
+	}
+	if rd.Skip(`,"tel":`) {
+		rec.Tel = bytes.Clone(rd.Value())
+	}
+	rd.Expect("}")
+	if !rd.Done() {
+		return nil
+	}
+	return rec
 }
 
 // decodeLineByKind probes a line's kind, then decodes it into the type

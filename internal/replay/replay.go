@@ -12,7 +12,6 @@ package replay
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -99,7 +98,7 @@ func Load(path string) (*Source, error) {
 			sr := SourceRun{Result: res}
 			if len(rec.Tel) != 0 {
 				var snap telemetry.Snapshot
-				if err := json.Unmarshal(rec.Tel, &snap); err != nil {
+				if err := telemetry.DecodeSnapshot(rec.Tel, &snap); err != nil {
 					return fmt.Errorf("replay source %s: run %q trace: %w", path, rec.Key, err)
 				}
 				sr.Touch = snap.Touchpoints()

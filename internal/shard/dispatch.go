@@ -238,7 +238,9 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 	d := newDispatcher(f, c, p, workers)
 	if d.jw != nil {
 		keys := core.JobKeys(jobs)
-		d.jw.WritePlan(keys, core.PlanFingerprint(keys))
+		if err := d.jw.WritePlan(keys, core.PlanFingerprint(keys)); err != nil {
+			d.fail(-1, err) // before every job: no slot or drain starts work
+		}
 	}
 
 	// Cancellation watcher: ctx cancellation releases every slot and
@@ -675,11 +677,16 @@ func (d *dispatcher) cancel() {
 // same rule the in-process pool applies.
 func (d *dispatcher) fail(index int, err error) {
 	d.mu.Lock()
+	d.failLocked(index, err)
+	d.mu.Unlock()
+}
+
+// failLocked is fail for a caller that holds mu.
+func (d *dispatcher) failLocked(index int, err error) {
 	if d.failure == nil || index < d.failureIdx {
 		d.failure, d.failureIdx = err, index
 	}
 	d.signalDone()
-	d.mu.Unlock()
 }
 
 // journalEvent appends one provenance line (no-op without a journal).
@@ -789,7 +796,8 @@ func (d *dispatcher) speculateLocked(slot int) *assignment {
 // commit merges one result at its global index, exactly once;
 // duplicate results from speculative copies return without a trace.
 // Progress is reported under the lock, so invocations stay serialized
-// and strictly incrementing, the in-process pool's contract.
+// and strictly incrementing, the in-process pool's contract. A failed
+// journal write fails the campaign, as it does a supervised one.
 func (d *dispatcher) commit(global int, res *core.RunResult, resultRaw, telRaw []byte) bool {
 	d.mu.Lock()
 	if d.committed[global] {
@@ -800,7 +808,9 @@ func (d *dispatcher) commit(global int, res *core.RunResult, resultRaw, telRaw [
 	d.results[global] = *res
 	d.nCommitted++
 	if d.jw != nil {
-		d.jw.WriteRun(global, d.jobs[global].Key(), 1, resultRaw, telRaw)
+		if err := d.jw.WriteRun(global, d.jobs[global].Key(), 1, resultRaw, telRaw); err != nil {
+			d.failLocked(global, err)
+		}
 	}
 	d.reportLocked(global)
 	if d.nCommitted == len(d.jobs) {

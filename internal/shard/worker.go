@@ -28,7 +28,7 @@ import (
 	"ntdts/internal/workpool"
 )
 
-// wire serializes journal-format lines onto a stream: one marshal, one
+// wire serializes journal-format lines onto a stream: one encode, one
 // Write per line, so a killed writer tears at most the final line —
 // the same invariant the journal file format rests on.
 type wire struct {
@@ -41,10 +41,14 @@ func (w *wire) writeLine(v any) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
+	return w.write(append(data, '\n'))
+}
+
+// write emits one encoded, newline-terminated line in one Write call.
+func (w *wire) write(line []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	_, err = w.w.Write(data)
+	_, err := w.w.Write(line)
 	return err
 }
 
@@ -205,10 +209,11 @@ func runChunk(runner *core.Runner, plan *journal.Plan, w *wire, written *atomic.
 			if err != nil {
 				return &runFailure{global: global, message: err.Error()}
 			}
-			if err := w.writeLine(journal.Record{
-				Kind: journal.KindRun, Index: global, Key: plan.Jobs[i],
-				Result: resultRaw, Tel: telRaw,
-			}); err != nil {
+			line, err := journal.AppendRun(nil, global, plan.Jobs[i], 0, resultRaw, telRaw)
+			if err == nil {
+				err = w.write(line)
+			}
+			if err != nil {
 				return &runFailure{global: global, message: fmt.Sprintf("result stream: %v", err)}
 			}
 			n := int(written.Add(1))

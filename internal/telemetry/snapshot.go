@@ -29,7 +29,9 @@ type SnapshotEvent struct {
 }
 
 // Snapshot captures the recorder's full state with the event ring
-// linearized into emission order.
+// linearized into emission order. The run-record paths write its JSON
+// with AppendSnapshotJSON instead; this is the reference that
+// FuzzSnapshotCodec holds that encoder to.
 func (r *Recorder) Snapshot() *Snapshot {
 	s := &Snapshot{Cap: r.cap, Dropped: r.dropped}
 	for _, e := range r.Events() {
@@ -59,6 +61,7 @@ func (r *Recorder) Snapshot() *Snapshot {
 func (s *Snapshot) Restore() *Recorder {
 	r := NewRecorder(s.Cap)
 	r.dropped = s.Dropped
+	r.events = make([]Event, 0, len(s.Events))
 	for _, e := range s.Events {
 		r.events = append(r.events, Event{
 			At: vclock.Time(e.At), PID: e.PID, Kind: kindFromString(e.Kind), Name: e.Name, A: e.A, B: e.B,

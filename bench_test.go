@@ -581,9 +581,8 @@ func BenchmarkWorkloadGen(b *testing.B) {
 // workers should finish in well under 0.6x the 1-worker time — the CI
 // shard job gates on exactly that metric; on a single-core host the
 // ratio only shows the dispatch overhead. The straggler case has worker 0
-// sleep 5ms before every run: the fleet shrinks the slow worker's chunks
-// and speculates its tail. The merged results stay byte-identical at
-// every shape (the shard tests pin that).
+// sleep 5ms before every run: the fleet speculates its tail. The merged
+// results stay byte-identical at every shape (the shard tests pin that).
 func BenchmarkCampaignFleet(b *testing.B) {
 	campaign := func(workers int, slow string) *core.SetResult {
 		set, err := core.NewCampaign(

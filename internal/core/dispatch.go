@@ -22,10 +22,12 @@ type ShardExecutor interface {
 type DispatchStats struct {
 	// Workers is the fleet size (dispatch slots).
 	Workers int
-	// Chunks counts fresh chunks carved from the job list.
+	// Chunks counts fresh chunks carved from the job list, the
+	// in-process drain's included.
 	Chunks int
-	// Redispatched counts chunk re-dispatch events (worker death, torn
-	// stream, stall or progress deadline).
+	// Redispatched counts lost chunks whose uncommitted remainder went
+	// back to the queue (worker death, torn stream, stall or progress
+	// deadline).
 	Redispatched int
 	// Speculated counts speculative re-issues of straggler tail chunks.
 	Speculated int
@@ -34,11 +36,12 @@ type DispatchStats struct {
 	// WorkersLost counts slots whose respawn budget was exhausted and
 	// that left the fleet for good.
 	WorkersLost int
-	// LocalRuns counts runs the coordinator finished in-process after
-	// remote budgets ran out — the graceful-degradation path.
+	// LocalRuns counts runs committed by the in-process drain: the
+	// session the last slot to exhaust its respawn budget runs on an
+	// in-process worker — the graceful-degradation path.
 	LocalRuns int
 	// Degraded reports that the campaign completed but needed the
-	// in-process fallback (LocalRuns > 0).
+	// in-process drain (LocalRuns > 0).
 	Degraded bool
 	// Transport names the worker transport ("inprocess", "exec", "tcp").
 	Transport string

@@ -32,7 +32,9 @@ const (
 	// Index carries the records written so far.
 	KindHeartbeat = "heartbeat"
 	// KindDone marks clean worker completion; Index carries the total
-	// record count, cross-checked by the coordinator.
+	// record count. The fleet coordinator never reads it: after its last
+	// chunk it closes the worker's stdin and kills the connection. A
+	// done record that arrives mid-chunk is a worker death.
 	KindDone = "done"
 	// KindError reports a worker-side run failure: Index is the failing
 	// job's global index, Message the error text. The worker exits

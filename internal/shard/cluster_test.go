@@ -5,7 +5,6 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ntdts/internal/core"
 	"ntdts/internal/inject"
@@ -125,7 +124,6 @@ func TestClusterFleetMatrix(t *testing.T) {
 		{"steal-4", NewFleet(FleetOptions{Workers: 4})},
 		{"steal-4-killed", NewFleet(FleetOptions{
 			Workers: 4, Spawn: severing(),
-			RedispatchBackoff: 5 * time.Millisecond,
 		})},
 		{"tcp-loopback", NewFleet(FleetOptions{
 			Spawners: []Spawner{tcpSpawner, tcpSpawner, tcpSpawner, tcpSpawner},

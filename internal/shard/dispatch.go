@@ -3,27 +3,27 @@ package shard
 // The work-stealing fleet coordinator. The Fleet hands out bounded
 // chunks of global spec indices on demand: a fast worker comes back for
 // more, a slow one strands at most one chunk, and a dead one strands
-// nothing — its chunk's uncommitted remainder is re-dispatched (with exponential backoff and a per-chunk retry budget)
-// to whichever worker asks next. At the tail, idle workers speculatively
-// re-execute the largest still-streaming chunk; every result commits at
-// its global job-list index exactly once, first writer wins, so the
-// duplicate results speculation produces are discarded without a trace
-// and the merged archive stays byte-identical to -parallel 1 under any
-// kill schedule. When a slot exhausts its respawn budget it leaves the
-// fleet; when every slot is gone the coordinator finishes the remainder
-// in-process and reports the campaign degraded rather than failed.
+// nothing — its chunk's uncommitted remainder goes straight back to the
+// queue for whichever worker asks next. At the tail, idle workers
+// speculatively re-execute the largest still-streaming chunk; every
+// result commits at its global job-list index exactly once, first writer
+// wins, so the duplicate results speculation produces are discarded
+// without a trace and the merged archive stays byte-identical to
+// -parallel 1 under any kill schedule. A slot's respawn budget is the
+// only budget: a slot that exhausts it leaves the fleet, and the last
+// slot to leave runs one more session on an in-process worker, which
+// finishes the remainder and reports the campaign degraded rather than
+// failed.
 //
 // The chunk lifecycle (DESIGN.md §4j):
 //
 //	assigned → streaming → committed
-//	                     ↘ lost → re-dispatch (backoff, budget) → local
+//	                     ↘ lost → re-dispatch
 //	         ↘ speculated (tail only, one copy per chunk)
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,7 +31,6 @@ import (
 
 	"ntdts/internal/core"
 	"ntdts/internal/journal"
-	"ntdts/internal/workpool"
 )
 
 // Fleet defaults for FleetOptions zero values.
@@ -45,21 +44,15 @@ const (
 	// DefaultMaxRespawns bounds the replacement workers one slot may
 	// consume before it leaves the fleet.
 	DefaultMaxRespawns = 2
-	// DefaultChunkRetries is how many re-dispatches one chunk may
-	// consume before it is drained in-process.
-	DefaultChunkRetries = 3
-	// DefaultRedispatchBackoff is the base delay before a lost chunk
-	// re-enters the dispatch queue; it doubles per attempt, capped at
-	// 8x.
-	DefaultRedispatchBackoff = 100 * time.Millisecond
 	// DefaultProgressDeadline kills a worker that heartbeats but
 	// delivers no run record for this long — the wedged-worker
 	// detector the stall deadline cannot be (heartbeats reset it).
 	DefaultProgressDeadline = 60 * time.Second
 	// defaultMaxChunk caps the auto-sized chunk.
 	defaultMaxChunk = 32
-	// backoffCap bounds the exponential re-dispatch backoff.
-	backoffCap = 8
+	// drainSlot is the slot number of the in-process drain session the
+	// last exhausted slot runs; its assignments journal as "local".
+	drainSlot = -1
 )
 
 // FleetOptions tune the work-stealing coordinator.
@@ -81,15 +74,9 @@ type FleetOptions struct {
 	// MaxRespawns bounds replacement workers per slot (0 =
 	// DefaultMaxRespawns; < 0 means no respawns).
 	MaxRespawns int
-	// ChunkSize caps a healthy worker's chunk (0 = auto: roughly four
+	// ChunkSize is the size of each fresh chunk (0 = auto: roughly four
 	// chunks per worker, capped at 32).
 	ChunkSize int
-	// ChunkRetries bounds re-dispatches per chunk before it drains
-	// in-process (0 = DefaultChunkRetries).
-	ChunkRetries int
-	// RedispatchBackoff is the base re-dispatch delay (0 =
-	// DefaultRedispatchBackoff).
-	RedispatchBackoff time.Duration
 	// Spawn produces workers (nil = InProcess()); ignored when Spawners
 	// is set.
 	Spawn Spawner
@@ -141,12 +128,6 @@ func NewFleet(opts FleetOptions) *Fleet {
 	if opts.MaxRespawns == 0 {
 		opts.MaxRespawns = DefaultMaxRespawns
 	}
-	if opts.ChunkRetries == 0 {
-		opts.ChunkRetries = DefaultChunkRetries
-	}
-	if opts.RedispatchBackoff == 0 {
-		opts.RedispatchBackoff = DefaultRedispatchBackoff
-	}
 	if opts.Transport == "" {
 		switch {
 		case len(opts.Spawners) > 0:
@@ -171,9 +152,13 @@ func (f *Fleet) DispatchStats() *core.DispatchStats {
 	return f.last
 }
 
-// spawnerFor picks the slot's spawner.
+// spawnerFor picks the slot's spawner; the drain always runs an
+// in-process worker.
 func (f *Fleet) spawnerFor(slot int) Spawner {
-	if len(f.opts.Spawners) > 0 {
+	switch {
+	case slot == drainSlot:
+		return InProcess()
+	case len(f.opts.Spawners) > 0:
 		return f.opts.Spawners[slot%len(f.opts.Spawners)]
 	}
 	return f.opts.Spawn
@@ -183,15 +168,6 @@ func (f *Fleet) spawnerFor(slot int) Spawner {
 type sessionChaos struct {
 	kill, hang, slowMS int
 }
-
-// errWorkerDied marks a detectable worker death (severed stream, torn
-// record, stall, wedge): the chunk's remainder is re-dispatched. Any
-// other session error is fatal to the campaign.
-var errWorkerDied = errors.New("shard worker died")
-
-// errFatalReported marks a session error already recorded in the
-// dispatcher's failure slot (worker error records, protocol breaches).
-var errFatalReported = errors.New("fleet: fatal already reported")
 
 // streamLine is one decoded line (or read error) off a worker stream.
 type streamLine struct {
@@ -239,12 +215,12 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 	if d.jw != nil {
 		keys := core.JobKeys(jobs)
 		if err := d.jw.WritePlan(keys, core.PlanFingerprint(keys)); err != nil {
-			d.fail(-1, err) // before every job: no slot or drain starts work
+			d.fail(-1, err) // before every job: no slot starts work
 		}
 	}
 
-	// Cancellation watcher: ctx cancellation releases every slot and
-	// the local drainer through the dispatcher's done channel.
+	// Cancellation watcher: ctx cancellation releases every slot (the
+	// drain included) through the dispatcher's done channel.
 	watchDone := make(chan struct{})
 	go func() {
 		select {
@@ -272,11 +248,6 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 			f.slotLoop(ctx, s, d, header, chaos)
 		}(s, chaos)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		f.localLoop(d)
-	}()
 	wg.Wait()
 	close(watchDone)
 
@@ -305,33 +276,26 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 }
 
 // slotLoop drives one dispatch slot through as many worker sessions as
-// its respawn budget allows.
+// its respawn budget allows; every error a session returns is a worker
+// death. The last slot to exhaust its budget then runs the drain: one
+// more session, on an in-process worker, under the same deadlines. A
+// drain that dies too fails the campaign.
 func (f *Fleet) slotLoop(ctx context.Context, slot int, d *dispatcher, header journal.Header, chaos sessionChaos) {
-	budget := f.opts.MaxRespawns
-	if budget < 0 {
-		budget = 0
-	}
-	for attempt := 0; ; attempt++ {
-		if d.finished() {
-			return
-		}
+	for attempt := 0; !d.finished(); attempt++ {
 		armed := sessionChaos{}
 		if attempt == 0 {
 			armed = chaos // the drill kills a slot's first worker only
-		} else {
-			d.health.reset(slot)
 		}
-		err := f.session(ctx, slot, d, header, armed)
-		if err == nil || errors.Is(err, errFatalReported) {
+		if f.session(ctx, slot, d, header, armed) == nil {
 			return
 		}
-		if !errors.Is(err, errWorkerDied) {
-			d.fail(len(d.jobs), err)
-			return
-		}
-		d.noteDeath(slot)
-		if attempt >= budget {
-			d.slotExhausted(slot)
+		d.noteDeath()
+		if attempt >= f.opts.MaxRespawns {
+			if d.slotExhausted(slot) {
+				if err := f.session(ctx, drainSlot, d, header, sessionChaos{}); err != nil {
+					d.fail(len(d.jobs), fmt.Errorf("fleet: in-process drain: %w", err))
+				}
+			}
 			return
 		}
 	}
@@ -342,7 +306,7 @@ func (f *Fleet) slotLoop(ctx context.Context, slot int, d *dispatcher, header jo
 func (f *Fleet) session(ctx context.Context, slot int, d *dispatcher, header journal.Header, chaos sessionChaos) error {
 	conn, err := f.spawnerFor(slot)()
 	if err != nil {
-		return fmt.Errorf("fleet worker %d: spawn: %w (%w)", slot, err, errWorkerDied)
+		return fmt.Errorf("fleet worker %d: spawn: %w", slot, err)
 	}
 
 	// Reader goroutine: the stream is a blocking pipe, so deadline and
@@ -379,7 +343,7 @@ func (f *Fleet) session(ctx context.Context, slot int, d *dispatcher, header jou
 
 	w := &wire{w: conn.In}
 	if err := w.writeLine(header); err != nil {
-		return fmt.Errorf("fleet worker %d: send header: %w (%w)", slot, err, errWorkerDied)
+		return fmt.Errorf("fleet worker %d: send header: %w", slot, err)
 	}
 
 	first := true
@@ -406,18 +370,15 @@ func (f *Fleet) session(ctx context.Context, slot int, d *dispatcher, header jou
 			plan.ChaosSlowMS = chaos.slowMS
 			first = false
 		}
-		start := time.Now()
 		if err := w.writeLine(&plan); err != nil {
 			d.lost(a)
-			return fmt.Errorf("fleet worker %d: send plan: %w (%w)", slot, err, errWorkerDied)
+			return fmt.Errorf("fleet worker %d: send plan: %w", slot, err)
 		}
-		cerr := f.awaitChunk(d, slot, a, lines, conn)
-		if cerr != nil {
+		if err := f.awaitChunk(d, slot, a, lines, conn); err != nil {
 			d.lost(a)
-			return cerr
+			return err
 		}
 		d.finish(a)
-		d.health.observeChunk(slot, time.Since(start), len(a.indices))
 	}
 }
 
@@ -426,7 +387,9 @@ func (f *Fleet) session(ctx context.Context, slot int, d *dispatcher, header jou
 // on any line (a silent stream means a dead worker), the progress
 // deadline resets only on run records (a heartbeating stream with no
 // results means a wedged worker). Records are validated against the
-// assignment; commit deduplicates against speculative copies.
+// assignment; commit deduplicates against speculative copies. A non-nil
+// return is the worker's death; a fatal campaign error is recorded with
+// d.fail, after which nil is returned and the dispatcher runs dry.
 func (f *Fleet) awaitChunk(d *dispatcher, slot int, a *assignment, lines <-chan streamLine, conn *Conn) error {
 	open := make(map[int]bool, len(a.indices))
 	for _, g := range a.indices {
@@ -458,7 +421,6 @@ func (f *Fleet) awaitChunk(d *dispatcher, slot int, a *assignment, lines <-chan 
 		t.Reset(dl)
 	}
 
-	var lastBeat time.Time
 	for len(open) > 0 {
 		select {
 		case m := <-lines:
@@ -466,51 +428,47 @@ func (f *Fleet) awaitChunk(d *dispatcher, slot int, a *assignment, lines <-chan 
 			if m.err != nil {
 				// EOF, torn record, or a garbled stream without a done
 				// record: the worker died (or went insane) mid-chunk.
-				return fmt.Errorf("fleet worker %d: stream ended early: %w (%w)", slot, m.err, errWorkerDied)
+				return fmt.Errorf("fleet worker %d: stream ended early: %w", slot, m.err)
 			}
 			switch m.line.Kind {
 			case journal.KindRun:
 				rec := m.line.Rec
 				if !open[rec.Index] {
 					d.fail(rec.Index, fmt.Errorf("fleet worker %d: record for job %d not in this chunk", slot, rec.Index))
-					return errFatalReported
+					return nil
 				}
 				if want := d.jobs[rec.Index].Key(); rec.Key != want {
 					d.fail(rec.Index, fmt.Errorf("fleet worker %d: record %d keyed %s, plan expects %s", slot, rec.Index, rec.Key, want))
-					return errFatalReported
+					return nil
 				}
 				res, err := core.UnmarshalRunRecord(rec.Result, rec.Tel)
 				if err != nil {
 					d.fail(rec.Index, fmt.Errorf("fleet worker %d: record %d: %w", slot, rec.Index, err))
-					return errFatalReported
+					return nil
 				}
-				d.commit(rec.Index, res, rec.Result, rec.Tel)
+				d.commit(slot, rec.Index, res, rec.Result, rec.Tel)
 				delete(open, rec.Index)
 				reset(progress, f.opts.ProgressDeadline)
 			case journal.KindHeartbeat:
-				now := time.Now()
-				if !lastBeat.IsZero() {
-					d.health.observeBeat(slot, now.Sub(lastBeat))
-				}
-				lastBeat = now
+				// Liveness only: any line resets the stall deadline.
 			case journal.KindError:
 				// A worker-side run failure is deterministic — a fresh
 				// worker would fail the same run — so it fails the
 				// campaign, exactly as in the in-process pool.
 				d.fail(m.line.Rec.Index, fmt.Errorf("fleet worker %d: %s", slot, m.line.Rec.Message))
-				return errFatalReported
+				return nil
 			case journal.KindDone:
-				return fmt.Errorf("fleet worker %d: done record mid-chunk (%d runs missing) (%w)", slot, len(open), errWorkerDied)
+				return fmt.Errorf("fleet worker %d: done record mid-chunk (%d runs missing)", slot, len(open))
 			default:
 				d.fail(len(d.jobs), fmt.Errorf("fleet worker %d: unexpected %q record", slot, m.line.Kind))
-				return errFatalReported
+				return nil
 			}
 		case <-stallC:
 			conn.Kill()
-			return fmt.Errorf("fleet worker %d: no record or heartbeat for %v (%w)", slot, f.opts.StallDeadline, errWorkerDied)
+			return fmt.Errorf("fleet worker %d: no record or heartbeat for %v", slot, f.opts.StallDeadline)
 		case <-progressC:
 			conn.Kill()
-			return fmt.Errorf("fleet worker %d: heartbeats but no run record for %v — wedged (%w)", slot, f.opts.ProgressDeadline, errWorkerDied)
+			return fmt.Errorf("fleet worker %d: heartbeats but no run record for %v — wedged", slot, f.opts.ProgressDeadline)
 		case <-d.doneCh:
 			// Campaign over (all committed elsewhere, a fatal error, or
 			// cancellation): abandon the worker; any indices still open
@@ -522,55 +480,12 @@ func (f *Fleet) awaitChunk(d *dispatcher, slot int, a *assignment, lines <-chan 
 	return nil
 }
 
-// localLoop is the graceful-degradation drain: it executes chunks whose
-// re-dispatch budget is exhausted, and — once every slot has left the
-// fleet — everything still unassigned, in-process on the shared worker
-// pool at the width of the workers it stands in for.
-func (f *Fleet) localLoop(d *dispatcher) {
-	for a := d.grabLocal(); a != nil; a = d.grabLocal() {
-		err := workpool.Run(context.Background(), len(a.indices), f.opts.WorkerParallelism, func() func(int) error {
-			rnr := d.c.Runner().Clone()
-			return func(i int) error {
-				g := a.indices[i]
-				if d.isCommitted(g) || d.finished() {
-					return nil
-				}
-				job := d.jobs[g]
-				spec := job.Spec
-				res, err := rnr.Run(&spec)
-				res, err = core.FinishJob(job, res, err)
-				var resultRaw, telRaw []byte
-				if err == nil && d.jw != nil {
-					resultRaw, telRaw, err = core.MarshalRunRecord(res)
-				}
-				if err != nil {
-					d.fail(g, err)
-					return err
-				}
-				if d.commit(g, res, resultRaw, telRaw) {
-					d.mu.Lock()
-					d.stats.LocalRuns++
-					d.stats.Degraded = true
-					d.mu.Unlock()
-				}
-				return nil
-			}
-		})
-		if err != nil {
-			return
-		}
-		d.finish(a)
-	}
-}
-
-// chunk is one unit of dispatch: a set of global job indices and its
-// re-dispatch history. live counts copies in flight (primary plus one
-// speculative re-issue); the family is accounted once, whichever copy
-// delivers first.
+// chunk is one unit of dispatch: a set of global job indices. live
+// counts copies in flight (primary plus one speculative re-issue); the
+// family is accounted once, whichever copy delivers first.
 type chunk struct {
 	id         int
 	indices    []int
-	attempt    int
 	live       int
 	speculated bool
 }
@@ -587,7 +502,6 @@ type assignment struct {
 // bitmap, and the chunk queues. All fields below mu are guarded by it;
 // cond wakes grabbers when work or completion state changes.
 type dispatcher struct {
-	f      *Fleet
 	c      *core.Campaign
 	jobs   []core.PlanJob
 	faults int
@@ -600,10 +514,8 @@ type dispatcher struct {
 	nCommitted   int
 	progressDone int
 	cursor       int      // next fresh job index not yet carved
-	ready        []*chunk // lost chunks past their backoff, first index ascending
+	ready        []*chunk // lost chunks awaiting re-dispatch
 	inflight     map[int]*chunk
-	local        []*chunk // chunks for the in-process drain
-	backoffs     int      // chunks waiting out a re-dispatch backoff
 	activeSlots  int
 	chunkSeq     int
 	failure      error
@@ -613,7 +525,6 @@ type dispatcher struct {
 	doneOnce     sync.Once
 	stats        core.DispatchStats
 	baseChunk    int
-	health       *healthTracker
 }
 
 func newDispatcher(f *Fleet, c *core.Campaign, p *core.Prepared, workers int) *dispatcher {
@@ -630,7 +541,6 @@ func newDispatcher(f *Fleet, c *core.Campaign, p *core.Prepared, workers int) *d
 		base = 1
 	}
 	d := &dispatcher{
-		f:           f,
 		c:           c,
 		jobs:        p.Jobs,
 		faults:      p.Faults,
@@ -641,7 +551,6 @@ func newDispatcher(f *Fleet, c *core.Campaign, p *core.Prepared, workers int) *d
 		activeSlots: workers,
 		doneCh:      make(chan struct{}),
 		baseChunk:   base,
-		health:      newHealthTracker(workers, f.opts.Heartbeat),
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.stats.Workers = workers
@@ -709,19 +618,18 @@ func (d *dispatcher) uncommittedLocked(indices []int) []int {
 	return out
 }
 
-func (d *dispatcher) isCommitted(g int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.committed[g]
-}
-
 // grab hands the slot its next assignment: re-dispatched work first,
-// then a fresh health-sized chunk, then — at the tail — a speculative
-// copy of the largest still-streaming chunk. It blocks while all work
-// is in flight elsewhere and returns nil when the campaign is over.
+// then a fresh chunk, then — at the tail — a speculative copy of the
+// largest still-streaming chunk. It blocks while all work is in flight
+// elsewhere and returns nil when the campaign is over. The drain's
+// assignments journal as "local".
 func (d *dispatcher) grab(slot int) *assignment {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	event := "assign"
+	if slot == drainSlot {
+		event = "local"
+	}
 	for {
 		if d.finishedLocked() {
 			return nil
@@ -736,15 +644,11 @@ func (d *dispatcher) grab(slot int) *assignment {
 			ch.indices = un
 			ch.live, ch.speculated = 1, false
 			d.inflight[ch.id] = ch
-			d.journalEvent(slot, "assign", un)
+			d.journalEvent(slot, event, un)
 			return &assignment{ch: ch, indices: un, slot: slot}
 		}
 		if d.cursor < len(d.jobs) {
-			size := d.health.chunkFor(slot, d.baseChunk)
-			end := d.cursor + size
-			if end > len(d.jobs) {
-				end = len(d.jobs)
-			}
+			end := min(d.cursor+d.baseChunk, len(d.jobs))
 			idx := make([]int, 0, end-d.cursor)
 			for g := d.cursor; g < end; g++ {
 				idx = append(idx, g)
@@ -754,7 +658,7 @@ func (d *dispatcher) grab(slot int) *assignment {
 			ch := &chunk{id: d.chunkSeq, indices: idx, live: 1}
 			d.inflight[ch.id] = ch
 			d.stats.Chunks++
-			d.journalEvent(slot, "assign", idx)
+			d.journalEvent(slot, event, idx)
 			d.cond.Broadcast() // a new inflight chunk is a new speculation target
 			return &assignment{ch: ch, indices: idx, slot: slot}
 		}
@@ -795,18 +699,23 @@ func (d *dispatcher) speculateLocked(slot int) *assignment {
 
 // commit merges one result at its global index, exactly once;
 // duplicate results from speculative copies return without a trace.
+// The drain's runs count as LocalRuns and mark the campaign degraded.
 // Progress is reported under the lock, so invocations stay serialized
 // and strictly incrementing, the in-process pool's contract. A failed
 // journal write fails the campaign, as it does a supervised one.
-func (d *dispatcher) commit(global int, res *core.RunResult, resultRaw, telRaw []byte) bool {
+func (d *dispatcher) commit(slot, global int, res *core.RunResult, resultRaw, telRaw []byte) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.committed[global] {
-		d.mu.Unlock()
-		return false
+		return
 	}
 	d.committed[global] = true
 	d.results[global] = *res
 	d.nCommitted++
+	if slot == drainSlot {
+		d.stats.LocalRuns++
+		d.stats.Degraded = true
+	}
 	if d.jw != nil {
 		if err := d.jw.WriteRun(global, d.jobs[global].Key(), 1, resultRaw, telRaw); err != nil {
 			d.failLocked(global, err)
@@ -818,8 +727,6 @@ func (d *dispatcher) commit(global int, res *core.RunResult, resultRaw, telRaw [
 	} else {
 		d.cond.Broadcast()
 	}
-	d.mu.Unlock()
-	return true
 }
 
 // reportLocked drives the campaign Progress callback. Caller holds mu.
@@ -844,8 +751,7 @@ func (d *dispatcher) finish(a *assignment) {
 
 // lost handles a copy that died with work outstanding: while a sibling
 // copy survives, it owns the remainder; otherwise the uncommitted
-// indices re-enter the queue after an exponential backoff, and past the
-// retry budget they fall to the in-process drain.
+// indices go straight back to the queue.
 func (d *dispatcher) lost(a *assignment) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -863,97 +769,28 @@ func (d *dispatcher) lost(a *assignment) {
 	}
 	delete(d.inflight, ch.id)
 	ch.indices = un
-	ch.attempt++
-	if ch.attempt > d.f.opts.ChunkRetries {
-		d.local = append(d.local, ch)
-		d.journalEvent(-1, "local", un)
-		d.cond.Broadcast()
-		return
-	}
+	d.ready = append(d.ready, ch)
 	d.stats.Redispatched++
 	d.journalEvent(-1, "redispatch", un)
-	backoff := d.f.opts.RedispatchBackoff
-	for i := 1; i < ch.attempt && i < backoffCap; i++ {
-		backoff *= 2
-	}
-	d.backoffs++
-	time.AfterFunc(backoff, func() {
-		d.mu.Lock()
-		d.backoffs--
-		d.ready = append(d.ready, ch)
-		sort.Slice(d.ready, func(i, j int) bool { return d.ready[i].indices[0] < d.ready[j].indices[0] })
-		d.cond.Broadcast()
-		d.mu.Unlock()
-	})
+	d.cond.Broadcast()
 }
 
 // noteDeath counts one dead worker session.
-func (d *dispatcher) noteDeath(slot int) {
+func (d *dispatcher) noteDeath() {
 	d.mu.Lock()
 	d.stats.WorkerDeaths++
 	d.mu.Unlock()
 }
 
-// slotExhausted removes a slot whose respawn budget ran out. When the
-// last slot leaves, the local drain inherits everything still pending.
-func (d *dispatcher) slotExhausted(slot int) {
+// slotExhausted removes a slot whose respawn budget ran out and reports
+// whether it was the last one, whose goroutine then runs the drain.
+func (d *dispatcher) slotExhausted(slot int) bool {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.activeSlots--
 	d.stats.WorkersLost++
 	d.journalEvent(slot, "exhausted", nil)
-	d.cond.Broadcast()
-	d.mu.Unlock()
-}
-
-// grabLocal hands the drain goroutine its next chunk: budget-exhausted
-// chunks always, and — once the fleet is gone — re-dispatched and fresh
-// work too. Returns nil when the campaign is over.
-func (d *dispatcher) grabLocal() *assignment {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if d.finishedLocked() {
-			return nil
-		}
-		for len(d.local) > 0 {
-			ch := d.local[0]
-			d.local = d.local[1:]
-			un := d.uncommittedLocked(ch.indices)
-			if len(un) == 0 {
-				continue
-			}
-			ch.indices = un
-			ch.live = 1
-			return &assignment{ch: ch, indices: un, slot: -1}
-		}
-		if d.activeSlots == 0 {
-			if len(d.ready) > 0 {
-				ch := d.ready[0]
-				d.ready = d.ready[1:]
-				un := d.uncommittedLocked(ch.indices)
-				if len(un) == 0 {
-					continue
-				}
-				ch.indices = un
-				ch.live = 1
-				d.journalEvent(-1, "local", un)
-				return &assignment{ch: ch, indices: un, slot: -1}
-			}
-			if d.cursor < len(d.jobs) {
-				idx := make([]int, 0, len(d.jobs)-d.cursor)
-				for g := d.cursor; g < len(d.jobs); g++ {
-					idx = append(idx, g)
-				}
-				d.cursor = len(d.jobs)
-				d.chunkSeq++
-				d.journalEvent(-1, "local", idx)
-				return &assignment{ch: &chunk{id: d.chunkSeq, indices: idx, live: 1}, indices: idx, slot: -1}
-			}
-			// Chunks still riding out a backoff or in flight on a
-			// not-yet-reaped session; their loss handlers will feed us.
-		}
-		d.cond.Wait()
-	}
+	return d.activeSlots == 0
 }
 
 // parseChaosKill parses a "worker:N" drill spec (empty = disabled,

@@ -126,7 +126,6 @@ func TestFleetWorkerDeathRedispatch(t *testing.T) {
 	}
 	f := NewFleet(FleetOptions{
 		Workers: 2, Spawn: spawn,
-		RedispatchBackoff: 5 * time.Millisecond,
 	})
 	set, err := fleetCampaign(t, 60, f)
 	if err != nil {
@@ -161,12 +160,11 @@ func TestFleetWedgedWorkerProgressDeadline(t *testing.T) {
 	// One slot: no sibling can speculate the wedged chunk away, so the
 	// progress deadline is the only way the campaign can finish.
 	f := NewFleet(FleetOptions{
-		Workers:           1,
-		Heartbeat:         10 * time.Millisecond,
-		StallDeadline:     2 * time.Second,
-		ProgressDeadline:  150 * time.Millisecond,
-		RedispatchBackoff: 5 * time.Millisecond,
-		ChaosHang:         "0:2",
+		Workers:          1,
+		Heartbeat:        10 * time.Millisecond,
+		StallDeadline:    2 * time.Second,
+		ProgressDeadline: 150 * time.Millisecond,
+		ChaosHang:        "0:2",
 	})
 	set, err := fleetCampaign(t, 40, f)
 	if err != nil {
@@ -202,8 +200,6 @@ func TestFleetDegradedCompletion(t *testing.T) {
 			Workers: 2, Spawn: dead,
 			WorkerParallelism: width,
 			MaxRespawns:       1,
-			ChunkRetries:      1,
-			RedispatchBackoff: time.Millisecond,
 			StallDeadline:     time.Second,
 		})
 		set, err := fleetCampaign(t, 20, f)
@@ -229,59 +225,109 @@ func TestFleetDegradedCompletion(t *testing.T) {
 
 // TestFleetJournalProvenance attaches a journal: every committed run
 // must land exactly once, the dispatch trail must record assignments
-// covering the whole job list, and a degraded run must say so.
+// covering the whole job list, and a degraded run must say so. The
+// degraded fleet's workers all drop dead, so its in-process drain runs
+// every index: "local" events must cover the job list, one "degraded"
+// line must close the trail, and in both cases the journaled records
+// must decode to the unsharded runs.
 func TestFleetJournalProvenance(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fleet.journal")
-	r := newRunner(false)
-	jw, err := journal.Create(path, HeaderFor(r))
+	specs := campaignSpecs(30)
+	base, err := core.NewCampaign(newRunner(false),
+		core.WithParallelism(1), core.WithSpecs(specs)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFleet(FleetOptions{Workers: 2, Journal: jw})
-	set, err := core.NewCampaign(r,
-		core.WithSpecs(campaignSpecs(30)),
-		core.WithShardExecutor(f),
-	).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := journal.Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Torn {
-		t.Fatal("clean fleet journal replayed as torn")
-	}
-	if rep.Plan == nil || len(rep.Plan.Jobs) != len(set.Runs) {
-		t.Fatalf("journal plan missing or short: %+v", rep.Plan)
-	}
-	if len(rep.Runs) != len(set.Runs) {
-		t.Fatalf("journal holds %d runs, campaign ran %d", len(rep.Runs), len(set.Runs))
-	}
-	covered := make(map[int]bool)
-	var sawAssign bool
-	for _, ev := range rep.Dispatch {
-		switch ev.Event {
-		case "assign", "speculate", "local", "redispatch":
-			sawAssign = sawAssign || ev.Event == "assign"
-			for _, g := range ev.Indices {
-				covered[g] = true
+	dead := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
+		io.Copy(io.Discard, in) // accept the assignment, then drop dead
+	})
+	for _, tc := range []struct {
+		name     string
+		opts     FleetOptions
+		degraded bool
+	}{
+		{"clean", FleetOptions{Workers: 2}, false},
+		{"degraded", FleetOptions{Workers: 2, Spawn: dead, MaxRespawns: 1, StallDeadline: time.Second}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fleet.journal")
+			r := newRunner(false)
+			jw, err := journal.Create(path, HeaderFor(r))
+			if err != nil {
+				t.Fatal(err)
 			}
-		case "degraded":
-			t.Errorf("clean run journaled a degraded event")
-		}
-	}
-	if !sawAssign {
-		t.Fatal("no assign events in the dispatch trail")
-	}
-	for g := range set.Runs {
-		if !covered[g] {
-			t.Fatalf("job %d never appears in the dispatch trail", g)
-		}
+			tc.opts.Journal = jw
+			set, err := core.NewCampaign(r,
+				core.WithSpecs(specs),
+				core.WithShardExecutor(NewFleet(tc.opts)),
+			).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if set.Dispatch.Degraded != tc.degraded {
+				t.Fatalf("dispatch stats %+v, want Degraded %v", set.Dispatch, tc.degraded)
+			}
+
+			rep, err := journal.Replay(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Torn {
+				t.Fatal("fleet journal replayed as torn")
+			}
+			if rep.Plan == nil || len(rep.Plan.Jobs) != len(set.Runs) {
+				t.Fatalf("journal plan missing or short: %+v", rep.Plan)
+			}
+			if len(rep.Runs) != len(set.Runs) || rep.Records != len(set.Runs) {
+				t.Fatalf("journal holds %d run lines for %d indices, campaign ran %d",
+					rep.Records, len(rep.Runs), len(set.Runs))
+			}
+			covered := make(map[int]bool)
+			local := make(map[int]bool)
+			var sawAssign bool
+			var degradedLines int
+			for _, ev := range rep.Dispatch {
+				switch ev.Event {
+				case "assign", "speculate", "local", "redispatch":
+					sawAssign = sawAssign || ev.Event == "assign"
+					for _, g := range ev.Indices {
+						covered[g] = true
+						local[g] = local[g] || ev.Event == "local"
+					}
+				case "degraded":
+					degradedLines++
+				}
+			}
+			if !tc.degraded && degradedLines != 0 {
+				t.Errorf("clean run journaled a degraded event")
+			}
+			if tc.degraded && degradedLines != 1 {
+				t.Errorf("degraded run journaled %d degraded events, want 1", degradedLines)
+			}
+			if !sawAssign {
+				t.Fatal("no assign events in the dispatch trail")
+			}
+			for g := range set.Runs {
+				if !covered[g] {
+					t.Fatalf("job %d never appears in the dispatch trail", g)
+				}
+				if tc.degraded && !local[g] {
+					t.Fatalf("job %d never appears in a local event of the degraded trail", g)
+				}
+			}
+			for g, want := range base.Runs {
+				rec := rep.Runs[g]
+				res, err := core.UnmarshalRunRecord(rec.Result, rec.Tel)
+				if err != nil {
+					t.Fatalf("run %d: %v", g, err)
+				}
+				if !reflect.DeepEqual(*res, want) {
+					t.Fatalf("journaled run %d decodes to %+v, unsharded run is %+v", g, *res, want)
+				}
+			}
+		})
 	}
 }
 
@@ -457,14 +503,13 @@ func TestFleetReapsWorkers(t *testing.T) {
 	}{
 		{name: "clean", opts: FleetOptions{Workers: 2}},
 		{name: "death", sever: true, opts: FleetOptions{
-			Workers: 2, RedispatchBackoff: 5 * time.Millisecond}},
+			Workers: 2}},
 		{name: "wedge", opts: FleetOptions{
-			Workers:           1,
-			Heartbeat:         10 * time.Millisecond,
-			StallDeadline:     2 * time.Second,
-			ProgressDeadline:  150 * time.Millisecond,
-			RedispatchBackoff: 5 * time.Millisecond,
-			ChaosHang:         "0:2",
+			Workers:          1,
+			Heartbeat:        10 * time.Millisecond,
+			StallDeadline:    2 * time.Second,
+			ProgressDeadline: 150 * time.Millisecond,
+			ChaosHang:        "0:2",
 		}},
 	}
 	for _, tc := range cases {

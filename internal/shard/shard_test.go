@@ -250,7 +250,6 @@ func TestWorkerDeathRedispatch(t *testing.T) {
 		core.WithSpecs(specs),
 		core.WithShardExecutor(NewFleet(FleetOptions{
 			Workers: 2, Spawn: spawn, MaxRespawns: -1,
-			RedispatchBackoff: 5 * time.Millisecond,
 		})),
 	).Run(context.Background())
 	if err != nil {
@@ -350,11 +349,10 @@ func TestStallDetectionRespawns(t *testing.T) {
 	set, err := core.NewCampaign(newRunner(false),
 		core.WithSpecs(specs),
 		core.WithShardExecutor(NewFleet(FleetOptions{
-			Workers:           1,
-			Spawn:             spawn,
-			StallDeadline:     50 * time.Millisecond,
-			Heartbeat:         10 * time.Millisecond,
-			RedispatchBackoff: 5 * time.Millisecond,
+			Workers:       1,
+			Spawn:         spawn,
+			StallDeadline: 50 * time.Millisecond,
+			Heartbeat:     10 * time.Millisecond,
 		})),
 	).Run(context.Background())
 	if err != nil {

@@ -213,11 +213,9 @@ func TestTCPServerLossIsWorkerDeath(t *testing.T) {
 		return conn, nil
 	}
 	f := NewFleet(FleetOptions{
-		Spawners:          []Spawner{killing},
-		MaxRespawns:       1,
-		ChunkRetries:      1,
-		RedispatchBackoff: 5 * time.Millisecond,
-		StallDeadline:     2 * time.Second,
+		Spawners:      []Spawner{killing},
+		MaxRespawns:   1,
+		StallDeadline: 2 * time.Second,
 	})
 	set, err := core.NewCampaign(newRunner(true),
 		core.WithSpecs(specs),
@@ -305,8 +303,7 @@ func TestTCPHostReapsWorkers(t *testing.T) {
 				return conn, err
 			}
 			set, err := fleetCampaign(t, 30, NewFleet(FleetOptions{
-				Spawners:          []Spawner{spawn, spawn},
-				RedispatchBackoff: 5 * time.Millisecond,
+				Spawners: []Spawner{spawn, spawn},
 			}))
 			if err != nil {
 				t.Fatal(err)

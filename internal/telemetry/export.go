@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"ntdts/internal/jsonwire"
 	"ntdts/internal/vclock"
 )
 
@@ -81,8 +82,8 @@ type TraceLine struct {
 	Event Event
 }
 
-// jsonEvent is the JSONL wire form of one trace line. Field order is the
-// struct order, so encoding is byte-stable.
+// jsonEvent is the JSONL wire form of one trace line, as ReadJSONL
+// decodes it; appendJSONEvent writes these fields in this order.
 type jsonEvent struct {
 	Run  int    `json:"run"`
 	At   int64  `json:"at"` // virtual nanoseconds since the run epoch
@@ -103,7 +104,7 @@ func (s *Set) WriteJSONL(w io.Writer) error {
 			continue
 		}
 		for _, e := range r.Events() {
-			if err := writeJSONEvent(bw, run, e); err != nil {
+			if _, err := bw.Write(appendJSONEvent(bw.AvailableBuffer(), run, e)); err != nil {
 				return err
 			}
 		}
@@ -111,42 +112,26 @@ func (s *Set) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-func writeJSONEvent(w io.Writer, run int, e Event) error {
-	// Hand-rolled for speed and exact field order; Name is the only field
-	// that needs quoting.
-	_, err := fmt.Fprintf(w, `{"run":%d,"at":%d,"pid":%d,"kind":%q,"name":%q,"a":%d,"b":%d}`+"\n",
-		run, int64(e.At), e.PID, e.Kind.String(), e.Name, e.A, e.B)
-	return err
-}
-
-// WriteCSV streams the merged trace as CSV with a fixed header.
-func (s *Set) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, "run,at,pid,kind,name,a,b\n"); err != nil {
-		return err
-	}
-	for run, r := range s.Runs {
-		if r == nil {
-			continue
-		}
-		for _, e := range r.Events() {
-			_, err := fmt.Fprintf(bw, "%d,%d,%d,%s,%s,%d,%d\n",
-				run, int64(e.At), e.PID, e.Kind, csvEscape(e.Name), e.A, e.B)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// csvEscape quotes a field only when it needs it (names with commas —
-// fault specs never have them, but custom span labels might).
-func csvEscape(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return strconv.Quote(s)
-	}
-	return s
+// appendJSONEvent appends one trace line: exactly json.Marshal of the
+// jsonEvent, newline-terminated. Kind and Name are quoted by the quoter
+// the run-record codecs share, so any name, control bytes and invalid
+// UTF-8 included, yields valid JSON.
+func appendJSONEvent(dst []byte, run int, e Event) []byte {
+	dst = append(dst, `{"run":`...)
+	dst = strconv.AppendInt(dst, int64(run), 10)
+	dst = append(dst, `,"at":`...)
+	dst = strconv.AppendInt(dst, int64(e.At), 10)
+	dst = append(dst, `,"pid":`...)
+	dst = strconv.AppendUint(dst, uint64(e.PID), 10)
+	dst = append(dst, `,"kind":`...)
+	dst = jsonwire.AppendString(dst, e.Kind.String())
+	dst = append(dst, `,"name":`...)
+	dst = jsonwire.AppendString(dst, e.Name)
+	dst = append(dst, `,"a":`...)
+	dst = strconv.AppendUint(dst, e.A, 10)
+	dst = append(dst, `,"b":`...)
+	dst = strconv.AppendUint(dst, e.B, 10)
+	return append(dst, "}\n"...)
 }
 
 // ReadJSONL parses a trace previously written by WriteJSONL. Unknown

@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -93,47 +94,65 @@ func TestSetIndexStability(t *testing.T) {
 	}
 }
 
+// TestJSONLRoundTrip: every trace line is exactly what encoding/json
+// writes for it, so it stays valid JSON whatever the name holds —
+// quotes, commas, control bytes, DEL, invalid UTF-8 (a fault-list
+// function name is any non-space token) — and each name reads back as
+// encoding/json round-trips it, an invalid byte as U+FFFD.
 func TestJSONLRoundTrip(t *testing.T) {
 	rec := telemetry.NewRecorder(0)
 	rec.Emit(5, 1, telemetry.KindSyscall, "ReadFile", 5, 0)
 	rec.Emit(9, 0, telemetry.KindFaultInjected, `odd "name", with comma`, 7, 8)
+	for i, name := range []string{"Read\x01File", "a\x7fb", "Rea\xffd", "<&>"} {
+		rec.Emit(vclock.Time(10+i), 2, telemetry.KindFaultArmed, name, uint64(i), 0)
+	}
 	set := telemetry.NewSet(rec)
 	var buf bytes.Buffer
 	if err := set.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
+	want := rec.Events()
+	raw := strings.SplitAfter(buf.String(), "\n")
+	if len(raw) != len(want)+1 || raw[len(want)] != "" {
+		t.Fatalf("%d lines, want %d:\n%s", len(raw)-1, len(want), buf.String())
+	}
+	for i, line := range raw[:len(want)] {
+		e := want[i]
+		ref, err := json.Marshal(struct {
+			Run  int    `json:"run"`
+			At   int64  `json:"at"`
+			PID  uint32 `json:"pid"`
+			Kind string `json:"kind"`
+			Name string `json:"name"`
+			A    uint64 `json:"a"`
+			B    uint64 `json:"b"`
+		}{0, int64(e.At), e.PID, e.Kind.String(), e.Name, e.A, e.B})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid([]byte(line)) || line != string(ref)+"\n" {
+			t.Errorf("line %d = %q, want %q", i, line, ref)
+		}
+	}
 	lines, err := telemetry.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 2 {
-		t.Fatalf("%d lines, want 2", len(lines))
+	if len(lines) != len(want) {
+		t.Fatalf("%d lines read back, want %d", len(lines), len(want))
 	}
-	want := rec.Events()
 	for i, l := range lines {
-		if l.Run != 0 || l.Event != want[i] {
-			t.Fatalf("line %d: %+v != %+v", i, l.Event, want[i])
+		e := want[i]
+		quoted, err := json.Marshal(e.Name)
+		if err == nil {
+			err = json.Unmarshal(quoted, &e.Name)
 		}
-	}
-}
-
-func TestCSVExport(t *testing.T) {
-	rec := telemetry.NewRecorder(0)
-	rec.Emit(5, 1, telemetry.KindSyscall, "ReadFile", 5, 0)
-	rec.Emit(6, 1, telemetry.KindPhase, "a,b", 0, 0)
-	var buf bytes.Buffer
-	if err := telemetry.NewSet(rec).WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != 3 || lines[0] != "run,at,pid,kind,name,a,b" {
-		t.Fatalf("csv:\n%s", buf.String())
-	}
-	if lines[1] != "0,5,1,syscall,ReadFile,5,0" {
-		t.Fatalf("csv row %q", lines[1])
-	}
-	if !strings.Contains(lines[2], `"a,b"`) {
-		t.Fatalf("comma name not quoted: %q", lines[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Run != 0 || l.Event != e {
+			t.Fatalf("line %d: %+v != %+v", i, l.Event, e)
+		}
 	}
 }
 

@@ -465,7 +465,10 @@ func BenchmarkCampaignJournaled(b *testing.B) {
 
 // BenchmarkAblationSkipModes compares the calibration-informed skip (ours)
 // with the paper's one-probe-per-unactivated-function procedure: identical
-// outcome data, very different campaign cost.
+// outcome data, and more runs in the paper-faithful archive. The probes
+// cost less than their count suggests: every probe's function is one the
+// target never calls, so the runner simulates the first and copies the
+// rest (core.Dormant).
 func BenchmarkAblationSkipModes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fast := core.NewCampaign(
@@ -630,11 +633,13 @@ func BenchmarkCampaignFleet(b *testing.B) {
 // BenchmarkReplay measures what the divergence oracle buys: a campaign
 // journaled under watchd-v2, replayed to watchd-v3, once with elision on
 // (the oracle adopts every run the recorded evidence proves unaffected)
-// and once with -no-elide semantics (full re-execution — the rerun
-// baseline). Both arms produce byte-identical archives (the replay
-// equivalence tests pin that); the metric is wall-clock. Reported:
-// "speedup-vs-rerun" (rerun time over elided-replay time) and
-// "elision-rate" (fraction of the plan never re-executed).
+// and once with -no-elide semantics (every run goes to the target's
+// runner — the rerun baseline; the runner still simulates only its first
+// dormant run and copies the rest, see core.Dormant). Both arms produce
+// byte-identical archives (the replay equivalence tests pin that); the
+// metric is wall-clock. Reported: "speedup-vs-rerun" (rerun time over
+// elided-replay time) and "elision-rate" (fraction of the plan never
+// re-executed).
 func BenchmarkReplay(b *testing.B) {
 	var specs []inject.FaultSpec
 	i := 0

@@ -74,9 +74,9 @@
 // elides every run whose recorded evidence proves the swap cannot
 // change the outcome (DESIGN.md §4k). The output archive is
 // byte-identical to a from-scratch campaign under the target;
-// -no-elide forces full re-execution (the equivalence baseline), and
-// -cluster/-routing override the recorded topology. The final
-// "replay:" line is machine-parseable (key=value) for CI gates.
+// -no-elide sends every run to the target's runner (the equivalence
+// baseline), and -cluster/-routing override the recorded topology. The
+// final "replay:" line is machine-parseable (key=value) for CI gates.
 //
 // -cluster N runs the workload on an N-node shared-clock cluster behind a
 // latency-modeled virtual network; -routing picks how clients choose a
@@ -163,10 +163,10 @@ func run(args []string, out io.Writer) error {
 	workerListen := fs.String("worker-listen", "", "host fleet workers for remote -workers coordinators on this TCP address (long-running; authenticate with -worker-key)")
 	workerKey := fs.String("worker-key", "", "shared session key for the -workers/-worker-listen TCP transport (default $DTS_WORKER_KEY)")
 	fs.Bool("shard-worker", false, "internal: serve one shard assignment on stdin/stdout")
-	freshBoot := fs.Bool("fresh-boot", false, "boot a fresh kernel for every run instead of forking the boot-prefix snapshot (slower; archives are byte-identical either way)")
+	freshBoot := fs.Bool("fresh-boot", false, "boot a fresh kernel for every run instead of forking the boot-prefix snapshot or copying dormant runs (slower; archives are byte-identical either way)")
 	replayPath := fs.String("replay", "", "re-execute a journaled campaign under the -middleware substrate, eliding runs the recorded evidence proves unaffected (archive byte-identical to a from-scratch run)")
 	middlewareSpec := fs.String("middleware", "", `middleware substrate: "none", "watchd", "watchd-v1".."v3" or "mscs" (the -replay target, or a -config override)`)
-	noElide := fs.Bool("no-elide", false, "disable the -replay divergence oracle so every run re-executes (the equivalence baseline)")
+	noElide := fs.Bool("no-elide", false, "disable the -replay divergence oracle so every run goes to the target's runner (the equivalence baseline)")
 	clusterN := fs.Int("cluster", 0, "run every fault on an N-node simulated cluster (0 = single host; 1 = single host with DTSCluster* scenario faults enabled; topology rides the journal header so -parallel/-workers/-resume rebuild it)")
 	routing := fs.String("routing", "", `client routing policy across -cluster nodes: "failover" (default), "round-robin" or "least-loaded"`)
 	cohort := fs.String("cohort", "", `generated multi-client workload: a seeded cohort spec, e.g. "seed=42;class=browser,clients=4,requests=6,arrival=poisson,rate=2,mix=static-115k:3/cgi-1k:1" (same seed, same schedule at any -parallel/-workers)`)

@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"ntdts/internal/core"
+	"ntdts/internal/inject"
+	"ntdts/internal/ntsim/win32"
 	"ntdts/internal/shard"
 	"ntdts/internal/workload"
 )
@@ -25,9 +27,12 @@ func TestEngineEquivalence(t *testing.T) {
 		t.Skip("full-campaign equivalence sweep is slow")
 	}
 
-	campaign := func(t *testing.T, freshBoot bool, parallel, shards int) []byte {
+	campaign := func(t *testing.T, specs []inject.FaultSpec, freshBoot bool, parallel, shards int) []byte {
 		t.Helper()
 		opts := []core.Option{core.WithParallelism(parallel)}
+		if specs != nil {
+			opts = append(opts, core.WithSpecs(specs))
+		}
 		if freshBoot {
 			opts = append(opts, core.WithFreshBoot())
 		}
@@ -48,7 +53,7 @@ func TestEngineEquivalence(t *testing.T) {
 		return data
 	}
 
-	baseline := campaign(t, true, 1, 1)
+	baseline := campaign(t, nil, true, 1, 1)
 
 	for _, tc := range []struct {
 		name             string
@@ -60,11 +65,32 @@ func TestEngineEquivalence(t *testing.T) {
 		{"shards-4", 1, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := campaign(t, false, tc.parallel, tc.shards)
+			got := campaign(t, nil, false, tc.parallel, tc.shards)
 			if !bytes.Equal(got, baseline) {
 				t.Fatalf("snapshot-fork archive (%s) diverges from fresh-boot baseline: %d vs %d bytes",
 					tc.name, len(got), len(baseline))
 			}
 		})
 	}
+
+	// A fault list in catalog order mixes the functions Apache1 calls
+	// with the many it never calls. Each fleet worker answers those
+	// dormant faults with copies of its first dormant run; fresh-boot
+	// simulates every one.
+	t.Run("mixed-list/shards-4", func(t *testing.T) {
+		var specs []inject.FaultSpec
+		for i, e := range win32.Catalog() {
+			if e.Params == 0 {
+				continue
+			}
+			specs = append(specs, inject.FaultSpec{
+				Function: e.Name, Param: i % e.Params, Invocation: 1, Type: inject.AllFaultTypes()[i%3],
+			})
+		}
+		want := campaign(t, specs, true, 1, 1)
+		if got := campaign(t, specs, false, 1, 4); !bytes.Equal(got, want) {
+			t.Fatalf("snapshot-fork fleet archive of a mixed list diverges from fresh-boot: %d vs %d bytes",
+				len(got), len(want))
+		}
+	})
 }

@@ -39,11 +39,14 @@ func WithSupervision(s *Supervisor) Option {
 
 // WithTelemetry enables per-run collection with the given options. The
 // runner is cloned before the change so a shared Runner's options are
-// never mutated behind another campaign's back.
+// never mutated behind another campaign's back, and the clone gets its
+// own dormant-run cache so it never copies a run recorded under the old
+// options.
 func WithTelemetry(o telemetry.Options) Option {
 	return func(c *Campaign) {
 		c.runner = c.runner.Clone()
 		c.runner.Opts.Telemetry = o
+		c.runner.dormant = &dormantCache{}
 	}
 }
 
@@ -99,7 +102,8 @@ func WithPaperFaithfulSkips() Option {
 }
 
 // WithFreshBoot forces the legacy run engine: every run boots a fresh
-// kernel (no prefix-snapshot forks, no pooling, no scheduler elision).
+// kernel (no prefix-snapshot forks, no pooling, no scheduler elision,
+// no dormant-run copies).
 // Archives are byte-identical either way; this exists as the benchmark
 // and regression baseline for the snapshot-fork path.
 func WithFreshBoot() Option {

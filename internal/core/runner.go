@@ -145,6 +145,10 @@ type Runner struct {
 	// lazily at the first run (Def may be adjusted between NewRunner and
 	// the first run, but must not change afterwards).
 	prefix *prefixCache
+	// dormant holds the run that dormant faults are copied from (see
+	// Dormant), shared by every Clone under the same contract on Def,
+	// which dormantCache extends to Opts.
+	dormant *dormantCache
 }
 
 // prefixCache lazily builds and memoizes a boot-prefix snapshot (or the
@@ -177,14 +181,15 @@ func NewRunner(def workload.Definition, opts RunnerOptions) *Runner {
 	if opts.MSCSParams.MaxAttempts == 0 {
 		opts.MSCSParams = defaults.MSCSParams
 	}
-	return &Runner{Def: def, Opts: opts, prefix: &prefixCache{}}
+	return &Runner{Def: def, Opts: opts, prefix: &prefixCache{}, dormant: &dormantCache{}}
 }
 
 // Clone returns an independent Runner for a campaign worker. A Runner
 // holds no per-run state — every run builds its own kernel — so a shallow
-// copy suffices (the boot-prefix snapshot cache is deliberately shared);
-// Clone exists to make per-worker ownership explicit. The Trace sink, if
-// any, is shared, so parallel campaigns should not trace.
+// copy suffices (the boot-prefix snapshot and dormant-run caches are
+// deliberately shared); Clone exists to make per-worker ownership
+// explicit. The Trace sink, if any, is shared, so parallel campaigns
+// should not trace.
 func (r *Runner) Clone() *Runner {
 	c := *r
 	return &c
@@ -211,9 +216,20 @@ func (r *Runner) prefixSnapshot() (*ntsim.PrefixSnapshot, error) {
 }
 
 // Run executes one fault-injection run. A nil spec is the fault-free
-// calibration run.
+// calibration run. A dormant spec (see Dormant) returns a relabelled
+// copy of the runner's first executed dormant run instead of simulating;
+// until that run exists, dormant specs simply execute.
 func (r *Runner) Run(spec *inject.FaultSpec) (*RunResult, error) {
-	res, _, err := r.run(spec)
+	ok := r.usesTemplate(spec)
+	if ok {
+		if t := r.dormant.get(); t != nil && Dormant(*spec, r.Opts.Cluster.Nodes, t.activated) {
+			return copyDormant(t.res, *spec), nil
+		}
+	}
+	res, activated, err := r.run(spec)
+	if ok && err == nil && Dormant(*spec, r.Opts.Cluster.Nodes, activated) {
+		r.dormant.offer(res, activated)
+	}
 	return res, err
 }
 

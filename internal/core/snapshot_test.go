@@ -12,6 +12,8 @@ import (
 	"ntdts/internal/determinism"
 	"ntdts/internal/inject"
 	"ntdts/internal/ntsim"
+	"ntdts/internal/ntsim/win32"
+	"ntdts/internal/telemetry"
 	"ntdts/internal/workload"
 )
 
@@ -46,16 +48,47 @@ func planSpecs(t *testing.T, def workload.Definition, n int) []inject.FaultSpec 
 	return specs
 }
 
+// dormantSpecs returns n specs on catalog functions def's target never
+// calls, spread over the catalog and cycling parameter, invocation and
+// corruption type: faults a snapshot-fork runner answers with copies of
+// its first dormant run.
+func dormantSpecs(t *testing.T, def workload.Definition, n int) []inject.FaultSpec {
+	t.Helper()
+	activated, _, err := NewRunner(def, RunnerOptions{}).ActivationScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := inject.AllFaultTypes()
+	var specs []inject.FaultSpec
+	for i, e := range win32.Catalog() {
+		if e.Params == 0 || activated[e.Name] || i%7 != 0 {
+			continue
+		}
+		k := len(specs)
+		specs = append(specs, inject.FaultSpec{
+			Function: e.Name, Param: k % e.Params, Invocation: 1 + k%4, Type: types[k%len(types)],
+		})
+		if len(specs) == n {
+			return specs
+		}
+	}
+	t.Fatalf("catalog holds only %d dormant specs for %s, want %d", len(specs), def.Name, n)
+	return nil
+}
+
 // TestSnapshotForkMatchesFreshBoot is the engine's acceptance oracle: a
 // 200-spec campaign executed on the snapshot-fork engine is deep- and
 // byte-identical to the legacy fresh-boot engine, at every worker count.
+// Both arms are traced, and the list ends with dormant faults, which the
+// fork engine copies and fresh-boot simulates: archive, merged trace
+// and metrics must still match.
 func TestSnapshotForkMatchesFreshBoot(t *testing.T) {
 	def := workload.NewApache1(workload.Standalone)
-	specs := planSpecs(t, def, 200)
+	specs := append(planSpecs(t, def, 200), dormantSpecs(t, def, 24)...)
 
 	runSet := func(freshBoot bool, par int) *SetResult {
 		c := NewCampaign(
-			NewRunner(def, RunnerOptions{}),
+			NewRunner(def, RunnerOptions{Telemetry: telemetry.Options{Enabled: true}}),
 			WithSpecs(specs),
 			WithParallelism(par),
 		)
@@ -68,12 +101,20 @@ func TestSnapshotForkMatchesFreshBoot(t *testing.T) {
 		}
 		return set
 	}
+	artifacts := func(set *SetResult) (archive, trace []byte, metrics string) {
+		archive, err := json.Marshal(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := set.Telemetry.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return archive, buf.Bytes(), set.Telemetry.MetricsText()
+	}
 
 	baseline := runSet(true, 1)
-	baseJSON, err := json.Marshal(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseJSON, baseTrace, baseMetrics := artifacts(baseline)
 	for _, par := range []int{1, 4, 16} {
 		forked := runSet(false, par)
 		determinism.AssertEqualSlices(t, fmt.Sprintf("snapshot-forked runs (par=%d)", par),
@@ -83,12 +124,15 @@ func TestSnapshotForkMatchesFreshBoot(t *testing.T) {
 		if !reflect.DeepEqual(baseline, forked) {
 			t.Fatalf("par=%d: set diverges outside Runs", par)
 		}
-		forkedJSON, err := json.Marshal(forked)
-		if err != nil {
-			t.Fatal(err)
-		}
+		forkedJSON, forkedTrace, forkedMetrics := artifacts(forked)
 		if !bytes.Equal(baseJSON, forkedJSON) {
 			t.Fatalf("par=%d: archive bytes diverge from fresh-boot", par)
+		}
+		if !bytes.Equal(baseTrace, forkedTrace) {
+			t.Fatalf("par=%d: merged trace diverges from fresh-boot", par)
+		}
+		if forkedMetrics != baseMetrics {
+			t.Fatalf("par=%d: metrics text diverges from fresh-boot", par)
 		}
 	}
 }

@@ -123,6 +123,14 @@ func ParseKey(key string) (FaultSpec, error) {
 	return FaultSpec{Function: parts[0], Param: param, Invocation: inv, Type: FaultType(typ), Node: node}, nil
 }
 
+// ArmedEvent renders the fields of the fault-armed trace event that
+// arms s: the spec in fault-list syntax, then its parameter index and
+// invocation. The runner relabels a copied dormant run's arming with
+// the same function, so the copy's trace reads as if s had been armed.
+func (s FaultSpec) ArmedEvent() (name string, a, b uint64) {
+	return s.String(), uint64(s.Param), uint64(s.Invocation)
+}
+
 // Fingerprint returns a short stable hash of Key — the identifier the
 // results journal keys records by and the campaign engine includes in
 // run-failure errors, so a failed run is greppable in the journal by the
@@ -224,9 +232,9 @@ func New(k *ntsim.Kernel, target TargetSelector, spec *FaultSpec) *Injector {
 		tel:       k.Telemetry(),
 	}
 	if spec != nil && in.tel.Enabled() {
-		in.specStr = spec.String()
-		in.tel.Emit(k.Now(), 0, telemetry.KindFaultArmed, in.specStr,
-			uint64(spec.Param), uint64(spec.Invocation))
+		var a, b uint64
+		in.specStr, a, b = spec.ArmedEvent()
+		in.tel.Emit(k.Now(), 0, telemetry.KindFaultArmed, in.specStr, a, b)
 		in.tel.Add(telemetry.CtrFaultArmed, 1)
 	}
 	return in

@@ -7,7 +7,6 @@ import (
 	"ntdts/internal/inject"
 	"ntdts/internal/middleware"
 	"ntdts/internal/middleware/watchd"
-	"ntdts/internal/ntsim/win32"
 	"ntdts/internal/workload"
 )
 
@@ -17,16 +16,16 @@ import (
 // both resting on the engine's determinism guarantee (identical inputs
 // yield byte-identical records):
 //
-//  1. Fault-free synthesis. A catalog fault whose function the target's
-//     own calibration run never calls can never arm; the run *is* the
+//  1. Fault-free synthesis. A dormant fault (core.Dormant: a catalog
+//     function the target's own calibration run never calls, on a
+//     single host and node 0) can never arm; the run *is* the
 //     calibration run carrying a dormant fault spec. The record is
 //     synthesized from the target calibration result, so it is exact
 //     under the target substrate even when the source ran under a
 //     different middleware family with different virtual timings (the
-//     cross-family case, where no recorded byte can be reused).
-//     Restricted to single-host, node-0 specs: cluster scenario
-//     pseudo-faults fire on wall triggers regardless of the win32
-//     activation set.
+//     cross-family case, where no recorded byte can be reused). The
+//     runner copies dormant runs by the same rule (core.Dormant), so
+//     with elision on no dormant job ever reaches it.
 //
 //  2. Verbatim copy, watchd v2 <-> v3 only. The two generations differ
 //     solely in how they react to a service death; their supervision
@@ -95,15 +94,9 @@ func (o *Oracle) Resolve(p *core.Prepared) ([]*core.RunResult, error) {
 }
 
 // faultFree returns the synthesized record when the spec provably never
-// arms under the target, nil otherwise.
+// arms under the target (core.Dormant), nil otherwise.
 func (o *Oracle) faultFree(spec inject.FaultSpec, p *core.Prepared) *core.RunResult {
-	if o.clusterNodes > 1 || spec.Node != 0 {
-		return nil
-	}
-	if _, ok := win32.CatalogLookup(spec.Function); !ok {
-		return nil // pseudo-faults and unknown names prove nothing
-	}
-	if p.Activated[spec.Function] {
+	if !core.Dormant(spec, o.clusterNodes, p.Activated) {
 		return nil
 	}
 	r := *p.Calib

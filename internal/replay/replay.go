@@ -140,8 +140,9 @@ type Options struct {
 	Parallelism int
 	// Progress receives (done, total) over the re-executed runs.
 	Progress func(done, total int)
-	// NoElide disables the oracle so every run re-executes — the
-	// equivalence baseline and the benchmark's rerun arm.
+	// NoElide disables the oracle so every run goes to the target's
+	// runner — the equivalence baseline and the benchmark's rerun arm.
+	// The runner still copies dormant runs (see core.Dormant).
 	NoElide bool
 }
 

@@ -82,11 +82,13 @@ func journalCampaign(t *testing.T, specs []inject.FaultSpec, spec middleware.Spe
 }
 
 // fromScratch runs the spec list unsupervised under the substrate — the
-// ground truth a replayed archive must match byte for byte.
+// ground truth a replayed archive must match byte for byte. It boots
+// every run fresh, so no run is a dormant-run copy resting on the same
+// rule (core.Dormant) as the oracle's fault-free synthesis.
 func fromScratch(t *testing.T, specs []inject.FaultSpec, spec middleware.Spec) *core.SetResult {
 	t.Helper()
 	set, err := core.NewCampaign(runnerFor(t, spec),
-		core.WithSpecs(specs), core.WithParallelism(4)).Run(context.Background())
+		core.WithSpecs(specs), core.WithParallelism(4), core.WithFreshBoot()).Run(context.Background())
 	if err != nil {
 		t.Fatalf("from-scratch campaign: %v", err)
 	}
@@ -174,8 +176,9 @@ func TestReplayWatchdGenerationCopy(t *testing.T) {
 	}
 }
 
-// TestReplayNoElide: with the oracle disabled every run re-executes and
-// the archive still matches.
+// TestReplayNoElide: with the oracle disabled every run goes to the
+// target's runner (which still copies dormant runs) and the archive
+// still matches.
 func TestReplayNoElide(t *testing.T) {
 	specs := testSpecs(18)
 	source := middleware.Spec{Supervision: workload.Standalone}
@@ -194,7 +197,9 @@ func TestReplayNoElide(t *testing.T) {
 
 // TestOracleSoundnessSampled is the property test behind elision: for a
 // sample of elided runs, actually re-executing them under the target
-// substrate must reproduce the adopted record bit for bit.
+// substrate must reproduce the adopted record bit for bit. The runner
+// boots every run fresh: its dormant-run copies rest on the rule the
+// oracle elides by, so they could not catch a wrong rule.
 func TestOracleSoundnessSampled(t *testing.T) {
 	specs := testSpecs(45)
 	source := middleware.Spec{Supervision: workload.Standalone}
@@ -206,6 +211,7 @@ func TestOracleSoundnessSampled(t *testing.T) {
 		t.Fatal("nothing elided; the property is vacuous")
 	}
 	runner := runnerFor(t, target)
+	runner.Opts.FreshBoot = true
 	sampled := 0
 	for i := range set.Runs {
 		if !set.Runs[i].Elided || sampled >= 8 {

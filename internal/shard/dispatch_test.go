@@ -113,15 +113,13 @@ func TestFleetWorkerDeathRedispatch(t *testing.T) {
 	wantArchive, wantTrace, _ := artifacts(t, base)
 
 	inner := InProcess()
-	var spawned atomic.Int32
+	death := newStagedDeath(3)
 	spawn := func() (*Conn, error) {
 		conn, err := inner()
 		if err != nil {
 			return nil, err
 		}
-		if spawned.Add(1) == 1 {
-			conn.Out = &severReader{r: conn.Out, kill: conn.Kill, after: 3}
-		}
+		death.wrap(conn)
 		return conn, nil
 	}
 	f := NewFleet(FleetOptions{
@@ -515,11 +513,11 @@ func TestFleetReapsWorkers(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			inner := InProcess()
-			var spawned atomic.Int32
+			death := newStagedDeath(3)
 			spawn := func() (*Conn, error) {
 				conn, err := inner()
-				if err == nil && tc.sever && spawned.Add(1) == 1 {
-					conn.Out = &severReader{r: conn.Out, kill: conn.Kill, after: 3}
+				if err == nil && tc.sever {
+					death.wrap(conn)
 				}
 				return conn, err
 			}

@@ -197,9 +197,10 @@ func withoutDispatch(set *core.SetResult) *core.SetResult {
 	return &out
 }
 
-// severReader passes a worker's stream through until it has delivered n
-// lines, then kills the worker — the InProcess stand-in for a SIGKILL
-// mid-chunk.
+// severReader passes a worker's stream through until it has delivered
+// after lines, then kills the worker — the InProcess stand-in for a
+// SIGKILL mid-chunk. Bytes past the after-th newline are dropped, so the
+// cut lands on that line however much one Read carries.
 type severReader struct {
 	r     io.Reader
 	kill  func()
@@ -213,12 +214,60 @@ func (s *severReader) Read(p []byte) (int, error) {
 		return 0, io.ErrUnexpectedEOF
 	}
 	n, err := s.r.Read(p)
-	s.seen += bytes.Count(p[:n], []byte("\n"))
-	if s.seen >= s.after && !s.dead {
-		s.dead = true
-		s.kill()
+	for i := 0; i < n; i++ {
+		if p[i] != '\n' {
+			continue
+		}
+		if s.seen++; s.seen == s.after {
+			s.dead = true
+			s.kill()
+			return i + 1, nil
+		}
 	}
 	return n, err
+}
+
+// stagedDeath stages one worker death in a multi-slot fleet. The first
+// Conn it wraps is severed after `after` lines (severReader); every
+// later Conn's stream is held until the coordinator reaps the severed
+// worker, which it does only after handling the death. A dormant fault's
+// run is a copy that takes microseconds, so without the hold a survivor
+// could finish or speculate the severed chunk before the death is seen,
+// and the death the test stages would not happen.
+type stagedDeath struct {
+	after  int
+	n      atomic.Int32
+	once   sync.Once
+	reaped chan struct{}
+}
+
+func newStagedDeath(after int) *stagedDeath {
+	return &stagedDeath{after: after, reaped: make(chan struct{})}
+}
+
+func (s *stagedDeath) wrap(conn *Conn) {
+	if s.n.Add(1) > 1 {
+		conn.Out = heldReader{r: conn.Out, until: s.reaped}
+		return
+	}
+	conn.Out = &severReader{r: conn.Out, kill: conn.Kill, after: s.after}
+	wait := conn.Wait
+	conn.Wait = func() error {
+		s.once.Do(func() { close(s.reaped) })
+		return wait()
+	}
+}
+
+// heldReader blocks every Read until `until` is closed, then passes the
+// stream through.
+type heldReader struct {
+	r     io.Reader
+	until <-chan struct{}
+}
+
+func (h heldReader) Read(p []byte) (int, error) {
+	<-h.until
+	return h.r.Read(p)
 }
 
 // TestWorkerDeathRedispatch kills the first worker after three streamed
@@ -236,14 +285,14 @@ func TestWorkerDeathRedispatch(t *testing.T) {
 
 	inner := InProcess()
 	var spawned atomic.Int32
+	death := newStagedDeath(3)
 	spawn := func() (*Conn, error) {
 		conn, err := inner()
 		if err != nil {
 			return nil, err
 		}
-		if spawned.Add(1) == 1 {
-			conn.Out = &severReader{r: conn.Out, kill: conn.Kill, after: 3}
-		}
+		spawned.Add(1)
+		death.wrap(conn)
 		return conn, nil
 	}
 	set, err := core.NewCampaign(newRunner(false),

@@ -294,11 +294,11 @@ func TestTCPHostReapsWorkers(t *testing.T) {
 			var rc reapCounter
 			addr := startWorkerServer(t, "reap-key", rc.wrap(InProcess()))
 			tcp := TCPSpawner(addr, "reap-key")
-			var dialed atomic.Int32
+			death := newStagedDeath(3)
 			spawn := func() (*Conn, error) {
 				conn, err := tcp()
-				if err == nil && tc.deaths > 0 && dialed.Add(1) == 1 {
-					conn.Out = &severReader{r: conn.Out, kill: conn.Kill, after: 3}
+				if err == nil && tc.deaths > 0 {
+					death.wrap(conn)
 				}
 				return conn, err
 			}

@@ -18,6 +18,8 @@
 package telemetry
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"ntdts/internal/vclock"
@@ -329,6 +331,33 @@ func (r *Recorder) LastTime() vclock.Time {
 
 // Counter returns the value of a named counter (0 when never touched).
 func (r *Recorder) Counter(name string) int64 { return r.counters[name] }
+
+// Clone returns a deep copy of r, ring position included: later
+// emission into either recorder never shows in the other.
+func (r *Recorder) Clone() *Recorder {
+	c := &Recorder{
+		cap:      r.cap,
+		events:   slices.Clone(r.events),
+		start:    r.start,
+		dropped:  r.dropped,
+		counters: maps.Clone(r.counters),
+		hists:    make(map[string]*Hist, len(r.hists)),
+	}
+	for k, h := range r.hists {
+		c.hists[k] = &Hist{Counts: slices.Clone(h.Counts), N: h.N, Sum: h.Sum}
+	}
+	return c
+}
+
+// Relabel rewrites the name and arguments of every retained event of
+// the given kind, leaving its time, PID and ring position as they were.
+func (r *Recorder) Relabel(kind Kind, name string, a, b uint64) {
+	for i := range r.events {
+		if e := &r.events[i]; e.Kind == kind {
+			e.Name, e.A, e.B = name, a, b
+		}
+	}
+}
 
 // Span is an open interval of virtual time bracketed by a begin/end event
 // pair, with the duration recorded in the histogram named after the span.

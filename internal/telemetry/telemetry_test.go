@@ -41,6 +41,44 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
+// TestRecorderCloneRelabel: a clone of a wrapped ring renders the same
+// bytes, Relabel rewrites only its kind's events in place, and neither
+// relabelling nor later emission into the clone reaches the original.
+func TestRecorderCloneRelabel(t *testing.T) {
+	rec := telemetry.NewRecorder(4)
+	for i := 0; i < 6; i++ {
+		kind := telemetry.KindPhase
+		if i == 3 {
+			kind = telemetry.KindFaultArmed
+		}
+		rec.Emit(vclock.Time(i), 1, kind, "e", uint64(i), 0)
+	}
+	rec.Add("x", 1)
+	rec.Observe("h", time.Millisecond)
+	orig := rec.AppendSnapshotJSON(nil)
+
+	c := rec.Clone()
+	if !bytes.Equal(c.AppendSnapshotJSON(nil), orig) {
+		t.Fatal("clone renders different bytes")
+	}
+	c.Relabel(telemetry.KindFaultArmed, "f", 7, 8)
+	c.Emit(9, 1, telemetry.KindPhase, "late", 0, 0)
+	c.Add("x", 1)
+	c.Observe("h", time.Second)
+	if !bytes.Equal(rec.AppendSnapshotJSON(nil), orig) {
+		t.Fatal("changes to the clone reached the original")
+	}
+	var relabelled []telemetry.Event
+	for _, e := range c.Events() {
+		if e.Name == "f" {
+			relabelled = append(relabelled, e)
+		}
+	}
+	if len(relabelled) != 1 || relabelled[0].At != 3 || relabelled[0].A != 7 || relabelled[0].B != 8 {
+		t.Fatalf("relabelled events %+v, want the one armed event at 3 with A=7 B=8", relabelled)
+	}
+}
+
 func TestRecorderCountersAndHists(t *testing.T) {
 	rec := telemetry.NewRecorder(0)
 	rec.Add("x", 2)

@@ -292,8 +292,8 @@ func BenchmarkAblationCostModel(b *testing.B) {
 // same process. On a multi-core host the 4-worker rate should be at least
 // twice the sequential rate; the results themselves are byte-identical at
 // every worker count. Each worker count runs both engines: the default
-// snapshot-fork engine (runs sharing a boot prefix resume from a pooled
-// kernel fork) and the legacy fresh-boot engine (every run boots its own
+// snapshot-fork engine (runs sharing a boot prefix resume from a kernel
+// fork) and the legacy fresh-boot engine (every run boots its own
 // kernel), with speedup-vs-fresh-boot comparing the two at equal worker
 // counts — the metric the CI bench-smoke gate pins (>= 2x; the ISSUE
 // target is >= 3x locally, 10x on a many-core host).
@@ -500,9 +500,9 @@ func BenchmarkAblationSkipModes(b *testing.B) {
 // mixed fault campaign (kernel faults plus the three cluster scenario
 // kinds) on a 3-node IIS/MSCS cluster, against a single-host campaign
 // over the kernel faults measured in the same process. Cluster runs
-// simulate N+1 kernels on one shared clock and can use neither
-// scheduler elision nor the kernel pool (both per-kernel mechanisms),
-// so each run costs a multiple of a single-host run; cost-vs-single-node
+// simulate N+1 kernels on one shared clock and cannot use scheduler
+// elision (it runs only on a one-node machine), so each run costs a
+// multiple of a single-host run; cost-vs-single-node
 // is that multiple, and the CI bench-smoke gate bounds it at 3x.
 func BenchmarkClusterCampaign(b *testing.B) {
 	kernelSpecs := []inject.FaultSpec{
@@ -528,7 +528,7 @@ func BenchmarkClusterCampaign(b *testing.B) {
 	}
 
 	// Single-host baseline: same workload, same kernel faults, default
-	// engine (snapshot fork + kernel pool + elision).
+	// engine (snapshot fork + elision).
 	start := time.Now()
 	baseRuns := 0
 	for time.Since(start) < 200*time.Millisecond {

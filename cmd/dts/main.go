@@ -177,6 +177,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (every flag after it would be ignored)", fs.Arg(0))
+	}
 	mode, err := flagMode(fs)
 	if err != nil {
 		return err

@@ -122,7 +122,8 @@ func TestShardedWorkerSigkillRedispatch(t *testing.T) {
 // TestShardsFlagValidation: -workers is the one way to fan out. The
 // retired -shards flag is unknown to the flag package, and -workers
 // rejects the flags that need the in-process supervisor or a single
-// process.
+// process. A positional argument is rejected by name, in dts and in
+// dts serve.
 func TestShardsFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := chaosCampaign(t, dir)
@@ -140,6 +141,11 @@ func TestShardsFlagValidation(t *testing.T) {
 		{[]string{"-config", cfgPath, "-workers", "2", "-fault", "ReadFile 0 1 zero"}, "-fault does not take -workers"},
 		{[]string{"-config", cfgPath, "-workers", "4", "-run-deadline", "1s"}, "does not take -run-deadline"},
 		{[]string{"-config", cfgPath, "-workers", "4", "-max-quarantined", "3"}, "does not take -max-quarantined"},
+		// The flag package stops at the first positional argument, so
+		// -out would be silently dropped. The serve case's address is
+		// unlistenable, so a missing check fails instead of serving.
+		{[]string{"-config", cfgPath, "-q", "stray-arg", "-out", filepath.Join(dir, "x.json")}, `unexpected argument "stray-arg"`},
+		{[]string{"serve", "-addr", "no-port", "stray-arg"}, `unexpected argument "stray-arg"`},
 	} {
 		err := run(c.args, &out)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ntdts/internal/analysis"
@@ -166,5 +167,23 @@ func TestDiffFitnessFlagSurface(t *testing.T) {
 	}
 	if err := run([]string{"-anomalies", "-in", bPath, "-mad", "3"}); err != nil {
 		t.Errorf("-anomalies: %v", err)
+	}
+	// Every mode but -diff rejects a positional argument by name: the
+	// flag package stops at it, so the flags after it would be lost
+	// (-artifact table2 would silently render the auto artifact).
+	for _, args := range [][]string{
+		{"-in", bPath, "stray", "-artifact", "table2"},
+		{"-fitness", "-in", bPath, "stray", "-weights", "avail=1"},
+		{"-anomalies", "-in", bPath, "stray", "-mad", "3"},
+		{"-trace", aPath, "stray"},
+		{"-journal", aPath, "stray"},
+		{"stray", "-in", bPath},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
+			t.Errorf("%v: err = %v, want the stray argument named", args, err)
+		}
+	}
+	if err := run([]string{"-diff", aPath, bPath, "stray"}); err == nil {
+		t.Error("-diff with three paths accepted")
 	}
 }

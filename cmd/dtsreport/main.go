@@ -93,6 +93,9 @@ func run(args []string) error {
 		}
 		return diffArchives(fs.Arg(0), fs.Arg(1), os.Stdout)
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (every flag after it would be ignored; only -diff takes paths)", fs.Arg(0))
+	}
 	if *tracePath != "" {
 		return summarizeTrace(*tracePath, os.Stdout)
 	}

@@ -32,6 +32,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (every flag after it would be ignored)", fs.Arg(0))
+	}
 
 	var entries []config.CatalogEntry
 	for _, e := range win32.Catalog() {

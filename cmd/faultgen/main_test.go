@@ -135,11 +135,29 @@ func TestGenerateBadOutPath(t *testing.T) {
 // TestGenerateBadFlag: flag errors surface as errors (with usage on the
 // supplied stderr), not os.Exit.
 func TestGenerateBadFlag(t *testing.T) {
-	_, stderr, err := runCapture(t, "-nonsense")
-	if err == nil {
-		t.Fatal("unknown flag accepted")
+	out := filepath.Join(t.TempDir(), "fg.lst")
+	for _, c := range []struct {
+		args       []string
+		wantErr    string
+		wantStderr string // the usage text, for flag-package errors
+	}{
+		{[]string{"-nonsense"}, "flag provided but not defined", "-function"},
+		// The flag package stops at "stray", so -out would be dropped
+		// and the list written to stdout.
+		{[]string{"stray", "-out", out}, `unexpected argument "stray"`, ""},
+	} {
+		stdout, stderr, err := runCapture(t, c.args...)
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%v: err = %v, want %q", c.args, err, c.wantErr)
+		}
+		if !strings.Contains(stderr, c.wantStderr) {
+			t.Errorf("%v: usage not written to stderr:\n%s", c.args, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("%v: rejected invocation wrote a fault list", c.args)
+		}
 	}
-	if !strings.Contains(stderr, "-function") {
-		t.Fatalf("usage not written to stderr:\n%s", stderr)
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("rejected invocation created %s (stat err %v)", out, err)
 	}
 }

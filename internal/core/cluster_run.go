@@ -84,10 +84,11 @@ func scenarioFor(spec *inject.FaultSpec) *scenarioFault {
 // lifecycle and telemetry phases mirror run exactly so cluster archives
 // and traces are comparable with single-host ones.
 //
-// Cluster runs never use the scheduler-elision fast path or the kernel
-// pool (both are per-kernel mechanisms that a shared clock breaks), so a
-// cluster run costs more wall-clock than a single-host run; the
-// BenchmarkClusterCampaign gate bounds the multiple.
+// Cluster runs never use the scheduler-elision fast path (its per-kernel
+// reasoning is unsound on a machine with more than one node, and
+// runCluster sets no ceiling), so a cluster run costs more wall-clock
+// than a single-host run; the BenchmarkClusterCampaign gate bounds the
+// multiple.
 func (r *Runner) runCluster(spec *inject.FaultSpec) (*RunResult, map[string]bool, error) {
 	def := r.Def
 	n := r.Opts.Cluster.Nodes
@@ -354,8 +355,7 @@ func (r *Runner) runCluster(spec *inject.FaultSpec) (*RunResult, map[string]bool
 		tel.Emit(m.Now(), 0, telemetry.KindPhase, "outcome:"+res.Outcome.String(), 0, 0)
 	}
 
-	// Workload termination, machine-wide. Cluster kernels are unpooled,
-	// so there is no Release: the torn-down machine is garbage.
+	// Workload termination, machine-wide.
 	for i := range nodes {
 		mgrs[i].Shutdown()
 	}

@@ -102,8 +102,8 @@ func WithPaperFaithfulSkips() Option {
 }
 
 // WithFreshBoot forces the legacy run engine: every run boots a fresh
-// kernel (no prefix-snapshot forks, no pooling, no scheduler elision,
-// no dormant-run copies).
+// kernel (no prefix-snapshot forks, no scheduler elision, no dormant-run
+// copies).
 // Archives are byte-identical either way; this exists as the benchmark
 // and regression baseline for the snapshot-fork path.
 func WithFreshBoot() Option {

@@ -85,8 +85,8 @@ type RunnerOptions struct {
 	// histograms, attached to RunResult.Telemetry.
 	Telemetry telemetry.Options
 	// FreshBoot disables every run-engine fast path: no prefix-snapshot
-	// forks, no kernel/process pooling, no scheduler quantum elision —
-	// the engine exactly as it was before those optimizations. It is the
+	// forks, no scheduler quantum elision, no dormant-run copies — the
+	// engine exactly as it was before those optimizations. It is the
 	// regression baseline: archives must be byte-identical with it on or
 	// off (the CI bench gate cmp's them) and the benchmarks report the
 	// snapshot path's speedup against it.
@@ -271,8 +271,7 @@ func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error
 	// when the workload allows it (the common case — Setup only registers
 	// images and writes files), else boot fresh and replay Setup in the
 	// legacy order. Both paths produce byte-identical archives; the fork
-	// path just skips re-executing the prefix and draws the kernel from
-	// the pool.
+	// path just skips re-executing the prefix.
 	var k *ntsim.Kernel
 	forked := false
 	if !r.Opts.FreshBoot {
@@ -457,14 +456,7 @@ func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error
 	if pan := k.Panics(); len(pan) != 0 {
 		return nil, nil, fmt.Errorf("simulated code panicked: %s", strings.Join(pan, "; "))
 	}
-	activated := injector.ActivatedFunctions()
-	if elide {
-		// Clean run: recycle the torn-down machine (kernel and process
-		// table entries) for the next run. Error paths above skip this —
-		// only a fully drained kernel may be pooled.
-		k.Release()
-	}
-	return res, activated, nil
+	return res, injector.ActivatedFunctions(), nil
 }
 
 // countRestarts reads the middleware's restart evidence, exactly the way

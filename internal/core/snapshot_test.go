@@ -198,28 +198,38 @@ func TestSnapshotFallback(t *testing.T) {
 	}
 }
 
-// TestRunAllocBudget pins the allocation count of one pooled run. The
-// budget has headroom over the measured value but fails loudly if the
-// pooling or copy-on-write layers regress. (Seed baseline before this
-// PR: ~192k allocs per campaign run.)
+// TestRunAllocBudget pins the allocation count of one executed run. The
+// fault names a function Apache1 calls, so every measured Run simulates
+// in full: a dormant fault would return a one-allocation copy and guard
+// nothing. The budget has headroom over the measured value but fails
+// loudly if the fork, copy-on-write or scheduler layers regress. (Seed
+// baseline: ~192k allocs per campaign run.)
 func TestRunAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting run is slow")
 	}
 	r := NewRunner(workload.NewApache1(workload.Standalone), RunnerOptions{})
-	spec := &inject.FaultSpec{Function: "ReadFile", Param: 0, Invocation: 1, Type: inject.ZeroBits}
-	// Warm the snapshot cache and pools outside the measurement.
-	if _, err := r.Run(spec); err != nil {
+	spec := &inject.FaultSpec{Function: "CreateEventA", Param: 0, Invocation: 1, Type: inject.ZeroBits}
+	// Warm the snapshot cache outside the measurement.
+	res, err := r.Run(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if !res.Activated {
+		t.Fatalf("%s did not activate: the measured run would be a dormant copy", spec)
+	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := r.Run(spec); err != nil {
+		res, err := r.Run(spec)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if !res.Activated {
+			t.Fatalf("%s returned a dormant copy, not an executed run", spec)
 		}
 	})
 	const budget = 2000
 	if allocs > budget {
-		t.Fatalf("run allocated %.0f objects, budget %d — pooling regressed", allocs, budget)
+		t.Fatalf("executed run allocated %.0f objects, budget %d — the fork, copy-on-write or scheduler layers regressed", allocs, budget)
 	}
 	t.Logf("allocs/run = %.0f (budget %d)", allocs, budget)
 }

@@ -39,13 +39,6 @@ func newAddrSpace() *addrSpace {
 	return &addrSpace{next: addrBase, regions: make(map[uint64]*region)}
 }
 
-// reset empties the address space for reuse by a pooled process, retaining
-// the region map's storage.
-func (a *addrSpace) reset() {
-	a.next = addrBase
-	clear(a.regions)
-}
-
 // MapBuf registers a byte buffer and returns its fake address. A nil buffer
 // maps to NULL.
 func (a *addrSpace) MapBuf(data []byte) uint64 {

@@ -47,7 +47,7 @@ func (k *Kernel) SnapshotPrefix() (*PrefixSnapshot, error) {
 	switch {
 	case k.nextPID != 0:
 		return nil, &SnapshotError{"processes already spawned (goroutine stacks cannot be captured)"}
-	case k.current != nil || k.readyCount() != 0:
+	case k.current != nil || k.mach.readyCount() != 0:
 		return nil, &SnapshotError{"scheduler not idle"}
 	case k.clock.Pending() != 0:
 		return nil, &SnapshotError{"timer events pending"}
@@ -77,29 +77,19 @@ func (k *Kernel) SnapshotPrefix() (*PrefixSnapshot, error) {
 	}, nil
 }
 
-// Fork materializes a kernel resuming from the snapshot, drawing from the
-// kernel pool. The result is indistinguishable from a fresh kernel on
-// which the snapshotted setup just ran: same images, same filesystem
-// contents (shared copy-on-write), same cost model, and a clock positioned
-// at the snapshot's time and sequence counters so subsequent event
-// scheduling orders identically. Safe to call from multiple goroutines.
-func (s *PrefixSnapshot) Fork() *Kernel {
-	k := AcquireKernel()
-	k.clock.RestoreCounters(s.now, s.seq, s.nextID)
-	for name, entry := range s.images {
-		k.images[name] = entry
-	}
-	k.vfs.restoreFrom(s.files, s.dirs)
-	k.costs = s.costs
-	return k
-}
+// Fork materializes a standalone kernel resuming from the snapshot: the
+// only node of a new Machine. The result is indistinguishable from a
+// fresh kernel on which the snapshotted setup just ran: same images, same
+// filesystem contents (shared copy-on-write), same cost model, and a
+// clock positioned at the snapshot's time and sequence counters so
+// subsequent event scheduling orders identically. Safe to call from
+// multiple goroutines.
+func (s *PrefixSnapshot) Fork() *Kernel { return s.ForkInto(NewMachine()) }
 
 // ForkInto materializes a machine node resuming from the snapshot. The
 // first fork positions the machine's shared clock at the snapshot's time
 // and counters (so a cluster boots exactly where a single kernel would);
-// subsequent forks join the already-positioned clock. Machine kernels
-// bypass the pool — pooled release resets the clock, which nodes sharing
-// one cannot survive — so they are simply dropped at run teardown.
+// subsequent forks join the already-positioned clock.
 func (s *PrefixSnapshot) ForkInto(m *Machine) *Kernel {
 	if len(m.kernels) == 0 {
 		m.clock.RestoreCounters(s.now, s.seq, s.nextID)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -101,10 +100,6 @@ func TestForkMatchesFreshBoot(t *testing.T) {
 		}
 		if gotQuanta != wantQuanta {
 			t.Fatalf("seed %d: quanta diverged: fresh %d fork %d", seed, wantQuanta, gotQuanta)
-		}
-		forked.KillAll()
-		if !forked.Release() {
-			t.Fatalf("seed %d: torn-down fork not releasable", seed)
 		}
 	}
 }
@@ -217,75 +212,6 @@ func asSnapshotError(err error, target **SnapshotError) bool {
 		*target = se
 	}
 	return ok
-}
-
-// TestKernelPoolReuseDeterministic checks that a released kernel, once
-// reacquired, behaves exactly like a fresh one: same PIDs, handles, clock
-// sequence, telemetry counters.
-func TestKernelPoolReuseDeterministic(t *testing.T) {
-	observe := func(k *Kernel) string {
-		buildPrefix(k, 7)
-		obs, quanta := runWorkload(t, k)
-		return fmt.Sprintf("%s quanta=%d", obs, quanta)
-	}
-
-	fresh := observe(NewKernel())
-
-	k := AcquireKernel()
-	_ = observe(k) // dirty the kernel
-	k.KillAll()
-	if !k.Release() {
-		t.Fatal("kernel not releasable after KillAll")
-	}
-	reused := AcquireKernel() // likely the same kernel back
-	if got := observe(reused); got != fresh {
-		t.Fatalf("pooled kernel diverged from fresh:\n fresh:  %s\n reused: %s", fresh, got)
-	}
-}
-
-// TestReleaseRefusesLiveKernel: a kernel with live processes must not be
-// pooled.
-func TestReleaseRefusesLiveKernel(t *testing.T) {
-	k := NewKernel()
-	k.RegisterImage("spin.exe", func(p *Process) uint32 {
-		p.SleepFor(time.Hour)
-		return 0
-	})
-	if _, err := k.Spawn("spin.exe", "spin.exe", 0); err != nil {
-		t.Fatal(err)
-	}
-	k.RunFor(time.Second)
-	if k.Release() {
-		t.Fatal("Release accepted a kernel with a live process")
-	}
-	k.KillAll()
-	if !k.Release() {
-		t.Fatal("Release refused a drained kernel")
-	}
-}
-
-// TestClockResetDeterminism: a reset clock schedules and fires events in
-// exactly the order a fresh one does, including IDs.
-func TestClockResetDeterminism(t *testing.T) {
-	run := func(k *Kernel) []string {
-		var fired []string
-		ids := make([]any, 0, 3)
-		for i, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
-			i := i
-			ids = append(ids, k.Clock().ScheduleAfter(d, func() { fired = append(fired, fmt.Sprintf("e%d", i)) }))
-		}
-		k.RunFor(time.Second)
-		fired = append(fired, fmt.Sprintf("ids=%v", ids))
-		return fired
-	}
-	k := NewKernel()
-	first := run(k)
-	k.Release()
-	k2 := AcquireKernel()
-	second := run(k2)
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("reset clock diverged: %v vs %v", first, second)
-	}
 }
 
 // TestForkedWriteDoesNotGrowSnapshot: writing in one fork must copy the

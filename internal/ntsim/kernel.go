@@ -36,32 +36,22 @@ type SyscallInterceptor interface {
 	BeforeSyscall(pid PID, procName string, fn string, raw []uint64)
 }
 
-// Kernel is the simulated NT kernel: scheduler, process table, object
-// manager, filesystem and pipe namespace. Create one per experiment run.
+// Kernel is the simulated NT kernel: process table, object manager,
+// filesystem and pipe namespace, scheduled by its Machine. Create one per
+// experiment run.
 type Kernel struct {
 	clock  *vclock.Clock
 	procs  map[PID]*Process
 	images map[string]EntryFunc
 
-	// mach is non-nil when this kernel is one node of a Machine. The
-	// kernel then shares the machine's clock and parks its ready
-	// processes on the machine's global ring; Step delegates to the
-	// machine scheduler and the elision fast path stays disabled (its
-	// solo-process reasoning is per-kernel and unsound across nodes).
+	// mach is the Machine this kernel is a node of: clock is the
+	// machine's clock, ready processes queue on the machine's ring, and
+	// Step, Run and Idle delegate to the machine scheduler. A standalone
+	// kernel is the only node of its own machine.
 	mach *Machine
 
 	nextPID PID
-	// ready is a ring: entries [readyHead:len) are queued. Popping moves
-	// the head index instead of re-slicing, so the backing array is
-	// reused for the whole run rather than re-grown every quantum (the
-	// single hottest allocation site in a campaign profile).
-	ready     []*Process
-	readyHead int
-	current   *Process
-
-	// procYield is signaled by the running process when it blocks,
-	// terminates, or otherwise relinquishes the CPU.
-	procYield chan struct{}
+	current *Process
 
 	// attn is raised by kernel-side state changes that a harness Step
 	// loop polls for (SCM status transitions). While set, the scheduler
@@ -101,24 +91,9 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel with an empty process table, a fresh virtual
-// clock, and the default cost model.
+// clock, and the default cost model: the only node of a new Machine.
 func NewKernel() *Kernel {
-	return newKernelWithClock(vclock.New())
-}
-
-// newKernelWithClock returns a kernel driven by the given clock. Machine
-// nodes share one clock; standalone kernels own theirs.
-func newKernelWithClock(c *vclock.Clock) *Kernel {
-	return &Kernel{
-		clock:     c,
-		procs:     make(map[PID]*Process),
-		images:    make(map[string]EntryFunc),
-		procYield: make(chan struct{}),
-		vfs:       NewVFS(),
-		pipes:     make(map[string][]*PipeServer),
-		costs:     DefaultCosts(),
-		tel:       telemetry.Nop{},
-	}
+	return NewMachine().AddKernel()
 }
 
 // Clock exposes the kernel's virtual clock.
@@ -212,16 +187,21 @@ func (k *Kernel) Spawn(image, cmdLine string, parent PID) (*Process, error) {
 		return nil, ErrFileNotFound
 	}
 	k.nextPID++
-	p := k.newProcess()
-	p.k = k
-	p.ID = k.nextPID
-	p.Image = image
-	p.CmdLine = cmdLine
-	p.Parent = parent
-	p.state = procReady
-	p.startTime = k.clock.Now()
-	p.obj = newProcessObject()
-	p.exitCode = ExitStillActive
+	p := &Process{
+		k:         k,
+		ID:        k.nextPID,
+		Image:     image,
+		CmdLine:   cmdLine,
+		Parent:    parent,
+		state:     procReady,
+		resume:    make(chan resumeAction),
+		env:       make(map[string]string),
+		handles:   make(map[Handle]*handleEntry),
+		addr:      newAddrSpace(),
+		obj:       newProcessObject(),
+		exitCode:  ExitStillActive,
+		startTime: k.clock.Now(),
+	}
 	k.procs[p.ID] = p
 	k.liveProcs++
 	k.trace(p.ID, "spawn image=%s cmd=%q parent=%d", image, cmdLine, parent)
@@ -232,9 +212,9 @@ func (k *Kernel) Spawn(image, cmdLine string, parent PID) (*Process, error) {
 	return p, nil
 }
 
-// makeReady appends p to the ready queue if it is not already queued. A
-// machine-attached kernel queues on the machine's global ring instead, so
-// one scheduler interleaves every node's processes in wake order.
+// makeReady appends p to the machine's ready ring if it is not already
+// queued, so one scheduler interleaves every node's processes in wake
+// order.
 func (k *Kernel) makeReady(p *Process) {
 	if p.state == procTerminated {
 		return
@@ -246,26 +226,7 @@ func (k *Kernel) makeReady(p *Process) {
 		return
 	}
 	p.queued = true
-	if k.mach != nil {
-		k.mach.ready = append(k.mach.ready, p)
-		return
-	}
-	k.ready = append(k.ready, p)
-}
-
-// readyCount reports how many processes are queued for the CPU.
-func (k *Kernel) readyCount() int { return len(k.ready) - k.readyHead }
-
-// popReady removes and returns the head of the ready ring.
-func (k *Kernel) popReady() *Process {
-	p := k.ready[k.readyHead]
-	k.ready[k.readyHead] = nil
-	k.readyHead++
-	if k.readyHead == len(k.ready) {
-		k.ready = k.ready[:0]
-		k.readyHead = 0
-	}
-	return p
+	k.mach.ready = append(k.mach.ready, p)
 }
 
 // RequestAttention asks the scheduler to return control to the harness at
@@ -294,13 +255,17 @@ func (k *Kernel) SetSchedCeiling(ceil vclock.Time) {
 func (k *Kernel) ClearSchedCeiling() { k.ceilSet = false }
 
 // canElide reports whether the running process may skip the end-of-quantum
-// handoff: a ceiling is set and not yet reached, no other process is
-// ready, no timer is due at or before the current instant, and nothing
-// has requested harness attention. Under those conditions the slow path's
-// next Step would fire no timers and resume this same process — a pure
-// channel round-trip the fast path replaces with one counter increment.
+// handoff: a ceiling is set and not yet reached, the kernel is its
+// machine's only node, no other process is ready, no timer is due at or
+// before the current instant, and nothing has requested harness
+// attention. Under those conditions the slow path's next Step would fire
+// no timers and resume this same process — a pure channel round-trip the
+// fast path replaces with one counter increment. The one-node condition
+// keeps elision off clusters: its "running process is alone" reasoning
+// is per-kernel and unsound when a peer node could be woken by the same
+// instant's events.
 func (k *Kernel) canElide() bool {
-	if !k.ceilSet || k.attn || k.mach != nil || k.readyCount() != 0 {
+	if !k.ceilSet || k.attn || len(k.mach.kernels) != 1 || k.mach.readyCount() != 0 {
 		return false
 	}
 	now := k.clock.Now()
@@ -320,7 +285,7 @@ func (k *Kernel) canElide() bool {
 // and strictly precede every queued event (an event at or before the wake
 // instant would fire first and could change what the sleeper observes).
 func (k *Kernel) canElideSleep(wake vclock.Time) bool {
-	if !k.ceilSet || k.attn || k.mach != nil || k.readyCount() != 0 {
+	if !k.ceilSet || k.attn || len(k.mach.kernels) != 1 || k.mach.readyCount() != 0 {
 		return false
 	}
 	if !wake.Before(k.ceil) {
@@ -345,43 +310,13 @@ func (k *Kernel) wake(p *Process, result uint32, errno Errno) {
 	p.k.makeReady(p)
 }
 
-// Step executes one scheduling quantum: first it fires every timer event
-// that is already due (so a process that burned a long CPU slice cannot
-// starve waiters whose deadlines passed meanwhile), then it resumes the
-// next ready process until it yields, or — if none is ready — advances the
-// virtual clock to the next timer event. It reports false when the
-// simulation is fully idle (no ready processes and no pending events).
-func (k *Kernel) Step() bool {
-	if k.mach != nil {
-		return k.mach.Step()
-	}
-	k.attn = false
-	for {
-		next, ok := k.clock.NextAt()
-		if !ok || next.After(k.clock.Now()) {
-			break
-		}
-		k.clock.RunNext()
-	}
-	for k.readyCount() > 0 {
-		p := k.popReady()
-		p.queued = false
-		if p.state != procReady {
-			continue // stale queue entry (e.g., terminated meanwhile)
-		}
-		p.state = procRunning
-		k.current = p
-		k.tel.Add(telemetry.CtrSchedQuanta, 1)
-		p.resume <- resumeAction{kill: p.pendingKill, killCode: p.pendingKillCode}
-		<-k.procYield
-		k.current = nil
-		return true
-	}
-	return k.clock.RunNext()
-}
+// Step executes one scheduling quantum of the kernel's machine (see
+// Machine.Step). It reports false when the machine is fully idle.
+func (k *Kernel) Step() bool { return k.mach.Step() }
 
-// Run steps the simulation until it is fully idle or the virtual clock
-// passes deadline. It returns the number of scheduling quanta executed.
+// Run steps the machine until it is fully idle or the virtual clock
+// passes deadline, with this kernel's scheduling ceiling one tick past
+// deadline. It returns the number of scheduling quanta executed.
 func (k *Kernel) Run(deadline vclock.Time) int {
 	// Run's continue-condition is now <= deadline, so the fast-path
 	// ceiling is one tick past it; the previous ceiling (if any) is
@@ -391,24 +326,7 @@ func (k *Kernel) Run(deadline vclock.Time) int {
 	defer func() {
 		k.ceil, k.ceilSet = prevCeil, prevSet
 	}()
-	n := 0
-	for {
-		if k.clock.Now().After(deadline) {
-			return n
-		}
-		// If nothing is ready and the next timer is beyond the
-		// deadline, stop without firing it.
-		if k.readyCount() == 0 {
-			next, ok := k.clock.NextAt()
-			if !ok || next.After(deadline) {
-				return n
-			}
-		}
-		if !k.Step() {
-			return n
-		}
-		n++
-	}
+	return k.mach.Run(deadline)
 }
 
 // RunFor is Run with a relative deadline.
@@ -416,21 +334,17 @@ func (k *Kernel) RunFor(d time.Duration) int {
 	return k.Run(k.clock.Now().Add(d))
 }
 
-// Idle reports whether no process is ready and no timer events are pending.
-func (k *Kernel) Idle() bool {
-	if k.readyCount() > 0 {
-		return false
-	}
-	_, ok := k.clock.NextAt()
-	return !ok
-}
+// Idle reports whether no process is ready on the kernel's machine and no
+// timer events are pending.
+func (k *Kernel) Idle() bool { return k.mach.Idle() }
 
 // LiveProcesses reports the number of processes that have started and not
 // yet terminated.
 func (k *Kernel) LiveProcesses() int { return k.liveProcs }
 
-// KillAll terminates every live process (used between fault-injection runs
-// to tear the workload down, mirroring DTS "workload termination").
+// KillAll terminates every live process of this kernel (used between
+// fault-injection runs to tear the workload down, mirroring DTS "workload
+// termination"), then steps the machine until the terminations unwind.
 // Termination runs in PID order — not process-map order — so the teardown
 // sequence, and therefore the telemetry trace, is deterministic.
 func (k *Kernel) KillAll() {
@@ -439,15 +353,8 @@ func (k *Kernel) KillAll() {
 			p.Terminate(ExitTerminated)
 		}
 	}
-	// Let terminations unwind.
-	if k.mach != nil {
-		for k.mach.readyCount() > 0 {
-			k.mach.Step()
-		}
-		return
-	}
-	for k.readyCount() > 0 {
-		k.Step()
+	for k.mach.readyCount() > 0 {
+		k.mach.Step()
 	}
 }
 

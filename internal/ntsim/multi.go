@@ -7,29 +7,37 @@ import (
 	"ntdts/internal/vclock"
 )
 
-// Machine advances several kernels — the nodes of a simulated cluster —
-// under one shared virtual clock. Exactly one process executes at any
-// instant across the whole machine: every node's wakes land on a single
-// global ready ring, and Step resumes them in strict FIFO order, so an
-// N-node run is as deterministic as a single-kernel run. Per-node state
-// (process tables, VFS, pipe namespaces, named objects, telemetry) stays
-// fully isolated; only time is shared.
+// Machine is the simulator's one scheduler. It advances its kernels — one
+// for a standalone kernel (NewKernel), or the nodes of a simulated
+// cluster — under one shared virtual clock. Exactly one process executes
+// at any instant across the whole machine: every node's wakes land on a
+// single global ready ring, and Step resumes them in strict FIFO order,
+// so an N-node run is as deterministic as a single-kernel run. Per-node
+// state (process tables, VFS, pipe namespaces, named objects, telemetry)
+// stays fully isolated; only time and the CPU are shared.
 //
-// Machine kernels never use the scheduler-elision fast path: its
-// "running process is alone" reasoning is per-kernel and unsound when a
-// peer node could be woken by the same instant's events.
+// Only a one-node machine uses the scheduler-elision fast path (see
+// Kernel.canElide).
 type Machine struct {
 	clock   *vclock.Clock
 	kernels []*Kernel
 
-	// ready is the machine-wide ring, same discipline as Kernel.ready.
+	// ready is a ring: entries [readyHead:len) are queued. Popping moves
+	// the head index instead of re-slicing, so the backing array is
+	// reused for the whole run rather than re-grown every quantum (the
+	// single hottest allocation site in a campaign profile).
 	ready     []*Process
 	readyHead int
+
+	// yield is signaled by the running process when it blocks,
+	// terminates, or otherwise relinquishes the CPU. One process runs
+	// machine-wide, so one channel serves every node.
+	yield chan struct{}
 }
 
 // NewMachine returns an empty machine with a fresh shared clock.
 func NewMachine() *Machine {
-	return &Machine{clock: vclock.New()}
+	return &Machine{clock: vclock.New(), yield: make(chan struct{})}
 }
 
 // Clock exposes the machine's shared virtual clock.
@@ -41,14 +49,21 @@ func (m *Machine) Now() vclock.Time { return m.clock.Now() }
 // Kernels returns the machine's nodes in attachment order.
 func (m *Machine) Kernels() []*Kernel { return m.kernels }
 
-// AddKernel attaches a fresh kernel as the machine's next node. The
-// kernel shares the machine clock and must be driven through the machine
-// scheduler (its own Step delegates here). Machine kernels are never
-// returned to the fork pool: pooled release resets the clock, which a
-// shared clock cannot survive.
+// AddKernel attaches a fresh kernel — empty process table, default cost
+// model — as the machine's next node. The kernel shares the machine
+// clock and is driven by the machine scheduler (its own Step delegates
+// here).
 func (m *Machine) AddKernel() *Kernel {
-	k := newKernelWithClock(m.clock)
-	k.mach = m
+	k := &Kernel{
+		mach:   m,
+		clock:  m.clock,
+		procs:  make(map[PID]*Process),
+		images: make(map[string]EntryFunc),
+		vfs:    NewVFS(),
+		pipes:  make(map[string][]*PipeServer),
+		costs:  DefaultCosts(),
+		tel:    telemetry.Nop{},
+	}
 	m.kernels = append(m.kernels, k)
 	return k
 }
@@ -68,11 +83,14 @@ func (m *Machine) popReady() *Process {
 	return p
 }
 
-// Step executes one machine-wide scheduling quantum, mirroring
-// Kernel.Step: fire every due timer on the shared clock, then resume the
-// next ready process (whichever node it lives on) until it yields, or —
-// if none is ready — advance the clock to the next timer event. It
-// reports false when the whole machine is idle.
+// Step executes one machine-wide scheduling quantum: first it fires every
+// timer event that is already due on the shared clock (so a process that
+// burned a long CPU slice cannot starve waiters whose deadlines passed
+// meanwhile), then it resumes the next ready process — whichever node it
+// lives on — until it yields, or, if none is ready, advances the clock to
+// the next timer event. It reports false when the whole machine is idle
+// (no ready processes and no pending events). Step is the only place a
+// process is resumed.
 func (m *Machine) Step() bool {
 	for _, k := range m.kernels {
 		k.attn = false
@@ -95,7 +113,7 @@ func (m *Machine) Step() bool {
 		k.current = p
 		k.tel.Add(telemetry.CtrSchedQuanta, 1)
 		p.resume <- resumeAction{kill: p.pendingKill, killCode: p.pendingKillCode}
-		<-k.procYield
+		<-m.yield
 		k.current = nil
 		return true
 	}
@@ -110,6 +128,8 @@ func (m *Machine) Run(deadline vclock.Time) int {
 		if m.clock.Now().After(deadline) {
 			return n
 		}
+		// If nothing is ready and the next timer is beyond the
+		// deadline, stop without firing it.
 		if m.readyCount() == 0 {
 			next, ok := m.clock.NextAt()
 			if !ok || next.After(deadline) {

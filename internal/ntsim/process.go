@@ -64,8 +64,7 @@ type Process struct {
 
 	// wakeFn is the cached timer callback for Yield/SleepFor, allocated
 	// once per process instead of once per sleep (a client's retry
-	// protocol alone schedules thousands). It captures only p and reads
-	// p.k dynamically, so it survives process pooling across kernels.
+	// protocol alone schedules thousands).
 	wakeFn func()
 
 	// rawBuf is the reusable system-call parameter buffer handed out by
@@ -138,7 +137,7 @@ func (p *Process) finalize(code uint32) {
 		p.closeHandleInternal(h)
 	}
 	p.obj.signalExit(p.k)
-	p.k.procYield <- struct{}{}
+	p.k.mach.yield <- struct{}{}
 }
 
 // Kernel returns the hosting kernel.
@@ -207,7 +206,7 @@ func (p *Process) relinquish() {
 		return
 	}
 	k.makeReady(p)
-	k.procYield <- struct{}{}
+	k.mach.yield <- struct{}{}
 	act := <-p.resume
 	if act.kill {
 		panic(killSignal{act.killCode})
@@ -228,7 +227,7 @@ func (p *Process) checkAlive() {
 func (p *Process) block() (uint32, Errno) {
 	p.checkAlive()
 	p.state = procBlocked
-	p.k.procYield <- struct{}{}
+	p.k.mach.yield <- struct{}{}
 	act := <-p.resume
 	if act.kill {
 		if p.waitCancel != nil {

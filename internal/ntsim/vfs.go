@@ -1,6 +1,7 @@
 package ntsim
 
 import (
+	"maps"
 	"sort"
 	"strings"
 
@@ -290,7 +291,7 @@ func (of *OpenFile) Path() string { return of.node().path }
 
 func (of *OpenFile) close() { of.closed = true }
 
-// Snapshot / pooling support ------------------------------------------------
+// Snapshot support ---------------------------------------------------------
 
 // snapshotMaps marks every node snapshot-shared (freezing it) and returns
 // copies of the namespace maps for a PrefixSnapshot to own. The returned
@@ -312,28 +313,9 @@ func (fs *VFS) snapshotMaps() (map[string]*vfile, map[string]string) {
 	return files, dirs
 }
 
-// restoreFrom loads snapshot maps into this (possibly pooled) filesystem,
-// reusing existing map storage.
+// restoreFrom loads a snapshot's namespace maps into this fresh
+// filesystem. Only the maps are copied; the nodes stay snapshot-shared
+// until a write clones them.
 func (fs *VFS) restoreFrom(files map[string]*vfile, dirs map[string]string) {
-	clear(fs.files)
-	for k, f := range files {
-		fs.files[k] = f
-	}
-	if fs.dirsByKey != nil {
-		clear(fs.dirsByKey)
-	}
-	if len(dirs) > 0 {
-		set := fs.dirSet()
-		for k, v := range dirs {
-			set[k] = v
-		}
-	}
-}
-
-// reset empties the filesystem, retaining map storage for reuse.
-func (fs *VFS) reset() {
-	clear(fs.files)
-	if fs.dirsByKey != nil {
-		clear(fs.dirsByKey)
-	}
+	fs.files, fs.dirsByKey = maps.Clone(files), maps.Clone(dirs)
 }

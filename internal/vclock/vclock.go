@@ -92,22 +92,6 @@ func New() *Clock {
 	return &Clock{cancelled: make(map[EventID]bool)}
 }
 
-// Reset returns the clock to the simulation epoch with an empty queue,
-// retaining the event freelist and map capacity for reuse. The sequence
-// and ID counters restart from zero so a reset clock schedules events in
-// exactly the order a fresh one would — the property kernel pooling needs
-// for byte-identical replays.
-func (c *Clock) Reset() {
-	for _, e := range c.queue {
-		c.recycle(e)
-	}
-	c.queue = c.queue[:0]
-	c.now = 0
-	c.seq = 0
-	c.nextID = 0
-	clear(c.cancelled)
-}
-
 // recycle clears an event's callback and returns the struct to the freelist.
 func (c *Clock) recycle(e *event) {
 	e.fn = nil
@@ -130,7 +114,7 @@ func (c *Clock) Now() Time { return c.now }
 
 // Counters returns the clock's sequence and event-ID counters. Together
 // with Now they fully describe an event-free clock, so a prefix snapshot
-// can be restored onto a pooled clock with RestoreCounters.
+// can be restored onto a fresh clock with RestoreCounters.
 func (c *Clock) Counters() (seq uint64, nextID EventID) { return c.seq, c.nextID }
 
 // RestoreCounters positions an empty clock at a snapshot's time and

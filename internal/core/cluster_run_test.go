@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ntdts/internal/determinism"
 	"ntdts/internal/inject"
 	"ntdts/internal/ntsim"
 	"ntdts/internal/telemetry"
@@ -42,27 +43,57 @@ func runClusterSet(t *testing.T, def workload.Definition, cfg ClusterConfig, spe
 }
 
 // TestClusterOneNodeEquivalence: a 1-node cluster is the same machine —
-// a campaign over ordinary kernel faults produces an archive cmp-equal
-// to the classic single-kernel path.
+// under every middleware, with telemetry off and on, a campaign over
+// ordinary kernel faults produces an archive, merged JSONL trace and
+// metrics text cmp-equal to the plain single host's.
 func TestClusterOneNodeEquivalence(t *testing.T) {
-	def := workload.NewIIS(workload.MSCS)
 	specs := []inject.FaultSpec{
 		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits},
 		{Function: "WriteFile", Param: 1, Invocation: 1, Type: inject.ZeroBits},
 		{Function: "TransactNamedPipe", Param: 2, Invocation: 1, Type: inject.OneBits},
 	}
-	classic := runClusterSet(t, def, ClusterConfig{}, specs, 1, false)
-	oneNode := runClusterSet(t, def, ClusterConfig{Nodes: 1}, specs, 1, false)
-	cj, err := json.Marshal(classic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oj, err := json.Marshal(oneNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cj, oj) {
-		t.Fatalf("1-node cluster archive diverges from the single-kernel path:\nclassic: %s\ncluster: %s", cj, oj)
+	for _, sup := range []workload.Supervision{workload.Standalone, workload.MSCS, workload.Watchd} {
+		for _, traced := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/telemetry=%t", sup, traced), func(t *testing.T) {
+				t.Parallel()
+				artifacts := func(cfg ClusterConfig) (archive, trace []byte, metrics string) {
+					opts := DefaultRunnerOptions()
+					opts.Cluster = cfg
+					opts.Telemetry = telemetry.Options{Enabled: traced}
+					c := NewCampaign(NewRunner(workload.NewIIS(sup), opts), WithSpecs(specs), WithParallelism(1))
+					set, err := c.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if archive, err = json.Marshal(set); err != nil {
+						t.Fatal(err)
+					}
+					if traced {
+						var buf bytes.Buffer
+						if err := set.Telemetry.WriteJSONL(&buf); err != nil {
+							t.Fatal(err)
+						}
+						trace, metrics = buf.Bytes(), set.Telemetry.MetricsText()
+						if len(trace) == 0 || metrics == "" {
+							t.Fatal("telemetry enabled but the trace or metrics is empty")
+						}
+					}
+					return archive, trace, metrics
+				}
+				host, hostTrace, hostMetrics := artifacts(ClusterConfig{})
+				one, oneTrace, oneMetrics := artifacts(ClusterConfig{Nodes: 1})
+				if !bytes.Equal(host, one) {
+					t.Fatalf("1-node cluster archive diverges from the single host:\nhost:    %s\ncluster: %s", host, one)
+				}
+				if !bytes.Equal(hostTrace, oneTrace) {
+					determinism.AssertSameTranscript(t, "merged trace", string(oneTrace), string(hostTrace),
+						func(i int, _, _ string) string { return fmt.Sprintf("trace line %d", i+1) })
+				}
+				if oneMetrics != hostMetrics {
+					t.Fatalf("1-node cluster metrics diverge from the single host:\nhost:\n%s\ncluster:\n%s", hostMetrics, oneMetrics)
+				}
+			})
+		}
 	}
 }
 
@@ -161,26 +192,29 @@ func TestMSCSCrossNodeFailover(t *testing.T) {
 }
 
 // TestClusterScenarioValidation: scenario faults demand a cluster
-// topology, and node addresses must exist on it.
+// topology, node addresses must exist on it, and the routing policy must
+// be known whatever the topology's size.
 func TestClusterScenarioValidation(t *testing.T) {
 	def := workload.NewIIS(workload.Standalone)
-
-	spec := inject.FaultSpec{Function: ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits}
-	if _, err := NewRunner(def, DefaultRunnerOptions()).Run(&spec); err == nil {
-		t.Fatal("scenario fault without a cluster topology must error")
-	}
-
-	opts := DefaultRunnerOptions()
-	opts.Cluster = ClusterConfig{Nodes: 2}
-	bad := inject.FaultSpec{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits, Node: 5}
-	if _, err := NewRunner(def, opts).Run(&bad); err == nil {
-		t.Fatal("node address beyond the topology must error")
-	}
-
-	opts.Cluster = ClusterConfig{Nodes: 2, Routing: "nearest"}
+	scenario := inject.FaultSpec{Function: ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits}
 	ok := inject.FaultSpec{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits}
-	if _, err := NewRunner(def, opts).Run(&ok); err == nil {
-		t.Fatal("unknown routing policy must error")
+	bad := ok
+	bad.Node = 5
+	for _, tc := range []struct {
+		why  string
+		cfg  ClusterConfig
+		spec inject.FaultSpec
+	}{
+		{"scenario fault without a cluster topology", ClusterConfig{}, scenario},
+		{"node address beyond the topology", ClusterConfig{Nodes: 2}, bad},
+		{"unknown routing policy", ClusterConfig{Nodes: 2, Routing: "nearest"}, ok},
+		{"unknown routing policy on one node", ClusterConfig{Nodes: 1, Routing: "nearest"}, ok},
+	} {
+		opts := DefaultRunnerOptions()
+		opts.Cluster = tc.cfg
+		if _, err := NewRunner(def, opts).Run(&tc.spec); err == nil {
+			t.Errorf("%s must error", tc.why)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"ntdts/internal/middleware/mscs"
 	"ntdts/internal/middleware/watchd"
 	"ntdts/internal/ntsim"
+	"ntdts/internal/ntsim/cluster"
 	"ntdts/internal/scm"
 	"ntdts/internal/telemetry"
 	"ntdts/internal/vclock"
@@ -73,8 +74,6 @@ type RunnerOptions struct {
 	RunDeadline time.Duration
 	// WatchdVersion selects the watchd iteration for Watchd workloads.
 	WatchdVersion watchd.Version
-	// MSCSParams tunes the resource monitor for MSCS workloads.
-	MSCSParams mscs.Params
 	// Trace, when non-nil, receives one line per kernel event (process
 	// spawn/exit, access violations) — the single-fault debugging view
 	// behind the paper's §4.3 feedback workflow.
@@ -91,19 +90,18 @@ type RunnerOptions struct {
 	// off (the CI bench gate cmp's them) and the benchmarks report the
 	// snapshot path's speedup against it.
 	FreshBoot bool
-	// Cluster runs every run on a simulated multi-node cluster (see
-	// ClusterConfig). The zero value keeps the classic single-host
-	// engine.
+	// Cluster sizes the machine every run executes on (see
+	// ClusterConfig). The zero value is the paper's single host.
 	Cluster ClusterConfig
 }
 
 // ClusterConfig configures the simulated cluster topology runs execute
-// on. Nodes == 0 is the classic single-host engine. Nodes == 1 enables
-// the cluster scenario faults (DTSCluster*) but still executes on the
-// single-kernel path — a 1-node cluster is the same machine, which is
-// what makes the cluster layer a provable superset. Nodes >= 2 boots N
-// node kernels under one shared clock with a virtual network and routed
-// clients.
+// on. Every run executes on max(1, Nodes) node kernels of one machine
+// under one shared clock, through one lifecycle. Nodes == 0 is the
+// paper's single host. Nodes == 1 is the same one-node machine with the
+// cluster scenario faults (DTSCluster*) enabled, which is what makes the
+// cluster layer a provable superset. Nodes >= 2 adds a client host that
+// reaches the nodes through the routing policy over a virtual network.
 type ClusterConfig struct {
 	// Nodes is the cluster size.
 	Nodes int
@@ -131,7 +129,6 @@ func DefaultRunnerOptions() RunnerOptions {
 		ServerUpTimeout: 10 * time.Second,
 		RunDeadline:     150 * time.Second,
 		WatchdVersion:   watchd.V3,
-		MSCSParams:      mscs.DefaultParams(),
 	}
 }
 
@@ -177,9 +174,6 @@ func NewRunner(def workload.Definition, opts RunnerOptions) *Runner {
 	}
 	if opts.WatchdVersion == 0 {
 		opts.WatchdVersion = defaults.WatchdVersion
-	}
-	if opts.MSCSParams.MaxAttempts == 0 {
-		opts.MSCSParams = defaults.MSCSParams
 	}
 	return &Runner{Def: def, Opts: opts, prefix: &prefixCache{}, dormant: &dormantCache{}}
 }
@@ -244,200 +238,317 @@ func (r *Runner) ActivationScan() (map[string]bool, *RunResult, error) {
 // run is the per-run lifecycle of the paper's Figure 1: prepare the
 // workload programs, start the server (injecting the fault), wait for the
 // server to be up, start the client, wait for workload termination, and
-// gather results.
+// gather results. Every run executes on max(1, Cluster.Nodes) nodes of one
+// machine under one shared clock, each node with its own SCM, eventlog
+// and injector. A single host is the one-node case, and only four things
+// set it apart: its clients share node 0's kernel, so there is no client
+// host, router or dialer; a node crash spares those clients; a partition
+// has no link to cut; and its record carries no per-node slices.
 func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error) {
-	if r.Opts.Cluster.Nodes > 1 {
-		return r.runCluster(spec)
-	}
 	def := r.Def
-
-	// A 1-node "cluster" (or a plain single host) runs the classic
-	// engine; only the scenario pseudo-faults need interpreting here.
+	n := max(1, r.Opts.Cluster.Nodes)
+	policy, err := cluster.ParsePolicy(r.Opts.Cluster.Routing)
+	if err != nil {
+		return nil, nil, err
+	}
 	scen := scenarioFor(spec)
 	if scen != nil && !r.Opts.Cluster.Enabled() {
 		return nil, nil, fmt.Errorf("fault %s: cluster scenario faults require a cluster topology (-cluster)", spec.Function)
 	}
-	if spec != nil && spec.Node != 0 {
-		return nil, nil, fmt.Errorf("fault %s: node %d does not exist on a %d-node topology", spec.Function, spec.Node, max(1, r.Opts.Cluster.Nodes))
-	}
-	// Scenario faults bypass the syscall injector: the injector runs the
+	// Scenario faults bypass the syscall injector: every injector runs the
 	// census only, and the scheduled scenario action is the fault.
-	ispec := spec
-	if scen != nil {
-		ispec = nil
-	}
-
-	// Prepare the machine: resume from the shared boot-prefix snapshot
-	// when the workload allows it (the common case — Setup only registers
-	// images and writes files), else boot fresh and replay Setup in the
-	// legacy order. Both paths produce byte-identical archives; the fork
-	// path just skips re-executing the prefix.
-	var k *ntsim.Kernel
-	forked := false
-	if !r.Opts.FreshBoot {
-		if snap, err := r.prefixSnapshot(); err == nil {
-			k = snap.Fork()
-			forked = true
+	var kspec *inject.FaultSpec
+	if spec != nil {
+		if spec.Node < 0 || spec.Node >= n {
+			return nil, nil, fmt.Errorf("fault %s: node %d does not exist on a %d-node topology", spec.Function, spec.Node, n)
+		}
+		if scen == nil {
+			kspec = spec
 		}
 	}
-	if k == nil {
-		k = ntsim.NewKernel()
+
+	// Prepare the machine: every node resumes from the shared boot-prefix
+	// snapshot when the workload allows it (the common case — Setup only
+	// registers images and writes files; the first fork positions the
+	// shared clock), else boots fresh and replays Setup. Both paths produce
+	// byte-identical archives; the fork just skips re-executing the prefix.
+	m := ntsim.NewMachine()
+	var snap *ntsim.PrefixSnapshot
+	if !r.Opts.FreshBoot {
+		// The error only says why Setup cannot be snapshotted; snap is
+		// then nil and every node boots fresh.
+		snap, _ = r.prefixSnapshot()
 	}
-	if r.Opts.Trace != nil {
-		k.SetTrace(r.Opts.Trace)
+	nodes := make([]*ntsim.Kernel, n)
+	for i := range nodes {
+		if snap != nil {
+			nodes[i] = snap.ForkInto(m)
+		} else {
+			nodes[i] = m.AddKernel()
+			def.Setup(nodes[i])
+		}
 	}
+	// A cluster's clients live on a client host, one more machine node,
+	// and reach the service through the routing policy over a virtual
+	// network with one endpoint per node plus the client host. MSCS
+	// probes its peers over the same network; a lone node has none.
+	clientK := nodes[0]
+	var net *cluster.Network
+	var topo *cluster.Topology
+	var reachable func(a, b int) bool
+	if n > 1 {
+		clientK = m.AddKernel()
+		net = cluster.NewNetwork(m.Clock(), n+1, cluster.DefaultLatency)
+		topo = cluster.NewTopology(nodes, net)
+		reachable = topo.Reachable
+		router := cluster.NewRouter(topo, policy)
+		workload.RegisterDialer(clientK, func(p *ntsim.Process, path string) (workload.Conn, ntsim.Errno) {
+			c, errno := router.Dial(p, path)
+			if c == nil {
+				return nil, errno
+			}
+			return c, errno
+		})
+	}
+
 	// The telemetry collector (if enabled) must be installed before the
-	// injector so the arming event is observed; it is per-run, so
+	// injectors so the arming event is observed; it is per-run, so
 	// parallel campaign workers never contend.
 	rec := r.Opts.Telemetry.NewRecorder()
 	var tel telemetry.Collector = telemetry.Nop{}
 	if rec != nil {
-		k.SetTelemetry(rec)
+		for _, k := range m.Kernels() {
+			k.SetTelemetry(rec)
+		}
 		tel = rec
 	}
-	runSpan := telemetry.StartSpan(tel, k.Now(), 0, telemetry.SpanRun)
-	log := eventlog.New()
-	mgr := scm.New(k, log)
-	if !forked {
-		def.Setup(k)
+	if r.Opts.Trace != nil {
+		for _, k := range m.Kernels() {
+			k.SetTrace(r.Opts.Trace)
+		}
 	}
-	if err := mgr.CreateService(def.Service); err != nil {
-		return nil, nil, fmt.Errorf("create service: %w", err)
+	runSpan := telemetry.StartSpan(tel, m.Now(), 0, telemetry.SpanRun)
+
+	// Per-node NT: eventlog, SCM, service registration, injector. A
+	// kernel fault arms only on its addressed node; every other node runs
+	// the census-only injector.
+	logs := make([]*eventlog.Log, n)
+	mgrs := make([]*scm.Manager, n)
+	injectors := make([]*inject.Injector, n)
+	for i, k := range nodes {
+		logs[i] = eventlog.New()
+		mgrs[i] = scm.New(k, logs[i])
+		if err := mgrs[i].CreateService(def.Service); err != nil {
+			return nil, nil, fmt.Errorf("node %d: create service: %w", i, err)
+		}
+		ispec := kspec
+		if kspec != nil && kspec.Node != i {
+			ispec = nil
+		}
+		injectors[i] = inject.New(k, def.Target, ispec)
+		k.SetInterceptor(injectors[i])
 	}
-	injector := inject.New(k, def.Target, ispec)
-	k.SetInterceptor(injector)
 
 	// Start the server program, directly or through the middleware that
-	// owns it.
+	// owns it. Standalone and watchd are active-active (each node runs its
+	// own instance); MSCS runs its resource monitor on every node, active
+	// on the group owner only.
 	switch def.Supervision {
 	case workload.Standalone:
-		if err := mgr.StartService(def.Service.Name); err != nil {
-			return nil, nil, fmt.Errorf("start service: %w", err)
+		for i := range nodes {
+			if err := mgrs[i].StartService(def.Service.Name); err != nil {
+				return nil, nil, fmt.Errorf("node %d: start service: %w", i, err)
+			}
 		}
 	case workload.MSCS:
-		if _, err := mscs.Start(k, mgr, log, def.Service.Name, r.Opts.MSCSParams); err != nil {
+		cns := make([]mscs.ClusterNode, n)
+		for i := range nodes {
+			cns[i] = mscs.ClusterNode{Kernel: nodes[i], Mgr: mgrs[i], Log: logs[i]}
+		}
+		if _, err := mscs.StartCluster(cns, def.Service.Name, mscs.DefaultParams(), reachable); err != nil {
 			return nil, nil, fmt.Errorf("start mscs: %w", err)
 		}
 	case workload.Watchd:
-		if _, err := watchd.Start(k, mgr, def.Service.Name, r.Opts.WatchdVersion); err != nil {
-			return nil, nil, fmt.Errorf("start watchd: %w", err)
+		for i := range nodes {
+			if _, err := watchd.Start(nodes[i], mgrs[i], def.Service.Name, r.Opts.WatchdVersion); err != nil {
+				return nil, nil, fmt.Errorf("node %d: start watchd: %w", i, err)
+			}
 		}
 	default:
 		return nil, nil, fmt.Errorf("unknown supervision %v", def.Supervision)
 	}
 
-	tel.Emit(k.Now(), 0, telemetry.KindPhase, "service-start", 0, 0)
+	tel.Emit(m.Now(), 0, telemetry.KindPhase, "service-start", 0, 0)
 
-	// Wait for the server to come up (bounded; a faulted server may never
-	// make it, and the client must still run to observe that). The
-	// scheduling ceiling lets the kernel elide solo handoffs up to the
-	// loop's own exit bound; SetServiceStatus requests attention, so the
-	// poll below observes status transitions at exactly the quantum
-	// boundaries it would have without elision.
+	// Wait until any node reports RUNNING (with MSCS that is the group
+	// owner; active-active modes race their nodes up together). No
+	// scenario is armed yet, so every node is live. The wait is bounded: a
+	// faulted server may never make it, and the client must still run to
+	// observe that. The scheduling ceiling lets a lone node elide solo
+	// handoffs up to the loop's own exit bound; SetServiceStatus requests
+	// attention, so the poll below observes status transitions at exactly
+	// the quantum boundaries it would have without elision. canElide keeps
+	// elision off machines of more than one node.
 	elide := !r.Opts.FreshBoot
-	up := false
-	upDeadline := k.Now().Add(r.Opts.ServerUpTimeout)
+	upDeadline := m.Now().Add(r.Opts.ServerUpTimeout)
 	if elide {
-		k.SetSchedCeiling(upDeadline)
+		nodes[0].SetSchedCeiling(upDeadline)
 	}
-	for k.Now().Before(upDeadline) {
-		if st, _, _ := mgr.QueryServiceStatus(def.Service.Name); st == scm.Running {
+	anyUp := func() bool {
+		for _, mgr := range mgrs {
+			if st, _, _ := mgr.QueryServiceStatus(def.Service.Name); st == scm.Running {
+				return true
+			}
+		}
+		return false
+	}
+	up := false
+	for m.Now().Before(upDeadline) {
+		if anyUp() {
 			up = true
 			break
 		}
-		if !k.Step() {
+		if !m.Step() {
 			break
 		}
 	}
 	if up {
-		tel.Emit(k.Now(), 0, telemetry.KindPhase, "server-up", 0, 0)
+		tel.Emit(m.Now(), 0, telemetry.KindPhase, "server-up", 0, 0)
 	} else {
-		tel.Emit(k.Now(), 0, telemetry.KindPhase, "server-up-timeout", 0, 0)
+		tel.Emit(m.Now(), 0, telemetry.KindPhase, "server-up-timeout", 0, 0)
 	}
 
 	// Run the client workload to completion or the run deadline.
-	preClientPID := ntsim.PID(len(k.Processes()))
-	_, report, err := def.SpawnClient(k)
+	preClientPID := ntsim.PID(len(clientK.Processes()))
+	_, report, err := def.SpawnClient(clientK)
 	if err != nil {
 		return nil, nil, fmt.Errorf("spawn client: %w", err)
 	}
-	postClientPID := ntsim.PID(len(k.Processes()))
-	tel.Emit(k.Now(), 0, telemetry.KindPhase, "client-spawn", 0, 0)
+	postClientPID := ntsim.PID(len(clientK.Processes()))
+	tel.Emit(m.Now(), 0, telemetry.KindPhase, "client-spawn", 0, 0)
+
+	// Arm the scenario trigger.
+	crashed := make([]bool, n)
 	scenFired := false
 	if scen != nil {
-		k.Clock().ScheduleAt(k.Now().Add(scen.delay), func() {
+		target := scen.node
+		m.Clock().ScheduleAt(m.Now().Add(scen.delay), func() {
 			scenFired = true
-			tel.Emit(k.Now(), 0, telemetry.KindPhase, "cluster-scenario:"+spec.Function, 0, 0)
+			tel.Emit(m.Now(), 0, telemetry.KindPhase, "cluster-scenario:"+spec.Function, uint64(target), 0)
 			switch scen.kind {
-			case scenServiceCrash:
-				if pr, ok := mgr.ServiceProcess(def.Service.Name); ok && !pr.Terminated() {
-					pr.Terminate(ntsim.ExitAccessViolation)
-				}
 			case scenNodeCrash:
-				// The single node powers off: every server-side process
-				// dies and the SCM stops. The clients are the paper's
-				// remote observers, so they survive to record the outage.
-				mgr.Shutdown()
-				for _, pr := range k.Processes() {
-					if pr.ID > preClientPID && pr.ID <= postClientPID {
+				// The node powers off: its links go dark, its SCM stops and
+				// its processes die. Clients sharing a lone node's kernel
+				// are the paper's remote observers, so they survive to
+				// record the outage.
+				crashed[target] = true
+				if topo != nil {
+					topo.MarkDown(target)
+				}
+				mgrs[target].Shutdown()
+				for _, pr := range nodes[target].Processes() {
+					if nodes[target] == clientK && pr.ID > preClientPID && pr.ID <= postClientPID {
 						continue
 					}
 					if !pr.Terminated() {
 						pr.Terminate(ntsim.ExitTerminated)
 					}
 				}
+			case scenServiceCrash:
+				if pr, ok := mgrs[target].ServiceProcess(def.Service.Name); ok && !pr.Terminated() {
+					pr.Terminate(ntsim.ExitAccessViolation)
+				}
 			case scenPartition:
-				// One host, co-located clients: there is no link to cut.
+				if net == nil {
+					break // one host, co-located clients: no link to cut
+				}
+				net.Isolate(target, true)
+				if scen.heal > 0 {
+					m.Clock().ScheduleAfter(scen.heal, func() {
+						if !topo.Down(target) {
+							net.Isolate(target, false)
+						}
+					})
+				}
 			}
 		})
 	}
-	deadline := k.Now().Add(r.Opts.RunDeadline)
+
+	deadline := m.Now().Add(r.Opts.RunDeadline)
 	if elide {
 		// Done is the client's final act before exiting — a scheduling
 		// point — so the Done poll needs no attention hook; the ceiling
 		// alone bounds the fast path.
-		k.SetSchedCeiling(deadline)
+		nodes[0].SetSchedCeiling(deadline)
 	}
-	for !report.Done && k.Now().Before(deadline) {
-		if !k.Step() {
+	for !report.Done && m.Now().Before(deadline) {
+		if !m.Step() {
 			break
 		}
 	}
 	if elide {
-		k.ClearSchedCeiling()
+		nodes[0].ClearSchedCeiling()
 	}
 	if report.Done {
-		tel.Emit(k.Now(), 0, telemetry.KindPhase, "client-done", 0, 0)
+		tel.Emit(m.Now(), 0, telemetry.KindPhase, "client-done", 0, 0)
 		tel.Add(telemetry.CtrRunCompleted, 1)
 	} else {
-		tel.Emit(k.Now(), 0, telemetry.KindPhase, "run-deadline", 0, 0)
+		tel.Emit(m.Now(), 0, telemetry.KindPhase, "run-deadline", 0, 0)
 		tel.Add(telemetry.CtrRunDeadline, 1)
 	}
 
-	// Gather results.
+	// Gather: the union of per-node evidence, plus the per-node slices on
+	// a cluster.
+	activated := injectors[0].ActivatedFunctions()
+	for _, in := range injectors[1:] {
+		for fn := range in.ActivatedFunctions() {
+			activated[fn] = true
+		}
+	}
 	res := &RunResult{
 		Completed:    report.Done,
 		GotResponse:  report.AnyResponse(),
-		Restarts:     countRestarts(k, log, def.Supervision),
-		ActivatedFns: injector.ActivatedCount(),
-		Injected:     injector.Injected(),
+		ActivatedFns: len(activated),
+	}
+	if n > 1 {
+		res.Nodes = make([]NodeStat, n)
+	}
+	failovers := 0
+	for i, k := range nodes {
+		st := NodeStat{
+			Node:      i,
+			Restarts:  countRestarts(k, logs[i], def.Supervision),
+			Failovers: logs[i].CountEvent(mscs.Source, mscs.EventGroupFailover),
+			Events:    logs[i].Count(),
+			Crashed:   crashed[i],
+		}
+		res.Restarts += st.Restarts
+		failovers += st.Failovers
+		if res.Nodes != nil {
+			res.Nodes[i] = st
+		}
+		res.ServerCrash = res.ServerCrash || anyTargetCrash(k, def)
 	}
 	if spec != nil {
 		res.Fault = *spec
-		res.Activated = injector.Activated(spec.Function)
-	}
-	if scen != nil {
-		// A scenario fault "activates" when its trigger fires.
-		res.Activated = scenFired
-		res.Injected = scenFired
+		if kspec != nil {
+			res.Activated = injectors[kspec.Node].Activated(kspec.Function)
+			res.Injected = injectors[kspec.Node].Injected()
+		} else {
+			// A scenario fault "activates" when its trigger fires.
+			res.Activated = scenFired
+			res.Injected = scenFired
+		}
 	}
 	if report.Done {
 		res.ResponseSec = report.End.Sub(report.Start).Seconds()
 		tel.Observe(telemetry.HistRunResponse, report.End.Sub(report.Start))
 	}
-	res.Outcome = Classify(report.AllSucceeded(), report.AnyRetried(), res.Restarts)
+	// A cross-node failover is MSCS's restart-equivalent recovery, so it
+	// counts toward the §3 classification even though res.Restarts keeps
+	// reporting in-place service restarts only.
+	res.Outcome = Classify(report.AllSucceeded(), report.AnyRetried(), res.Restarts+failovers)
 	res.Classes = classOutcomes(report)
-	res.ServerCrash = anyTargetCrash(k, def)
 	tel.Add(telemetry.CtrRunRestarts, int64(res.Restarts))
 	if report.AnyRetried() {
 		tel.Add(telemetry.CtrRunRetried, 1)
@@ -445,18 +556,24 @@ func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error
 	if tel.Enabled() {
 		// Outcome classification as a trace event; the label concat only
 		// runs when a recorder is listening.
-		tel.Emit(k.Now(), 0, telemetry.KindPhase, "outcome:"+res.Outcome.String(), 0, 0)
+		tel.Emit(m.Now(), 0, telemetry.KindPhase, "outcome:"+res.Outcome.String(), 0, 0)
 	}
 
-	// Workload termination.
-	mgr.Shutdown()
-	k.KillAll()
-	runSpan.End(k.Now())
+	// Workload termination, machine-wide.
+	for _, mgr := range mgrs {
+		mgr.Shutdown()
+	}
+	m.KillAll()
+	runSpan.End(m.Now())
 	res.Telemetry = rec
-	if pan := k.Panics(); len(pan) != 0 {
+	var pan []string
+	for _, k := range m.Kernels() {
+		pan = append(pan, k.Panics()...)
+	}
+	if len(pan) != 0 {
 		return nil, nil, fmt.Errorf("simulated code panicked: %s", strings.Join(pan, "; "))
 	}
-	return res, injector.ActivatedFunctions(), nil
+	return res, activated, nil
 }
 
 // countRestarts reads the middleware's restart evidence, exactly the way

@@ -57,9 +57,11 @@ func newRig(t *testing.T, reportAfter, crashAt, hint time.Duration) *rig {
 	return &rig{k: k, mgr: mgr, log: log}
 }
 
-func (r *rig) monitor(t *testing.T) {
+// monitor starts the resource monitor on the rig as a one-node cluster,
+// the paper's single-node testbed.
+func (r *rig) monitor(t *testing.T, params Params) {
 	t.Helper()
-	if _, err := Start(r.k, r.mgr, r.log, "toy", DefaultParams()); err != nil {
+	if _, err := StartCluster([]ClusterNode{{Kernel: r.k, Mgr: r.mgr, Log: r.log}}, "toy", params, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -74,7 +76,7 @@ func (r *rig) run(t *testing.T, d time.Duration) {
 
 func TestBringsResourceOnline(t *testing.T) {
 	r := newRig(t, 200*time.Millisecond, 0, 10*time.Second)
-	r.monitor(t)
+	r.monitor(t, DefaultParams())
 	r.run(t, 10*time.Second)
 	st, _, _ := r.mgr.QueryServiceStatus("toy")
 	if st != scm.Running {
@@ -89,7 +91,7 @@ func TestRestartsRunningDeath(t *testing.T) {
 	// The service dies while RUNNING: the LooksAlive poll notices the
 	// reaped service and the restart succeeds.
 	r := newRig(t, 100*time.Millisecond, 3*time.Second, 10*time.Second)
-	r.monitor(t)
+	r.monitor(t, DefaultParams())
 	r.run(t, 30*time.Second)
 	st, _, _ := r.mgr.QueryServiceStatus("toy")
 	if st != scm.Running {
@@ -106,7 +108,7 @@ func TestGivesUpOnLongPendingLock(t *testing.T) {
 	// the resource fails permanently (why MSCS loses to watchd3 on
 	// services with long start hints).
 	r := newRig(t, 2*time.Second, 500*time.Millisecond, 30*time.Second)
-	r.monitor(t)
+	r.monitor(t, DefaultParams())
 	r.run(t, 90*time.Second)
 	if n := r.log.CountEvent(Source, EventResourceFailed); n != 1 {
 		t.Fatalf("%d resource-failed events, want 1", n)
@@ -122,7 +124,7 @@ func TestRecoversShortPendingLock(t *testing.T) {
 	// lock expires within the monitor's patience and attempt 2 restarts
 	// the service.
 	r := newRig(t, 2*time.Second, 500*time.Millisecond, 4*time.Second)
-	r.monitor(t)
+	r.monitor(t, DefaultParams())
 	r.run(t, 60*time.Second)
 	st, _, _ := r.mgr.QueryServiceStatus("toy")
 	if st != scm.Running {
@@ -137,7 +139,7 @@ func TestRestartLogsGoToEventLog(t *testing.T) {
 	// The DTS collector depends on restarts being visible in the NT
 	// event log under the ClusSvc source (§3).
 	r := newRig(t, 100*time.Millisecond, 2*time.Second, 10*time.Second)
-	r.monitor(t)
+	r.monitor(t, DefaultParams())
 	r.run(t, 30*time.Second)
 	recs := r.log.BySource(Source)
 	if len(recs) == 0 {
@@ -162,11 +164,9 @@ func TestDefaultParamsApplied(t *testing.T) {
 	if p.MaxAttempts != 2 || p.OnlineTimeout != 22*time.Second {
 		t.Fatalf("unexpected defaults %+v", p)
 	}
-	// Start with zero params must fall back to defaults (smoke).
+	// StartCluster with zero params must fall back to defaults (smoke).
 	r := newRig(t, 100*time.Millisecond, 0, 10*time.Second)
-	if _, err := Start(r.k, r.mgr, r.log, "toy", Params{}); err != nil {
-		t.Fatal(err)
-	}
+	r.monitor(t, Params{})
 	r.run(t, 5*time.Second)
 	st, _, _ := r.mgr.QueryServiceStatus("toy")
 	if st != scm.Running {
@@ -174,64 +174,72 @@ func TestDefaultParamsApplied(t *testing.T) {
 	}
 }
 
-// TestFailoverToStandby exercises the cluster failover path the paper's
-// single-node testbed could not: the primary's start stays blocked behind
-// the SCM lock until the monitor's budget runs out, and the group then
-// moves to the standby service.
-func TestFailoverToStandby(t *testing.T) {
-	k := ntsim.NewKernel()
-	log := eventlog.New()
-	mgr := scm.New(k, log)
-	// Primary: crashes before reporting RUNNING, 30s wait hint — the
-	// configuration MSCS abandons.
-	k.RegisterImage("primary.exe", func(p *ntsim.Process) uint32 {
-		win32.New(p).Sleep(300)
-		p.RaiseAccessViolation()
-		return 0
-	})
-	// Standby: healthy.
-	k.RegisterImage("standby.exe", func(p *ntsim.Process) uint32 {
-		api := win32.New(p)
-		api.Sleep(200)
-		scm.ReportRunning(k, "toy-b")
-		for {
-			api.Sleep(3_600_000)
+// TestFailoverToStandbyNode exercises the cross-node failover the
+// paper's single-node testbed could not: node 0's start stays blocked
+// behind its SCM lock until the monitor's budget runs out, and the group
+// then moves to node 1, whose monitor keeps restarting the service there.
+func TestFailoverToStandbyNode(t *testing.T) {
+	m := ntsim.NewMachine()
+	nodes := make([]ClusterNode, 2)
+	for i := range nodes {
+		k := m.AddKernel()
+		log := eventlog.New()
+		mgr := scm.New(k, log)
+		if i == 0 {
+			// Dies before reporting RUNNING, 30s wait hint: the
+			// configuration MSCS abandons.
+			k.RegisterImage("toy.exe", func(p *ntsim.Process) uint32 {
+				win32.New(p).Sleep(300)
+				p.RaiseAccessViolation()
+				return 0
+			})
+		} else {
+			k.RegisterImage("toy.exe", func(p *ntsim.Process) uint32 {
+				api := win32.New(p)
+				api.Sleep(200)
+				scm.ReportRunning(k, "toy")
+				for {
+					api.Sleep(3_600_000)
+				}
+			})
 		}
-	})
-	if err := mgr.CreateService(scm.Config{Name: "toy", Image: "primary.exe", WaitHint: 30 * time.Second}); err != nil {
+		if err := mgr.CreateService(scm.Config{Name: "toy", Image: "toy.exe", WaitHint: 30 * time.Second}); err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = ClusterNode{Kernel: k, Mgr: mgr, Log: log}
+	}
+	healthy := func(a, b int) bool { return true }
+	if _, err := StartCluster(nodes, "toy", DefaultParams(), healthy); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.CreateService(scm.Config{Name: "toy-b", Image: "standby.exe", WaitHint: 5 * time.Second}); err != nil {
-		t.Fatal(err)
+	run := func(d time.Duration) {
+		t.Helper()
+		m.RunFor(d)
+		for _, n := range nodes {
+			if pan := n.Kernel.Panics(); len(pan) != 0 {
+				t.Fatalf("panics: %v", pan)
+			}
+		}
 	}
-	params := DefaultParams()
-	params.FailoverTo = "toy-b"
-	if _, err := Start(k, mgr, log, "toy", params); err != nil {
-		t.Fatal(err)
+	run(90 * time.Second)
+	if n := nodes[0].Log.CountEvent(Source, EventResourceFailed); n != 1 {
+		t.Fatalf("node 0 logged %d resource-failed events, want 1", n)
 	}
-	k.RunFor(90 * time.Second)
-	if pan := k.Panics(); len(pan) != 0 {
-		t.Fatalf("panics: %v", pan)
+	if n := nodes[0].Log.CountEvent(Source, EventGroupFailover); n != 1 {
+		t.Fatalf("node 0 logged %d failover events, want 1", n)
 	}
-	if n := log.CountEvent(Source, EventGroupFailover); n != 1 {
-		t.Fatalf("%d failover events, want 1", n)
+	if st, _, _ := nodes[1].Mgr.QueryServiceStatus("toy"); st != scm.Running {
+		t.Fatalf("node 1 service %v, want RUNNING", st)
 	}
-	st, _, _ := mgr.QueryServiceStatus("toy-b")
-	if st != scm.Running {
-		t.Fatalf("standby %v, want RUNNING", st)
+	// The new owner keeps watching its service: kill it, expect one
+	// restart in node 1's own event log.
+	_, pid, _ := nodes[1].Mgr.QueryServiceStatus("toy")
+	nodes[1].Kernel.Process(pid).Terminate(ntsim.ExitAccessViolation)
+	run(30 * time.Second)
+	if n := nodes[1].Log.CountEvent(Source, EventResourceRestart); n != 1 {
+		t.Fatalf("node 1 logged %d restart events, want 1", n)
 	}
-	// The standby online is recorded as a restart (the collector's
-	// restart evidence still works across the failover).
-	if n := log.CountEvent(Source, EventResourceRestart); n == 0 {
-		t.Fatal("failover not visible as a restart")
-	}
-	// And the monitor keeps watching the standby: kill it, expect another
-	// restart.
-	_, pid, _ := mgr.QueryServiceStatus("toy-b")
-	k.Process(pid).Terminate(ntsim.ExitAccessViolation)
-	k.RunFor(30 * time.Second)
-	st, _, _ = mgr.QueryServiceStatus("toy-b")
-	if st != scm.Running {
-		t.Fatalf("standby %v after death, want restarted RUNNING", st)
+	if st, _, _ := nodes[1].Mgr.QueryServiceStatus("toy"); st != scm.Running {
+		t.Fatalf("node 1 service %v after death, want restarted RUNNING", st)
 	}
 }

@@ -419,10 +419,9 @@ func BenchmarkCampaignJournaled(b *testing.B) {
 			b.Fatal(err)
 		}
 		sup := core.NewSupervisor(core.SupervisorOptions{})
-		sup.AttachJournal(jw)
 		c := core.NewCampaign(
 			core.NewRunner(workload.NewApache1(workload.Standalone), core.RunnerOptions{}),
-			core.WithParallelism(1), core.WithSupervision(sup))
+			core.WithParallelism(1), core.WithSupervision(sup), core.WithJournal(jw, nil))
 		set, err := c.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
@@ -670,8 +669,7 @@ func BenchmarkReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	sup := core.NewSupervisor(core.SupervisorOptions{})
-	sup.AttachJournal(jw)
-	if _, err := core.NewCampaign(runner, core.WithSpecs(specs), core.WithSupervision(sup),
+	if _, err := core.NewCampaign(runner, core.WithSpecs(specs), core.WithSupervision(sup), core.WithJournal(jw, nil),
 		core.WithParallelism(1)).Run(context.Background()); err != nil {
 		b.Fatal(err)
 	}

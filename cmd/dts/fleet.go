@@ -34,17 +34,6 @@ type fleetFlags struct {
 	chaos   bool   // arm the DTS_SHARD_CHAOS_* drills
 }
 
-// active reports whether a fleet was requested.
-func (f fleetFlags) active() bool { return f.workers != "" }
-
-// sessionKey resolves the shared TCP key.
-func (f fleetFlags) sessionKey() string {
-	if f.key != "" {
-		return f.key
-	}
-	return os.Getenv("DTS_WORKER_KEY")
-}
-
 // options translates the flags into FleetOptions. An integer -workers
 // spawns that many local dts worker processes; a comma-separated
 // host:port list gives each address one slot, whose workers each dial
@@ -64,7 +53,10 @@ func (f fleetFlags) options(parallel int) (shard.FleetOptions, error) {
 		opts.Spawn = workerSpawner()
 		return opts, nil
 	}
-	key := f.sessionKey()
+	key := f.key
+	if key == "" {
+		key = os.Getenv("DTS_WORKER_KEY")
+	}
 	for _, addr := range strings.Split(f.workers, ",") {
 		addr = strings.TrimSpace(addr)
 		if addr == "" {

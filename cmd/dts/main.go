@@ -10,6 +10,7 @@
 //	dts -config dts.cfg -workload-trace sched.wtrace
 //	dts -config dts.cfg -cluster 3 [-routing round-robin|least-loaded|failover]
 //	dts -config dts.cfg -middleware watchd-v2
+//	dts -resume campaign.journal [-workers N] [-out results.json]
 //	dts -replay campaign.journal -middleware watchd-v3 [-out results.json] [-no-elide]
 //	dts -experiment table1|figure2|figure5 [-out results.json]
 //	dts -conformance [-golden path] [-update] [-sample n] [-seed n]
@@ -52,11 +53,12 @@
 // the identical schedule, and archives are byte-identical at any
 // -parallel/-workers setting and across record/replay.
 //
-// -workers runs a -config or -experiment campaign as a work-stealing
-// fleet of worker processes (DESIGN.md §4j; dts re-executes itself with
-// the internal -shard-worker flag): workers pull bounded chunks on
-// demand, lost chunks are re-dispatched, straggler tails are speculated,
-// and the merged archive, trace and metrics are byte-identical to an
+// -workers runs a -config, -experiment or -resume campaign as a
+// work-stealing fleet of worker processes (DESIGN.md §4j; dts re-executes
+// itself with the internal -shard-worker flag; a resumed campaign runs
+// only what its journal lacks): workers pull bounded chunks on demand,
+// lost chunks are re-dispatched, straggler tails are speculated, and the
+// merged archive, trace and metrics are byte-identical to an
 // unsharded run under any kill schedule. -parallel then sizes each
 // worker's run pool. An integer count spawns local worker processes; a
 // host:port list dials `dts -worker-listen` hosts over authenticated
@@ -274,7 +276,7 @@ func run(args []string, out io.Writer) error {
 		cc := core.ClusterConfig{Nodes: *clusterN, Routing: *routing}
 		return runReplay(ctx, *replayPath, *middlewareSpec, *outPath, *parallel, *noElide, cc, progress, out)
 	case "resume":
-		return runResume(ctx, *resume, *outPath, *parallel, tflags, progress, out)
+		return runResume(ctx, *resume, *outPath, *parallel, fleet, tflags, progress, out)
 	case "conformance":
 		return runConformance(*golden, *update, *sample, *seed, *parallel, tflags, progress, out)
 	case "experiment":
@@ -283,7 +285,7 @@ func run(args []string, out io.Writer) error {
 		ecfg.Opts.FreshBoot = *freshBoot
 		if fleet != nil {
 			ecfg.ShardExec = shard.NewFleet(*fleet)
-		} else if supervised(fromFlags) {
+		} else if len(policyFlags(fromFlags)) > 0 {
 			policy := supervisorPolicy(fromFlags)
 			ecfg.Supervise = &policy
 		}
@@ -319,7 +321,7 @@ func run(args []string, out io.Writer) error {
 	if *outPath == "" {
 		*outPath = results
 	}
-	return runConfigured(ctx, runner, h, *journalPath, *outPath, *parallel, fleet, tflags, progress, out)
+	return runCampaign(ctx, runner, h, nil, *journalPath, *outPath, *parallel, fleet, tflags, progress, out)
 }
 
 // modes is the flag table: every way dts runs, in the order a set flag
@@ -330,7 +332,7 @@ var modes = []struct{ flag, takes string }{
 	{"shard-worker", ""},
 	{"worker-listen", "worker-key"},
 	{"replay", "middleware cluster routing out parallel no-elide"},
-	{"resume", "out parallel trace-out metrics"},
+	{"resume", "out parallel trace-out metrics workers worker-key"},
 	{"conformance", "golden update sample seed parallel trace-out metrics trace-cap"},
 	{"experiment", "out parallel fresh-boot trace-out metrics trace-cap run-deadline max-quarantined retries chaos workers worker-key"},
 	{"fault", "config trace fresh-boot middleware cluster routing cohort workload-trace workload-trace-out trace-out metrics trace-cap"},
@@ -340,7 +342,8 @@ var modes = []struct{ flag, takes string }{
 // flagMode returns the mode the set flags select, rejecting every set
 // flag that mode does not honour. A flag set to its default changes
 // nothing, so it counts as unset. A -workers fleet also rejects the
-// supervisor flags: its workers run chunks unsupervised.
+// supervisor flags: its workers run chunks unsupervised. Table 1 runs
+// calibration scans only, so it rejects the fleet and supervisor flags.
 func flagMode(fs *flag.FlagSet) (string, error) {
 	var set []string
 	fs.Visit(func(f *flag.Flag) {
@@ -353,17 +356,23 @@ func flagMode(fs *flag.FlagSet) (string, error) {
 			continue
 		}
 		takes := strings.Fields(m.flag + " " + m.takes + " q cpuprofile memprofile")
-		var bad, unsupervised []string
+		table1 := m.flag == "experiment" && fs.Lookup("experiment").Value.String() == "table1"
+		var bad, scansOnly, unsupervised []string
 		for _, name := range set {
 			switch {
 			case !slices.Contains(takes, name):
 				bad = append(bad, "-"+name)
+			case table1 && slices.Contains(strings.Fields("workers run-deadline max-quarantined retries chaos"), name):
+				scansOnly = append(scansOnly, "-"+name)
 			case name == "run-deadline" || name == "max-quarantined" || name == "retries":
 				unsupervised = append(unsupervised, "-"+name)
 			}
 		}
 		if len(bad) > 0 {
 			return "", fmt.Errorf("-%s does not take %s", m.flag, strings.Join(bad, ", "))
+		}
+		if len(scansOnly) > 0 {
+			return "", fmt.Errorf("-experiment table1 runs calibration scans only: it does not take %s", strings.Join(scansOnly, ", "))
 		}
 		if len(unsupervised) > 0 && slices.Contains(set, "workers") {
 			return "", fmt.Errorf("a -workers fleet runs unsupervised: it does not take %s", strings.Join(unsupervised, ", "))
@@ -599,36 +608,39 @@ func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemet
 	return saveArchive(archive, outPath)
 }
 
-// runConfigured executes a -config campaign from its header: in-process,
-// under the supervisor, or on a -workers fleet. A -journal records the
-// same header, so -resume rebuilds the campaign from the journal alone.
-func runConfigured(ctx context.Context, runner *core.Runner, h journal.Header, jpath, outPath string, parallel int, fleet *shard.FleetOptions, tflags telemetryFlags, progress func(string), out io.Writer) error {
+// runCampaign executes a -config campaign from its header or, with a
+// non-nil rep, resumes the journaled campaign rep was replayed from
+// (runResume): on a -workers fleet, or in-process — under the supervisor
+// when journaled or when the header records a supervisor flag. A
+// -journal records the same header, so -resume rebuilds the campaign
+// from the journal alone.
+func runCampaign(ctx context.Context, runner *core.Runner, h journal.Header, rep *journal.Replayed, jpath, outPath string, parallel int, fleet *shard.FleetOptions, tflags telemetryFlags, progress func(string), out io.Writer) error {
 	copts := []core.Option{core.WithParallelism(parallel), core.WithProgress(campaignProgress(progress))}
 	if h.FaultList != "" {
-		specs, err := loadFaultList(h.FaultList)
+		specs, err := faultSpecs(h.FaultList, rep)
 		if err != nil {
 			return err
 		}
 		copts = append(copts, core.WithSpecs(specs))
 	}
 	var jw *journal.Writer
-	if jpath != "" {
-		var err error
-		if jw, err = journal.Create(jpath, h); err != nil {
-			return err
-		}
+	var err error
+	switch {
+	case rep != nil:
+		jw, err = journal.Append(jpath, rep.ValidBytes, rep.Records)
+	case jpath != "":
+		jw, err = journal.Create(jpath, h)
+	}
+	if err != nil {
+		return err
 	}
 	switch {
 	case fleet != nil:
-		fopts := *fleet
-		fopts.Journal = jw
-		copts = append(copts, core.WithShardExecutor(shard.NewFleet(fopts)))
-	case jw != nil || supervised(h):
-		sup := core.NewSupervisor(supervisorPolicy(h))
-		sup.AttachJournal(jw)
-		copts = append(copts, core.WithSupervision(sup))
+		copts = append(copts, core.WithShardExecutor(shard.NewFleet(*fleet)))
+	case jw != nil || len(policyFlags(h)) > 0:
+		copts = append(copts, core.WithSupervision(core.NewSupervisor(supervisorPolicy(h))))
 	}
-	set, err := core.NewCampaign(runner, copts...).Run(ctx)
+	set, err := core.NewCampaign(runner, append(copts, core.WithJournal(jw, rep))...).Run(ctx)
 	return finish(set, err, jw, outPath, resumeCommand(jpath, outPath, parallel, tflags), tflags, out)
 }
 
@@ -663,6 +675,26 @@ func printSetSummary(set *core.SetResult, out io.Writer) {
 // saveSet archives one workload set.
 func saveSet(set *core.SetResult, path string) error {
 	return saveArchive(&experiments.Archive{Kind: "set", Set: set}, path)
+}
+
+// faultSpecs returns a fault-list campaign's specs: the file's, or on a
+// resume the journal's plan, which records them.
+func faultSpecs(path string, rep *journal.Replayed) ([]inject.FaultSpec, error) {
+	if rep == nil {
+		return loadFaultList(path)
+	}
+	if rep.Plan == nil {
+		return nil, errors.New("the journal has no plan record; nothing to resume — rerun the campaign")
+	}
+	specs := make([]inject.FaultSpec, len(rep.Plan.Jobs))
+	for i, key := range rep.Plan.Jobs {
+		job, err := core.ParseJobKey(key)
+		if err != nil {
+			return nil, fmt.Errorf("journal plan job %d: %w", i, err)
+		}
+		specs[i] = job.Spec
+	}
+	return specs, nil
 }
 
 // loadFaultList parses an explicit fault-list file — campaigns with a

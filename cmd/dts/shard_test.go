@@ -122,7 +122,7 @@ func TestShardedWorkerSigkillRedispatch(t *testing.T) {
 // TestShardsFlagValidation: -workers is the one way to fan out. The
 // retired -shards flag is unknown to the flag package, and -workers
 // rejects the flags that need the in-process supervisor or a single
-// process. A positional argument is rejected by name, in dts and in
+// process (-resume takes -workers but still rejects -config). A positional argument is rejected by name, in dts and in
 // dts serve.
 func TestShardsFlagValidation(t *testing.T) {
 	dir := t.TempDir()
@@ -136,7 +136,7 @@ func TestShardsFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-config", cfgPath, "-workers", "4", "-resume", filepath.Join(dir, "j")}, "-resume does not take -config, -workers"},
+		{[]string{"-config", cfgPath, "-workers", "4", "-resume", filepath.Join(dir, "j")}, "-resume does not take -config"},
 		{[]string{"-workers", "4", "-conformance"}, "-conformance does not take -workers"},
 		{[]string{"-config", cfgPath, "-workers", "2", "-fault", "ReadFile 0 1 zero"}, "-fault does not take -workers"},
 		{[]string{"-config", cfgPath, "-workers", "4", "-run-deadline", "1s"}, "does not take -run-deadline"},

@@ -1,10 +1,10 @@
 package main
 
 // Campaign supervision in the CLI: the supervisor policy a journal
-// header carries (-run-deadline/-max-quarantined/-retries/-chaos), -resume,
-// the one finish path that flushes the journal and prints the exact
-// resume command on SIGINT/SIGTERM, and the distinct exit codes
-// automation keys on.
+// header carries (-run-deadline/-max-quarantined/-retries/-chaos), -resume
+// (in-process or on a -workers fleet), the one finish path that flushes
+// the journal and prints the exact resume command on SIGINT/SIGTERM, and
+// the distinct exit codes automation keys on.
 
 import (
 	"context"
@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"ntdts/internal/core"
-	"ntdts/internal/inject"
 	"ntdts/internal/journal"
 	"ntdts/internal/report"
 	"ntdts/internal/shard"
@@ -53,12 +52,24 @@ func supervisorPolicy(h journal.Header) core.SupervisorOptions {
 	}
 }
 
-// supervised reports whether a fresh campaign's policy needs the
-// supervisor (a -journal always does). The retry budget alone does not:
-// retries only matter once a watchdog, quarantine budget or chaos hook
-// is in play.
-func supervised(h journal.Header) bool {
-	return h.WallDeadlineNS > 0 || h.MaxQuarantined > 0 || h.Chaos
+// policyFlags names the supervisor flags a header records. A fresh
+// campaign that records any runs under the supervisor (a -journal always
+// does), and a -workers fleet, whose workers run unsupervised, cannot
+// resume a journal that records any. The retry budget alone counts for
+// neither: retries only matter once a watchdog, quarantine budget or
+// chaos hook is in play.
+func policyFlags(h journal.Header) []string {
+	var flags []string
+	if h.WallDeadlineNS > 0 {
+		flags = append(flags, "-run-deadline")
+	}
+	if h.MaxQuarantined > 0 {
+		flags = append(flags, "-max-quarantined")
+	}
+	if h.Chaos {
+		flags = append(flags, "-chaos")
+	}
+	return flags
 }
 
 // resumeCommand renders the exact command that continues an interrupted
@@ -141,11 +152,11 @@ func finish(set *core.SetResult, runErr error, jw *journal.Writer, savePath, res
 
 // runResume continues an interrupted journaled campaign: replay the
 // journal, truncate its torn tail, rebuild the runner and the supervisor
-// policy from the header, and execute the remaining runs — completed
-// runs replay from the journal, so the final results are byte-identical
-// to an uninterrupted campaign at any -parallel setting. The journal is
-// self-contained: a fault-list campaign's specs come from its plan.
-func runResume(ctx context.Context, jpath, outPath string, parallel int, tflags telemetryFlags, progress func(string), out io.Writer) error {
+// policy from the header, adopt the journaled runs and execute the rest
+// — in-process under the supervisor, or on a -workers fleet — so the
+// final results are byte-identical to an uninterrupted campaign at any
+// -parallel or -workers setting.
+func runResume(ctx context.Context, jpath, outPath string, parallel int, fleet *shard.FleetOptions, tflags telemetryFlags, progress func(string), out io.Writer) error {
 	rep, err := journal.Replay(jpath)
 	if err != nil {
 		return err
@@ -157,38 +168,17 @@ func runResume(ctx context.Context, jpath, outPath string, parallel int, tflags 
 		}
 		return fmt.Errorf("journal %s collected no telemetry; -trace-out/-metrics cannot be added on resume", jpath)
 	}
+	if policy := policyFlags(h); fleet != nil && len(policy) > 0 {
+		return fmt.Errorf("journal %s records %s: a -workers fleet runs unsupervised; resume it without -workers", jpath, strings.Join(policy, ", "))
+	}
 	runner, err := shard.RunnerFromHeader(h)
 	if err != nil {
 		return err
 	}
-	sup := core.NewSupervisor(supervisorPolicy(h))
-	sup.LoadResume(rep)
-	copts := []core.Option{core.WithParallelism(parallel), core.WithProgress(campaignProgress(progress)),
-		core.WithSupervision(sup)}
-	if h.FaultList != "" {
-		if rep.Plan == nil {
-			return fmt.Errorf("journal %s has no plan record; nothing to resume — rerun the campaign", jpath)
-		}
-		specs := make([]inject.FaultSpec, len(rep.Plan.Jobs))
-		for i, key := range rep.Plan.Jobs {
-			job, err := core.ParseJobKey(key)
-			if err != nil {
-				return fmt.Errorf("journal plan job %d: %w", i, err)
-			}
-			specs[i] = job.Spec
-		}
-		copts = append(copts, core.WithSpecs(specs))
-	}
 	if rep.Torn {
 		progress("discarded torn final journal record")
 	}
-	jw, err := journal.Append(jpath, rep.ValidBytes, rep.Records)
-	if err != nil {
-		return err
-	}
-	sup.AttachJournal(jw)
 	progress(fmt.Sprintf("resuming %s/%s from %s: %d runs journaled",
 		h.Workload, h.Supervision, jpath, rep.Records))
-	set, err := core.NewCampaign(runner, copts...).Run(ctx)
-	return finish(set, err, jw, outPath, resumeCommand(jpath, outPath, parallel, tflags), tflags, out)
+	return runCampaign(ctx, runner, h, rep, jpath, outPath, parallel, fleet, tflags, progress, out)
 }

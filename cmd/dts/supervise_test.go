@@ -129,7 +129,7 @@ func TestRunFlagConflicts(t *testing.T) {
 		{[]string{"-resume", "x.journal", "-journal", "y.journal"}, "-resume does not take -journal"},
 		{[]string{"-journal", "x.journal", "-experiment", "table1"}, "-experiment does not take -journal"},
 		{[]string{"-journal", "x.journal", "-conformance"}, "-conformance does not take -journal"},
-		{[]string{"-experiment", "table1", "-retries", "-1"}, "-retries must be >= 0"},
+		{[]string{"-experiment", "figure2", "-retries", "-1"}, "-retries must be >= 0"},
 		{[]string{"-replay", jpath, "-middleware", "watchd-v3", "-trace-out", tracePath, "-metrics"},
 			"-replay does not take -metrics, -trace-out"},
 		{[]string{"-resume", jpath, "-fresh-boot"}, "-resume does not take -fresh-boot"},
@@ -139,6 +139,11 @@ func TestRunFlagConflicts(t *testing.T) {
 		{[]string{"-config", cfgPath, "-workers", "2", "-retries", "7"}, "does not take -retries"},
 		{[]string{"-config", cfgPath, "-experiment", "table1"}, "-experiment does not take -config"},
 		{[]string{"-conformance", "-config", cfgPath}, "-conformance does not take -config"},
+		// Table 1 runs calibration scans only: no fleet, no supervisor.
+		{[]string{"-experiment", "table1", "-workers", "2"}, "-experiment table1 runs calibration scans only: it does not take -workers"},
+		{[]string{"-experiment", "table1", "-run-deadline", "1ns", "-max-quarantined", "1"},
+			"it does not take -max-quarantined, -run-deadline"},
+		{[]string{"-experiment", "table1", "-retries", "5", "-chaos"}, "it does not take -chaos, -retries"},
 	} {
 		if err := run(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
@@ -165,6 +170,33 @@ func TestRunResumeTelemetryMismatch(t *testing.T) {
 	// Matching setting resumes cleanly (everything replays).
 	if err := run([]string{"-resume", jpath, "-q"}, &out); err != nil {
 		t.Fatalf("clean resume: %v", err)
+	}
+}
+
+// TestRunResumeWorkersRejectsSupervisedJournal: a -workers fleet runs
+// unsupervised, so it refuses to resume a journal whose header records a
+// watchdog, a quarantine budget or chaos, and names each such flag.
+func TestRunResumeWorkersRejectsSupervisedJournal(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := writeChaosList(t, dir, "ReadFile 1 1 flip\nGetVersionExA 0 1 zero\n")
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-run-deadline", "5s"}, "records -run-deadline:"},
+		{[]string{"-max-quarantined", "3"}, "records -max-quarantined:"},
+		{[]string{"-chaos", "-run-deadline", "5s"}, "records -run-deadline, -chaos:"},
+	} {
+		jpath := filepath.Join(dir, "s.journal")
+		var out bytes.Buffer
+		args := append([]string{"-config", cfgPath, "-q", "-journal", jpath, "-out", filepath.Join(dir, "s.json")}, c.flags...)
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"-resume", jpath, "-workers", "2", "-q"}, &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.flags, err, c.want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"ntdts/internal/inject"
+	"ntdts/internal/journal"
 	"ntdts/internal/stats"
 	"ntdts/internal/telemetry"
 )
@@ -41,12 +42,6 @@ type SetResult struct {
 	// campaign ran sharded (nil otherwise). Excluded from the JSON
 	// archive so archives stay byte-identical at any fleet shape.
 	Dispatch *DispatchStats `json:"-"`
-
-	// Replay summarizes the divergence oracle's elision decisions when
-	// the set was produced by a replay campaign (nil otherwise).
-	// Excluded from the JSON archive so a replayed archive stays
-	// byte-identical to a from-scratch one.
-	Replay *ReplayStats `json:"-"`
 }
 
 // Injected returns the number of faults that actually fired.
@@ -142,10 +137,14 @@ type Campaign struct {
 	// Invocations are serialized and done increases strictly by one,
 	// regardless of parallelism.
 	progress func(done, total int)
-	// supervise, when non-nil, routes every run through the campaign
-	// supervisor: wall-clock watchdog, panic quarantine, bounded retries,
-	// the results journal, and replay-on-resume.
+	// supervise, when non-nil, runs every run under the attempt policy:
+	// wall-clock watchdog, panic quarantine, bounded retries.
 	supervise *Supervisor
+	// journal, when non-nil, records every committed run; resume, when
+	// non-nil, is the replayed journal whose runs are adopted instead of
+	// re-executed (see WithJournal).
+	journal *journal.Writer
+	resume  *journal.Replayed
 	// specs, when non-empty, replaces the generated catalog sweep with an
 	// explicit fault list (the dts fault-list-file path).
 	specs []inject.FaultSpec
@@ -167,24 +166,14 @@ func (c *Campaign) Runner() *Runner { return c.runner }
 // Shards returns the WithShards fleet size (0 when unset).
 func (c *Campaign) Shards() int { return c.shards }
 
-// HasProgress reports whether a progress callback is registered, so
-// executors can skip progress bookkeeping entirely when nobody listens.
-func (c *Campaign) HasProgress() bool { return c.progress != nil }
-
-// ReportProgress invokes the progress callback (no-op when none is
-// registered). Callers serialize invocations themselves.
-func (c *Campaign) ReportProgress(done, total int) {
-	if c.progress != nil {
-		c.progress(done, total)
-	}
-}
-
 // Prepared is a campaign after calibration and planning, ready to
-// execute: the frozen job list plus everything Assemble needs to build
-// the SetResult. The coordinator/worker split lives on this boundary —
-// a ShardExecutor dispatches Jobs and Assemble merges the results.
+// execute: the frozen job list, the Ledger its runs commit to, and
+// everything the SetResult is built from. The coordinator/worker split
+// lives on this boundary — a ShardExecutor dispatches the ledger's
+// pending jobs and commits their results to it.
 type Prepared struct {
-	c *Campaign
+	c      *Campaign
+	ledger *Ledger
 	// Calib is the fault-free calibration result.
 	Calib *RunResult
 	// Jobs is the campaign's ordered job list; results land at the
@@ -202,11 +191,24 @@ type Prepared struct {
 	SkippedFaults int
 }
 
+// Ledger returns the ledger the campaign's runs commit to (nil until
+// Campaign.Run opens it).
+func (p *Prepared) Ledger() *Ledger { return p.ledger }
+
 // Prepare runs the fault-free calibration pass and lays out the job
 // list: one run per (activated function × parameter × fault type) for a
 // catalog campaign, or the explicit Specs list verbatim. The skip rule
-// is the paper's, applied eagerly from the calibration run.
+// is the paper's, applied eagerly from the calibration run. Every listed
+// fault is checked against the runner's topology first, so a fault the
+// topology cannot host fails the campaign before its first run; a
+// catalog plan holds only node-0 catalog faults, which every topology
+// the calibration run accepts can host.
 func (c *Campaign) Prepare() (*Prepared, error) {
+	for i := range c.specs {
+		if _, err := c.runner.Opts.Cluster.checkFault(&c.specs[i]); err != nil {
+			return nil, fmt.Errorf("fault list entry %d: %w", i+1, err)
+		}
+	}
 	types := c.types
 	if len(types) == 0 {
 		types = inject.AllFaultTypes()
@@ -240,155 +242,81 @@ func (c *Campaign) Prepare() (*Prepared, error) {
 	return p, nil
 }
 
-// Assemble builds the SetResult from the executed (possibly partial)
-// run list. A supervisor stop (interrupt, quarantine budget) is
-// graceful degradation: the partial set returns alongside the cause so
-// the caller can report what finished; any other error voids the set.
-func (p *Prepared) Assemble(runs []RunResult, runErr error) (*SetResult, error) {
+// assemble builds the SetResult from the executed (possibly partial)
+// run list. A stop (interrupt, quarantine budget) of a supervised
+// campaign is graceful degradation: the partial set returns alongside
+// the cause so the caller can report what finished; any other error
+// voids the set.
+func (p *Prepared) assemble(runs []RunResult, runErr error) (*SetResult, error) {
 	c := p.c
+	var budget *QuarantineBudgetError
+	partial := c.supervise != nil && (errors.Is(runErr, ErrInterrupted) || errors.As(runErr, &budget))
+	if runErr != nil && !partial {
+		return nil, runErr
+	}
 	set := &SetResult{
 		Workload:      c.runner.Def.Name,
 		Supervision:   c.runner.Def.Supervision.String(),
 		ActivatedFns:  p.Calib.ActivatedFns,
 		FaultFreeSec:  p.Calib.ResponseSec,
+		Runs:          runs,
 		SkippedFns:    p.SkippedFns,
 		SkippedFaults: p.SkippedFaults,
+		Quarantined:   p.ledger.quarantined(),
+		Partial:       runErr != nil,
 	}
 	if c.runner.Def.Supervision.String() == "watchd" {
 		set.WatchdVersion = int(c.runner.Opts.WatchdVersion)
 	}
-	if runErr != nil {
-		var budget *QuarantineBudgetError
-		if c.supervise != nil && (errors.Is(runErr, ErrInterrupted) || errors.As(runErr, &budget)) {
-			set.Runs = runs
-			set.Partial = true
-			set.Quarantined = c.supervise.Quarantined()
-			if c.runner.Opts.Telemetry.Enabled {
-				set.Telemetry = CollectTelemetry(p.Calib, runs)
-			}
-			return set, runErr
-		}
-		return nil, runErr
-	}
-	set.Runs = runs
-	if c.supervise != nil {
-		set.Quarantined = c.supervise.Quarantined()
-	}
 	if c.runner.Opts.Telemetry.Enabled {
 		set.Telemetry = CollectTelemetry(p.Calib, runs)
 	}
-	return set, nil
+	return set, runErr
 }
 
-// Run executes the campaign: Prepare, then the job list on the
-// in-process worker pool — or, with WithShardExecutor, fanned out
-// across worker processes — then Assemble. Cancel ctx to stop between
-// runs; a supervised campaign converts the cancellation into its
-// partial-results ErrInterrupted contract.
+// Run executes the campaign: Prepare, then open the ledger (adopting a
+// resumed journal's runs and a replay source's resolved ones), then run
+// the ledger's uncommitted jobs on the in-process worker pool — or, with
+// WithShardExecutor, fanned out across worker processes — then build
+// the SetResult. Cancel ctx to stop between runs; a supervised campaign
+// converts the cancellation into its partial-results ErrInterrupted
+// contract.
 func (c *Campaign) Run(ctx context.Context) (*SetResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	exec := c.shardExec
+	if exec != nil && c.supervise != nil {
+		return nil, errors.New("campaign: sharding and supervision are mutually exclusive (each worker process already isolates harness faults)")
+	}
 	p, err := c.Prepare()
 	if err != nil {
 		return nil, err
 	}
-	if c.replay != nil {
-		if c.shardExec != nil || c.supervise != nil {
-			return nil, errors.New("campaign: replay is mutually exclusive with sharding and supervision")
-		}
-		return c.runReplay(ctx, p)
+	l, err := c.ledgerFor(p)
+	if err != nil {
+		return nil, err
 	}
-	if exec := c.shardExec; exec != nil {
-		if c.supervise != nil {
-			return nil, errors.New("campaign: sharding and supervision are mutually exclusive (each worker process already isolates harness faults)")
-		}
-		runs, runErr := exec.ExecuteShards(ctx, c, p)
-		set, err := p.Assemble(runs, runErr)
-		if set != nil {
-			if dr, ok := exec.(DispatchReporter); ok {
-				set.Dispatch = dr.DispatchStats()
-			}
-		}
-		return set, err
+	if exec == nil {
+		runErr := executeJobs(ctx, l, c.runner, c.parallelism, c.supervise)
+		return p.assemble(l.Results(), runErr)
 	}
-	if c.supervise != nil {
-		if err := c.supervise.syncPlan(p.Jobs); err != nil {
-			return nil, err
-		}
+	runs, runErr := exec.ExecuteShards(ctx, c, p)
+	set, err := p.assemble(runs, runErr)
+	if dr, ok := exec.(DispatchReporter); ok && set != nil {
+		set.Dispatch = dr.DispatchStats()
 	}
-	runs, runErr := executeJobs(ctx, c.runner, p.Jobs, c.parallelism, p.Faults, c.progress, c.supervise)
-	return p.Assemble(runs, runErr)
+	return set, err
 }
 
 // ReplaySource resolves campaign jobs from a recorded source campaign.
 // Resolve returns one entry per job in p.Jobs: a non-nil RunResult for
 // every run the source proves cannot diverge under this campaign's
-// substrate (the run is elided — its record is adopted verbatim), nil
-// for every run that must re-execute. internal/replay provides the
-// divergence oracle; the seam lives here so Campaign.Run can interleave
-// elided and executed results at their plan positions.
+// substrate (the run is elided — its record is adopted into the ledger
+// verbatim), nil for every run that must re-execute. internal/replay
+// provides the divergence oracle.
 type ReplaySource interface {
 	Resolve(p *Prepared) ([]*RunResult, error)
-}
-
-// ReplayStats summarizes a replay campaign's elision decisions. It
-// rides SetResult outside the JSON archive, which therefore stays
-// byte-identical to a from-scratch campaign under the same substrate.
-type ReplayStats struct {
-	Total    int // jobs in the plan
-	Elided   int // adopted from the source without re-execution
-	Executed int // re-executed under the target substrate
-}
-
-// Rate returns the fraction of jobs elided.
-func (s *ReplayStats) Rate() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.Elided) / float64(s.Total)
-}
-
-// runReplay executes the replay plan: jobs the ReplaySource resolves
-// are adopted with provenance, the rest execute on the worker pool and
-// scatter back to their plan positions.
-func (c *Campaign) runReplay(ctx context.Context, p *Prepared) (*SetResult, error) {
-	resolved, err := c.replay.Resolve(p)
-	if err != nil {
-		return nil, err
-	}
-	if len(resolved) != len(p.Jobs) {
-		return nil, fmt.Errorf("campaign: replay source resolved %d jobs, plan has %d", len(resolved), len(p.Jobs))
-	}
-	runs := make([]RunResult, len(p.Jobs))
-	var pending []PlanJob
-	var pendingIdx []int
-	for i, job := range p.Jobs {
-		if r := resolved[i]; r != nil {
-			rr := *r
-			rr.Replayed, rr.Elided = true, true
-			if job.Probe {
-				rr.Skipped = true
-			}
-			runs[i] = rr
-			continue
-		}
-		pending = append(pending, job)
-		pendingIdx = append(pendingIdx, i)
-	}
-	stats := &ReplayStats{Total: len(p.Jobs), Elided: len(p.Jobs) - len(pending), Executed: len(pending)}
-	if len(pending) > 0 {
-		sub, runErr := executeJobs(ctx, c.runner, pending, c.parallelism, len(pending), c.progress, nil)
-		if runErr != nil {
-			return nil, runErr
-		}
-		for k, i := range pendingIdx {
-			sub[k].Replayed = true
-			runs[i] = sub[k]
-		}
-	}
-	set, err := p.Assemble(runs, nil)
-	if set != nil {
-		set.Replay = stats
-	}
-	return set, err
 }
 
 // CollectTelemetry assembles the deterministic telemetry set for a

@@ -193,7 +193,9 @@ func TestMSCSCrossNodeFailover(t *testing.T) {
 
 // TestClusterScenarioValidation: scenario faults demand a cluster
 // topology, node addresses must exist on it, and the routing policy must
-// be known whatever the topology's size.
+// be known whatever the topology's size. A run of such a spec fails, and
+// so does a campaign listing it — at Prepare, before any run (the
+// calibration included) sets up a kernel.
 func TestClusterScenarioValidation(t *testing.T) {
 	def := workload.NewIIS(workload.Standalone)
 	scenario := inject.FaultSpec{Function: ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits}
@@ -214,6 +216,12 @@ func TestClusterScenarioValidation(t *testing.T) {
 		opts.Cluster = tc.cfg
 		if _, err := NewRunner(def, opts).Run(&tc.spec); err == nil {
 			t.Errorf("%s must error", tc.why)
+		}
+		counted, setups := def, 0
+		counted.Setup = func(k *ntsim.Kernel) { setups++; def.Setup(k) }
+		c := NewCampaign(NewRunner(counted, opts), WithSpecs([]inject.FaultSpec{ok, tc.spec}))
+		if _, err := c.Prepare(); err == nil || setups != 0 {
+			t.Errorf("%s: Prepare returned %v after %d kernel setups, want an error before any run", tc.why, err, setups)
 		}
 	}
 }

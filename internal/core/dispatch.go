@@ -11,9 +11,10 @@ package core
 
 import "context"
 
-// ShardExecutor executes a prepared campaign's job list across worker
-// processes and returns the results in job order — the same contract as
-// the in-process pool, so Assemble merges either interchangeably.
+// ShardExecutor executes a prepared campaign's uncommitted jobs
+// (p.Ledger().Pending()) across worker processes, commits every run
+// through p.Ledger() — the commit path the in-process pool uses — and
+// returns the ledger's results in job order.
 type ShardExecutor interface {
 	ExecuteShards(ctx context.Context, c *Campaign, p *Prepared) ([]RunResult, error)
 }

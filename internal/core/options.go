@@ -8,6 +8,7 @@ package core
 
 import (
 	"ntdts/internal/inject"
+	"ntdts/internal/journal"
 	"ntdts/internal/telemetry"
 )
 
@@ -30,11 +31,21 @@ func WithParallelism(n int) Option {
 	return func(c *Campaign) { c.parallelism = n }
 }
 
-// WithSupervision routes every run through the campaign supervisor
-// (watchdog, quarantine, retries, journal, resume). A nil supervisor is
-// a no-op, so callers can pass an optionally-built one straight through.
+// WithSupervision runs every run under the supervisor's attempt policy
+// (watchdog, retries, quarantine). A nil supervisor is a no-op, so
+// callers can pass an optionally-built one straight through.
 func WithSupervision(s *Supervisor) Option {
 	return func(c *Campaign) { c.supervise = s }
+}
+
+// WithJournal records every committed run and quarantine to jw (nil: no
+// journal). A fresh journal gets the plan line first. With a non-nil
+// rep the campaign resumes the journal rep was replayed from: its plan
+// fingerprint must match the rebuilt plan, its runs and quarantines are
+// adopted instead of re-executed, and only the rest run — on any
+// executor — appending to jw, which journal.Append reopened.
+func WithJournal(jw *journal.Writer, rep *journal.Replayed) Option {
+	return func(c *Campaign) { c.journal, c.resume = jw, rep }
 }
 
 // WithTelemetry enables per-run collection with the given options. The
@@ -76,9 +87,9 @@ func WithSpecs(specs []inject.FaultSpec) Option {
 
 // WithReplay installs a replay source: before execution the source
 // resolves every job whose recorded trace proves the outcome cannot
-// change under this campaign's substrate, and only the rest re-execute
-// (see internal/replay for the divergence oracle). Mutually exclusive
-// with WithShardExecutor and WithSupervision.
+// change under this campaign's substrate, the ledger adopts those
+// records, and only the rest re-execute (see internal/replay for the
+// divergence oracle).
 func WithReplay(src ReplaySource) Option {
 	return func(c *Campaign) { c.replay = src }
 }

@@ -41,7 +41,7 @@ func TestNewCampaignEquivalentToLiteral(t *testing.T) {
 		shards:             3,
 	}
 	// Functions don't compare; check presence, then blank them.
-	if !got.HasProgress() {
+	if got.progress == nil {
 		t.Fatal("WithProgress did not set the callback")
 	}
 	got.progress = nil

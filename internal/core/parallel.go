@@ -5,7 +5,7 @@ package core
 // ntsim.Kernel and shares no mutable state, so a campaign is an
 // embarrassingly parallel job list. The engine below executes that list
 // on a bounded worker pool while keeping the results byte-identical to a
-// sequential sweep: each run writes into a pre-sized slice at its
+// sequential sweep: each run commits into the campaign's Ledger at its
 // fault-list position, and the Progress callback is invoked serially
 // with a monotonic done-counter.
 
@@ -150,12 +150,11 @@ func buildPlan(activated map[string]bool, types []inject.FaultType, invocation i
 	return p
 }
 
-// FinishJob is the per-job decision every executor applies to a run's
-// outcome — the in-process pool, a fleet worker and the fleet's local
-// drain alike: a run error names its job (probe or run, spec, and the
-// fingerprint — the journal key's hash, so a failed run is greppable in
-// the journal by the same identifier), and a probe's result is marked
-// Skipped.
+// FinishJob is the per-job decision every unsupervised executor applies
+// to a run's outcome — the in-process pool and a fleet worker alike: a
+// run error names its job (probe or run, spec, and the fingerprint — the
+// journal key's hash, so a failed run is greppable in the journal by the
+// same identifier), and a probe's result is marked Skipped.
 func FinishJob(job PlanJob, res *RunResult, err error) (*RunResult, error) {
 	if err != nil {
 		spec := job.Spec
@@ -170,90 +169,35 @@ func FinishJob(job PlanJob, res *RunResult, err error) (*RunResult, error) {
 	return res, nil
 }
 
-// executeJobs runs the job list on the shared worker pool and returns
-// the results in job order, regardless of completion order or worker
-// count. Each pool goroutine owns its own Runner clone; failures follow
-// the workpool.Run contract (the lowest-indexed error wins).
+// executeJobs runs the ledger's uncommitted jobs on the shared worker
+// pool, each through sup.run (a nil supervisor runs it plainly), which
+// commits it to l at its job index, so results are in job order
+// regardless of completion order or worker count. Each pool goroutine
+// owns its own Runner clone; the lowest-indexed run error wins (the
+// workpool.Run contract).
 //
-// With a non-nil Supervisor every run routes through its resilience
-// layer (watchdog, panic quarantine, retries, journal, replay-on-resume)
-// and a supervisor stop (interrupt, quarantine budget) returns the
-// partial results alongside the stop cause.
-//
-// Context cancellation stops the pool between runs (in-flight runs
-// finish; every run is bounded in virtual time). Supervised campaigns
-// convert the cancellation into a supervisor stop, so the caller gets
-// partial results with ErrInterrupted — the same contract as a signal
-// interrupt; unsupervised campaigns return ErrInterrupted alone.
-func executeJobs(ctx context.Context, base *Runner, jobs []PlanJob, parallelism int, progressTotal int, progress func(done, total int), sup *Supervisor) ([]RunResult, error) {
-	if len(jobs) == 0 {
-		return nil, nil
+// Context cancellation latches the ledger's stop (ErrInterrupted), as
+// the quarantine budget does: workers stop claiming jobs, in-flight
+// runs finish (every run is bounded in virtual time), and the stop
+// cause is returned; the committed results stay in the ledger.
+func executeJobs(ctx context.Context, l *Ledger, base *Runner, parallelism int, sup *Supervisor) error {
+	pending := l.Pending()
+	if len(pending) == 0 {
+		return nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	poolCtx := ctx
-	if sup != nil {
-		// Route cancellation through the supervisor's stop latch so the
-		// partial-results path (journal flush, resume hint) is identical
-		// for a canceled context and a direct RequestStop. The pool itself
-		// keeps claiming; claims after the stop return at once.
-		stopWatch := context.AfterFunc(ctx, func() { sup.RequestStop(ErrInterrupted) })
-		defer stopWatch()
-		poolCtx = context.WithoutCancel(ctx)
-	}
-
-	results := make([]RunResult, len(jobs))
-	var (
-		// done and the user callback live under one mutex so the
-		// callback observes a strictly increasing counter and its final
-		// invocation is (total, total) — the same contract callers relied
-		// on when runs completed in order.
-		progressMu sync.Mutex
-		done       int
-	)
-	err := workpool.Run(poolCtx, len(jobs), parallelism, func() func(int) error {
+	stopWatch := context.AfterFunc(ctx, func() { l.requestStop(ErrInterrupted) })
+	defer stopWatch()
+	err := workpool.Run(context.WithoutCancel(ctx), len(pending), parallelism, func() func(int) error {
 		runner := base.Clone()
-		return func(i int) error {
-			if sup != nil && sup.stopped() {
+		return func(k int) error {
+			if l.stopCause() != nil {
 				return nil // unexecuted slots stay zero-valued
 			}
-			job := jobs[i]
-			spec := job.Spec // plans are shared; never hand out interior pointers
-			var (
-				res *RunResult
-				err error
-			)
-			if sup != nil {
-				res, err = sup.execute(ctx, runner, i, job)
-			} else {
-				res, err = runner.Run(&spec)
-			}
-			if res, err = FinishJob(job, res, err); err != nil {
-				return err
-			}
-			results[i] = *res
-			if progress != nil && !job.Probe {
-				progressMu.Lock()
-				done++
-				progress(done, progressTotal)
-				progressMu.Unlock()
-			}
-			return nil
+			return sup.run(ctx, l, runner, pending[k])
 		}
 	})
-	if err != nil && err != poolCtx.Err() {
-		return nil, err // a run error; Run returns a cancellation bare
+	if err != nil {
+		return err
 	}
-	if sup != nil {
-		if cause := sup.stopCause(); cause != nil {
-			// Graceful stop (interrupt or quarantine budget): hand back
-			// whatever the workers finished with the cause.
-			return results, cause
-		}
-	}
-	if ctx.Err() != nil {
-		return nil, ErrInterrupted
-	}
-	return results, nil
+	return l.stopCause()
 }

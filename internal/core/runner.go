@@ -55,14 +55,6 @@ type RunResult struct {
 	// so exports stay byte-identical at any worker count. Excluded from
 	// the JSON archive; export traces with dts -trace-out instead.
 	Telemetry *telemetry.Recorder `json:"-"`
-
-	// Replayed marks a result produced by a replay campaign; Elided
-	// additionally marks one the divergence oracle adopted from the
-	// source campaign instead of re-executing. Provenance only —
-	// excluded from the JSON archive so replayed archives stay
-	// byte-identical to from-scratch campaigns.
-	Replayed bool `json:"-"`
-	Elided   bool `json:"-"`
 }
 
 // RunnerOptions tune the per-run lifecycle.
@@ -113,6 +105,25 @@ type ClusterConfig struct {
 // Enabled reports whether cluster semantics (node-addressed faults,
 // scenario faults) are active.
 func (c ClusterConfig) Enabled() bool { return c.Nodes > 0 }
+
+// checkFault returns the topology's routing policy, or why spec (nil:
+// the calibration run) cannot run on it: an unknown routing policy, a
+// node the topology lacks, or a scenario fault on no cluster.
+// Campaign.Prepare checks every listed fault before the first run, and
+// run checks each run's spec again, which covers dts -fault's lone spec.
+func (c ClusterConfig) checkFault(spec *inject.FaultSpec) (cluster.Policy, error) {
+	policy, err := cluster.ParsePolicy(c.Routing)
+	if err != nil || spec == nil {
+		return policy, err
+	}
+	if scenarioFor(spec) != nil && !c.Enabled() {
+		return policy, fmt.Errorf("fault %s: cluster scenario faults require a cluster topology (-cluster)", spec.Function)
+	}
+	if n := max(1, c.Nodes); spec.Node < 0 || spec.Node >= n {
+		return policy, fmt.Errorf("fault %s: node %d does not exist on a %d-node topology", spec.Function, spec.Node, n)
+	}
+	return policy, nil
+}
 
 // NodeStat is one node's slice of a cluster run's evidence.
 type NodeStat struct {
@@ -247,24 +258,16 @@ func (r *Runner) ActivationScan() (map[string]bool, *RunResult, error) {
 func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error) {
 	def := r.Def
 	n := max(1, r.Opts.Cluster.Nodes)
-	policy, err := cluster.ParsePolicy(r.Opts.Cluster.Routing)
+	policy, err := r.Opts.Cluster.checkFault(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	scen := scenarioFor(spec)
-	if scen != nil && !r.Opts.Cluster.Enabled() {
-		return nil, nil, fmt.Errorf("fault %s: cluster scenario faults require a cluster topology (-cluster)", spec.Function)
-	}
 	// Scenario faults bypass the syscall injector: every injector runs the
 	// census only, and the scheduled scenario action is the fault.
+	scen := scenarioFor(spec)
 	var kspec *inject.FaultSpec
-	if spec != nil {
-		if spec.Node < 0 || spec.Node >= n {
-			return nil, nil, fmt.Errorf("fault %s: node %d does not exist on a %d-node topology", spec.Function, spec.Node, n)
-		}
-		if scen == nil {
-			kspec = spec
-		}
+	if spec != nil && scen == nil {
+		kspec = spec
 	}
 
 	// Prepare the machine: every node resumes from the shared boot-prefix

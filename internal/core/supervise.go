@@ -7,25 +7,20 @@ package core
 // campaign. The supervisor wraps every run with a wall-clock watchdog
 // (virtual time already bounds simulated hangs — this catches live bugs
 // in the harness/sim itself), panic capture that quarantines the
-// offending FaultSpec with its stack, bounded retry-with-backoff for
-// indeterminate attempts, and an append-only results journal that makes
-// an interrupted campaign resumable with byte-identical output.
+// offending FaultSpec with its stack, and bounded retry-with-backoff for
+// indeterminate attempts. The journal that makes an interrupted campaign
+// resumable with byte-identical output, the quarantine list and its
+// budget belong to the campaign's Ledger (ledger.go).
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"runtime/debug"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ntdts/internal/inject"
-	"ntdts/internal/journal"
 	"ntdts/internal/telemetry"
 )
 
@@ -122,25 +117,14 @@ func reasonCode(reason string) uint64 {
 	}
 }
 
-// Supervisor carries the resilience state of one campaign: the policy,
-// the optional journal, the replayed records of a resume, the
-// quarantine list, and the stop latch. Safe for concurrent use by the
-// worker pool.
+// Supervisor is the per-run attempt policy of one campaign: the
+// wall-clock watchdog, retries with backoff, the chaos hooks and the
+// quarantine placeholder for a run whose attempts are spent. What a run
+// commits — its result or its quarantine, and the stop the quarantine
+// budget latches — goes through the campaign's Ledger. Safe for
+// concurrent use by the worker pool.
 type Supervisor struct {
 	opts SupervisorOptions
-
-	jw *journal.Writer
-
-	resumePlan *journal.Plan
-	resumeRuns map[int]journal.RunRecord
-	resumeQuar map[int]journal.QuarantineRecord
-
-	quarMu sync.Mutex
-	quar   []QuarantineEntry
-
-	stop    atomic.Bool
-	stopMu  sync.Mutex
-	stopErr error
 }
 
 // NewSupervisor builds a supervisor with defaults filled in.
@@ -151,102 +135,7 @@ func NewSupervisor(opts SupervisorOptions) *Supervisor {
 	if opts.Backoff <= 0 {
 		opts.Backoff = defaultBackoff
 	}
-	return &Supervisor{
-		opts:       opts,
-		resumeRuns: make(map[int]journal.RunRecord),
-		resumeQuar: make(map[int]journal.QuarantineRecord),
-	}
-}
-
-// Options returns the active policy.
-func (s *Supervisor) Options() SupervisorOptions { return s.opts }
-
-// AttachJournal directs the supervisor to record every completed or
-// quarantined run to w.
-func (s *Supervisor) AttachJournal(w *journal.Writer) { s.jw = w }
-
-// LoadResume installs the replayed state of an interrupted campaign:
-// completed runs replay from it instead of re-executing. The rebuilt
-// plan is validated against rep.Plan in syncPlan.
-func (s *Supervisor) LoadResume(rep *journal.Replayed) {
-	s.resumePlan = rep.Plan
-	for i, r := range rep.Runs {
-		s.resumeRuns[i] = r
-	}
-	for i, q := range rep.Quarantined {
-		s.resumeQuar[i] = q
-	}
-}
-
-// RequestStop latches the first stop cause; workers stop claiming jobs
-// and the campaign returns the cause with partial results.
-func (s *Supervisor) RequestStop(cause error) {
-	s.stopMu.Lock()
-	if s.stopErr == nil {
-		s.stopErr = cause
-	}
-	s.stopMu.Unlock()
-	s.stop.Store(true)
-}
-
-func (s *Supervisor) stopped() bool { return s.stop.Load() }
-
-func (s *Supervisor) stopCause() error {
-	s.stopMu.Lock()
-	defer s.stopMu.Unlock()
-	return s.stopErr
-}
-
-// Quarantined returns the quarantine list sorted by job index.
-func (s *Supervisor) Quarantined() []QuarantineEntry {
-	s.quarMu.Lock()
-	out := make([]QuarantineEntry, len(s.quar))
-	copy(out, s.quar)
-	s.quarMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
-// JobKeys renders the plan's job identity sequence: PlanJob.Key per
-// job, in job-list order. This is what the journal's plan line records
-// and what a resume must reproduce exactly.
-func JobKeys(jobs []PlanJob) []string {
-	keys := make([]string, len(jobs))
-	for i, j := range jobs {
-		keys[i] = j.Key()
-	}
-	return keys
-}
-
-// PlanFingerprint hashes the job identity sequence (fnv64a): the value
-// journal plan lines carry and dts -resume validates.
-func PlanFingerprint(keys []string) string {
-	h := fnv.New64a()
-	for _, k := range keys {
-		io.WriteString(h, k)
-		io.WriteString(h, "\n")
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// syncPlan reconciles the rebuilt job list with the journal: on a fresh
-// journaled campaign it writes the plan line; on a resume it validates
-// that the rebuilt plan reproduces the journaled fingerprint — the
-// precondition for trusting any journaled record's index.
-func (s *Supervisor) syncPlan(jobs []PlanJob) error {
-	keys := JobKeys(jobs)
-	fp := PlanFingerprint(keys)
-	if s.resumePlan != nil {
-		if s.resumePlan.Fingerprint != fp {
-			return fmt.Errorf("resume plan mismatch: journal fingerprint %s, rebuilt %s (different fault list, workload, or catalog?)",
-				s.resumePlan.Fingerprint, fp)
-		}
-		return nil
-	}
-	if s.jw != nil {
-		return s.jw.WritePlan(keys, fp)
-	}
-	return nil
+	return &Supervisor{opts: opts}
 }
 
 // attemptFailure describes one abandoned attempt.
@@ -263,22 +152,22 @@ type attemptOutcome struct {
 	fail *attemptFailure
 }
 
-// execute runs (or replays) one job under supervision, returning the
-// result to store at its job-list index. A nil result with a nil error
-// never happens; a nil error with a quarantined placeholder result is
-// the graceful-degradation path. Cancellation of ctx only shortcuts the
-// retry backoff sleeps — stop semantics live in the worker pool.
-func (s *Supervisor) execute(ctx context.Context, r *Runner, index int, job PlanJob) (*RunResult, error) {
-	spec := job.Spec
-	key := spec.Key()
-
-	if rec, ok := s.resumeRuns[index]; ok {
-		return s.replayRun(index, key, rec)
+// run executes job i and commits it to l. A nil supervisor runs the job
+// once and a run error fails the campaign; a supervisor retries an
+// indeterminate attempt (panic, hang, run error) with backoff and
+// quarantines the run once its attempts are spent. Cancellation of ctx
+// only shortcuts the backoff sleeps — stop semantics live in the ledger.
+func (s *Supervisor) run(ctx context.Context, l *Ledger, r *Runner, i int) error {
+	job := l.jobs[i]
+	spec := job.Spec // plans are shared; never hand out interior pointers
+	if s == nil {
+		res, err := r.Run(&spec)
+		if res, err = FinishJob(job, res, err); err != nil {
+			return err
+		}
+		_, err = l.Commit(i, 1, res, nil, nil)
+		return err
 	}
-	if qrec, ok := s.resumeQuar[index]; ok {
-		return s.replayQuarantine(r, index, spec, key, qrec)
-	}
-
 	var last attemptFailure
 	for attempt := 1; attempt <= s.opts.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -311,14 +200,16 @@ func (s *Supervisor) execute(ctx context.Context, r *Runner, index int, job Plan
 					uint64(res.Retries), reasonCode(last.reason))
 				res.Telemetry.Add(telemetry.CtrSupRetry, int64(res.Retries))
 			}
-			if err := s.journalRun(index, key, attempt, res); err != nil {
-				return nil, err
-			}
-			return res, nil
+			_, err := l.Commit(i, attempt, res, nil, nil)
+			return err
 		}
 		last = *out.fail
 	}
-	return s.quarantine(r, index, spec, key, last, s.opts.MaxAttempts)
+	return l.quarantine(QuarantineEntry{
+		Index: i, Fault: spec, Key: spec.Key(),
+		Reason: last.reason, Message: last.message, Stack: last.stack,
+		Attempts: s.opts.MaxAttempts,
+	}, quarantineResult(r.Opts.Telemetry, spec, last.reason, s.opts.MaxAttempts))
 }
 
 // attempt executes one attempt in its own goroutine so panics are
@@ -368,64 +259,6 @@ func (s *Supervisor) attempt(r *Runner, spec inject.FaultSpec, attempt int) atte
 	}
 }
 
-// quarantine records a run the retry budget could not save, journals
-// it, enforces the failure budget, and returns the deterministic
-// placeholder result that occupies the run's index.
-func (s *Supervisor) quarantine(r *Runner, index int, spec inject.FaultSpec, key string, last attemptFailure, attempts int) (*RunResult, error) {
-	entry := QuarantineEntry{
-		Index: index, Fault: spec, Key: key,
-		Reason: last.reason, Message: last.message, Stack: last.stack,
-		Attempts: attempts,
-	}
-	if s.jw != nil {
-		faultRaw, err := json.Marshal(spec)
-		if err != nil {
-			return nil, fmt.Errorf("quarantine marshal: %w", err)
-		}
-		if err := s.jw.WriteQuarantine(index, key, faultRaw, last.reason, last.message, last.stack, attempts); err != nil {
-			return nil, err
-		}
-	}
-	s.noteQuarantine(entry)
-	return s.quarantineResult(r, spec, last.reason, attempts), nil
-}
-
-// noteQuarantine appends to the quarantine list and trips the failure
-// budget when exceeded.
-func (s *Supervisor) noteQuarantine(entry QuarantineEntry) {
-	s.quarMu.Lock()
-	s.quar = append(s.quar, entry)
-	n := len(s.quar)
-	s.quarMu.Unlock()
-	if s.opts.MaxQuarantined > 0 && n >= s.opts.MaxQuarantined {
-		s.RequestStop(&QuarantineBudgetError{Quarantined: n, Budget: s.opts.MaxQuarantined})
-	}
-}
-
-// quarantineResult builds the placeholder RunResult occupying a
-// quarantined run's index: never activated, never injected, outcome
-// HarnessHang when the watchdog fired. Its telemetry (when the campaign
-// collects any) is a single quarantine event at virtual time zero, so
-// merged exports keep one collector per index.
-func (s *Supervisor) quarantineResult(r *Runner, spec inject.FaultSpec, reason string, attempts int) *RunResult {
-	res := &RunResult{
-		Fault:       spec,
-		Quarantined: true,
-		Retries:     attempts - 1,
-	}
-	if reason == ReasonHang {
-		res.Outcome = HarnessHang
-	}
-	if r.Opts.Telemetry.Enabled {
-		rec := r.Opts.Telemetry.NewRecorder()
-		rec.Emit(0, 0, telemetry.KindRunQuarantine, spec.String(),
-			uint64(attempts), reasonCode(reason))
-		rec.Add(telemetry.CtrSupQuarantine, 1)
-		res.Telemetry = rec
-	}
-	return res
-}
-
 // MarshalRunRecord serializes a run result into the journal's payload
 // pair: the JSON result and, when the run collected telemetry, its
 // snapshot (telemetry's own codec, the bytes json.Marshal would write).
@@ -457,55 +290,4 @@ func UnmarshalRunRecord(result, tel json.RawMessage) (*RunResult, error) {
 		res.Telemetry = snap.Restore()
 	}
 	return &res, nil
-}
-
-// journalRun writes one completed run to the journal (no-op when not
-// journaling). The telemetry snapshot rides along so a resumed
-// campaign's trace and metrics exports stay byte-identical.
-func (s *Supervisor) journalRun(index int, key string, attempts int, res *RunResult) error {
-	if s.jw == nil {
-		return nil
-	}
-	resultRaw, telRaw, err := MarshalRunRecord(res)
-	if err != nil {
-		return err
-	}
-	return s.jw.WriteRun(index, key, attempts, resultRaw, telRaw)
-}
-
-// replayRun rebuilds a completed run from its journal record instead of
-// re-executing it.
-func (s *Supervisor) replayRun(index int, key string, rec journal.RunRecord) (*RunResult, error) {
-	if rec.Key != key {
-		return nil, fmt.Errorf("journal record %d keyed %s, plan expects %s", index, rec.Key, key)
-	}
-	res, err := UnmarshalRunRecord(rec.Result, rec.Tel)
-	if err != nil {
-		return nil, fmt.Errorf("journal record %d: %w", index, err)
-	}
-	return res, nil
-}
-
-// replayQuarantine rebuilds a quarantined run from its journal record:
-// the quarantine list entry reappears (budget included) and the same
-// placeholder result — built by the same constructor as a fresh
-// quarantine — occupies the index.
-func (s *Supervisor) replayQuarantine(r *Runner, index int, spec inject.FaultSpec, key string, rec journal.QuarantineRecord) (*RunResult, error) {
-	if rec.Key != key {
-		return nil, fmt.Errorf("journal quarantine %d keyed %s, plan expects %s", index, rec.Key, key)
-	}
-	var fault inject.FaultSpec
-	if len(rec.Fault) != 0 {
-		if err := json.Unmarshal(rec.Fault, &fault); err != nil {
-			return nil, fmt.Errorf("journal quarantine %d fault: %w", index, err)
-		}
-	} else {
-		fault = spec
-	}
-	s.noteQuarantine(QuarantineEntry{
-		Index: index, Fault: fault, Key: key,
-		Reason: rec.Reason, Message: rec.Message, Stack: rec.Stack,
-		Attempts: rec.Attempts,
-	})
-	return s.quarantineResult(r, fault, rec.Reason, rec.Attempts), nil
 }

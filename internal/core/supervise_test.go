@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,13 +28,11 @@ func supervisedSweep(t *testing.T, specs []inject.FaultSpec, par int, jpath stri
 	t.Helper()
 	runner := NewRunner(workload.NewApache1(workload.Standalone),
 		RunnerOptions{Telemetry: telemetry.Options{Enabled: true}})
-	sup := NewSupervisor(opts)
 	var (
 		jw  *journal.Writer
 		err error
 	)
 	if rep != nil {
-		sup.LoadResume(rep)
 		jw, err = journal.Append(jpath, rep.ValidBytes, rep.Records)
 	} else {
 		jw, err = journal.Create(jpath, journal.Header{Workload: "Apache1", Supervision: "none", Telemetry: true})
@@ -41,8 +40,7 @@ func supervisedSweep(t *testing.T, specs []inject.FaultSpec, par int, jpath stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup.AttachJournal(jw)
-	runs, err := specRuns(runner, specs, par, WithSupervision(sup))
+	runs, err := specRuns(runner, specs, par, WithSupervision(NewSupervisor(opts)), WithJournal(jw, rep))
 	if err != nil {
 		t.Fatalf("supervised sweep: %v", err)
 	}
@@ -172,15 +170,16 @@ func TestSupervisorQuarantine(t *testing.T) {
 		WallDeadline: 100 * time.Millisecond,
 		Backoff:      time.Millisecond,
 	})
-	runs, err := specRuns(runner, specs, 2, WithSupervision(sup))
+	set, err := NewCampaign(runner, WithSpecs(specs), WithParallelism(2), WithSupervision(sup)).Run(context.Background())
 	if err != nil {
 		t.Fatalf("campaign failed instead of quarantining: %v", err)
 	}
+	runs := set.Runs
 	if len(runs) != len(specs) {
 		t.Fatalf("%d results for %d specs", len(runs), len(specs))
 	}
 
-	quar := sup.Quarantined()
+	quar := set.Quarantined
 	if len(quar) != 2 {
 		t.Fatalf("quarantined %d runs, want 2 (panic + hang): %+v", len(quar), quar)
 	}
@@ -297,7 +296,7 @@ func TestQuarantineBudget(t *testing.T) {
 	}
 }
 
-// TestSupervisorInterrupt models SIGINT: RequestStop(ErrInterrupted)
+// TestSupervisorInterrupt models SIGINT: cancelling the context
 // mid-campaign drains the workers and returns partial results with the
 // interrupt as the cause; the journal stays replayable and a resume
 // completes the campaign byte-identically.
@@ -310,20 +309,19 @@ func TestSupervisorInterrupt(t *testing.T) {
 	jpath := filepath.Join(dir, "interrupted.journal")
 	runner := NewRunner(workload.NewApache1(workload.Standalone),
 		RunnerOptions{Telemetry: telemetry.Options{Enabled: true}})
-	sup := NewSupervisor(SupervisorOptions{})
 	jw, err := journal.Create(jpath, journal.Header{Workload: "Apache1", Supervision: "none", Telemetry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup.AttachJournal(jw)
-	fired := false
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	progress := func(done, total int) {
-		if done >= 10 && !fired {
-			fired = true
-			sup.RequestStop(ErrInterrupted)
+		if done >= 10 {
+			cancel()
 		}
 	}
-	_, err = specRuns(runner, specs, 4, WithSupervision(sup), WithProgress(progress))
+	_, err = NewCampaign(runner, WithSpecs(specs), WithParallelism(4), WithProgress(progress),
+		WithSupervision(NewSupervisor(SupervisorOptions{})), WithJournal(jw, nil)).Run(ctx)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted campaign returned %v, want ErrInterrupted", err)
 	}

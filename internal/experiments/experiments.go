@@ -38,9 +38,9 @@ type Config struct {
 	// single-campaign facility and is not wired through experiments.
 	Supervise *core.SupervisorOptions
 	// ShardExec, when non-nil, fans each campaign's run list out over
-	// worker processes. Table 1 is calibration-only and always runs
-	// in-process. Mutually exclusive with Supervise: worker processes
-	// already isolate harness faults.
+	// worker processes. Table 1 is calibration-only and runs neither
+	// (dts rejects both under -experiment table1). Mutually exclusive
+	// with Supervise: worker processes already isolate harness faults.
 	ShardExec core.ShardExecutor
 }
 
@@ -404,10 +404,9 @@ func RunFigure5(cfg Config) (*Figure5Result, error) {
 	sets := make([]*core.SetResult, len(cells))
 	err := workpool.Run(context.Background(), len(cells), len(cells), func() func(int) error {
 		return func(i int) error {
-			opts := cfg.Opts
-			opts.WatchdVersion = cells[i].version
-			set, err := runSet(cells[i].def, Config{Opts: opts, Parallelism: cfg.Parallelism, Progress: cfg.Progress,
-				ShardExec: cfg.ShardExec})
+			cellCfg := cfg
+			cellCfg.Opts.WatchdVersion = cells[i].version
+			set, err := runSet(cells[i].def, cellCfg)
 			if err != nil {
 				return fmt.Errorf("%v: %w", cells[i].version, err)
 			}

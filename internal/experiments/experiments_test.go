@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"testing"
 
 	"ntdts/internal/avail"
@@ -369,5 +370,18 @@ func TestAvailabilityEstimates(t *testing.T) {
 	if w := byKey["SQL/watchd"]; w.NinesCount <= byKey["SQL/none"].NinesCount {
 		t.Errorf("SQL watchd nines %.2f not above standalone %.2f",
 			w.NinesCount, byKey["SQL/none"].NinesCount)
+	}
+}
+
+// TestFigure5HonoursSupervision: every Figure 5 cell runs under the
+// experiment's supervisor policy, so a 1 ns watchdog with a quarantine
+// budget of 1 stops the sweep with the budget error, as it stops
+// Figure 2.
+func TestFigure5HonoursSupervision(t *testing.T) {
+	_, err := RunFigure5(Config{Parallelism: 1,
+		Supervise: &core.SupervisorOptions{WallDeadline: 1, MaxQuarantined: 1}})
+	var budget *core.QuarantineBudgetError
+	if !errors.As(err, &budget) {
+		t.Fatalf("RunFigure5 returned %v, want a *core.QuarantineBudgetError", err)
 	}
 }

@@ -38,8 +38,7 @@ func TestCampaignRunLinesTakeFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	sup := core.NewSupervisor(core.SupervisorOptions{})
-	sup.AttachJournal(jw)
-	if _, err := core.NewCampaign(runner, core.WithSpecs(specs), core.WithSupervision(sup),
+	if _, err := core.NewCampaign(runner, core.WithSpecs(specs), core.WithSupervision(sup), core.WithJournal(jw, nil),
 		core.WithParallelism(1)).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -48,12 +48,21 @@ type Oracle struct {
 	stats Stats
 }
 
-// Stats extends the engine's replay counters with the per-proof
-// breakdown.
+// Stats summarizes the oracle's elision decisions, per proof.
 type Stats struct {
-	core.ReplayStats
+	Total     int // jobs in the plan
+	Elided    int // adopted from the source without re-execution
+	Executed  int // re-executed under the target substrate
 	FaultFree int // elided by fault-free synthesis
 	Copied    int // elided by verbatim copy
+}
+
+// Rate returns the fraction of jobs elided.
+func (s Stats) Rate() float64 {
+	if s.Total == 0 {
+		return 0
+	}
+	return float64(s.Elided) / float64(s.Total)
 }
 
 // Stats returns the elision decisions of the last Resolve.

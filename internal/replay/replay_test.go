@@ -70,8 +70,7 @@ func journalCampaign(t *testing.T, specs []inject.FaultSpec, spec middleware.Spe
 		t.Fatal(err)
 	}
 	sup := core.NewSupervisor(core.SupervisorOptions{})
-	sup.AttachJournal(jw)
-	c := core.NewCampaign(runner, core.WithSpecs(specs), core.WithSupervision(sup), core.WithParallelism(4))
+	c := core.NewCampaign(runner, core.WithSpecs(specs), core.WithSupervision(sup), core.WithJournal(jw, nil), core.WithParallelism(4))
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatalf("source campaign: %v", err)
 	}
@@ -146,13 +145,8 @@ func TestReplayCrossFamilyEquivalence(t *testing.T) {
 		if st.Copied != 0 {
 			t.Fatalf("parallel=%d: cross-family replay must not copy verbatim, got %+v", par, st)
 		}
-		if st.Executed+st.Elided != st.Total || set.Replay == nil || set.Replay.Elided != st.Elided {
-			t.Fatalf("parallel=%d: inconsistent stats %+v vs %+v", par, st, set.Replay)
-		}
-		for i, r := range set.Runs {
-			if !r.Replayed {
-				t.Fatalf("run %d missing replay provenance", i)
-			}
+		if st.Executed+st.Elided != st.Total || st.Total != len(set.Runs) {
+			t.Fatalf("parallel=%d: inconsistent stats %+v for %d runs", par, st, len(set.Runs))
 		}
 	}
 }
@@ -206,25 +200,40 @@ func TestOracleSoundnessSampled(t *testing.T) {
 	target, _ := middleware.Parse("watchd-v1")
 	path := journalCampaign(t, specs, source, false)
 
-	set, oracle := replayTo(t, path, target, 4, false)
+	src, err := replay.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, oracle, err := replay.Build(src, replay.Options{Target: target, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	elided, err := oracle.Resolve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if oracle.Stats().Elided == 0 {
 		t.Fatal("nothing elided; the property is vacuous")
 	}
 	runner := runnerFor(t, target)
 	runner.Opts.FreshBoot = true
 	sampled := 0
-	for i := range set.Runs {
-		if !set.Runs[i].Elided || sampled >= 8 {
+	for _, r := range elided {
+		if r == nil || sampled >= 8 {
 			continue
 		}
 		sampled++
-		spec := set.Runs[i].Fault
+		spec := r.Fault
 		res, err := runner.Run(&spec)
 		if err != nil {
 			t.Fatalf("re-execute %s: %v", spec.Key(), err)
 		}
 		wantB, _ := json.Marshal(*res)
-		gotB, _ := json.Marshal(set.Runs[i])
+		gotB, _ := json.Marshal(*r)
 		if string(wantB) != string(gotB) {
 			t.Fatalf("elided run %s diverges from real execution:\n elided: %s\n actual: %s",
 				spec.Key(), gotB, wantB)

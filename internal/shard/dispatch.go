@@ -96,9 +96,12 @@ type FleetOptions struct {
 	// before every run — the deliberate straggler the speculation
 	// benchmarks and the CI fleet-chaos gate use; DTS_SHARD_CHAOS_SLOW.
 	ChaosSlow string
-	// Journal, when non-nil, receives the dispatch provenance trail
-	// (assign lines) and every committed run record, making the journal
-	// resumable by dts -resume. The caller writes the header.
+	// Journal, when non-nil, is attached to the campaign's ledger
+	// (core.Ledger.AttachJournal), which writes the plan line and every
+	// committed run record, making the journal resumable by dts -resume;
+	// the fleet adds the dispatch provenance trail (assign lines). The
+	// caller writes the header. A campaign journaled with core.WithJournal
+	// needs no Journal here: the fleet writes its trail to the ledger's.
 	Journal *journal.Writer
 }
 
@@ -175,17 +178,12 @@ type streamLine struct {
 	err  error
 }
 
-// ExecuteShards implements core.ShardExecutor: dispatch chunks on
-// demand, merge streamed records at their global indices, survive
-// worker loss, and degrade to in-process execution before failing.
+// ExecuteShards implements core.ShardExecutor: dispatch chunks of the
+// ledger's uncommitted jobs on demand, commit streamed records at their
+// global indices through the ledger, survive worker loss, and degrade
+// to in-process execution before failing. A campaign with nothing left
+// to run spawns no worker.
 func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Prepared) ([]core.RunResult, error) {
-	jobs := p.Jobs
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	workers := f.opts.Workers
 	if len(f.opts.Spawners) > 0 {
 		workers = len(f.opts.Spawners)
@@ -210,14 +208,14 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 		return nil, err
 	}
 
-	header := HeaderFor(c.Runner())
-	d := newDispatcher(f, c, p, workers)
-	if d.jw != nil {
-		keys := core.JobKeys(jobs)
-		if err := d.jw.WritePlan(keys, core.PlanFingerprint(keys)); err != nil {
-			d.fail(-1, err) // before every job: no slot starts work
+	l := p.Ledger()
+	if f.opts.Journal != nil {
+		if err := l.AttachJournal(f.opts.Journal); err != nil {
+			return nil, err
 		}
 	}
+	header := HeaderFor(c.Runner())
+	d := newDispatcher(f, p, workers)
 
 	// Cancellation watcher: ctx cancellation releases every slot (the
 	// drain included) through the dispatcher's done channel.
@@ -254,7 +252,6 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 	d.mu.Lock()
 	stats := d.stats
 	failure := d.failure
-	committed := d.nCommitted
 	d.mu.Unlock()
 	if stats.Degraded {
 		d.journalEvent(-1, "degraded", nil)
@@ -269,10 +266,10 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 	if failure != nil {
 		return nil, failure
 	}
-	if committed != len(jobs) {
-		return nil, fmt.Errorf("fleet: %d of %d runs unaccounted for", len(jobs)-committed, len(jobs))
+	if pending := l.Pending(); len(pending) != 0 {
+		return nil, fmt.Errorf("fleet: %d of %d runs unaccounted for", len(pending), len(p.Jobs))
 	}
-	return d.results, nil
+	return l.Results(), nil
 }
 
 // slotLoop drives one dispatch slot through as many worker sessions as
@@ -498,41 +495,40 @@ type assignment struct {
 	speculative bool
 }
 
-// dispatcher is the fleet's shared state: the job list, the commit
-// bitmap, and the chunk queues. All fields below mu are guarded by it;
-// cond wakes grabbers when work or completion state changes.
+// dispatcher is the fleet's shared state: the job list, the ledger the
+// runs commit to, and the chunk queues. All fields below mu are guarded
+// by it (the ledger has its own lock, always taken after mu); cond
+// wakes grabbers when work or completion state changes.
 type dispatcher struct {
-	c      *core.Campaign
-	jobs   []core.PlanJob
-	faults int
-	jw     *journal.Writer
+	jobs    []core.PlanJob
+	ledger  *core.Ledger
+	jw      *journal.Writer
+	pending []int // the uncommitted job indices fresh chunks are carved from
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	results      []core.RunResult
-	committed    []bool
-	nCommitted   int
-	progressDone int
-	cursor       int      // next fresh job index not yet carved
-	ready        []*chunk // lost chunks awaiting re-dispatch
-	inflight     map[int]*chunk
-	activeSlots  int
-	chunkSeq     int
-	failure      error
-	failureIdx   int
-	canceled     bool
-	doneCh       chan struct{}
-	doneOnce     sync.Once
-	stats        core.DispatchStats
-	baseChunk    int
+	mu          sync.Mutex
+	cond        *sync.Cond
+	cursor      int      // next pending index not yet carved
+	ready       []*chunk // lost chunks awaiting re-dispatch
+	inflight    map[int]*chunk
+	activeSlots int
+	chunkSeq    int
+	failure     error
+	failureIdx  int
+	canceled    bool
+	doneCh      chan struct{}
+	doneOnce    sync.Once
+	stats       core.DispatchStats
+	baseChunk   int
 }
 
-func newDispatcher(f *Fleet, c *core.Campaign, p *core.Prepared, workers int) *dispatcher {
+func newDispatcher(f *Fleet, p *core.Prepared, workers int) *dispatcher {
+	l := p.Ledger()
+	pending := l.Pending()
 	base := f.opts.ChunkSize
 	if base <= 0 {
 		// Aim for a few grabs per worker so stealing has something to
 		// steal, without dissolving into per-run dispatch overhead.
-		base = (len(p.Jobs) + workers*4 - 1) / (workers * 4)
+		base = (len(pending) + workers*4 - 1) / (workers * 4)
 		if base > defaultMaxChunk {
 			base = defaultMaxChunk
 		}
@@ -541,12 +537,10 @@ func newDispatcher(f *Fleet, c *core.Campaign, p *core.Prepared, workers int) *d
 		base = 1
 	}
 	d := &dispatcher{
-		c:           c,
 		jobs:        p.Jobs,
-		faults:      p.Faults,
-		jw:          f.opts.Journal,
-		results:     make([]core.RunResult, len(p.Jobs)),
-		committed:   make([]bool, len(p.Jobs)),
+		ledger:      l,
+		jw:          l.Journal(),
+		pending:     pending,
 		inflight:    make(map[int]*chunk),
 		activeSlots: workers,
 		doneCh:      make(chan struct{}),
@@ -559,7 +553,7 @@ func newDispatcher(f *Fleet, c *core.Campaign, p *core.Prepared, workers int) *d
 }
 
 func (d *dispatcher) finishedLocked() bool {
-	return d.failure != nil || d.canceled || d.nCommitted == len(d.jobs)
+	return d.failure != nil || d.canceled || d.ledger.Complete()
 }
 
 func (d *dispatcher) finished() bool {
@@ -607,17 +601,6 @@ func (d *dispatcher) journalEvent(worker int, event string, indices []int) {
 	}
 }
 
-// uncommittedLocked filters indices down to those not yet committed.
-func (d *dispatcher) uncommittedLocked(indices []int) []int {
-	out := make([]int, 0, len(indices))
-	for _, g := range indices {
-		if !d.committed[g] {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // grab hands the slot its next assignment: re-dispatched work first,
 // then a fresh chunk, then — at the tail — a speculative copy of the
 // largest still-streaming chunk. It blocks while all work is in flight
@@ -637,7 +620,7 @@ func (d *dispatcher) grab(slot int) *assignment {
 		for len(d.ready) > 0 {
 			ch := d.ready[0]
 			d.ready = d.ready[1:]
-			un := d.uncommittedLocked(ch.indices)
+			un := d.ledger.Uncommitted(ch.indices)
 			if len(un) == 0 {
 				continue
 			}
@@ -647,12 +630,9 @@ func (d *dispatcher) grab(slot int) *assignment {
 			d.journalEvent(slot, event, un)
 			return &assignment{ch: ch, indices: un, slot: slot}
 		}
-		if d.cursor < len(d.jobs) {
-			end := min(d.cursor+d.baseChunk, len(d.jobs))
-			idx := make([]int, 0, end-d.cursor)
-			for g := d.cursor; g < end; g++ {
-				idx = append(idx, g)
-			}
+		if d.cursor < len(d.pending) {
+			end := min(d.cursor+d.baseChunk, len(d.pending))
+			idx := d.pending[d.cursor:end:end]
 			d.cursor = end
 			d.chunkSeq++
 			ch := &chunk{id: d.chunkSeq, indices: idx, live: 1}
@@ -679,7 +659,7 @@ func (d *dispatcher) speculateLocked(slot int) *assignment {
 		if ch.speculated {
 			continue
 		}
-		un := d.uncommittedLocked(ch.indices)
+		un := d.ledger.Uncommitted(ch.indices)
 		if len(un) == 0 {
 			continue
 		}
@@ -697,45 +677,29 @@ func (d *dispatcher) speculateLocked(slot int) *assignment {
 	return &assignment{ch: best, indices: bestUn, slot: slot, speculative: true}
 }
 
-// commit merges one result at its global index, exactly once;
-// duplicate results from speculative copies return without a trace.
-// The drain's runs count as LocalRuns and mark the campaign degraded.
-// Progress is reported under the lock, so invocations stay serialized
-// and strictly incrementing, the in-process pool's contract. A failed
-// journal write fails the campaign, as it does a supervised one.
+// commit merges one result at its global index through the ledger,
+// exactly once; duplicate results from speculative copies return without
+// a trace. The drain's runs count as LocalRuns and mark the campaign
+// degraded. A failed journal write fails the campaign.
 func (d *dispatcher) commit(slot, global int, res *core.RunResult, resultRaw, telRaw []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.committed[global] {
+	fresh, err := d.ledger.Commit(global, 1, res, resultRaw, telRaw)
+	switch {
+	case err != nil:
+		d.failLocked(global, err)
 		return
-	}
-	d.committed[global] = true
-	d.results[global] = *res
-	d.nCommitted++
-	if slot == drainSlot {
+	case !fresh:
+		return
+	case slot == drainSlot:
 		d.stats.LocalRuns++
 		d.stats.Degraded = true
 	}
-	if d.jw != nil {
-		if err := d.jw.WriteRun(global, d.jobs[global].Key(), 1, resultRaw, telRaw); err != nil {
-			d.failLocked(global, err)
-		}
-	}
-	d.reportLocked(global)
-	if d.nCommitted == len(d.jobs) {
+	if d.ledger.Complete() {
 		d.signalDone()
 	} else {
 		d.cond.Broadcast()
 	}
-}
-
-// reportLocked drives the campaign Progress callback. Caller holds mu.
-func (d *dispatcher) reportLocked(global int) {
-	if !d.c.HasProgress() || d.jobs[global].Probe {
-		return
-	}
-	d.progressDone++
-	d.c.ReportProgress(d.progressDone, d.faults)
 }
 
 // finish retires one delivered (or abandoned-at-completion) copy.
@@ -757,7 +721,7 @@ func (d *dispatcher) lost(a *assignment) {
 	defer d.mu.Unlock()
 	ch := a.ch
 	ch.live--
-	un := d.uncommittedLocked(ch.indices)
+	un := d.ledger.Uncommitted(ch.indices)
 	d.journalEvent(a.slot, "lost", un)
 	if ch.live > 0 || len(un) == 0 {
 		// A surviving copy covers the remainder, or nothing remains.

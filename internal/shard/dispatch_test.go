@@ -331,39 +331,51 @@ func TestFleetJournalProvenance(t *testing.T) {
 
 // TestFleetJournalWriteFailureIsFatal: a fleet whose journal cannot be
 // written fails the campaign at the first failed write, as a supervised
-// campaign does, instead of running every job and reporting success.
+// campaign does, instead of running every job and reporting success —
+// whether the fleet brings the journal (FleetOptions.Journal) or the
+// campaign does (core.WithJournal), and on the in-process pool alike.
 // The writer is closed before the plan line, or after the first
 // committed run line.
 func TestFleetJournalWriteFailureIsFatal(t *testing.T) {
-	for _, closeAfter := range []int{0, 1} {
-		path := filepath.Join(t.TempDir(), "fleet.journal")
-		r := newRunner(true)
-		jw, err := journal.Create(path, HeaderFor(r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if closeAfter == 0 {
-			jw.Close()
-		}
-		var runs atomic.Int32
-		_, err = core.NewCampaign(r,
-			core.WithSpecs(campaignSpecs(60)),
-			core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, WorkerParallelism: 1, Journal: jw})),
-			core.WithProgress(func(done, total int) {
-				runs.Add(1)
-				if done == closeAfter {
-					jw.Close()
-				}
-			}),
-		).Run(context.Background())
-		if err == nil || !strings.Contains(err.Error(), "journal write") {
-			t.Fatalf("close after %d runs: error = %v, want the journal write failure", closeAfter, err)
-		}
-		if n := runs.Load(); n == 60 {
-			t.Errorf("close after %d runs: the fleet ran every job after the journal failed", closeAfter)
-		}
-		if got := jw.Records(); got != closeAfter {
-			t.Errorf("close after %d runs: %d records journaled", closeAfter, got)
+	for _, mode := range []string{"fleet journal", "campaign journal on a fleet", "campaign journal in-process"} {
+		for _, closeAfter := range []int{0, 1} {
+			path := filepath.Join(t.TempDir(), "fleet.journal")
+			r := newRunner(true)
+			jw, err := journal.Create(path, HeaderFor(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if closeAfter == 0 {
+				jw.Close()
+			}
+			var runs atomic.Int32
+			opts := []core.Option{
+				core.WithSpecs(campaignSpecs(60)),
+				core.WithProgress(func(done, total int) {
+					runs.Add(1)
+					if done == closeAfter {
+						jw.Close()
+					}
+				}),
+			}
+			switch mode {
+			case "fleet journal":
+				opts = append(opts, core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, WorkerParallelism: 1, Journal: jw})))
+			case "campaign journal on a fleet":
+				opts = append(opts, core.WithJournal(jw, nil), core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, WorkerParallelism: 1})))
+			default:
+				opts = append(opts, core.WithJournal(jw, nil), core.WithSupervision(core.NewSupervisor(core.SupervisorOptions{})))
+			}
+			_, err = core.NewCampaign(r, opts...).Run(context.Background())
+			if err == nil || !strings.Contains(err.Error(), "journal write") {
+				t.Fatalf("%s, close after %d runs: error = %v, want the journal write failure", mode, closeAfter, err)
+			}
+			if n := runs.Load(); n == 60 {
+				t.Errorf("%s, close after %d runs: every job ran after the journal failed", mode, closeAfter)
+			}
+			if got := jw.Records(); got != closeAfter {
+				t.Errorf("%s, close after %d runs: %d records journaled", mode, closeAfter, got)
+			}
 		}
 	}
 }

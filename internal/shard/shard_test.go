@@ -15,6 +15,7 @@ import (
 
 	"ntdts/internal/core"
 	"ntdts/internal/inject"
+	"ntdts/internal/journal"
 	"ntdts/internal/ntsim/win32"
 	"ntdts/internal/telemetry"
 	"ntdts/internal/workload"
@@ -341,25 +342,61 @@ func fakeSpawner(serve func(in io.Reader, out io.Writer, killed <-chan struct{})
 	}
 }
 
+// singleHostHeader hands the worker a single-host copy of the header
+// the coordinator sends first.
+type singleHostHeader struct {
+	io.WriteCloser
+	sent bool
+}
+
+func (w *singleHostHeader) Write(line []byte) (int, error) {
+	if w.sent {
+		return w.WriteCloser.Write(line)
+	}
+	w.sent = true
+	var h journal.Header
+	if err := json.Unmarshal(line, &h); err != nil {
+		return 0, err
+	}
+	h.ClusterNodes = 0
+	data, err := json.Marshal(h)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := w.WriteCloser.Write(append(data, '\n')); err != nil {
+		return 0, err
+	}
+	return len(line), nil
+}
+
 // TestWorkerErrorRecordIsFatal: a run that fails inside a real worker
-// (a cluster scenario fault on a single-host topology) comes back as an
-// error record that fails the campaign without respawning, spelled
-// exactly as the in-process pool spells it.
+// comes back as an error record that fails the campaign without
+// respawning, spelled exactly as the in-process pool spells it. The
+// coordinator's one-node cluster hosts a cluster scenario fault, so the
+// campaign passes Prepare; each worker is handed a single-host header,
+// on which that run fails.
 func TestWorkerErrorRecordIsFatal(t *testing.T) {
 	specs := campaignSpecs(8)
 	specs[5] = inject.FaultSpec{Function: core.ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits}
-	_, local := core.NewCampaign(newRunner(false), core.WithSpecs(specs)).Run(context.Background())
+	res, runErr := newRunner(false).Run(&specs[5])
+	_, local := core.FinishJob(core.PlanJob{Spec: specs[5]}, res, runErr)
 	if local == nil {
-		t.Fatal("in-process campaign accepted a cluster fault on a single host")
+		t.Fatal("a single host accepted a cluster fault")
 	}
 
 	inner := InProcess()
 	var spawned atomic.Int32
 	counted := func() (*Conn, error) {
 		spawned.Add(1)
-		return inner()
+		conn, err := inner()
+		if err == nil {
+			conn.In = &singleHostHeader{WriteCloser: conn.In}
+		}
+		return conn, err
 	}
-	_, err := core.NewCampaign(newRunner(false),
+	coordinator := newRunner(false)
+	coordinator.Opts.Cluster = core.ClusterConfig{Nodes: 1}
+	_, err := core.NewCampaign(coordinator,
 		core.WithSpecs(specs),
 		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, Spawn: counted})),
 	).Run(context.Background())

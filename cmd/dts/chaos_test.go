@@ -171,50 +171,64 @@ func TestChaosKillResume(t *testing.T) {
 
 // TestChaosSigtermResume: SIGTERM takes the graceful path — the child
 // drains its workers, flushes the journal, prints the exact resume
-// command, and exits with the dedicated interrupted code. The resumed
-// archive must still match the golden run.
+// command, and exits with the dedicated interrupted code. Running the
+// printed command must give the golden archive; a -workers fleet's hint
+// keeps its -workers value, so the fleet finishes the campaign.
 func TestChaosSigtermResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec chaos test")
 	}
+	t.Setenv("DTS_HELPER_PROCESS", "1") // fleet workers re-enter via TestHelperProcess
 	dir := t.TempDir()
 	cfgPath := chaosCampaign(t, dir)
 	golden := goldenArchive(t, dir, cfgPath)
 
-	jpath := filepath.Join(dir, "term.journal")
-	var childOut bytes.Buffer
-	child := dtsChild("-config", cfgPath, "-out", filepath.Join(dir, "term.json"),
-		"-q", "-journal", jpath, "-parallel", "1")
-	child.Stdout = &childOut
-	child.Stderr = &childOut
-	if err := child.Start(); err != nil {
-		t.Fatal(err)
-	}
-	waitForJournal(t, jpath, 10)
-	child.Process.Signal(syscall.SIGTERM)
-	err := child.Wait()
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) || ee.ExitCode() != exitInterrupted {
-		t.Fatalf("SIGTERM exit: %v, want exit code %d\noutput:\n%s", err, exitInterrupted, childOut.String())
-	}
-	text := childOut.String()
-	if !strings.Contains(text, "interrupted:") || !strings.Contains(text, "resume with:") {
-		t.Fatalf("interrupt output missing journal/resume lines:\n%s", text)
-	}
-	if !strings.Contains(text, "dts -resume "+jpath) {
-		t.Fatalf("resume hint does not name the journal:\n%s", text)
-	}
+	for _, c := range []struct {
+		name  string
+		extra []string
+	}{
+		{"local", nil},
+		{"workers", []string{"-workers", "2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			jpath, outPath := filepath.Join(dir, c.name+".journal"), filepath.Join(dir, c.name+".json")
+			var childOut bytes.Buffer
+			child := dtsChild(append([]string{"-config", cfgPath, "-out", outPath,
+				"-q", "-journal", jpath, "-parallel", "1"}, c.extra...)...)
+			child.Stdout = &childOut
+			child.Stderr = &childOut
+			if err := child.Start(); err != nil {
+				t.Fatal(err)
+			}
+			waitForJournal(t, jpath, 10)
+			child.Process.Signal(syscall.SIGTERM)
+			err := child.Wait()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != exitInterrupted {
+				t.Fatalf("SIGTERM exit: %v, want exit code %d\noutput:\n%s", err, exitInterrupted, childOut.String())
+			}
+			text := childOut.String()
+			_, hint, ok := strings.Cut(text, "resume with:\n")
+			if !strings.Contains(text, "interrupted:") || !ok {
+				t.Fatalf("interrupt output missing journal/resume lines:\n%s", text)
+			}
+			hint, _, _ = strings.Cut(strings.TrimSpace(hint), "\n")
+			want := "dts -resume " + jpath + " -parallel 1 " + strings.Join(c.extra, " ")
+			if !strings.HasPrefix(hint, strings.TrimSpace(want)) {
+				t.Fatalf("resume hint %q, want it to start %q", hint, want)
+			}
 
-	outPath := filepath.Join(dir, "term-resumed.json")
-	var out bytes.Buffer
-	if err := run([]string{"-resume", jpath, "-out", outPath, "-q"}, &out); err != nil {
-		t.Fatalf("resume after SIGTERM: %v", err)
-	}
-	resumed, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(golden, resumed) {
-		t.Fatal("archive resumed after SIGTERM differs from uninterrupted golden run")
+			var out bytes.Buffer
+			if err := run(append(strings.Fields(hint)[1:], "-q"), &out); err != nil {
+				t.Fatalf("%s after SIGTERM: %v", hint, err)
+			}
+			resumed, err := os.ReadFile(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(golden, resumed) {
+				t.Fatal("archive resumed after SIGTERM differs from uninterrupted golden run")
+			}
+		})
 	}
 }

@@ -170,7 +170,7 @@ func TestFleetDegradedExitCode(t *testing.T) {
 }
 
 // TestWorkersFlagValidation: the fleet flag family fails fast on
-// conflicting or malformed requests.
+// conflicting or malformed requests, and takes the supervisor flags.
 func TestWorkersFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := chaosCampaign(t, dir)
@@ -179,8 +179,6 @@ func TestWorkersFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-config", cfgPath, "-workers", "4", "-run-deadline", "1s"}, "-workers"},
-		{[]string{"-config", cfgPath, "-workers", "4", "-max-quarantined", "3"}, "-workers"},
 		{[]string{"-workers", "4", "-experiment", "table1", "-journal", "j"}, "-experiment does not take -journal"},
 		{[]string{"-config", cfgPath, "-workers", "0"}, ">= 1"},
 		{[]string{"-config", cfgPath, "-workers", "bogus"}, "neither a worker count nor host:port"},
@@ -192,6 +190,9 @@ func TestWorkersFlagValidation(t *testing.T) {
 			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
 		}
 	}
+	// The supervisor flags run the fleet supervised.
+	fleetMatchesLocal(t, cfgPath, "-run-deadline", "1s")
+	fleetMatchesLocal(t, cfgPath, "-max-quarantined", "3")
 }
 
 // TestWorkerListenServesRemoteFleet: a real `dts -worker-listen` child

@@ -59,12 +59,16 @@
 // only what its journal lacks): workers pull bounded chunks on demand,
 // lost chunks are re-dispatched, straggler tails are speculated, and the
 // merged archive, trace and metrics are byte-identical to an
-// unsharded run under any kill schedule. -parallel then sizes each
-// worker's run pool. An integer count spawns local worker processes; a
-// host:port list dials `dts -worker-listen` hosts over authenticated
-// TCP, one connection per worker, so a dropped connection is a worker
-// death. A campaign that finishes only by in-process fallback (every
-// worker budget exhausted) exits 5. `dts serve` exposes the same engine
+// unsharded run under any kill schedule. A campaign the supervisor
+// would run in-process (journaled, or with -run-deadline,
+// -max-quarantined or -chaos) runs supervised on the fleet too: each
+// worker runs its chunks under the same policy and streams its
+// quarantines back. -parallel then sizes each worker's run pool. An
+// integer count spawns local worker processes; a host:port list dials
+// `dts -worker-listen` hosts over authenticated TCP, one connection per
+// worker, so a dropped connection is a worker death. A campaign that
+// finishes only by in-process fallback (every worker budget exhausted)
+// exits 5. `dts serve` exposes the same engine
 // as a long-running HTTP service: submit campaigns with config and
 // fault list inline, stream progress as JSONL, fetch the archive and
 // report.
@@ -257,9 +261,9 @@ func run(args []string, out io.Writer) error {
 		WallDeadlineNS: int64(*runDeadline), MaxAttempts: *retries + 1,
 		MaxQuarantined: *maxQuarantined, Chaos: *chaos,
 	}
-	// The fleet replaces the supervisor: worker processes isolate harness
-	// faults, and -journal records committed runs plus the dispatch
-	// provenance trail.
+	// A fleet runs the campaign's chunks in worker processes, under the
+	// supervisor when the campaign has one; -journal records committed
+	// runs plus the dispatch provenance trail.
 	var fleet *shard.FleetOptions
 	if *workers != "" {
 		fopts, err := fleetFlags{workers: *workers, key: *workerKey, chaos: *chaos}.options(*parallel)
@@ -276,7 +280,7 @@ func run(args []string, out io.Writer) error {
 		cc := core.ClusterConfig{Nodes: *clusterN, Routing: *routing}
 		return runReplay(ctx, *replayPath, *middlewareSpec, *outPath, *parallel, *noElide, cc, progress, out)
 	case "resume":
-		return runResume(ctx, *resume, *outPath, *parallel, fleet, tflags, progress, out)
+		return runResume(ctx, *resume, *outPath, *parallel, fleet, *workers, tflags, progress, out)
 	case "conformance":
 		return runConformance(*golden, *update, *sample, *seed, *parallel, tflags, progress, out)
 	case "experiment":
@@ -285,8 +289,9 @@ func run(args []string, out io.Writer) error {
 		ecfg.Opts.FreshBoot = *freshBoot
 		if fleet != nil {
 			ecfg.ShardExec = shard.NewFleet(*fleet)
-		} else if len(policyFlags(fromFlags)) > 0 {
-			policy := supervisorPolicy(fromFlags)
+		}
+		if supervised(fromFlags) {
+			policy := shard.PolicyFromHeader(fromFlags)
 			ecfg.Supervise = &policy
 		}
 		return runExperiment(*experiment, *outPath, ecfg, tflags, out)
@@ -321,7 +326,7 @@ func run(args []string, out io.Writer) error {
 	if *outPath == "" {
 		*outPath = results
 	}
-	return runCampaign(ctx, runner, h, nil, *journalPath, *outPath, *parallel, fleet, tflags, progress, out)
+	return runCampaign(ctx, runner, h, nil, *journalPath, *outPath, *parallel, fleet, *workers, tflags, progress, out)
 }
 
 // modes is the flag table: every way dts runs, in the order a set flag
@@ -341,9 +346,8 @@ var modes = []struct{ flag, takes string }{
 
 // flagMode returns the mode the set flags select, rejecting every set
 // flag that mode does not honour. A flag set to its default changes
-// nothing, so it counts as unset. A -workers fleet also rejects the
-// supervisor flags: its workers run chunks unsupervised. Table 1 runs
-// calibration scans only, so it rejects the fleet and supervisor flags.
+// nothing, so it counts as unset. Table 1 runs calibration scans only,
+// so it rejects the fleet and supervisor flags.
 func flagMode(fs *flag.FlagSet) (string, error) {
 	var set []string
 	fs.Visit(func(f *flag.Flag) {
@@ -357,15 +361,13 @@ func flagMode(fs *flag.FlagSet) (string, error) {
 		}
 		takes := strings.Fields(m.flag + " " + m.takes + " q cpuprofile memprofile")
 		table1 := m.flag == "experiment" && fs.Lookup("experiment").Value.String() == "table1"
-		var bad, scansOnly, unsupervised []string
+		var bad, scansOnly []string
 		for _, name := range set {
 			switch {
 			case !slices.Contains(takes, name):
 				bad = append(bad, "-"+name)
 			case table1 && slices.Contains(strings.Fields("workers run-deadline max-quarantined retries chaos"), name):
 				scansOnly = append(scansOnly, "-"+name)
-			case name == "run-deadline" || name == "max-quarantined" || name == "retries":
-				unsupervised = append(unsupervised, "-"+name)
 			}
 		}
 		if len(bad) > 0 {
@@ -373,9 +375,6 @@ func flagMode(fs *flag.FlagSet) (string, error) {
 		}
 		if len(scansOnly) > 0 {
 			return "", fmt.Errorf("-experiment table1 runs calibration scans only: it does not take %s", strings.Join(scansOnly, ", "))
-		}
-		if len(unsupervised) > 0 && slices.Contains(set, "workers") {
-			return "", fmt.Errorf("a -workers fleet runs unsupervised: it does not take %s", strings.Join(unsupervised, ", "))
 		}
 		return m.flag, nil
 	}
@@ -610,11 +609,11 @@ func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemet
 
 // runCampaign executes a -config campaign from its header or, with a
 // non-nil rep, resumes the journaled campaign rep was replayed from
-// (runResume): on a -workers fleet, or in-process — under the supervisor
+// (runResume): in-process or on a -workers fleet, under the supervisor
 // when journaled or when the header records a supervisor flag. A
 // -journal records the same header, so -resume rebuilds the campaign
 // from the journal alone.
-func runCampaign(ctx context.Context, runner *core.Runner, h journal.Header, rep *journal.Replayed, jpath, outPath string, parallel int, fleet *shard.FleetOptions, tflags telemetryFlags, progress func(string), out io.Writer) error {
+func runCampaign(ctx context.Context, runner *core.Runner, h journal.Header, rep *journal.Replayed, jpath, outPath string, parallel int, fleet *shard.FleetOptions, workers string, tflags telemetryFlags, progress func(string), out io.Writer) error {
 	copts := []core.Option{core.WithParallelism(parallel), core.WithProgress(campaignProgress(progress))}
 	if h.FaultList != "" {
 		specs, err := faultSpecs(h.FaultList, rep)
@@ -634,14 +633,14 @@ func runCampaign(ctx context.Context, runner *core.Runner, h journal.Header, rep
 	if err != nil {
 		return err
 	}
-	switch {
-	case fleet != nil:
+	if fleet != nil {
 		copts = append(copts, core.WithShardExecutor(shard.NewFleet(*fleet)))
-	case jw != nil || len(policyFlags(h)) > 0:
-		copts = append(copts, core.WithSupervision(core.NewSupervisor(supervisorPolicy(h))))
+	}
+	if jw != nil || supervised(h) {
+		copts = append(copts, core.WithSupervision(core.NewSupervisor(shard.PolicyFromHeader(h))))
 	}
 	set, err := core.NewCampaign(runner, append(copts, core.WithJournal(jw, rep))...).Run(ctx)
-	return finish(set, err, jw, outPath, resumeCommand(jpath, outPath, parallel, tflags), tflags, out)
+	return finish(set, err, jw, outPath, resumeCommand(jpath, outPath, parallel, workers, tflags), tflags, out)
 }
 
 // campaignProgress adapts the line-oriented progress sink to the

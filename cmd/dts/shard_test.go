@@ -121,9 +121,10 @@ func TestShardedWorkerSigkillRedispatch(t *testing.T) {
 
 // TestShardsFlagValidation: -workers is the one way to fan out. The
 // retired -shards flag is unknown to the flag package, and -workers
-// rejects the flags that need the in-process supervisor or a single
-// process (-resume takes -workers but still rejects -config). A positional argument is rejected by name, in dts and in
-// dts serve.
+// rejects the flags that need a single process (-resume takes -workers
+// but still rejects -config). A positional argument is rejected by name,
+// in dts and in dts serve. A -chaos list runs supervised on the fleet
+// as in-process: the panic is quarantined and the flaky run retried.
 func TestShardsFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := chaosCampaign(t, dir)
@@ -139,8 +140,6 @@ func TestShardsFlagValidation(t *testing.T) {
 		{[]string{"-config", cfgPath, "-workers", "4", "-resume", filepath.Join(dir, "j")}, "-resume does not take -config"},
 		{[]string{"-workers", "4", "-conformance"}, "-conformance does not take -workers"},
 		{[]string{"-config", cfgPath, "-workers", "2", "-fault", "ReadFile 0 1 zero"}, "-fault does not take -workers"},
-		{[]string{"-config", cfgPath, "-workers", "4", "-run-deadline", "1s"}, "does not take -run-deadline"},
-		{[]string{"-config", cfgPath, "-workers", "4", "-max-quarantined", "3"}, "does not take -max-quarantined"},
 		// The flag package stops at the first positional argument, so
 		// -out would be silently dropped. The serve case's address is
 		// unlistenable, so a missing check fails instead of serving.
@@ -152,6 +151,9 @@ func TestShardsFlagValidation(t *testing.T) {
 			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
 		}
 	}
+	chaosCfg := writeChaosList(t, t.TempDir(), motivationList)
+	fleetMatchesLocal(t, chaosCfg, "-chaos")
+	fleetMatchesLocal(t, chaosCfg, "-chaos", "-max-quarantined", "3")
 }
 
 // TestShardChaosEnvGating proves the DTS_SHARD_CHAOS_KILL plumbing: a

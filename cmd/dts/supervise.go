@@ -1,10 +1,11 @@
 package main
 
 // Campaign supervision in the CLI: the supervisor policy a journal
-// header carries (-run-deadline/-max-quarantined/-retries/-chaos), -resume
-// (in-process or on a -workers fleet), the one finish path that flushes
-// the journal and prints the exact resume command on SIGINT/SIGTERM, and
-// the distinct exit codes automation keys on.
+// header carries (-run-deadline/-max-quarantined/-retries/-chaos) and
+// when it applies, -resume (in-process or on a -workers fleet), the one
+// finish path that flushes the journal and prints the exact resume
+// command on SIGINT/SIGTERM, and the distinct exit codes automation
+// keys on.
 
 import (
 	"context"
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"ntdts/internal/core"
 	"ntdts/internal/journal"
@@ -40,46 +40,29 @@ type exitError struct {
 
 func (e *exitError) Error() string { return e.msg }
 
-// supervisorPolicy reads the supervisor policy a journal header
-// records: the flags put it there for a fresh campaign, and the journal
-// keeps it for a resumed one.
-func supervisorPolicy(h journal.Header) core.SupervisorOptions {
-	return core.SupervisorOptions{
-		WallDeadline:   time.Duration(h.WallDeadlineNS),
-		MaxAttempts:    h.MaxAttempts,
-		MaxQuarantined: h.MaxQuarantined,
-		Chaos:          h.Chaos,
-	}
-}
-
-// policyFlags names the supervisor flags a header records. A fresh
-// campaign that records any runs under the supervisor (a -journal always
-// does), and a -workers fleet, whose workers run unsupervised, cannot
-// resume a journal that records any. The retry budget alone counts for
-// neither: retries only matter once a watchdog, quarantine budget or
-// chaos hook is in play.
-func policyFlags(h journal.Header) []string {
-	var flags []string
-	if h.WallDeadlineNS > 0 {
-		flags = append(flags, "-run-deadline")
-	}
-	if h.MaxQuarantined > 0 {
-		flags = append(flags, "-max-quarantined")
-	}
-	if h.Chaos {
-		flags = append(flags, "-chaos")
-	}
-	return flags
+// supervised reports whether a header records a supervisor flag. A
+// campaign that does runs under the supervisor, as a journaled one
+// always does, on any executor. The retry budget alone does not count:
+// retries only matter once a watchdog, quarantine budget or chaos hook
+// is in play.
+func supervised(h journal.Header) bool {
+	return h.WallDeadlineNS > 0 || h.MaxQuarantined > 0 || h.Chaos
 }
 
 // resumeCommand renders the exact command that continues an interrupted
-// campaign — printed on interrupt so the operator can paste it.
-func resumeCommand(jpath, outPath string, parallel int, tflags telemetryFlags) string {
+// campaign — printed on interrupt so the operator can paste it. A fleet
+// campaign resumes on the same -workers fleet; a -worker-key is never
+// printed.
+func resumeCommand(jpath, outPath string, parallel int, workers string, tflags telemetryFlags) string {
 	var b strings.Builder
 	b.WriteString("dts -resume ")
 	b.WriteString(jpath)
 	if parallel != 0 {
 		fmt.Fprintf(&b, " -parallel %d", parallel)
+	}
+	if workers != "" {
+		b.WriteString(" -workers ")
+		b.WriteString(workers)
 	}
 	if outPath != "" {
 		b.WriteString(" -out ")
@@ -153,10 +136,10 @@ func finish(set *core.SetResult, runErr error, jw *journal.Writer, savePath, res
 // runResume continues an interrupted journaled campaign: replay the
 // journal, truncate its torn tail, rebuild the runner and the supervisor
 // policy from the header, adopt the journaled runs and execute the rest
-// — in-process under the supervisor, or on a -workers fleet — so the
-// final results are byte-identical to an uninterrupted campaign at any
+// under the supervisor, in-process or on a -workers fleet, so the final
+// results are byte-identical to an uninterrupted campaign at any
 // -parallel or -workers setting.
-func runResume(ctx context.Context, jpath, outPath string, parallel int, fleet *shard.FleetOptions, tflags telemetryFlags, progress func(string), out io.Writer) error {
+func runResume(ctx context.Context, jpath, outPath string, parallel int, fleet *shard.FleetOptions, workers string, tflags telemetryFlags, progress func(string), out io.Writer) error {
 	rep, err := journal.Replay(jpath)
 	if err != nil {
 		return err
@@ -168,9 +151,6 @@ func runResume(ctx context.Context, jpath, outPath string, parallel int, fleet *
 		}
 		return fmt.Errorf("journal %s collected no telemetry; -trace-out/-metrics cannot be added on resume", jpath)
 	}
-	if policy := policyFlags(h); fleet != nil && len(policy) > 0 {
-		return fmt.Errorf("journal %s records %s: a -workers fleet runs unsupervised; resume it without -workers", jpath, strings.Join(policy, ", "))
-	}
 	runner, err := shard.RunnerFromHeader(h)
 	if err != nil {
 		return err
@@ -180,5 +160,5 @@ func runResume(ctx context.Context, jpath, outPath string, parallel int, fleet *
 	}
 	progress(fmt.Sprintf("resuming %s/%s from %s: %d runs journaled",
 		h.Workload, h.Supervision, jpath, rep.Records))
-	return runCampaign(ctx, runner, h, rep, jpath, outPath, parallel, fleet, tflags, progress, out)
+	return runCampaign(ctx, runner, h, rep, jpath, outPath, parallel, fleet, workers, tflags, progress, out)
 }

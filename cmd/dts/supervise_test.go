@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,6 +26,43 @@ func writeChaosList(t *testing.T, dir, faults string) string {
 		t.Fatal(err)
 	}
 	return cfgPath
+}
+
+// motivationList is a chaos list on which an unsupervised fleet once
+// diverged from the supervised in-process campaign: it ran the panicking
+// and the flaky spec as ordinary faults.
+const motivationList = "ReadFile 1 1 flip\nDTSChaosPanic 0 1 zero\nWriteFile 1 1 zero\nDTSChaosFlaky 0 1 zero\nCreateEventA 0 1 zero\n"
+
+// readFile returns a file's bytes or fails the test.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// fleetMatchesLocal runs a -config campaign with flags in-process and on
+// a two-worker fleet, and requires cmp-equal archives: a fleet campaign
+// runs supervised exactly when the in-process one does.
+func fleetMatchesLocal(t *testing.T, cfgPath string, flags ...string) {
+	t.Helper()
+	t.Setenv("DTS_HELPER_PROCESS", "1") // fleet workers re-enter via TestHelperProcess
+	dir := t.TempDir()
+	var archives [2][]byte
+	for i, fleet := range [][]string{nil, {"-workers", "2", "-parallel", "1"}} {
+		outPath := filepath.Join(dir, fmt.Sprintf("%d.json", i))
+		args := append(append([]string{"-config", cfgPath, "-q", "-out", outPath}, flags...), fleet...)
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		archives[i] = readFile(t, outPath)
+	}
+	if !bytes.Equal(archives[0], archives[1]) {
+		t.Errorf("%v: the -workers 2 archive differs from the in-process one", flags)
+	}
 }
 
 // TestRunChaosQuarantine: a deliberately panicking and a deliberately
@@ -136,7 +174,6 @@ func TestRunFlagConflicts(t *testing.T) {
 		{[]string{"-resume", jpath, "-run-deadline", "5s"}, "-resume does not take -run-deadline"},
 		{[]string{"-config", cfgPath, "-fault", "ReadFile 1 1 flip", "-out", outPath}, "-fault does not take -out"},
 		{[]string{"-config", cfgPath, "-no-elide"}, "-config does not take -no-elide"},
-		{[]string{"-config", cfgPath, "-workers", "2", "-retries", "7"}, "does not take -retries"},
 		{[]string{"-config", cfgPath, "-experiment", "table1"}, "-experiment does not take -config"},
 		{[]string{"-conformance", "-config", cfgPath}, "-conformance does not take -config"},
 		// Table 1 runs calibration scans only: no fleet, no supervisor.
@@ -149,6 +186,9 @@ func TestRunFlagConflicts(t *testing.T) {
 			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
 		}
 	}
+	// A fleet takes -retries: a journaled campaign runs supervised on
+	// either executor.
+	fleetMatchesLocal(t, cfgPath, "-retries", "7", "-journal", filepath.Join(dir, "r.journal"))
 }
 
 // TestRunResumeTelemetryMismatch: a journal records whether telemetry was
@@ -173,29 +213,41 @@ func TestRunResumeTelemetryMismatch(t *testing.T) {
 	}
 }
 
-// TestRunResumeWorkersRejectsSupervisedJournal: a -workers fleet runs
-// unsupervised, so it refuses to resume a journal whose header records a
-// watchdog, a quarantine budget or chaos, and names each such flag.
-func TestRunResumeWorkersRejectsSupervisedJournal(t *testing.T) {
+// TestRunResumeWorkersSupervisedJournal: a -workers fleet resumes a
+// journal whose header records a watchdog, a quarantine budget or chaos
+// under that policy, so a journal cut mid-campaign (torn tail included)
+// resumes on a fleet to the uninterrupted archive.
+func TestRunResumeWorkersSupervisedJournal(t *testing.T) {
+	t.Setenv("DTS_HELPER_PROCESS", "1") // fleet workers re-enter via TestHelperProcess
 	dir := t.TempDir()
-	cfgPath := writeChaosList(t, dir, "ReadFile 1 1 flip\nGetVersionExA 0 1 zero\n")
-	for _, c := range []struct {
-		flags []string
-		want  string
-	}{
-		{[]string{"-run-deadline", "5s"}, "records -run-deadline:"},
-		{[]string{"-max-quarantined", "3"}, "records -max-quarantined:"},
-		{[]string{"-chaos", "-run-deadline", "5s"}, "records -run-deadline, -chaos:"},
+	cfgPath := writeChaosList(t, dir, motivationList)
+	for _, flags := range [][]string{
+		{"-run-deadline", "5s"},
+		{"-max-quarantined", "3"},
+		{"-chaos", "-run-deadline", "5s"},
 	} {
-		jpath := filepath.Join(dir, "s.journal")
+		jpath, golden := filepath.Join(dir, "s.journal"), filepath.Join(dir, "s.json")
 		var out bytes.Buffer
-		args := append([]string{"-config", cfgPath, "-q", "-journal", jpath, "-out", filepath.Join(dir, "s.json")}, c.flags...)
+		args := append([]string{"-config", cfgPath, "-q", "-journal", jpath, "-out", golden}, flags...)
 		if err := run(args, &out); err != nil {
 			t.Fatal(err)
 		}
-		err := run([]string{"-resume", jpath, "-workers", "2", "-q"}, &out)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%v: err = %v, want %q", c.flags, err, c.want)
+		// Keep the header, the plan and two records, then tear the third,
+		// as a kill before the final checkpoint would.
+		lines := bytes.SplitAfter(readFile(t, jpath), []byte("\n"))
+		cut := append(bytes.Join(lines[:4], nil), lines[4][:len(lines[4])/2]...)
+		if err := os.WriteFile(jpath, cut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(jpath + ".ckpt"); err != nil {
+			t.Fatal(err)
+		}
+		resumed := filepath.Join(dir, "r.json")
+		if err := run([]string{"-resume", jpath, "-workers", "2", "-parallel", "1", "-q", "-out", resumed}, &out); err != nil {
+			t.Fatalf("%v: fleet resume: %v", flags, err)
+		}
+		if !bytes.Equal(readFile(t, golden), readFile(t, resumed)) {
+			t.Errorf("%v: fleet resume of the cut journal differs from the uninterrupted archive", flags)
 		}
 	}
 }

@@ -166,6 +166,18 @@ func (c *Campaign) Runner() *Runner { return c.runner }
 // Shards returns the WithShards fleet size (0 when unset).
 func (c *Campaign) Shards() int { return c.shards }
 
+// Supervision returns the supervisor's policy, defaults filled in, and
+// whether the campaign runs supervised.
+func (c *Campaign) Supervision() (SupervisorOptions, bool) {
+	if c.supervise == nil {
+		return SupervisorOptions{}, false
+	}
+	return c.supervise.opts, true
+}
+
+// Journal returns the campaign's journal (nil when not journaling).
+func (c *Campaign) Journal() *journal.Writer { return c.journal }
+
 // Prepared is a campaign after calibration and planning, ready to
 // execute: the frozen job list, the Ledger its runs commit to, and
 // everything the SetResult is built from. The coordinator/worker split
@@ -286,9 +298,6 @@ func (c *Campaign) Run(ctx context.Context) (*SetResult, error) {
 		ctx = context.Background()
 	}
 	exec := c.shardExec
-	if exec != nil && c.supervise != nil {
-		return nil, errors.New("campaign: sharding and supervision are mutually exclusive (each worker process already isolates harness faults)")
-	}
 	p, err := c.Prepare()
 	if err != nil {
 		return nil, err

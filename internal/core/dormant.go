@@ -63,7 +63,7 @@ func (c *dormantCache) get() *dormantTemplate {
 }
 
 // offer makes res the template unless one exists. The template is a
-// deep copy because callers mutate what Run returns: FinishJob marks
+// deep copy because callers mutate what Run returns: the ledger marks
 // probes Skipped, and the supervisor sets Retries and emits into the
 // recorder.
 func (c *dormantCache) offer(res *RunResult, activated map[string]bool) {

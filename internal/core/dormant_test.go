@@ -58,7 +58,7 @@ func TestDormantRunCopies(t *testing.T) {
 			if !bytes.Equal(got.Telemetry.AppendSnapshotJSON(nil), want.Telemetry.AppendSnapshotJSON(nil)) {
 				t.Fatalf("cap %d: %v: copied trace differs from the fresh-boot trace", traceCap, specs[i])
 			}
-			// What the supervisor and FinishJob do to a result.
+			// What the supervisor and the ledger do to a result.
 			got.Skipped, got.Retries = true, 2
 			got.Telemetry.Emit(got.Telemetry.LastTime(), 0, telemetry.KindRunRetry, specs[i].String(), 2, 1)
 		}

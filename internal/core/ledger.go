@@ -19,6 +19,14 @@ import (
 	"ntdts/internal/telemetry"
 )
 
+// Journal records a ledger's commits: a campaign's journal file
+// (*journal.Writer), or a fleet worker's result stream, which numbers
+// each record of its chunk by the job's global index.
+type Journal interface {
+	WriteRun(index int, key string, attempts int, result, tel json.RawMessage) error
+	WriteQuarantine(index int, key string, fault json.RawMessage, reason, message, stack string, attempts int) error
+}
+
 // Ledger owns a campaign's committed state: the result at every job
 // index, which indices are committed (first writer wins), the journal's
 // plan line and its run and quarantine records, the quarantine list and
@@ -27,8 +35,9 @@ import (
 type Ledger struct {
 	jobs     []PlanJob
 	faults   int // non-probe jobs: the progress total
-	jw       *journal.Writer
-	budget   int // quarantines that stop the campaign (<= 0: unlimited)
+	jw       Journal
+	budget   int               // quarantines that stop the campaign (<= 0: unlimited)
+	tel      telemetry.Options // a quarantine placeholder's telemetry
 	progress func(done, total int)
 
 	mu        sync.Mutex
@@ -44,20 +53,14 @@ type Ledger struct {
 // a resumed journal recorded and the runs a replay source resolves,
 // then attaches the campaign's journal.
 func (c *Campaign) ledgerFor(p *Prepared) (*Ledger, error) {
-	l := &Ledger{
-		jobs: p.Jobs, faults: p.Faults, progress: c.progress,
-		committed: make([]bool, len(p.Jobs)),
-		open:      len(p.Jobs),
-	}
-	if len(p.Jobs) > 0 {
-		l.results = make([]RunResult, len(p.Jobs)) // an empty plan archives "runs": null
-	}
+	l := newLedger(p.Jobs)
+	l.faults, l.tel = p.Faults, c.runner.Opts.Telemetry
 	if c.supervise != nil {
 		l.budget = c.supervise.opts.MaxQuarantined
 	}
 	p.ledger = l
 	if c.resume != nil {
-		if err := l.adoptJournal(c.resume, c.runner.Opts.Telemetry); err != nil {
+		if err := l.adoptJournal(c.resume); err != nil {
 			return nil, err
 		}
 	}
@@ -71,10 +74,13 @@ func (c *Campaign) ledgerFor(p *Prepared) (*Ledger, error) {
 		}
 		for i, r := range resolved {
 			if r != nil {
-				l.adopt(i, *r)
+				l.commit(i, 0, r, nil, nil) // nothing to journal yet, so it cannot fail
 			}
 		}
 	}
+	// Attached after adoption: adopted runs count toward progress but
+	// are neither journaled again nor reported.
+	l.progress = c.progress
 	switch {
 	case c.journal == nil:
 	case c.resume != nil && c.resume.Plan != nil:
@@ -85,6 +91,15 @@ func (c *Campaign) ledgerFor(p *Prepared) (*Ledger, error) {
 		}
 	}
 	return l, nil
+}
+
+// newLedger opens an empty ledger over jobs.
+func newLedger(jobs []PlanJob) *Ledger {
+	l := &Ledger{jobs: jobs, committed: make([]bool, len(jobs)), open: len(jobs)}
+	if len(jobs) > 0 {
+		l.results = make([]RunResult, len(jobs)) // an empty plan archives "runs": null
+	}
+	return l
 }
 
 // planLine returns the job keys (PlanJob.Key, in job order) and their
@@ -113,47 +128,54 @@ func (l *Ledger) AttachJournal(jw *journal.Writer) error {
 	return nil
 }
 
-// Journal returns the attached journal (nil when not journaling).
-func (l *Ledger) Journal() *journal.Writer { return l.jw }
-
 // adoptJournal adopts a resumed journal's runs, and its quarantines with
-// their list entries (which count toward the budget) and the placeholder
-// a fresh quarantine commits.
-func (l *Ledger) adoptJournal(rep *journal.Replayed, tel telemetry.Options) error {
+// their list entries (which count toward the budget) and placeholders.
+func (l *Ledger) adoptJournal(rep *journal.Replayed) error {
 	if rep.Plan != nil {
 		if _, fp := planLine(l.jobs); rep.Plan.Fingerprint != fp {
 			return fmt.Errorf("resume plan mismatch: journal fingerprint %s, rebuilt %s (different fault list, workload, or catalog?)",
 				rep.Plan.Fingerprint, fp)
 		}
 	}
-	for i, rec := range rep.Runs {
-		if err := l.checkKey("record", i, rec.Key); err != nil {
-			return err
-		}
-		res, err := UnmarshalRunRecord(rec.Result, rec.Tel)
-		if err != nil {
-			return fmt.Errorf("journal record %d: %w", i, err)
-		}
-		l.adopt(i, *res)
-	}
-	for i, rec := range rep.Quarantined {
-		if err := l.checkKey("quarantine", i, rec.Key); err != nil {
-			return err
-		}
-		fault := l.jobs[i].Spec
-		if len(rec.Fault) != 0 {
-			if err := json.Unmarshal(rec.Fault, &fault); err != nil {
-				return fmt.Errorf("journal quarantine %d fault: %w", i, err)
+	for _, recs := range []map[int]*journal.Record{rep.Runs, rep.Quarantined} {
+		for _, rec := range recs {
+			if _, err := l.CommitRecord(rec); err != nil {
+				return err
 			}
 		}
-		l.noteQuarantine(QuarantineEntry{
-			Index: i, Fault: fault, Key: rec.Key,
-			Reason: rec.Reason, Message: rec.Message, Stack: rec.Stack,
-			Attempts: rec.Attempts,
-		})
-		l.adopt(i, *quarantineResult(tel, fault, rec.Reason, rec.Attempts))
 	}
 	return nil
+}
+
+// CommitRecord commits a recorded run or quarantine at its index
+// through the steps the pool's own commits take: the key check, first
+// writer wins, the journal record and progress (once attached), and for
+// a quarantine the list entry, the budget and a placeholder. The fleet
+// commits its workers' records with it, and a resume adopts its
+// journal's. It reports whether the record was the index's first.
+func (l *Ledger) CommitRecord(rec *journal.Record) (bool, error) {
+	i := rec.Index
+	if err := l.checkKey(rec.Kind, i, rec.Key); err != nil {
+		return false, err
+	}
+	if rec.Kind == journal.KindRun {
+		res, err := UnmarshalRunRecord(rec.Result, rec.Tel)
+		if err != nil {
+			return false, fmt.Errorf("journal record %d: %w", i, err)
+		}
+		return l.commit(i, rec.Attempts, res, rec.Result, rec.Tel)
+	}
+	e := QuarantineEntry{
+		Index: i, Fault: l.jobs[i].Spec, Key: rec.Key,
+		Reason: rec.Reason, Message: rec.Message, Stack: rec.Stack,
+		Attempts: rec.Attempts,
+	}
+	if len(rec.Fault) != 0 {
+		if err := json.Unmarshal(rec.Fault, &e.Fault); err != nil {
+			return false, fmt.Errorf("journal quarantine %d fault: %w", i, err)
+		}
+	}
+	return l.quarantine(e)
 }
 
 // checkKey rejects a journaled record whose index or key the plan lacks.
@@ -167,27 +189,16 @@ func (l *Ledger) checkKey(kind string, i int, key string) error {
 	return nil
 }
 
-// adopt commits a recorded result without running or journaling it: it
-// counts toward progress but fires no callback. A probe's result is
-// marked Skipped, as its executed run would be.
-func (l *Ledger) adopt(i int, res RunResult) {
+// commit stores a run at job index i, marking a probe's Skipped,
+// journals it and reports progress. The first writer wins: a later
+// commit of the same index returns false and leaves no trace. result and tel are the
+// run's journal payloads (MarshalRunRecord) when the caller holds them,
+// as CommitRecord does; nil ones are encoded here when journaling. A
+// journal write error commits nothing.
+func (l *Ledger) commit(i, attempts int, res *RunResult, result, tel json.RawMessage) (bool, error) {
 	if l.jobs[i].Probe {
 		res.Skipped = true
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.committed[i] {
-		l.storeLocked(i, res, false)
-	}
-}
-
-// Commit stores an executed run at job index i, journals it and reports
-// progress. The first writer wins: a later commit of the same index
-// returns false and leaves no trace. result and tel are the run's
-// journal payloads (MarshalRunRecord) when the caller holds them, as
-// the fleet does off the wire; nil ones are encoded here when
-// journaling. A journal write error commits nothing.
-func (l *Ledger) Commit(i, attempts int, res *RunResult, result, tel json.RawMessage) (bool, error) {
 	if l.jw != nil && result == nil {
 		var err error
 		if result, tel, err = MarshalRunRecord(res); err != nil {
@@ -210,24 +221,25 @@ func (l *Ledger) Commit(i, attempts int, res *RunResult, result, tel json.RawMes
 
 // quarantine commits a run the supervisor gave up on: the quarantine
 // record, the list entry, the budget check and the placeholder result.
-func (l *Ledger) quarantine(e QuarantineEntry, placeholder *RunResult) error {
+// As in commit, the first writer wins and reports true.
+func (l *Ledger) quarantine(e QuarantineEntry) (bool, error) {
 	fault, err := json.Marshal(e.Fault)
 	if err != nil {
-		return fmt.Errorf("quarantine marshal: %w", err)
+		return false, fmt.Errorf("quarantine marshal: %w", err)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.committed[e.Index] {
-		return nil
+		return false, nil
 	}
 	if l.jw != nil {
 		if err := l.jw.WriteQuarantine(e.Index, e.Key, fault, e.Reason, e.Message, e.Stack, e.Attempts); err != nil {
-			return err
+			return false, err
 		}
 	}
 	l.noteQuarantine(e)
-	l.storeLocked(e.Index, *placeholder, true)
-	return nil
+	l.storeLocked(e.Index, *quarantineResult(l.tel, e.Fault, e.Reason, e.Attempts), true)
+	return true, nil
 }
 
 // noteQuarantine lists a quarantine and latches the budget stop once the
@@ -302,10 +314,10 @@ func (l *Ledger) quarantined() []QuarantineEntry {
 	return out
 }
 
-// requestStop latches the first stop cause, as the quarantine budget
-// does: executors stop claiming jobs and the campaign returns the cause
-// with its partial results.
-func (l *Ledger) requestStop(cause error) {
+// Stop latches the first stop cause, as the quarantine budget does:
+// executors stop claiming jobs and the campaign returns the cause with
+// its partial results.
+func (l *Ledger) Stop(cause error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.stopErr == nil {
@@ -313,8 +325,8 @@ func (l *Ledger) requestStop(cause error) {
 	}
 }
 
-// stopCause returns the latched stop cause (nil while running).
-func (l *Ledger) stopCause() error {
+// StopCause returns the latched stop cause (nil while running).
+func (l *Ledger) StopCause() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stopErr

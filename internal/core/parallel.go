@@ -150,25 +150,6 @@ func buildPlan(activated map[string]bool, types []inject.FaultType, invocation i
 	return p
 }
 
-// FinishJob is the per-job decision every unsupervised executor applies
-// to a run's outcome — the in-process pool and a fleet worker alike: a
-// run error names its job (probe or run, spec, and the fingerprint — the
-// journal key's hash, so a failed run is greppable in the journal by the
-// same identifier), and a probe's result is marked Skipped.
-func FinishJob(job PlanJob, res *RunResult, err error) (*RunResult, error) {
-	if err != nil {
-		spec := job.Spec
-		if job.Probe {
-			return nil, fmt.Errorf("skip probe %v [%s]: %w", spec, spec.Fingerprint(), err)
-		}
-		return nil, fmt.Errorf("run %v [%s]: %w", spec, spec.Fingerprint(), err)
-	}
-	if job.Probe {
-		res.Skipped = true
-	}
-	return res, nil
-}
-
 // executeJobs runs the ledger's uncommitted jobs on the shared worker
 // pool, each through sup.run (a nil supervisor runs it plainly), which
 // commits it to l at its job index, so results are in job order
@@ -176,21 +157,23 @@ func FinishJob(job PlanJob, res *RunResult, err error) (*RunResult, error) {
 // owns its own Runner clone; the lowest-indexed run error wins (the
 // workpool.Run contract).
 //
-// Context cancellation latches the ledger's stop (ErrInterrupted), as
-// the quarantine budget does: workers stop claiming jobs, in-flight
-// runs finish (every run is bounded in virtual time), and the stop
-// cause is returned; the committed results stay in the ledger.
+// Every claim checks ctx first: once it is done, the claim latches the
+// ledger's stop (ErrInterrupted), as the quarantine budget does, so no
+// run starts after cancellation. In-flight runs finish (every run is
+// bounded in virtual time) and the stop cause is returned; the
+// committed results stay in the ledger.
 func executeJobs(ctx context.Context, l *Ledger, base *Runner, parallelism int, sup *Supervisor) error {
 	pending := l.Pending()
 	if len(pending) == 0 {
 		return nil
 	}
-	stopWatch := context.AfterFunc(ctx, func() { l.requestStop(ErrInterrupted) })
-	defer stopWatch()
 	err := workpool.Run(context.WithoutCancel(ctx), len(pending), parallelism, func() func(int) error {
 		runner := base.Clone()
 		return func(k int) error {
-			if l.stopCause() != nil {
+			if ctx.Err() != nil {
+				l.Stop(ErrInterrupted)
+			}
+			if l.StopCause() != nil {
 				return nil // unexecuted slots stay zero-valued
 			}
 			return sup.run(ctx, l, runner, pending[k])
@@ -199,5 +182,30 @@ func executeJobs(ctx context.Context, l *Ledger, base *Runner, parallelism int, 
 	if err != nil {
 		return err
 	}
-	return l.stopCause()
+	return l.StopCause()
+}
+
+// ExecuteChunk runs a fleet worker's chunk, the jobs its plan line names
+// by key (PlanJob.Key), on the campaign executor: the pool at the given
+// width, every job through sup (nil: unsupervised), each commit into a
+// ledger over the chunk whose journal is j, so every run and quarantine
+// leaves as a record at its chunk position. A bad key or a run error
+// stops the chunk and returns with the position of the job that hit it:
+// the lowest one, as a sequential loop would.
+func ExecuteChunk(r *Runner, keys []string, parallelism int, sup *Supervisor, j Journal) (int, error) {
+	jobs := make([]PlanJob, len(keys))
+	for i, key := range keys {
+		var err error
+		if jobs[i], err = ParseJobKey(key); err != nil {
+			return i, fmt.Errorf("plan job %d: %w", i, err)
+		}
+	}
+	l := newLedger(jobs)
+	l.jw, l.tel = j, r.Opts.Telemetry
+	if err := executeJobs(context.Background(), l, r, parallelism, sup); err != nil {
+		// Every job below the failing one committed: the pool claims in
+		// order and waits for its in-flight calls.
+		return l.Pending()[0], err
+	}
+	return 0, nil
 }

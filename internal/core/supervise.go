@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"time"
 
@@ -161,11 +162,17 @@ func (s *Supervisor) run(ctx context.Context, l *Ledger, r *Runner, i int) error
 	job := l.jobs[i]
 	spec := job.Spec // plans are shared; never hand out interior pointers
 	if s == nil {
+		// A run error names its job and the spec's fingerprint, the
+		// journal key's hash, by which the journal is greppable.
 		res, err := r.Run(&spec)
-		if res, err = FinishJob(job, res, err); err != nil {
-			return err
+		if err != nil {
+			kind := "run"
+			if job.Probe {
+				kind = "skip probe"
+			}
+			return fmt.Errorf("%s %v [%s]: %w", kind, spec, spec.Fingerprint(), err)
 		}
-		_, err = l.Commit(i, 1, res, nil, nil)
+		_, err = l.commit(i, 1, res, nil, nil)
 		return err
 	}
 	var last attemptFailure
@@ -187,9 +194,6 @@ func (s *Supervisor) run(ctx context.Context, l *Ledger, r *Runner, i int) error
 		}
 		if out.fail == nil {
 			res := out.res
-			if job.Probe {
-				res.Skipped = true
-			}
 			res.Retries = attempt - 1
 			if res.Retries > 0 && res.Telemetry != nil {
 				// Retry provenance rides in the run's own trace, stamped
@@ -200,16 +204,30 @@ func (s *Supervisor) run(ctx context.Context, l *Ledger, r *Runner, i int) error
 					uint64(res.Retries), reasonCode(last.reason))
 				res.Telemetry.Add(telemetry.CtrSupRetry, int64(res.Retries))
 			}
-			_, err := l.Commit(i, attempt, res, nil, nil)
+			_, err := l.commit(i, attempt, res, nil, nil)
 			return err
 		}
 		last = *out.fail
 	}
-	return l.quarantine(QuarantineEntry{
+	_, err := l.quarantine(QuarantineEntry{
 		Index: i, Fault: spec, Key: spec.Key(),
 		Reason: last.reason, Message: last.message, Stack: last.stack,
 		Attempts: s.opts.MaxAttempts,
-	}, quarantineResult(r.Opts.Telemetry, spec, last.reason, s.opts.MaxAttempts))
+	})
+	return err
+}
+
+// Bound is at least the longest a run can take before it commits or is
+// quarantined: every attempt abandoned at the wall deadline, plus the
+// backoffs, capped at a century so a large retry budget cannot
+// overflow it. Zero without a watchdog, which leaves a hang unbounded.
+func (s *Supervisor) Bound() time.Duration {
+	if s.opts.WallDeadline <= 0 {
+		return 0
+	}
+	n := float64(s.opts.MaxAttempts)
+	bound := n*float64(s.opts.WallDeadline) + float64(s.opts.Backoff)*math.Exp2(n-1)
+	return time.Duration(min(bound, float64(100*365*24*time.Hour)))
 }
 
 // attempt executes one attempt in its own goroutine so panics are

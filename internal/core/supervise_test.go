@@ -345,6 +345,24 @@ func TestSupervisorInterrupt(t *testing.T) {
 	}
 }
 
+// TestSupervisorBound: the bound covers every attempt's watchdog period
+// plus the backoffs between attempts, is zero without a watchdog, and
+// saturates instead of overflowing under a huge retry budget.
+func TestSupervisorBound(t *testing.T) {
+	for _, c := range []struct {
+		opts SupervisorOptions
+		want time.Duration
+	}{
+		{SupervisorOptions{MaxAttempts: 3}, 0},
+		{SupervisorOptions{WallDeadline: 100 * time.Millisecond, MaxAttempts: 3}, 300*time.Millisecond + 4*defaultBackoff},
+		{SupervisorOptions{WallDeadline: time.Second, MaxAttempts: 200}, 100 * 365 * 24 * time.Hour},
+	} {
+		if got := NewSupervisor(c.opts).Bound(); got != c.want {
+			t.Errorf("%+v: Bound() = %v, want %v", c.opts, got, c.want)
+		}
+	}
+}
+
 // TestSpecCampaignErrorFingerprint pins the satellite fix: first-error
 // reports carry the FaultSpec fingerprint (the journal key hash), so a
 // failed run is greppable in the journal by the same identifier.

@@ -34,13 +34,14 @@ type Config struct {
 	// interleave within a line.
 	Progress func(line string)
 	// Supervise, when non-nil, gives every campaign its own supervisor
-	// with this policy (watchdog, quarantine, retries). Journaling is a
-	// single-campaign facility and is not wired through experiments.
+	// with this policy (watchdog, quarantine, retries), on either
+	// executor. Journaling is a single-campaign facility and is not
+	// wired through experiments.
 	Supervise *core.SupervisorOptions
 	// ShardExec, when non-nil, fans each campaign's run list out over
-	// worker processes. Table 1 is calibration-only and runs neither
-	// (dts rejects both under -experiment table1). Mutually exclusive
-	// with Supervise: worker processes already isolate harness faults.
+	// worker processes, which run it under the campaign's supervisor
+	// when Supervise sets one. Table 1 is calibration-only and runs
+	// neither (dts rejects both under -experiment table1).
 	ShardExec core.ShardExecutor
 }
 
@@ -98,13 +99,13 @@ func PaperTable1() map[string]map[string]int {
 
 // RunTable1 measures the activated-function census with fault-free
 // calibration runs (no injection required). The twelve scans are
-// independent and run concurrently.
+// independent and run concurrently, cfg.Parallelism at a time.
 func RunTable1(cfg Config) (*Table1Result, error) {
 	cfg = cfg.serialized()
 	defs := standardPairs()
 	counts := make([]int, len(defs))
 	recs := make([]*telemetry.Recorder, len(defs))
-	err := workpool.Run(context.Background(), len(defs), len(defs), func() func(int) error {
+	err := workpool.Run(context.Background(), len(defs), cfg.Parallelism, func() func(int) error {
 		return func(i int) error {
 			def := defs[i]
 			_, res, err := core.NewRunner(def, cfg.Opts).ActivationScan()

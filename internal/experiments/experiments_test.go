@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"ntdts/internal/avail"
@@ -52,6 +54,25 @@ func TestTable1MatchesPaper(t *testing.T) {
 			if got := res.Counts[wl][sup]; got != want {
 				t.Errorf("Table1 %s/%s = %d, want %d (paper)", wl, sup, got, want)
 			}
+		}
+	}
+}
+
+// TestTable1HonoursParallelism: at Parallelism 1 the twelve calibration
+// scans run one at a time, so their progress lines arrive in the
+// canonical pair order.
+func TestTable1HonoursParallelism(t *testing.T) {
+	var lines []string
+	if _, err := RunTable1(Config{Parallelism: 1, Progress: func(l string) { lines = append(lines, l) }}); err != nil {
+		t.Fatal(err)
+	}
+	defs := standardPairs()
+	if len(lines) != len(defs) {
+		t.Fatalf("%d progress lines, want %d", len(lines), len(defs))
+	}
+	for i, def := range defs {
+		if want := fmt.Sprintf("table1 %s/%s:", def.Name, def.Supervision); !strings.HasPrefix(lines[i], want) {
+			t.Errorf("progress line %d = %q, want %s ...", i, lines[i], want)
 		}
 	}
 }

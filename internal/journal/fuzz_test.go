@@ -111,7 +111,7 @@ func FuzzReplayTruncate(f *testing.F) {
 			steps = append(steps, step{
 				func() error { return w.WriteQuarantine(i, key, fault, "panic", "boom", "stack", 3) },
 				func(r *Replayed) {
-					r.Quarantined[i] = QuarantineRecord{Key: key, Attempts: 3, Fault: fault, Reason: "panic", Message: "boom", Stack: "stack"}
+					r.Quarantined[i] = &Record{Kind: KindQuarantine, Index: i, Key: key, Attempts: 3, Fault: fault, Reason: "panic", Message: "boom", Stack: "stack"}
 					r.Records++
 				},
 			})
@@ -123,7 +123,7 @@ func FuzzReplayTruncate(f *testing.F) {
 		steps = append(steps, step{
 			func() error { return w.WriteRun(i, key, 1, result, tel) },
 			func(r *Replayed) {
-				r.Runs[i] = RunRecord{Key: key, Attempts: 1, Result: result, Tel: tel}
+				r.Runs[i] = &Record{Kind: KindRun, Index: i, Key: key, Attempts: 1, Result: result, Tel: tel}
 				r.Records++
 			},
 		})
@@ -169,8 +169,8 @@ func FuzzReplayTruncate(f *testing.F) {
 		cut := hdrLen + int64(off%uint64(int64(len(full))-hdrLen+1))
 		want := &Replayed{
 			Header:      hdr,
-			Runs:        make(map[int]RunRecord),
-			Quarantined: make(map[int]QuarantineRecord),
+			Runs:        make(map[int]*Record),
+			Quarantined: make(map[int]*Record),
 			ValidBytes:  hdrLen,
 		}
 		for k, end := range ends {

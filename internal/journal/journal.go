@@ -136,19 +136,19 @@ type Plan struct {
 	HeartbeatNS int64 `json:"heartbeatNS,omitempty"`
 
 	// ChaosKillAfter, when > 0, instructs the worker to SIGKILL itself
-	// after writing that many run records — the coordinator's
+	// after writing that many records — the coordinator's
 	// worker-failure drill (dts -chaos + DTS_SHARD_CHAOS_KILL). Set only
 	// on a shard's first dispatch, so the respawned worker survives.
 	ChaosKillAfter int `json:"chaosKillAfter,omitempty"`
 
-	// ChaosHangAfter, when > 0, wedges the worker after that many run
+	// ChaosHangAfter, when > 0, wedges the worker after that many
 	// records: the run loop blocks forever while the heartbeat beacon
 	// keeps ticking — the drill for the dispatcher's progress deadline
 	// and speculative re-issue (dts -chaos + DTS_SHARD_CHAOS_HANG).
 	ChaosHangAfter int `json:"chaosHangAfter,omitempty"`
 
 	// ChaosSlowMS, when > 0, sleeps that many milliseconds before every
-	// run — a deliberate straggler for the work-stealing benchmarks and
+	// record — a deliberate straggler for the work-stealing benchmarks and
 	// the CI fleet-chaos gate (dts -chaos + DTS_SHARD_CHAOS_SLOW).
 	ChaosSlowMS int `json:"chaosSlowMS,omitempty"`
 }
@@ -271,15 +271,6 @@ func (w *Writer) writeLine(v any) error {
 	return nil
 }
 
-// writeRecord appends a record line and maintains the checkpoint cycle.
-func (w *Writer) writeRecord(rec Record) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal marshal: %w", err)
-	}
-	return w.appendRecord(append(data, '\n'))
-}
-
 // appendRecord writes one encoded, newline-terminated record line and
 // maintains the checkpoint cycle.
 func (w *Writer) appendRecord(data []byte) error {
@@ -368,12 +359,27 @@ func (w *Writer) WriteAssign(worker int, event string, indices []int) error {
 	return w.writeLine(Record{Kind: KindAssign, Worker: worker, Event: event, Indices: indices})
 }
 
-// WriteQuarantine appends one quarantine record.
+// WriteQuarantine appends one quarantine record, built by
+// AppendQuarantine.
 func (w *Writer) WriteQuarantine(index int, key string, fault json.RawMessage, reason, message, stack string, attempts int) error {
-	return w.writeRecord(Record{
+	data, err := AppendQuarantine(nil, index, key, fault, reason, message, stack, attempts)
+	if err != nil {
+		return fmt.Errorf("journal marshal: %w", err)
+	}
+	return w.appendRecord(data)
+}
+
+// AppendQuarantine appends one newline-terminated quarantine line to
+// dst: the line a journal records and a fleet worker streams.
+func AppendQuarantine(dst []byte, index int, key string, fault json.RawMessage, reason, message, stack string, attempts int) ([]byte, error) {
+	data, err := json.Marshal(Record{
 		Kind: KindQuarantine, Index: index, Key: key, Attempts: attempts,
 		Fault: fault, Reason: reason, Message: message, Stack: stack,
 	})
+	if err != nil {
+		return dst, err
+	}
+	return append(append(dst, data...), '\n'), nil
 }
 
 // Sync flushes the file and writes a final checkpoint. Called on
@@ -456,24 +462,6 @@ func readCheckpoint(path string) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// RunRecord is a replayed completed run.
-type RunRecord struct {
-	Key      string
-	Attempts int
-	Result   json.RawMessage
-	Tel      json.RawMessage
-}
-
-// QuarantineRecord is a replayed quarantine entry.
-type QuarantineRecord struct {
-	Key      string
-	Attempts int
-	Fault    json.RawMessage
-	Reason   string
-	Message  string
-	Stack    string
-}
-
 // DispatchEvent is a replayed fleet-dispatch provenance line.
 type DispatchEvent struct {
 	Worker  int
@@ -483,10 +471,12 @@ type DispatchEvent struct {
 
 // Replayed is the parsed state of a journal: everything a resume needs.
 type Replayed struct {
-	Header      Header
-	Plan        *Plan
-	Runs        map[int]RunRecord
-	Quarantined map[int]QuarantineRecord
+	Header Header
+	Plan   *Plan
+	// Runs and Quarantined hold the run and quarantine records by job
+	// index.
+	Runs        map[int]*Record
+	Quarantined map[int]*Record
 	// Dispatch holds the fleet coordinator's chunk-assignment trail, in
 	// journal order (empty for supervised in-process campaigns).
 	Dispatch []DispatchEvent
@@ -511,8 +501,8 @@ func Replay(path string) (*Replayed, error) {
 	}
 	defer f.Close()
 	rep := &Replayed{
-		Runs:        make(map[int]RunRecord),
-		Quarantined: make(map[int]QuarantineRecord),
+		Runs:        make(map[int]*Record),
+		Quarantined: make(map[int]*Record),
 	}
 	st := NewStream(f)
 	for {
@@ -539,17 +529,10 @@ func Replay(path string) (*Replayed, error) {
 			}
 			rep.Plan = line.Plan
 		case KindRun:
-			rec := line.Rec
-			rep.Runs[rec.Index] = RunRecord{
-				Key: rec.Key, Attempts: rec.Attempts, Result: rec.Result, Tel: rec.Tel,
-			}
+			rep.Runs[line.Rec.Index] = line.Rec
 			rep.Records++
 		case KindQuarantine:
-			rec := line.Rec
-			rep.Quarantined[rec.Index] = QuarantineRecord{
-				Key: rec.Key, Attempts: rec.Attempts, Fault: rec.Fault,
-				Reason: rec.Reason, Message: rec.Message, Stack: rec.Stack,
-			}
+			rep.Quarantined[line.Rec.Index] = line.Rec
 			rep.Records++
 		case KindAssign:
 			rec := line.Rec

@@ -80,7 +80,7 @@ func Load(path string) (*Source, error) {
 		indices = append(indices, i)
 	}
 	sort.Ints(indices)
-	recs := make([]journal.RunRecord, len(indices))
+	recs := make([]*journal.Record, len(indices))
 	for n, i := range indices {
 		recs[n] = rep.Runs[i]
 	}
@@ -90,7 +90,7 @@ func Load(path string) (*Source, error) {
 	runs := make([]SourceRun, len(recs))
 	err = workpool.Run(context.TODO(), len(recs), 0, func() func(int) error {
 		return func(n int) error {
-			rec := &recs[n]
+			rec := recs[n]
 			res, err := core.UnmarshalRunRecord(rec.Result, nil)
 			if err != nil {
 				return fmt.Errorf("replay source %s: run %q: %w", path, rec.Key, err)

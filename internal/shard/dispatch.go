@@ -45,7 +45,7 @@ const (
 	// consume before it leaves the fleet.
 	DefaultMaxRespawns = 2
 	// DefaultProgressDeadline kills a worker that heartbeats but
-	// delivers no run record for this long — the wedged-worker
+	// delivers no record for this long — the wedged-worker
 	// detector the stall deadline cannot be (heartbeats reset it).
 	DefaultProgressDeadline = 60 * time.Second
 	// defaultMaxChunk caps the auto-sized chunk.
@@ -67,9 +67,11 @@ type FleetOptions struct {
 	// record, no heartbeat — for this long (0 = DefaultStallDeadline;
 	// < 0 disables).
 	StallDeadline time.Duration
-	// ProgressDeadline kills a worker that produced no run record for
-	// this long even though heartbeats keep arriving (0 =
-	// DefaultProgressDeadline; < 0 disables).
+	// ProgressDeadline kills a worker that produced no record for this
+	// long even though heartbeats keep arriving (0 =
+	// DefaultProgressDeadline; < 0 disables). Under a supervisor it
+	// counts from the end of core.Supervisor.Bound, so a run the
+	// watchdog will quarantine never reads as a wedged worker.
 	ProgressDeadline time.Duration
 	// MaxRespawns bounds replacement workers per slot (0 =
 	// DefaultMaxRespawns; < 0 means no respawns).
@@ -93,15 +95,16 @@ type FleetOptions struct {
 	// after N records, heartbeats still flowing — DTS_SHARD_CHAOS_HANG.
 	ChaosHang string
 	// ChaosSlow ("worker:delayMS") makes that slot's first worker sleep
-	// before every run — the deliberate straggler the speculation
+	// before every record — the deliberate straggler the speculation
 	// benchmarks and the CI fleet-chaos gate use; DTS_SHARD_CHAOS_SLOW.
 	ChaosSlow string
 	// Journal, when non-nil, is attached to the campaign's ledger
 	// (core.Ledger.AttachJournal), which writes the plan line and every
-	// committed run record, making the journal resumable by dts -resume;
-	// the fleet adds the dispatch provenance trail (assign lines). The
-	// caller writes the header. A campaign journaled with core.WithJournal
-	// needs no Journal here: the fleet writes its trail to the ledger's.
+	// committed run and quarantine record, making the journal resumable
+	// by dts -resume; the fleet adds the dispatch provenance trail
+	// (assign lines). The caller writes the header. A campaign journaled
+	// with core.WithJournal needs no Journal here: the fleet writes its
+	// trail to the campaign's.
 	Journal *journal.Writer
 }
 
@@ -181,8 +184,10 @@ type streamLine struct {
 // ExecuteShards implements core.ShardExecutor: dispatch chunks of the
 // ledger's uncommitted jobs on demand, commit streamed records at their
 // global indices through the ledger, survive worker loss, and degrade
-// to in-process execution before failing. A campaign with nothing left
-// to run spawns no worker.
+// to in-process execution before failing. A supervisor's policy rides
+// the session header into every worker, and the ledger's stop latch
+// (the quarantine budget, or cancellation) ends dispatch with the
+// partial results. A campaign with nothing left to run spawns no worker.
 func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Prepared) ([]core.RunResult, error) {
 	workers := f.opts.Workers
 	if len(f.opts.Spawners) > 0 {
@@ -209,13 +214,21 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 	}
 
 	l := p.Ledger()
+	jw := c.Journal()
 	if f.opts.Journal != nil {
-		if err := l.AttachJournal(f.opts.Journal); err != nil {
+		jw = f.opts.Journal
+		if err := l.AttachJournal(jw); err != nil {
 			return nil, err
 		}
 	}
 	header := HeaderFor(c.Runner())
-	d := newDispatcher(f, p, workers)
+	d := newDispatcher(f, p, workers, jw)
+	if o, ok := c.Supervision(); ok {
+		header.WallDeadlineNS, header.MaxAttempts, header.Chaos = int64(o.WallDeadline), o.MaxAttempts, o.Chaos
+		if d.progressDeadline > 0 {
+			d.progressDeadline += core.NewSupervisor(PolicyFromHeader(header)).Bound()
+		}
+	}
 
 	// Cancellation watcher: ctx cancellation releases every slot (the
 	// drain included) through the dispatcher's done channel.
@@ -260,11 +273,11 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 	f.last = &stats
 	f.mu.Unlock()
 
-	if ctx.Err() != nil {
-		return nil, core.ErrInterrupted
-	}
 	if failure != nil {
 		return nil, failure
+	}
+	if cause := l.StopCause(); cause != nil {
+		return l.Results(), cause
 	}
 	if pending := l.Pending(); len(pending) != 0 {
 		return nil, fmt.Errorf("fleet: %d of %d runs unaccounted for", len(pending), len(p.Jobs))
@@ -382,11 +395,12 @@ func (f *Fleet) session(ctx context.Context, slot int, d *dispatcher, header jou
 // awaitChunk consumes the worker's stream until every index of the
 // assignment has arrived. Two deadlines run: the stall deadline resets
 // on any line (a silent stream means a dead worker), the progress
-// deadline resets only on run records (a heartbeating stream with no
-// results means a wedged worker). Records are validated against the
-// assignment; commit deduplicates against speculative copies. A non-nil
-// return is the worker's death; a fatal campaign error is recorded with
-// d.fail, after which nil is returned and the dispatcher runs dry.
+// deadline resets only on run and quarantine records (a heartbeating
+// stream with no results means a wedged worker). Records are validated
+// against the assignment; commit deduplicates against speculative
+// copies. A non-nil return is the worker's death; a fatal campaign error
+// is recorded with d.fail, after which nil is returned and the
+// dispatcher runs dry.
 func (f *Fleet) awaitChunk(d *dispatcher, slot int, a *assignment, lines <-chan streamLine, conn *Conn) error {
 	open := make(map[int]bool, len(a.indices))
 	for _, g := range a.indices {
@@ -400,8 +414,8 @@ func (f *Fleet) awaitChunk(d *dispatcher, slot int, a *assignment, lines <-chan 
 		defer stall.Stop()
 		stallC = stall.C
 	}
-	if f.opts.ProgressDeadline > 0 {
-		progress = time.NewTimer(f.opts.ProgressDeadline)
+	if d.progressDeadline > 0 {
+		progress = time.NewTimer(d.progressDeadline)
 		defer progress.Stop()
 		progressC = progress.C
 	}
@@ -428,24 +442,18 @@ func (f *Fleet) awaitChunk(d *dispatcher, slot int, a *assignment, lines <-chan 
 				return fmt.Errorf("fleet worker %d: stream ended early: %w", slot, m.err)
 			}
 			switch m.line.Kind {
-			case journal.KindRun:
+			case journal.KindRun, journal.KindQuarantine:
 				rec := m.line.Rec
 				if !open[rec.Index] {
 					d.fail(rec.Index, fmt.Errorf("fleet worker %d: record for job %d not in this chunk", slot, rec.Index))
 					return nil
 				}
-				if want := d.jobs[rec.Index].Key(); rec.Key != want {
-					d.fail(rec.Index, fmt.Errorf("fleet worker %d: record %d keyed %s, plan expects %s", slot, rec.Index, rec.Key, want))
+				if err := d.commit(slot, rec); err != nil {
+					d.fail(rec.Index, fmt.Errorf("fleet worker %d: %w", slot, err))
 					return nil
 				}
-				res, err := core.UnmarshalRunRecord(rec.Result, rec.Tel)
-				if err != nil {
-					d.fail(rec.Index, fmt.Errorf("fleet worker %d: record %d: %w", slot, rec.Index, err))
-					return nil
-				}
-				d.commit(slot, rec.Index, res, rec.Result, rec.Tel)
 				delete(open, rec.Index)
-				reset(progress, f.opts.ProgressDeadline)
+				reset(progress, d.progressDeadline)
 			case journal.KindHeartbeat:
 				// Liveness only: any line resets the stall deadline.
 			case journal.KindError:
@@ -465,11 +473,11 @@ func (f *Fleet) awaitChunk(d *dispatcher, slot int, a *assignment, lines <-chan 
 			return fmt.Errorf("fleet worker %d: no record or heartbeat for %v", slot, f.opts.StallDeadline)
 		case <-progressC:
 			conn.Kill()
-			return fmt.Errorf("fleet worker %d: heartbeats but no run record for %v — wedged", slot, f.opts.ProgressDeadline)
+			return fmt.Errorf("fleet worker %d: heartbeats but no record for %v — wedged", slot, d.progressDeadline)
 		case <-d.doneCh:
 			// Campaign over (all committed elsewhere, a fatal error, or
-			// cancellation): abandon the worker; any indices still open
-			// here are already committed or moot.
+			// the ledger's stop): abandon the worker; any indices still
+			// open here are already committed or moot.
 			conn.Kill()
 			return nil
 		}
@@ -500,10 +508,11 @@ type assignment struct {
 // by it (the ledger has its own lock, always taken after mu); cond
 // wakes grabbers when work or completion state changes.
 type dispatcher struct {
-	jobs    []core.PlanJob
-	ledger  *core.Ledger
-	jw      *journal.Writer
-	pending []int // the uncommitted job indices fresh chunks are carved from
+	jobs             []core.PlanJob
+	ledger           *core.Ledger
+	jw               *journal.Writer
+	pending          []int // the uncommitted job indices fresh chunks are carved from
+	progressDeadline time.Duration
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -514,14 +523,13 @@ type dispatcher struct {
 	chunkSeq    int
 	failure     error
 	failureIdx  int
-	canceled    bool
 	doneCh      chan struct{}
 	doneOnce    sync.Once
 	stats       core.DispatchStats
 	baseChunk   int
 }
 
-func newDispatcher(f *Fleet, p *core.Prepared, workers int) *dispatcher {
+func newDispatcher(f *Fleet, p *core.Prepared, workers int, jw *journal.Writer) *dispatcher {
 	l := p.Ledger()
 	pending := l.Pending()
 	base := f.opts.ChunkSize
@@ -537,14 +545,15 @@ func newDispatcher(f *Fleet, p *core.Prepared, workers int) *dispatcher {
 		base = 1
 	}
 	d := &dispatcher{
-		jobs:        p.Jobs,
-		ledger:      l,
-		jw:          l.Journal(),
-		pending:     pending,
-		inflight:    make(map[int]*chunk),
-		activeSlots: workers,
-		doneCh:      make(chan struct{}),
-		baseChunk:   base,
+		jobs:             p.Jobs,
+		ledger:           l,
+		jw:               jw,
+		pending:          pending,
+		progressDeadline: f.opts.ProgressDeadline,
+		inflight:         make(map[int]*chunk),
+		activeSlots:      workers,
+		doneCh:           make(chan struct{}),
+		baseChunk:        base,
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.stats.Workers = workers
@@ -553,7 +562,7 @@ func newDispatcher(f *Fleet, p *core.Prepared, workers int) *dispatcher {
 }
 
 func (d *dispatcher) finishedLocked() bool {
-	return d.failure != nil || d.canceled || d.ledger.Complete()
+	return d.failure != nil || d.ledger.Complete() || d.ledger.StopCause() != nil
 }
 
 func (d *dispatcher) finished() bool {
@@ -569,9 +578,10 @@ func (d *dispatcher) signalDone() {
 	d.cond.Broadcast()
 }
 
+// cancel latches the ledger's stop, as the pool does on cancellation.
 func (d *dispatcher) cancel() {
+	d.ledger.Stop(core.ErrInterrupted)
 	d.mu.Lock()
-	d.canceled = true
 	d.signalDone()
 	d.mu.Unlock()
 }
@@ -580,12 +590,7 @@ func (d *dispatcher) cancel() {
 // same rule the in-process pool applies.
 func (d *dispatcher) fail(index int, err error) {
 	d.mu.Lock()
-	d.failLocked(index, err)
-	d.mu.Unlock()
-}
-
-// failLocked is fail for a caller that holds mu.
-func (d *dispatcher) failLocked(index int, err error) {
+	defer d.mu.Unlock()
 	if d.failure == nil || index < d.failureIdx {
 		d.failure, d.failureIdx = err, index
 	}
@@ -677,29 +682,27 @@ func (d *dispatcher) speculateLocked(slot int) *assignment {
 	return &assignment{ch: best, indices: bestUn, slot: slot, speculative: true}
 }
 
-// commit merges one result at its global index through the ledger,
-// exactly once; duplicate results from speculative copies return without
-// a trace. The drain's runs count as LocalRuns and mark the campaign
-// degraded. A failed journal write fails the campaign.
-func (d *dispatcher) commit(slot, global int, res *core.RunResult, resultRaw, telRaw []byte) {
+// commit merges one streamed run or quarantine record at its global
+// index through the ledger, exactly once; duplicates from speculative
+// copies return without a trace. The drain's records count as LocalRuns
+// and mark the campaign degraded. The ledger's error is fatal.
+func (d *dispatcher) commit(slot int, rec *journal.Record) error {
+	fresh, err := d.ledger.CommitRecord(rec)
+	if err != nil || !fresh {
+		return err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	fresh, err := d.ledger.Commit(global, 1, res, resultRaw, telRaw)
-	switch {
-	case err != nil:
-		d.failLocked(global, err)
-		return
-	case !fresh:
-		return
-	case slot == drainSlot:
+	if slot == drainSlot {
 		d.stats.LocalRuns++
 		d.stats.Degraded = true
 	}
-	if d.ledger.Complete() {
+	if d.finishedLocked() {
 		d.signalDone()
 	} else {
 		d.cond.Broadcast()
 	}
+	return nil
 }
 
 // finish retires one delivered (or abandoned-at-completion) copy.

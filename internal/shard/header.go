@@ -40,6 +40,17 @@ func HeaderFor(r *core.Runner) journal.Header {
 	return h
 }
 
+// PolicyFromHeader returns the supervisor policy a header records: the
+// one reading of it that dts, a resume and a fleet worker share.
+func PolicyFromHeader(h journal.Header) core.SupervisorOptions {
+	return core.SupervisorOptions{
+		WallDeadline:   time.Duration(h.WallDeadlineNS),
+		MaxAttempts:    h.MaxAttempts,
+		MaxQuarantined: h.MaxQuarantined,
+		Chaos:          h.Chaos,
+	}
+}
+
 // RunnerFromHeader rebuilds the runner a journal header describes —
 // shared by shard workers and the dts -resume path.
 func RunnerFromHeader(h journal.Header) (*core.Runner, error) {

@@ -12,7 +12,8 @@
 // The wire format is the journal line format verbatim: a session opens
 // with a header line, each chunk is a plan line (job keys with their
 // global indices), and each completed run streams back as a run record
-// carrying the same JSON payloads a journal would. A worker that is
+// (a quarantined one as a quarantine record) carrying the same JSON
+// payloads a journal would. A worker that is
 // SIGKILLed or wedges mid-chunk is detected by the coordinator
 // (heartbeat records, a stall deadline and a progress deadline); its
 // streamed prefix is already merged — the stream is its own journal

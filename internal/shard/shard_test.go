@@ -378,8 +378,7 @@ func (w *singleHostHeader) Write(line []byte) (int, error) {
 func TestWorkerErrorRecordIsFatal(t *testing.T) {
 	specs := campaignSpecs(8)
 	specs[5] = inject.FaultSpec{Function: core.ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits}
-	res, runErr := newRunner(false).Run(&specs[5])
-	_, local := core.FinishJob(core.PlanJob{Spec: specs[5]}, res, runErr)
+	_, local := core.ExecuteChunk(newRunner(false), []string{specs[5].Key()}, 1, nil, nil)
 	if local == nil {
 		t.Fatal("a single host accepted a cluster fault")
 	}
@@ -495,15 +494,77 @@ func TestShardedCancellation(t *testing.T) {
 	<-silentKilled
 }
 
-// TestShardingRejectsSupervision: the two resilience layers are mutually
-// exclusive by design; the conflict must be a clear error, not a hang.
-func TestShardingRejectsSupervision(t *testing.T) {
-	_, err := core.NewCampaign(newRunner(false),
-		core.WithSpecs(campaignSpecs(4)),
-		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2})),
-		core.WithSupervision(core.NewSupervisor(core.SupervisorOptions{MaxAttempts: 1})),
-	).Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("error = %v, want the sharding/supervision conflict", err)
+// TestSupervisedFleetMatchesPool: a supervised campaign stays supervised
+// on a fleet. The workers take the policy from the session header: they
+// quarantine the panicking and the hanging chaos spec and retry the
+// flaky one, and the coordinator commits their records as the pool
+// commits its own. So the archive (quarantine list and retries
+// included), trace and metrics equal the in-process pool's; the
+// quarantine budget stops the fleet with QuarantineBudgetError; and a
+// progress deadline below the supervised worst case still lets the
+// watchdog quarantine a hang without killing the worker.
+func TestSupervisedFleetMatchesPool(t *testing.T) {
+	chaos := func(fn string) inject.FaultSpec {
+		return inject.FaultSpec{Function: fn, Invocation: 1, Type: inject.ZeroBits}
 	}
+	run := func(policy core.SupervisorOptions, exec core.ShardExecutor, specs []inject.FaultSpec) (*core.SetResult, error) {
+		return core.NewCampaign(newRunner(true), core.WithSpecs(specs), core.WithParallelism(2),
+			core.WithSupervision(core.NewSupervisor(policy)), core.WithShardExecutor(exec),
+		).Run(context.Background())
+	}
+
+	specs := campaignSpecs(12)
+	specs = append(specs[:3], append([]inject.FaultSpec{chaos(core.ChaosPanicFunction)}, specs[3:]...)...)
+	specs = append(specs[:8], append([]inject.FaultSpec{chaos(core.ChaosFlakyFunction)}, specs[8:]...)...)
+	specs = append(specs, chaos(core.ChaosHangFunction))
+	policy := core.SupervisorOptions{WallDeadline: 100 * time.Millisecond, MaxAttempts: 2, Chaos: true}
+	pool, err := run(policy, nil, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pool.Quarantined) != 2 || pool.Runs[8].Retries != 1 {
+		t.Fatalf("pool quarantined %d runs, flaky run retried %d times; want 2 and 1", len(pool.Quarantined), pool.Runs[8].Retries)
+	}
+	wantArchive, wantTrace, wantMetrics := artifacts(t, pool)
+	set, err := run(policy, NewFleet(FleetOptions{Workers: 2, ChunkSize: 3}), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archive, trace, metrics := artifacts(t, set)
+	if !bytes.Equal(archive, wantArchive) {
+		t.Errorf("supervised fleet archive differs from the pool's:\n%s\nwant:\n%s", archive, wantArchive)
+	}
+	if !bytes.Equal(trace, wantTrace) || metrics != wantMetrics {
+		t.Error("supervised fleet trace or metrics differ from the pool's")
+	}
+
+	t.Run("budget", func(t *testing.T) {
+		budget := core.SupervisorOptions{MaxAttempts: 1, MaxQuarantined: 1, Chaos: true}
+		long := append(append([]inject.FaultSpec(nil), specs[:8]...), campaignSpecs(60)[12:]...)
+		set, err := run(budget, NewFleet(FleetOptions{Workers: 2, ChunkSize: 4}), long)
+		var over *core.QuarantineBudgetError
+		if !errors.As(err, &over) || set == nil || !set.Partial {
+			t.Fatalf("error = %v, partial set %v; want QuarantineBudgetError with the partial set", err, set != nil)
+		}
+		if q := set.Quarantined; len(q) != 1 || q[0].Index != 3 || q[0].Reason != core.ReasonPanic {
+			t.Fatalf("quarantined %+v, want the one panic at index 3", q)
+		}
+		if last := set.Runs[len(set.Runs)-1]; last.Fault.Function != "" {
+			t.Fatal("the fleet dispatched the whole list past the budget stop")
+		}
+	})
+
+	t.Run("progress deadline", func(t *testing.T) {
+		f := NewFleet(FleetOptions{Workers: 1, Heartbeat: 10 * time.Millisecond, ProgressDeadline: 100 * time.Millisecond})
+		set, err := run(policy, f, []inject.FaultSpec{specs[0], chaos(core.ChaosHangFunction), specs[1]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := set.Quarantined; len(q) != 1 || q[0].Reason != core.ReasonHang {
+			t.Fatalf("quarantined %+v, want the hang", q)
+		}
+		if st := set.Dispatch; st.WorkerDeaths != 0 {
+			t.Fatalf("a watchdog-bounded hang read as a wedged worker: %+v", st)
+		}
+	})
 }

@@ -2,18 +2,18 @@ package shard
 
 // The worker half of the protocol: read the campaign header, then serve
 // plan lines (chunks of global job indices) until the assignment stream
-// ends. Each chunk's jobs execute on a local pool and every result
-// streams back as a journal run record the moment it completes; a done
-// record closes the session. The coordinator owns ordering — records
-// carry their global job-list index — so the worker never buffers or
-// sorts.
+// ends. Each chunk runs on core's executor — its pool, the supervisor
+// the header's policy asks for, and a ledger over the chunk whose
+// journal is this result stream — so every commit streams back the
+// moment it lands, as a run or quarantine record carrying its global
+// job-list index. A done record closes the session. The coordinator
+// owns ordering, so the worker never buffers or sorts.
 //
 // The fleet keeps the assignment stream open and feeds chunk after chunk
 // to the same session, which amortizes the runner build and keeps the
 // worker's streamed prefix final across chunks.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,7 +25,6 @@ import (
 
 	"ntdts/internal/core"
 	"ntdts/internal/journal"
-	"ntdts/internal/workpool"
 )
 
 // wire serializes journal-format lines onto a stream: one encode, one
@@ -52,26 +51,48 @@ func (w *wire) write(line []byte) error {
 	return err
 }
 
-// chaosThresholds are the worker-failure drills a plan can arm. The
-// counters compare against the session-total record count, and once set
-// they stick for the session — the coordinator arms them on a worker's
-// first plan only, so a respawned worker survives.
-type chaosThresholds struct {
-	killAfter int           // SIGKILL self after N records
-	hangAfter int           // wedge (heartbeats keep flowing) after N records
-	slow      time.Duration // sleep before every run — a deliberate straggler
+// chunkStream is the journal of a chunk's ledger: it streams each
+// commit as a record numbered by its global job index, counts the
+// session's records, and runs the worker-failure drills the session's
+// first plan arms. The drills compare against the session-total record
+// count; the coordinator arms a worker's first plan only, so a
+// respawned worker survives.
+type chunkStream struct {
+	w       *wire
+	index   []int // chunk position -> global job index
+	written *atomic.Int64
+	drills  *journal.Plan
 }
 
-func (c *chaosThresholds) arm(plan *journal.Plan) {
-	if plan.ChaosKillAfter > 0 {
-		c.killAfter = plan.ChaosKillAfter
+func (s *chunkStream) WriteRun(i int, key string, attempts int, result, tel json.RawMessage) error {
+	return s.emit(journal.AppendRun(nil, s.index[i], key, attempts, result, tel))
+}
+
+func (s *chunkStream) WriteQuarantine(i int, key string, fault json.RawMessage, reason, message, stack string, attempts int) error {
+	return s.emit(journal.AppendQuarantine(nil, s.index[i], key, fault, reason, message, stack, attempts))
+}
+
+// emit streams one encoded record: the slow drill delays every record
+// (a deliberate straggler), and the kill and hang drills fire once the
+// session has streamed their count.
+func (s *chunkStream) emit(line []byte, err error) error {
+	if err != nil {
+		return err
 	}
-	if plan.ChaosHangAfter > 0 {
-		c.hangAfter = plan.ChaosHangAfter
+	if s.drills.ChaosSlowMS > 0 {
+		time.Sleep(time.Duration(s.drills.ChaosSlowMS) * time.Millisecond)
 	}
-	if plan.ChaosSlowMS > 0 {
-		c.slow = time.Duration(plan.ChaosSlowMS) * time.Millisecond
+	if err := s.w.write(line); err != nil {
+		return fmt.Errorf("result stream: %w", err)
 	}
+	n := int(s.written.Add(1))
+	if s.drills.ChaosKillAfter > 0 && n >= s.drills.ChaosKillAfter {
+		chaosSelfKill()
+	}
+	if s.drills.ChaosHangAfter > 0 && n >= s.drills.ChaosHangAfter {
+		chaosHang()
+	}
+	return nil
 }
 
 // ServeWorker runs one worker session: header, then chunks until the
@@ -92,50 +113,18 @@ func ServeWorker(in io.Reader, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("shard worker: %w", err)
 	}
+	// A header that records attempts asks for the coordinator's
+	// supervisor; its quarantine budget stays with the coordinator.
+	var sup *core.Supervisor
+	if hl.Header.MaxAttempts > 0 {
+		sup = core.NewSupervisor(PolicyFromHeader(*hl.Header))
+	}
 
 	w := &wire{w: out}
 	var written atomic.Int64
-
-	// Liveness beacon: the coordinator tells "long run" from "wedged
-	// worker" by the gap between lines, and heartbeats bound that gap.
-	// Started on the first plan (which carries the period) and kept for
-	// the whole session, including the idle gaps between chunks.
 	stopHeartbeat := func() {}
-	heartbeatRunning := false
-	startHeartbeat := func(period time.Duration) {
-		if heartbeatRunning || period <= 0 {
-			return
-		}
-		heartbeatRunning = true
-		hbStop := make(chan struct{})
-		var hbDone sync.WaitGroup
-		hbDone.Add(1)
-		go func() {
-			defer hbDone.Done()
-			t := time.NewTicker(period)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if w.writeLine(journal.Record{Kind: journal.KindHeartbeat, Index: int(written.Load())}) != nil {
-						return // stream severed; nobody is listening
-					}
-				case <-hbStop:
-					return
-				}
-			}
-		}()
-		var once sync.Once
-		stopHeartbeat = func() {
-			once.Do(func() {
-				close(hbStop)
-				hbDone.Wait()
-			})
-		}
-	}
 	defer func() { stopHeartbeat() }()
-
-	var chaos chaosThresholds
+	var first *journal.Plan
 	for {
 		pl, err := st.Next()
 		if err == io.EOF {
@@ -154,13 +143,16 @@ func ServeWorker(in io.Reader, out io.Writer) error {
 		if len(plan.Index) != len(plan.Jobs) {
 			return fmt.Errorf("shard worker: %d jobs but %d indices", len(plan.Jobs), len(plan.Index))
 		}
-		startHeartbeat(time.Duration(plan.HeartbeatNS))
-		chaos.arm(plan)
-		if failure := runChunk(runner, plan, w, &written, chaos); failure != nil {
+		if first == nil {
+			first = plan
+			stopHeartbeat = heartbeat(w, &written, time.Duration(plan.HeartbeatNS))
+		}
+		stream := &chunkStream{w: w, index: plan.Index, written: &written, drills: first}
+		if at, err := core.ExecuteChunk(runner, plan.Jobs, max(plan.Parallelism, 1), sup, stream); err != nil {
 			// The error record must be the stream's final line.
 			stopHeartbeat()
-			w.writeLine(journal.Record{Kind: journal.KindError, Index: failure.global, Message: failure.message})
-			return fmt.Errorf("shard worker: %s", failure.message)
+			w.writeLine(journal.Record{Kind: journal.KindError, Index: plan.Index[at], Message: err.Error()})
+			return fmt.Errorf("shard worker: %w", err)
 		}
 	}
 	// The done record must be the stream's final line.
@@ -171,65 +163,40 @@ func ServeWorker(in io.Reader, out io.Writer) error {
 	return nil
 }
 
-// runFailure is a chunk's lowest-indexed run error, tagged with the
-// global job index its error record carries.
-type runFailure struct {
-	global  int
-	message string
-}
-
-func (f *runFailure) Error() string { return f.message }
-
-// runChunk executes one plan's jobs on the shared worker pool, streaming
-// a run record per completion. A non-nil return is fatal to the session.
-// Chunk indices ascend, so the pool's lowest local failure is also the
-// lowest global one.
-func runChunk(runner *core.Runner, plan *journal.Plan, w *wire, written *atomic.Int64, chaos chaosThresholds) *runFailure {
-	jobs := make([]core.PlanJob, len(plan.Jobs))
-	for i, key := range plan.Jobs {
-		var err error
-		if jobs[i], err = core.ParseJobKey(key); err != nil {
-			return &runFailure{global: plan.Index[i], message: fmt.Sprintf("plan job %d: %v", i, err)}
-		}
+// heartbeat starts the liveness beacon, which the session keeps for its
+// whole life, the idle gaps between chunks included: the coordinator
+// tells "long run" from "wedged worker" by the gap between lines, and
+// heartbeats bound that gap. The returned stop waits for the beacon to
+// exit; calls after the first do nothing.
+func heartbeat(w *wire, written *atomic.Int64, period time.Duration) func() {
+	if period <= 0 {
+		return func() {}
 	}
-	err := workpool.Run(context.Background(), len(jobs), max(plan.Parallelism, 1), func() func(int) error {
-		rnr := runner.Clone()
-		return func(i int) error {
-			job := jobs[i]
-			global := plan.Index[i]
-			spec := job.Spec
-			if chaos.slow > 0 {
-				time.Sleep(chaos.slow)
+	quit := make(chan struct{})
+	var done sync.WaitGroup
+	done.Add(1)
+	go func() {
+		defer done.Done()
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				if w.writeLine(journal.Record{Kind: journal.KindHeartbeat, Index: int(written.Load())}) != nil {
+					return // stream severed; nobody is listening
+				}
+			case <-quit:
+				return
 			}
-			res, err := rnr.Run(&spec)
-			if res, err = core.FinishJob(job, res, err); err != nil {
-				return &runFailure{global: global, message: err.Error()}
-			}
-			resultRaw, telRaw, err := core.MarshalRunRecord(res)
-			if err != nil {
-				return &runFailure{global: global, message: err.Error()}
-			}
-			line, err := journal.AppendRun(nil, global, plan.Jobs[i], 0, resultRaw, telRaw)
-			if err == nil {
-				err = w.write(line)
-			}
-			if err != nil {
-				return &runFailure{global: global, message: fmt.Sprintf("result stream: %v", err)}
-			}
-			n := int(written.Add(1))
-			if chaos.killAfter > 0 && n >= chaos.killAfter {
-				chaosSelfKill()
-			}
-			if chaos.hangAfter > 0 && n >= chaos.hangAfter {
-				chaosHang()
-			}
-			return nil
 		}
-	})
-	if err != nil {
-		return err.(*runFailure) // the body returns no other error type
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(quit)
+			done.Wait()
+		})
 	}
-	return nil
 }
 
 // chaosSelfKill terminates the worker process the hard way — no flush,

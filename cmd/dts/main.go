@@ -15,7 +15,8 @@
 //	dts -experiment table1|figure2|figure5 [-out results.json]
 //	dts -conformance [-golden path] [-update] [-sample n] [-seed n]
 //	dts ... [-trace-out trace.jsonl] [-metrics] [-trace-cap n]
-//	dts -config dts.cfg -workers 4 | -workers h1:9433,h2:9433 [-worker-key k]
+//	dts -config dts.cfg -workers 4
+//	dts -config dts.cfg -workers h1:9433,h2:9433 [-worker-key k]
 //	dts -experiment figure2 -workers 4
 //	dts -worker-listen :9433 [-worker-key k]
 //	dts serve [-addr host:port] [-worker-key k]
@@ -59,14 +60,15 @@
 // only what its journal lacks): workers pull bounded chunks on demand,
 // lost chunks are re-dispatched, straggler tails are speculated, and the
 // merged archive, trace and metrics are byte-identical to an
-// unsharded run under any kill schedule. A campaign the supervisor
-// would run in-process (journaled, or with -run-deadline,
-// -max-quarantined or -chaos) runs supervised on the fleet too: each
-// worker runs its chunks under the same policy and streams its
+// unsharded run under any kill schedule. Every campaign runs under the
+// supervisor's policy (-run-deadline, -retries, -max-quarantined,
+// -chaos, or their defaults), on a fleet too: each worker runs its
+// chunks under the policy the session header carries and streams its
 // quarantines back. -parallel then sizes each worker's run pool. An
 // integer count spawns local worker processes; a host:port list dials
-// `dts -worker-listen` hosts over authenticated TCP, one connection per
-// worker, so a dropped connection is a worker death. A campaign that
+// `dts -worker-listen` hosts over authenticated TCP (-worker-key), one
+// connection per worker, so a dropped connection is a worker death. A
+// campaign that
 // finishes only by in-process fallback (every worker budget exhausted)
 // exits 5. `dts serve` exposes the same engine
 // as a long-running HTTP service: submit campaigns with config and
@@ -163,11 +165,11 @@ func run(args []string, out io.Writer) error {
 	resume := fs.String("resume", "", "resume an interrupted campaign from its journal (byte-identical to an uninterrupted run)")
 	runDeadline := fs.Duration("run-deadline", 0, "wall-clock watchdog per run attempt (0 = off); a hung attempt is abandoned and retried")
 	maxQuarantined := fs.Int("max-quarantined", 0, "stop the campaign once this many runs are quarantined (0 = unlimited)")
-	retries := fs.Int("retries", 2, "retry budget for indeterminate runs (hang, panic, error) before quarantine")
+	retries := fs.Int("retries", 2, "retries of a run whose attempt panics, errors or outlives -run-deadline, before the run is quarantined (backoff doubles from 5ms up to 100ms)")
 	chaos := fs.Bool("chaos", false, "recognize the reserved DTSChaos* fault functions and the DTS_SHARD_CHAOS_KILL drill (self-tests)")
 	workers := fs.String("workers", "", `work-stealing campaign fleet: a worker count ("4" spawns local dts workers) or a comma-separated host:port list (dials dts -worker-listen hosts); results byte-identical to unsharded under any kill schedule; -parallel then sizes each worker's pool`)
 	workerListen := fs.String("worker-listen", "", "host fleet workers for remote -workers coordinators on this TCP address (long-running; authenticate with -worker-key)")
-	workerKey := fs.String("worker-key", "", "shared session key for the -workers/-worker-listen TCP transport (default $DTS_WORKER_KEY)")
+	workerKey := fs.String("worker-key", "", "shared session key for the TCP transport: with -worker-listen, or with a host:port -workers list (default $DTS_WORKER_KEY)")
 	fs.Bool("shard-worker", false, "internal: serve one shard assignment on stdin/stdout")
 	freshBoot := fs.Bool("fresh-boot", false, "boot a fresh kernel for every run instead of forking the boot-prefix snapshot or copying dormant runs (slower; archives are byte-identical either way)")
 	replayPath := fs.String("replay", "", "re-execute a journaled campaign under the -middleware substrate, eliding runs the recorded evidence proves unaffected (archive byte-identical to a from-scratch run)")
@@ -240,8 +242,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// SIGINT/SIGTERM cancel this context; the campaign engine converts
-	// the cancellation into a graceful stop (supervised campaigns drain,
-	// flush the journal, and print the resume command — the fleet
+	// the cancellation into a graceful stop (the campaign drains,
+	// flushes the journal, and prints the resume command — the fleet
 	// coordinator cancels its workers through the same path).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -262,8 +264,8 @@ func run(args []string, out io.Writer) error {
 		MaxQuarantined: *maxQuarantined, Chaos: *chaos,
 	}
 	// A fleet runs the campaign's chunks in worker processes, under the
-	// supervisor when the campaign has one; -journal records committed
-	// runs plus the dispatch provenance trail.
+	// campaign's policy; -journal records committed runs plus the
+	// dispatch provenance trail.
 	var fleet *shard.FleetOptions
 	if *workers != "" {
 		fopts, err := fleetFlags{workers: *workers, key: *workerKey, chaos: *chaos}.options(*parallel)
@@ -271,6 +273,11 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fleet = &fopts
+	}
+	// The key authenticates TCP workers only: a campaign without a
+	// host:port -workers list would never read it.
+	if *workerKey != "" && mode != "worker-listen" && (fleet == nil || len(fleet.Spawners) == 0) {
+		return fmt.Errorf("-%s takes -worker-key only with a host:port -workers list", mode)
 	}
 
 	switch mode {
@@ -284,15 +291,11 @@ func run(args []string, out io.Writer) error {
 	case "conformance":
 		return runConformance(*golden, *update, *sample, *seed, *parallel, tflags, progress, out)
 	case "experiment":
-		ecfg := experiments.Config{Progress: progress, Parallelism: *parallel}
+		ecfg := experiments.Config{Progress: progress, Parallelism: *parallel, Supervise: shard.PolicyFromHeader(fromFlags)}
 		ecfg.Opts.Telemetry = tflags.options()
 		ecfg.Opts.FreshBoot = *freshBoot
 		if fleet != nil {
 			ecfg.ShardExec = shard.NewFleet(*fleet)
-		}
-		if supervised(fromFlags) {
-			policy := shard.PolicyFromHeader(fromFlags)
-			ecfg.Supervise = &policy
 		}
 		return runExperiment(*experiment, *outPath, ecfg, tflags, out)
 	}
@@ -609,12 +612,12 @@ func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemet
 
 // runCampaign executes a -config campaign from its header or, with a
 // non-nil rep, resumes the journaled campaign rep was replayed from
-// (runResume): in-process or on a -workers fleet, under the supervisor
-// when journaled or when the header records a supervisor flag. A
-// -journal records the same header, so -resume rebuilds the campaign
-// from the journal alone.
+// (runResume): in-process or on a -workers fleet, under the policy the
+// header records. A -journal records the same header, so -resume
+// rebuilds the campaign from the journal alone.
 func runCampaign(ctx context.Context, runner *core.Runner, h journal.Header, rep *journal.Replayed, jpath, outPath string, parallel int, fleet *shard.FleetOptions, workers string, tflags telemetryFlags, progress func(string), out io.Writer) error {
-	copts := []core.Option{core.WithParallelism(parallel), core.WithProgress(campaignProgress(progress))}
+	copts := []core.Option{core.WithParallelism(parallel), core.WithProgress(campaignProgress(progress)),
+		core.WithSupervision(shard.PolicyFromHeader(h))}
 	if h.FaultList != "" {
 		specs, err := faultSpecs(h.FaultList, rep)
 		if err != nil {
@@ -636,9 +639,6 @@ func runCampaign(ctx context.Context, runner *core.Runner, h journal.Header, rep
 	if fleet != nil {
 		copts = append(copts, core.WithShardExecutor(shard.NewFleet(*fleet)))
 	}
-	if jw != nil || supervised(h) {
-		copts = append(copts, core.WithSupervision(core.NewSupervisor(shard.PolicyFromHeader(h))))
-	}
 	set, err := core.NewCampaign(runner, append(copts, core.WithJournal(jw, rep))...).Run(ctx)
 	return finish(set, err, jw, outPath, resumeCommand(jpath, outPath, parallel, workers, tflags), tflags, out)
 }
@@ -653,8 +653,10 @@ func campaignProgress(progress func(string)) func(done, total int) {
 	}
 }
 
-// printSetSummary renders the distribution and top-failure view of a
-// finished (or partial) set.
+// printSetSummary renders a finished (or partial) set: the distribution
+// and top-failure view, the quarantine report when a run was
+// quarantined, and the fleet line when a fleet ran it. The CLI, -replay
+// and dts serve's /report all render a set through it.
 func printSetSummary(set *core.SetResult, out io.Writer) {
 	d := set.Distribution()
 	fmt.Fprintf(out, "\n%s/%s: %d activated functions, %d injected faults\n",
@@ -669,6 +671,10 @@ func printSetSummary(set *core.SetResult, out io.Writer) {
 	if clusterView := report.Cluster(set); clusterView != "" {
 		fmt.Fprint(out, "\n", clusterView)
 	}
+	if len(set.Quarantined) != 0 {
+		fmt.Fprint(out, "\n", report.Quarantine(set.Quarantined))
+	}
+	printFleetSummary(set.Dispatch, out)
 }
 
 // saveSet archives one workload set.

@@ -4,7 +4,9 @@ package main
 // an alternative middleware substrate (DESIGN.md §4k). The divergence
 // oracle elides every run whose recorded evidence proves the substrate
 // swap cannot change the outcome; the archive is byte-identical to a
-// from-scratch campaign under the target.
+// from-scratch campaign under the target. A replay runs under the source
+// header's attempt policy and ends through finish, like any other
+// campaign.
 
 import (
 	"context"
@@ -48,13 +50,12 @@ func runReplay(ctx context.Context, journalPath, target, outPath string, paralle
 	progress(fmt.Sprintf("replaying %s: %s -> %s (%d recorded runs)",
 		journalPath, srcSpec, spec, len(src.Runs)))
 	set, err := c.Run(ctx)
-	if err != nil {
-		return err
+	err = finish(set, err, nil, outPath, "", telemetryFlags{}, out)
+	if set != nil {
+		st := oracle.Stats()
+		// One machine-parseable line for CI gates and scripts.
+		fmt.Fprintf(out, "\nreplay: source=%s target=%s total=%d elided=%d fault-free=%d copied=%d executed=%d elision-rate=%.3f\n",
+			srcSpec, spec, st.Total, st.Elided, st.FaultFree, st.Copied, st.Executed, st.Rate())
 	}
-	printSetSummary(set, out)
-	st := oracle.Stats()
-	// One machine-parseable line for CI gates and scripts.
-	fmt.Fprintf(out, "\nreplay: source=%s target=%s total=%d elided=%d fault-free=%d copied=%d executed=%d elision-rate=%.3f\n",
-		srcSpec, spec, st.Total, st.Elided, st.FaultFree, st.Copied, st.Executed, st.Rate())
-	return saveSet(set, outPath)
+	return err
 }

@@ -17,9 +17,11 @@ package main
 //
 // The config and fault list travel inline in the submit body, so the
 // service needs no shared filesystem with the submitter; "workers"
-// takes the -workers syntax (count or host:port list). A campaign that
-// finishes by in-process fallback reports state "degraded" — the same
-// taxonomy the CLI maps to exit code 5.
+// takes the -workers syntax (count or host:port list). Every campaign
+// runs under the supervisor's default policy, so a run that panics or
+// keeps failing is quarantined and shows in the report, as in the CLI. A
+// campaign that finishes by in-process fallback reports state
+// "degraded" — the same taxonomy the CLI maps to exit code 5.
 
 import (
 	"bytes"
@@ -181,9 +183,9 @@ func (s *campaignServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"id": c.id})
 }
 
-// start validates the submission and launches the campaign goroutine.
-// The runner comes from the same header the CLI builds, so a served
-// campaign's archive is byte-identical to dts -config's.
+// start validates the submission and launches the campaign. The runner
+// and the attempt policy come from the same header the CLI builds, so a
+// served campaign's archive is byte-identical to dts -config's.
 func (s *campaignServer) start(req submitRequest) (*servedCampaign, error) {
 	h, _, err := campaignHeader(strings.NewReader(req.Config), "", journal.Header{Telemetry: req.Telemetry})
 	if err != nil {
@@ -194,7 +196,7 @@ func (s *campaignServer) start(req submitRequest) (*servedCampaign, error) {
 		return nil, err
 	}
 
-	copts := []core.Option{core.WithParallelism(req.Parallel)}
+	copts := []core.Option{core.WithParallelism(req.Parallel), core.WithSupervision(shard.PolicyFromHeader(h))}
 	switch {
 	case req.Faults != "":
 		specs, serr := config.ParseFaultList(strings.NewReader(req.Faults))
@@ -217,7 +219,11 @@ func (s *campaignServer) start(req submitRequest) (*servedCampaign, error) {
 		}
 		copts = append(copts, core.WithShardExecutor(shard.NewFleet(fopts)))
 	}
+	return s.launch(runner, copts), nil
+}
 
+// launch registers a campaign over runner and runs it in the background.
+func (s *campaignServer) launch(runner *core.Runner, copts []core.Option) *servedCampaign {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &servedCampaign{state: "running", cancel: cancel}
 	c.cond = sync.NewCond(&c.mu)
@@ -237,9 +243,9 @@ func (s *campaignServer) start(req submitRequest) (*servedCampaign, error) {
 	s.mu.Unlock()
 
 	c.appendEvent(map[string]any{"event": "accepted", "id": c.id,
-		"workload": runner.Def.Name, "supervision": h.Supervision})
+		"workload": runner.Def.Name, "supervision": runner.Def.Supervision.String()})
 	go s.execute(ctx, c, runner, copts)
-	return c, nil
+	return c
 }
 
 // execute runs one campaign to completion and freezes its artifacts.
@@ -267,7 +273,6 @@ func (s *campaignServer) execute(ctx context.Context, c *servedCampaign, runner 
 	}
 	var rep bytes.Buffer
 	printSetSummary(set, &rep)
-	printFleetSummary(set.Dispatch, &rep)
 	c.report = rep.String()
 	done := map[string]any{"event": c.state, "runs": len(set.Runs)}
 	if set.Dispatch != nil {

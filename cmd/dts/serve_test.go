@@ -15,12 +15,17 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ntdts/internal/config"
+	"ntdts/internal/core"
 	"ntdts/internal/experiments"
+	"ntdts/internal/inject"
+	"ntdts/internal/ntsim"
 	"ntdts/internal/ntsim/win32"
+	"ntdts/internal/workload"
 )
 
 // serveFaultList renders an inline fault list covering roughly n specs.
@@ -271,6 +276,52 @@ func TestServeFleetCampaignDegraded(t *testing.T) {
 	defer aresp.Body.Close()
 	if aresp.StatusCode != http.StatusOK {
 		t.Fatalf("archive after degraded completion: status %d", aresp.StatusCode)
+	}
+}
+
+// TestServeQuarantinesPanickingRuns: a campaign whose runner panics on
+// every fault run (its client spawn, on the harness goroutine) ends
+// "done" under serve: the supervisor quarantines the run, /report shows
+// the quarantine as the CLI's report does, and the server keeps
+// answering — it runs the next campaign to completion.
+func TestServeQuarantinesPanickingRuns(t *testing.T) {
+	cs := newCampaignServer("")
+	ts := httptest.NewServer(cs.mux())
+	defer ts.Close()
+	defer cs.cancelAll()
+
+	def := workload.NewIIS(workload.Standalone)
+	spawn := def.SpawnClient
+	var calls atomic.Int32
+	def.SpawnClient = func(k *ntsim.Kernel) (*ntsim.Process, *workload.Report, error) {
+		if calls.Add(1) == 1 {
+			return spawn(k) // the calibration run
+		}
+		panic("harness bug")
+	}
+	spec := inject.FaultSpec{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits}
+	c := cs.launch(core.NewRunner(def, core.DefaultRunnerOptions()), []core.Option{core.WithSpecs([]inject.FaultSpec{spec})})
+	if st := campaignState(t, ts, c.id); st["state"] != "done" {
+		t.Fatalf("panicking campaign ended %v, want done", st)
+	}
+	resp, err := http.Get(ts.URL + "/api/campaigns/" + c.id + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"IIS/none", "Quarantined runs: 1", "panic after 3 attempts: harness bug"} {
+		if !strings.Contains(string(report), want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+
+	id := submitCampaign(t, ts, submitRequest{Config: "workload = IIS\nmiddleware = none\n", Faults: "ReadFile 1 1 flip\n"})
+	if st := campaignState(t, ts, id); st["state"] != "done" {
+		t.Fatalf("next campaign ended %v, want done", st)
 	}
 }
 

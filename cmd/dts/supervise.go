@@ -1,11 +1,11 @@
 package main
 
-// Campaign supervision in the CLI: the supervisor policy a journal
-// header carries (-run-deadline/-max-quarantined/-retries/-chaos) and
-// when it applies, -resume (in-process or on a -workers fleet), the one
-// finish path that flushes the journal and prints the exact resume
-// command on SIGINT/SIGTERM, and the distinct exit codes automation
-// keys on.
+// Campaign supervision in the CLI: -resume (in-process or on a -workers
+// fleet), the one finish path that flushes the journal and prints the
+// exact resume command on SIGINT/SIGTERM, and the distinct exit codes
+// automation keys on. Every campaign runs under the attempt policy its
+// journal header carries (-run-deadline/-max-quarantined/-retries/-chaos,
+// read by shard.PolicyFromHeader).
 
 import (
 	"context"
@@ -16,7 +16,6 @@ import (
 
 	"ntdts/internal/core"
 	"ntdts/internal/journal"
-	"ntdts/internal/report"
 	"ntdts/internal/shard"
 )
 
@@ -39,15 +38,6 @@ type exitError struct {
 }
 
 func (e *exitError) Error() string { return e.msg }
-
-// supervised reports whether a header records a supervisor flag. A
-// campaign that does runs under the supervisor, as a journaled one
-// always does, on any executor. The retry budget alone does not count:
-// retries only matter once a watchdog, quarantine budget or chaos hook
-// is in play.
-func supervised(h journal.Header) bool {
-	return h.WallDeadlineNS > 0 || h.MaxQuarantined > 0 || h.Chaos
-}
 
 // resumeCommand renders the exact command that continues an interrupted
 // campaign — printed on interrupt so the operator can paste it. A fleet
@@ -78,10 +68,11 @@ func resumeCommand(jpath, outPath string, parallel int, workers string, tflags t
 	return b.String()
 }
 
-// finish is the single exit path of every -config and -resume campaign,
-// whether it ran locally, under the supervisor or on a fleet: flush and
-// close the journal, map stop causes to their exit codes, render the
-// summary and quarantine report, emit telemetry, and save the archive.
+// finish is the single exit path of every -config, -resume and -replay
+// campaign, whether it ran locally or on a fleet: flush and close the
+// journal, map stop causes to their exit codes, render the summary and
+// quarantine report, emit telemetry, and save the archive — the partial
+// one too when the quarantine budget stopped the campaign.
 func finish(set *core.SetResult, runErr error, jw *journal.Writer, savePath, resumeHint string, tflags telemetryFlags, out io.Writer) error {
 	if jw != nil {
 		defer jw.Close()
@@ -89,44 +80,29 @@ func finish(set *core.SetResult, runErr error, jw *journal.Writer, savePath, res
 			return err
 		}
 	}
-	if runErr != nil {
-		var budget *core.QuarantineBudgetError
-		switch {
-		case errors.Is(runErr, core.ErrInterrupted):
-			if jw != nil {
-				fmt.Fprintf(out, "\ninterrupted: %d runs journaled to %s\nresume with:\n  %s\n",
-					jw.Records(), jw.Path(), resumeHint)
-			} else {
-				fmt.Fprintf(out, "\ninterrupted (no -journal: progress lost)\n")
-			}
-			return &exitError{code: exitInterrupted, msg: "campaign interrupted"}
-		case errors.As(runErr, &budget):
-			if set != nil {
-				printSetSummary(set, out)
-				fmt.Fprint(out, "\n", report.Quarantine(set.Quarantined))
-				if err := tflags.emit(set.Telemetry, out); err != nil {
-					return err
-				}
-				if err := saveSet(set, savePath); err != nil {
-					return err
-				}
-				fmt.Fprintf(out, "\npartial results: campaign stopped, %s\n", runErr)
-			}
-			return &exitError{code: exitQuarantineBudget, msg: runErr.Error()}
-		default:
-			return runErr
+	var budget *core.QuarantineBudgetError
+	switch {
+	case errors.Is(runErr, core.ErrInterrupted):
+		if jw != nil {
+			fmt.Fprintf(out, "\ninterrupted: %d runs journaled to %s\nresume with:\n  %s\n",
+				jw.Records(), jw.Path(), resumeHint)
+		} else {
+			fmt.Fprintf(out, "\ninterrupted (no -journal: progress lost)\n")
 		}
+		return &exitError{code: exitInterrupted, msg: "campaign interrupted"}
+	case runErr != nil && !errors.As(runErr, &budget):
+		return runErr
 	}
 	printSetSummary(set, out)
-	if len(set.Quarantined) != 0 {
-		fmt.Fprint(out, "\n", report.Quarantine(set.Quarantined))
-	}
-	printFleetSummary(set.Dispatch, out)
 	if err := tflags.emit(set.Telemetry, out); err != nil {
 		return err
 	}
 	if err := saveSet(set, savePath); err != nil {
 		return err
+	}
+	if budget != nil {
+		fmt.Fprintf(out, "\npartial results: campaign stopped, %s\n", runErr)
+		return &exitError{code: exitQuarantineBudget, msg: runErr.Error()}
 	}
 	// A degraded completion exits with its own code: the results are
 	// complete, but the fleet did not survive as a fleet.
@@ -134,9 +110,9 @@ func finish(set *core.SetResult, runErr error, jw *journal.Writer, savePath, res
 }
 
 // runResume continues an interrupted journaled campaign: replay the
-// journal, truncate its torn tail, rebuild the runner and the supervisor
+// journal, truncate its torn tail, rebuild the runner and the attempt
 // policy from the header, adopt the journaled runs and execute the rest
-// under the supervisor, in-process or on a -workers fleet, so the final
+// under that policy, in-process or on a -workers fleet, so the final
 // results are byte-identical to an uninterrupted campaign at any
 // -parallel or -workers setting.
 func runResume(ctx context.Context, jpath, outPath string, parallel int, fleet *shard.FleetOptions, workers string, tflags telemetryFlags, progress func(string), out io.Writer) error {

@@ -28,9 +28,9 @@ func writeChaosList(t *testing.T, dir, faults string) string {
 	return cfgPath
 }
 
-// motivationList is a chaos list on which an unsupervised fleet once
-// diverged from the supervised in-process campaign: it ran the panicking
-// and the flaky spec as ordinary faults.
+// motivationList is a chaos list on which a fleet, and later a replay,
+// once diverged from the in-process campaign: each ran the panicking and
+// the flaky spec as ordinary faults.
 const motivationList = "ReadFile 1 1 flip\nDTSChaosPanic 0 1 zero\nWriteFile 1 1 zero\nDTSChaosFlaky 0 1 zero\nCreateEventA 0 1 zero\n"
 
 // readFile returns a file's bytes or fails the test.
@@ -181,6 +181,11 @@ func TestRunFlagConflicts(t *testing.T) {
 		{[]string{"-experiment", "table1", "-run-deadline", "1ns", "-max-quarantined", "1"},
 			"it does not take -max-quarantined, -run-deadline"},
 		{[]string{"-experiment", "table1", "-retries", "5", "-chaos"}, "it does not take -chaos, -retries"},
+		// The key authenticates TCP workers only.
+		{[]string{"-config", cfgPath, "-worker-key", "k", "-out", outPath}, "-config takes -worker-key only with a host:port -workers list"},
+		{[]string{"-config", cfgPath, "-workers", "2", "-worker-key", "k", "-out", outPath}, "-config takes -worker-key only with a host:port -workers list"},
+		{[]string{"-experiment", "figure2", "-workers", "2", "-worker-key", "k"}, "-experiment takes -worker-key only with a host:port -workers list"},
+		{[]string{"-resume", jpath, "-worker-key", "k"}, "-resume takes -worker-key only with a host:port -workers list"},
 	} {
 		if err := run(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
@@ -257,5 +262,47 @@ func TestRunResumeMissingJournal(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-resume", filepath.Join(t.TempDir(), "absent.journal")}, &out); err == nil {
 		t.Fatal("missing journal accepted")
+	}
+}
+
+// TestRunReplayChaosJournal: -replay runs under the source header's
+// policy and ends through finish. So the chaos journal replayed to
+// watchd-v3 quarantines the panic and retries the flaky spec, as a
+// from-scratch -chaos -fresh-boot watchd-v3 campaign does, and the two
+// archives are cmp-equal; a journal that records a quarantine budget
+// stops its replay with exit code 4.
+func TestRunReplayChaosJournal(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := writeChaosList(t, dir, motivationList)
+	jpath := filepath.Join(dir, "c.journal")
+	replayed, golden := filepath.Join(dir, "r.json"), filepath.Join(dir, "g.json")
+	var out bytes.Buffer
+	for _, args := range [][]string{
+		{"-config", cfgPath, "-q", "-chaos", "-journal", jpath, "-out", filepath.Join(dir, "c.json")},
+		{"-config", cfgPath, "-q", "-chaos", "-middleware", "watchd-v3", "-fresh-boot", "-out", golden},
+		{"-replay", jpath, "-middleware", "watchd-v3", "-q", "-out", replayed},
+	} {
+		out.Reset()
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	if !strings.Contains(out.String(), "Quarantined runs: 1") {
+		t.Errorf("replay report lacks the quarantine:\n%s", out.String())
+	}
+	if !bytes.Equal(readFile(t, golden), readFile(t, replayed)) {
+		t.Error("the replayed chaos archive differs from the from-scratch watchd-v3 one")
+	}
+
+	bpath := filepath.Join(dir, "b.journal")
+	err := run([]string{"-config", cfgPath, "-q", "-chaos", "-max-quarantined", "1", "-parallel", "1",
+		"-journal", bpath, "-out", filepath.Join(dir, "b.json")}, &out)
+	var ee *exitError
+	if !errors.As(err, &ee) || ee.code != exitQuarantineBudget {
+		t.Fatalf("budgeted source campaign returned %v, want exit code %d", err, exitQuarantineBudget)
+	}
+	err = run([]string{"-replay", bpath, "-middleware", "watchd-v3", "-q", "-parallel", "1", "-out", filepath.Join(dir, "br.json")}, &out)
+	if !errors.As(err, &ee) || ee.code != exitQuarantineBudget {
+		t.Fatalf("replay of a budgeted journal returned %v, want exit code %d", err, exitQuarantineBudget)
 	}
 }

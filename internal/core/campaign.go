@@ -25,7 +25,7 @@ type SetResult struct {
 	SkippedFaults int         `json:"skippedFaults"`
 
 	// Quarantined lists the runs the campaign supervisor gave up on
-	// (empty on unsupervised campaigns); Partial marks a set cut short by
+	// (empty when every run committed); Partial marks a set cut short by
 	// an interrupt or the quarantine budget — its Runs slice still spans
 	// the full plan, with zero-valued entries for runs never executed.
 	Quarantined []QuarantineEntry `json:"quarantined,omitempty"`
@@ -137,9 +137,10 @@ type Campaign struct {
 	// Invocations are serialized and done increases strictly by one,
 	// regardless of parallelism.
 	progress func(done, total int)
-	// supervise, when non-nil, runs every run under the attempt policy:
-	// wall-clock watchdog, panic quarantine, bounded retries.
-	supervise *Supervisor
+	// policy is the attempt policy every run runs under, defaults filled
+	// in: wall-clock watchdog, panic quarantine, bounded retries, the
+	// quarantine budget.
+	policy SupervisorOptions
 	// journal, when non-nil, records every committed run; resume, when
 	// non-nil, is the replayed journal whose runs are adopted instead of
 	// re-executed (see WithJournal).
@@ -166,14 +167,8 @@ func (c *Campaign) Runner() *Runner { return c.runner }
 // Shards returns the WithShards fleet size (0 when unset).
 func (c *Campaign) Shards() int { return c.shards }
 
-// Supervision returns the supervisor's policy, defaults filled in, and
-// whether the campaign runs supervised.
-func (c *Campaign) Supervision() (SupervisorOptions, bool) {
-	if c.supervise == nil {
-		return SupervisorOptions{}, false
-	}
-	return c.supervise.opts, true
-}
+// Supervision returns the campaign's attempt policy, defaults filled in.
+func (c *Campaign) Supervision() SupervisorOptions { return c.policy }
 
 // Journal returns the campaign's journal (nil when not journaling).
 func (c *Campaign) Journal() *journal.Writer { return c.journal }
@@ -255,15 +250,13 @@ func (c *Campaign) Prepare() (*Prepared, error) {
 }
 
 // assemble builds the SetResult from the executed (possibly partial)
-// run list. A stop (interrupt, quarantine budget) of a supervised
-// campaign is graceful degradation: the partial set returns alongside
-// the cause so the caller can report what finished; any other error
-// voids the set.
+// run list. A stop (interrupt, quarantine budget) is graceful
+// degradation: the partial set returns alongside the cause so the
+// caller can report what finished; any other error voids the set.
 func (p *Prepared) assemble(runs []RunResult, runErr error) (*SetResult, error) {
 	c := p.c
 	var budget *QuarantineBudgetError
-	partial := c.supervise != nil && (errors.Is(runErr, ErrInterrupted) || errors.As(runErr, &budget))
-	if runErr != nil && !partial {
+	if runErr != nil && !errors.Is(runErr, ErrInterrupted) && !errors.As(runErr, &budget) {
 		return nil, runErr
 	}
 	set := &SetResult{
@@ -290,9 +283,8 @@ func (p *Prepared) assemble(runs []RunResult, runErr error) (*SetResult, error) 
 // resumed journal's runs and a replay source's resolved ones), then run
 // the ledger's uncommitted jobs on the in-process worker pool — or, with
 // WithShardExecutor, fanned out across worker processes — then build
-// the SetResult. Cancel ctx to stop between runs; a supervised campaign
-// converts the cancellation into its partial-results ErrInterrupted
-// contract.
+// the SetResult. Cancel ctx to stop between runs: the campaign returns
+// its partial set with ErrInterrupted.
 func (c *Campaign) Run(ctx context.Context) (*SetResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -307,7 +299,7 @@ func (c *Campaign) Run(ctx context.Context) (*SetResult, error) {
 		return nil, err
 	}
 	if exec == nil {
-		runErr := executeJobs(ctx, l, c.runner, c.parallelism, c.supervise)
+		runErr := executeJobs(ctx, l, c.runner, c.parallelism, c.policy)
 		return p.assemble(l.Results(), runErr)
 	}
 	runs, runErr := exec.ExecuteShards(ctx, c, p)

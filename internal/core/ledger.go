@@ -54,10 +54,7 @@ type Ledger struct {
 // then attaches the campaign's journal.
 func (c *Campaign) ledgerFor(p *Prepared) (*Ledger, error) {
 	l := newLedger(p.Jobs)
-	l.faults, l.tel = p.Faults, c.runner.Opts.Telemetry
-	if c.supervise != nil {
-		l.budget = c.supervise.opts.MaxQuarantined
-	}
+	l.faults, l.tel, l.budget = p.Faults, c.runner.Opts.Telemetry, c.policy.MaxQuarantined
 	p.ledger = l
 	if c.resume != nil {
 		if err := l.adoptJournal(c.resume); err != nil {

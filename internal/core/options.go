@@ -16,12 +16,14 @@ import (
 type Option func(*Campaign)
 
 // NewCampaign builds a campaign for one workload runner. With no
-// options it is the full-catalog sequential sweep the paper ran.
+// options it is the full-catalog sequential sweep the paper ran, under
+// the default attempt policy.
 func NewCampaign(r *Runner, opts ...Option) *Campaign {
 	c := &Campaign{runner: r}
 	for _, opt := range opts {
 		opt(c)
 	}
+	c.policy = c.policy.withDefaults()
 	return c
 }
 
@@ -31,11 +33,11 @@ func WithParallelism(n int) Option {
 	return func(c *Campaign) { c.parallelism = n }
 }
 
-// WithSupervision runs every run under the supervisor's attempt policy
-// (watchdog, retries, quarantine). A nil supervisor is a no-op, so
-// callers can pass an optionally-built one straight through.
-func WithSupervision(s *Supervisor) Option {
-	return func(c *Campaign) { c.supervise = s }
+// WithSupervision sets the attempt policy every run runs under
+// (watchdog, retries, quarantine budget, chaos hooks); zero fields keep
+// their defaults.
+func WithSupervision(o SupervisorOptions) Option {
+	return func(c *Campaign) { c.policy = o }
 }
 
 // WithJournal records every committed run and quarantine to jw (nil: no

@@ -16,13 +16,12 @@ import (
 // replaces, so adopting the API changes no behavior.
 func TestNewCampaignEquivalentToLiteral(t *testing.T) {
 	runner := NewRunner(workload.NewApache1(workload.Standalone), RunnerOptions{})
-	sup := NewSupervisor(SupervisorOptions{MaxAttempts: 2})
 	specs := []inject.FaultSpec{{Function: "ReadFile", Param: 0, Invocation: 1, Type: inject.ZeroBits}}
 	progress := func(done, total int) {}
 
 	got := NewCampaign(runner,
 		WithParallelism(4),
-		WithSupervision(sup),
+		WithSupervision(SupervisorOptions{MaxAttempts: 2}),
 		WithProgress(progress),
 		WithSpecs(specs),
 		WithFaultTypes(inject.ZeroBits),
@@ -36,7 +35,7 @@ func TestNewCampaignEquivalentToLiteral(t *testing.T) {
 		invocation:         2,
 		paperFaithfulSkips: true,
 		parallelism:        4,
-		supervise:          sup,
+		policy:             SupervisorOptions{MaxAttempts: 2},
 		specs:              specs,
 		shards:             3,
 	}
@@ -66,41 +65,17 @@ func TestWithTelemetryClonesRunner(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelUnsupervised: cancelling the context stops the
-// in-process pool between runs and surfaces ErrInterrupted with no set —
-// the dts SIGINT path for plain campaigns.
-func TestRunContextCancelUnsupervised(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	set, err := NewCampaign(
-		NewRunner(workload.NewApache1(workload.Standalone), RunnerOptions{}),
-		WithParallelism(2),
-		WithProgress(func(done, total int) {
-			if done == 3 {
-				cancel()
-			}
-		}),
-	).Run(ctx)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("error = %v, want ErrInterrupted", err)
-	}
-	if set != nil {
-		t.Fatal("cancelled unsupervised campaign must not return a set")
-	}
-}
-
-// TestRunContextCancelSupervised: under a supervisor the same
-// cancellation degrades gracefully — a partial set comes back alongside
-// ErrInterrupted, exactly like a RequestStop, so a resume journal stays
-// coherent.
+// TestRunContextCancelSupervised: cancelling the context stops the
+// in-process pool between runs and degrades gracefully — a partial set
+// comes back alongside ErrInterrupted, so a resume journal stays
+// coherent. This is the dts SIGINT path for every campaign.
 func TestRunContextCancelSupervised(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sup := NewSupervisor(SupervisorOptions{MaxAttempts: 1})
 	set, err := NewCampaign(
 		NewRunner(workload.NewApache1(workload.Standalone), RunnerOptions{}),
 		WithParallelism(2),
-		WithSupervision(sup),
+		WithSupervision(SupervisorOptions{MaxAttempts: 1}),
 		WithProgress(func(done, total int) {
 			if done == 3 {
 				cancel()

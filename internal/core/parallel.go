@@ -151,18 +151,20 @@ func buildPlan(activated map[string]bool, types []inject.FaultType, invocation i
 }
 
 // executeJobs runs the ledger's uncommitted jobs on the shared worker
-// pool, each through sup.run (a nil supervisor runs it plainly), which
+// pool, each under the attempt policy (SupervisorOptions.run), which
 // commits it to l at its job index, so results are in job order
 // regardless of completion order or worker count. Each pool goroutine
-// owns its own Runner clone; the lowest-indexed run error wins (the
-// workpool.Run contract).
+// owns its own Runner clone. A run never fails the campaign — it
+// commits or is quarantined — so the only errors are the ledger's (a
+// journal write); the lowest-indexed one wins (the workpool.Run
+// contract).
 //
 // Every claim checks ctx first: once it is done, the claim latches the
 // ledger's stop (ErrInterrupted), as the quarantine budget does, so no
 // run starts after cancellation. In-flight runs finish (every run is
 // bounded in virtual time) and the stop cause is returned; the
 // committed results stay in the ledger.
-func executeJobs(ctx context.Context, l *Ledger, base *Runner, parallelism int, sup *Supervisor) error {
+func executeJobs(ctx context.Context, l *Ledger, base *Runner, parallelism int, policy SupervisorOptions) error {
 	pending := l.Pending()
 	if len(pending) == 0 {
 		return nil
@@ -176,7 +178,7 @@ func executeJobs(ctx context.Context, l *Ledger, base *Runner, parallelism int, 
 			if l.StopCause() != nil {
 				return nil // unexecuted slots stay zero-valued
 			}
-			return sup.run(ctx, l, runner, pending[k])
+			return policy.run(ctx, l, runner, pending[k])
 		}
 	})
 	if err != nil {
@@ -187,12 +189,12 @@ func executeJobs(ctx context.Context, l *Ledger, base *Runner, parallelism int, 
 
 // ExecuteChunk runs a fleet worker's chunk, the jobs its plan line names
 // by key (PlanJob.Key), on the campaign executor: the pool at the given
-// width, every job through sup (nil: unsupervised), each commit into a
-// ledger over the chunk whose journal is j, so every run and quarantine
-// leaves as a record at its chunk position. A bad key or a run error
-// stops the chunk and returns with the position of the job that hit it:
-// the lowest one, as a sequential loop would.
-func ExecuteChunk(r *Runner, keys []string, parallelism int, sup *Supervisor, j Journal) (int, error) {
+// width, every job under policy (zero fields take their defaults), each
+// commit into a ledger over the chunk whose journal is j, so every run
+// and quarantine leaves as a record at its chunk position. A bad key or
+// a journal write error stops the chunk and returns with the position
+// of the job that hit it: the lowest one, as a sequential loop would.
+func ExecuteChunk(r *Runner, keys []string, parallelism int, policy SupervisorOptions, j Journal) (int, error) {
 	jobs := make([]PlanJob, len(keys))
 	for i, key := range keys {
 		var err error
@@ -202,7 +204,7 @@ func ExecuteChunk(r *Runner, keys []string, parallelism int, sup *Supervisor, j 
 	}
 	l := newLedger(jobs)
 	l.jw, l.tel = j, r.Opts.Telemetry
-	if err := executeJobs(context.Background(), l, r, parallelism, sup); err != nil {
+	if err := executeJobs(context.Background(), l, r, parallelism, policy.withDefaults()); err != nil {
 		// Every job below the failing one committed: the pool claims in
 		// order and waits for its in-flight calls.
 		return l.Pending()[0], err

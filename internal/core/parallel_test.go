@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -154,10 +157,12 @@ func TestSpecCampaignParallel(t *testing.T) {
 	}
 }
 
-// TestSpecCampaignFirstError checks deterministic error selection: when
-// every run fails, the pool reports the lowest-indexed spec's error — the
-// one a sequential sweep would have hit first — at any worker count.
-func TestSpecCampaignFirstError(t *testing.T) {
+// TestSpecCampaignRunErrorsQuarantined: a run error is retried and then
+// quarantined with its message, as a panic is, so a campaign whose every
+// run fails still completes, with the same set at any worker count.
+// Each entry carries its job's journal key, by which the journal is
+// greppable.
+func TestSpecCampaignRunErrorsQuarantined(t *testing.T) {
 	failure := errors.New("client refused to start")
 	specs := []inject.FaultSpec{
 		{Function: "ReadFile", Param: 0, Invocation: 1, Type: inject.ZeroBits},
@@ -165,17 +170,30 @@ func TestSpecCampaignFirstError(t *testing.T) {
 		{Function: "CloseHandle", Param: 0, Invocation: 1, Type: inject.ZeroBits},
 		{Function: "CreateFileA", Param: 0, Invocation: 1, Type: inject.ZeroBits},
 	}
+	var first []byte
 	for _, par := range []int{1, 4} {
-		_, err := specRuns(NewRunner(failingRunsDef(failure), RunnerOptions{}), specs, par)
-		if err == nil {
-			t.Fatalf("parallelism %d: no error from failing runs", par)
+		set, err := NewCampaign(NewRunner(failingRunsDef(failure), RunnerOptions{}),
+			WithSpecs(specs), WithParallelism(par)).Run(context.Background())
+		if err != nil {
+			t.Fatalf("parallelism %d: failing runs failed the campaign: %v", par, err)
 		}
-		if !errors.Is(err, failure) {
-			t.Fatalf("parallelism %d: error %v does not wrap the run failure", par, err)
+		if len(set.Quarantined) != len(specs) {
+			t.Fatalf("parallelism %d: %d quarantined, want every one of %d", par, len(set.Quarantined), len(specs))
 		}
-		want := "run " + specs[0].String()
-		if got := err.Error(); len(got) < len(want) || got[:len(want)] != want {
-			t.Fatalf("parallelism %d: error %q does not name the first spec (%q)", par, got, want)
+		for i, q := range set.Quarantined {
+			if q.Index != i || q.Key != specs[i].Key() || q.Reason != ReasonError ||
+				q.Attempts != DefaultMaxAttempts || !strings.Contains(q.Message, failure.Error()) {
+				t.Errorf("parallelism %d: quarantine %d = %+v", par, i, q)
+			}
+		}
+		archive, err := json.Marshal(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = archive
+		} else if !bytes.Equal(archive, first) {
+			t.Errorf("parallelism %d: set differs from the sequential one", par)
 		}
 	}
 }

@@ -45,7 +45,7 @@ type RunResult struct {
 	// Retries counts abandoned supervisor attempts that preceded this
 	// recorded one; Quarantined marks a placeholder record for a run the
 	// supervisor gave up on after its retry budget. Both are zero/false on
-	// an unsupervised campaign.
+	// a run whose first attempt committed.
 	Retries     int  `json:"retries,omitempty"`
 	Quarantined bool `json:"quarantined,omitempty"`
 

@@ -1,23 +1,23 @@
 package core
 
 // Campaign supervisor: the resilience layer between the worker pool and
-// the per-run lifecycle. The paper's DTS ran thousands of runs
-// unattended; at the ROADMAP's million-run scale a single hung or
+// the per-run lifecycle, and the only way a campaign runs a run. The
+// paper's DTS ran thousands of runs unattended; a single hung or
 // panicking run, or a process killed at run 40k, must not cost the
-// campaign. The supervisor wraps every run with a wall-clock watchdog
-// (virtual time already bounds simulated hangs — this catches live bugs
-// in the harness/sim itself), panic capture that quarantines the
-// offending FaultSpec with its stack, and bounded retry-with-backoff for
-// indeterminate attempts. The journal that makes an interrupted campaign
-// resumable with byte-identical output, the quarantine list and its
-// budget belong to the campaign's Ledger (ledger.go).
+// campaign. Every run goes through one policy (SupervisorOptions): a
+// wall-clock watchdog (virtual time already bounds simulated hangs —
+// this catches live bugs in the harness/sim itself), panic capture that
+// quarantines the offending FaultSpec with its stack, and bounded
+// retry-with-backoff for indeterminate attempts. The journal that makes
+// an interrupted campaign resumable with byte-identical output, the
+// quarantine list and its budget belong to the campaign's Ledger
+// (ledger.go).
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"runtime/debug"
 	"time"
 
@@ -46,8 +46,14 @@ const (
 // retries) when SupervisorOptions.MaxAttempts is zero.
 const DefaultMaxAttempts = 3
 
-// defaultBackoff is the first retry delay; it doubles per retry.
-const defaultBackoff = 5 * time.Millisecond
+// firstBackoff is the first retry delay; it doubles per retry up to
+// maxBackoff, so a large retry budget sleeps at most that long per
+// retry. The schedule is fixed rather than a policy field because the
+// journal header does not carry it, and every executor must retry alike.
+const (
+	firstBackoff = 5 * time.Millisecond
+	maxBackoff   = 100 * time.Millisecond
+)
 
 // ErrInterrupted is the stop cause recorded when the campaign is asked
 // to stop from outside (SIGINT/SIGTERM in cmd/dts). The campaign
@@ -66,24 +72,35 @@ func (e *QuarantineBudgetError) Error() string {
 	return fmt.Sprintf("quarantine budget reached: %d runs quarantined (budget %d)", e.Quarantined, e.Budget)
 }
 
-// SupervisorOptions tune the resilience policy.
+// SupervisorOptions is the attempt policy every run of a campaign runs
+// under: the wall-clock watchdog, retries with backoff, the chaos hooks
+// and the quarantine budget. A zero field takes its default (3 attempts,
+// no watchdog, no budget, no chaos). What a run commits — its result or
+// its quarantine, and the stop the budget latches — goes through the
+// campaign's Ledger.
 type SupervisorOptions struct {
 	// WallDeadline bounds each attempt in wall-clock time (0 = no
 	// watchdog). An attempt that exceeds it is abandoned — its goroutine
 	// leaks by design, since Go cannot kill it — and retried.
 	WallDeadline time.Duration
 	// MaxAttempts is the total attempt budget per run (0 =
-	// DefaultMaxAttempts). The run is quarantined when it is exhausted.
+	// DefaultMaxAttempts). The run is quarantined when it is exhausted;
+	// each retry first sleeps the backoff (5 ms, doubling up to 100 ms).
 	MaxAttempts int
-	// Backoff is the delay before the first retry, doubling per retry
-	// (0 = defaultBackoff).
-	Backoff time.Duration
 	// MaxQuarantined is the campaign's failure budget: reaching this many
 	// quarantined runs stops the campaign with QuarantineBudgetError
 	// (so 1 stops on the first quarantine). Zero or negative: unlimited.
 	MaxQuarantined int
 	// Chaos enables the reserved DTSChaos* function hooks.
 	Chaos bool
+}
+
+// withDefaults fills the zero fields in.
+func (o SupervisorOptions) withDefaults() SupervisorOptions {
+	if o.MaxAttempts <= 0 {
+		o.MaxAttempts = DefaultMaxAttempts
+	}
+	return o
 }
 
 // QuarantineEntry records one run the supervisor gave up on. Stack is
@@ -118,27 +135,6 @@ func reasonCode(reason string) uint64 {
 	}
 }
 
-// Supervisor is the per-run attempt policy of one campaign: the
-// wall-clock watchdog, retries with backoff, the chaos hooks and the
-// quarantine placeholder for a run whose attempts are spent. What a run
-// commits — its result or its quarantine, and the stop the quarantine
-// budget latches — goes through the campaign's Ledger. Safe for
-// concurrent use by the worker pool.
-type Supervisor struct {
-	opts SupervisorOptions
-}
-
-// NewSupervisor builds a supervisor with defaults filled in.
-func NewSupervisor(opts SupervisorOptions) *Supervisor {
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = DefaultMaxAttempts
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = defaultBackoff
-	}
-	return &Supervisor{opts: opts}
-}
-
 // attemptFailure describes one abandoned attempt.
 type attemptFailure struct {
 	reason  string
@@ -153,39 +149,24 @@ type attemptOutcome struct {
 	fail *attemptFailure
 }
 
-// run executes job i and commits it to l. A nil supervisor runs the job
-// once and a run error fails the campaign; a supervisor retries an
-// indeterminate attempt (panic, hang, run error) with backoff and
-// quarantines the run once its attempts are spent. Cancellation of ctx
-// only shortcuts the backoff sleeps — stop semantics live in the ledger.
-func (s *Supervisor) run(ctx context.Context, l *Ledger, r *Runner, i int) error {
-	job := l.jobs[i]
-	spec := job.Spec // plans are shared; never hand out interior pointers
-	if s == nil {
-		// A run error names its job and the spec's fingerprint, the
-		// journal key's hash, by which the journal is greppable.
-		res, err := r.Run(&spec)
-		if err != nil {
-			kind := "run"
-			if job.Probe {
-				kind = "skip probe"
-			}
-			return fmt.Errorf("%s %v [%s]: %w", kind, spec, spec.Fingerprint(), err)
-		}
-		_, err = l.commit(i, 1, res, nil, nil)
-		return err
-	}
+// run executes job i under the policy and commits it to l: an
+// indeterminate attempt (panic, hang, run error) is retried after a
+// backoff, and the run is quarantined once its attempts are spent.
+// Cancellation of ctx only shortcuts the backoff sleeps — stop
+// semantics live in the ledger.
+func (o SupervisorOptions) run(ctx context.Context, l *Ledger, r *Runner, i int) error {
+	spec := l.jobs[i].Spec // plans are shared; never hand out interior pointers
 	var last attemptFailure
-	for attempt := 1; attempt <= s.opts.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= o.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			backoff := time.NewTimer(s.opts.Backoff << (attempt - 2))
+			backoff := time.NewTimer(backoff(attempt - 1))
 			select {
 			case <-backoff.C:
 			case <-ctx.Done():
 				backoff.Stop()
 			}
 		}
-		out := s.attempt(r, spec, attempt)
+		out := o.attempt(r, spec, attempt)
 		if out.fail == nil && out.err != nil {
 			// A run error is indeterminate from the supervisor's view
 			// (I/O trouble, simulated-code panic): retry it, and
@@ -212,21 +193,39 @@ func (s *Supervisor) run(ctx context.Context, l *Ledger, r *Runner, i int) error
 	_, err := l.quarantine(QuarantineEntry{
 		Index: i, Fault: spec, Key: spec.Key(),
 		Reason: last.reason, Message: last.message, Stack: last.stack,
-		Attempts: s.opts.MaxAttempts,
+		Attempts: o.MaxAttempts,
 	})
 	return err
 }
 
-// Bound is at least the longest a run can take before it commits or is
+// backoff is the delay before retry k (k = 1 precedes the second
+// attempt): firstBackoff doubled k-1 times, capped at maxBackoff.
+func backoff(k int) time.Duration {
+	d := firstBackoff
+	for ; k > 1 && d < maxBackoff; k-- {
+		d = min(2*d, maxBackoff)
+	}
+	return d
+}
+
+// Bound is the longest a run can take before it commits or is
 // quarantined: every attempt abandoned at the wall deadline, plus the
-// backoffs, capped at a century so a large retry budget cannot
-// overflow it. Zero without a watchdog, which leaves a hang unbounded.
-func (s *Supervisor) Bound() time.Duration {
-	if s.opts.WallDeadline <= 0 {
+// backoffs run sleeps between them, saturating at a century. Zero
+// without a watchdog, which leaves a hang unbounded.
+func (o SupervisorOptions) Bound() time.Duration {
+	if o.WallDeadline <= 0 {
 		return 0
 	}
-	n := float64(s.opts.MaxAttempts)
-	bound := n*float64(s.opts.WallDeadline) + float64(s.opts.Backoff)*math.Exp2(n-1)
+	n := o.MaxAttempts
+	bound := float64(n) * float64(o.WallDeadline)
+	for k := 1; k < n; k++ {
+		if d := backoff(k); d < maxBackoff {
+			bound += float64(d)
+			continue
+		}
+		bound += float64(n-k) * float64(maxBackoff) // every later retry sleeps the cap
+		break
+	}
 	return time.Duration(min(bound, float64(100*365*24*time.Hour)))
 }
 
@@ -234,7 +233,7 @@ func (s *Supervisor) Bound() time.Duration {
 // recoverable and the wall watchdog can abandon it. An abandoned
 // goroutine leaks — Go offers no way to kill it — which is exactly the
 // bounded cost the watchdog trades for campaign survival.
-func (s *Supervisor) attempt(r *Runner, spec inject.FaultSpec, attempt int) attemptOutcome {
+func (o SupervisorOptions) attempt(r *Runner, spec inject.FaultSpec, attempt int) attemptOutcome {
 	done := make(chan attemptOutcome, 1)
 	go func() {
 		defer func() {
@@ -246,7 +245,7 @@ func (s *Supervisor) attempt(r *Runner, spec inject.FaultSpec, attempt int) atte
 				}}
 			}
 		}()
-		if s.opts.Chaos {
+		if o.Chaos {
 			switch spec.Function {
 			case ChaosPanicFunction:
 				panic(fmt.Sprintf("chaos: deliberate panic (%v, attempt %d)", spec, attempt))
@@ -261,10 +260,10 @@ func (s *Supervisor) attempt(r *Runner, spec inject.FaultSpec, attempt int) atte
 		res, err := r.Run(&spec)
 		done <- attemptOutcome{res: res, err: err}
 	}()
-	if s.opts.WallDeadline <= 0 {
+	if o.WallDeadline <= 0 {
 		return <-done
 	}
-	timer := time.NewTimer(s.opts.WallDeadline)
+	timer := time.NewTimer(o.WallDeadline)
 	defer timer.Stop()
 	select {
 	case out := <-done:
@@ -272,7 +271,7 @@ func (s *Supervisor) attempt(r *Runner, spec inject.FaultSpec, attempt int) atte
 	case <-timer.C:
 		return attemptOutcome{fail: &attemptFailure{
 			reason:  ReasonHang,
-			message: fmt.Sprintf("wall-clock deadline %v exceeded", s.opts.WallDeadline),
+			message: fmt.Sprintf("wall-clock deadline %v exceeded", o.WallDeadline),
 		}}
 	}
 }

@@ -40,7 +40,7 @@ func supervisedSweep(t *testing.T, specs []inject.FaultSpec, par int, jpath stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := specRuns(runner, specs, par, WithSupervision(NewSupervisor(opts)), WithJournal(jw, rep))
+	runs, err := specRuns(runner, specs, par, WithSupervision(opts), WithJournal(jw, rep))
 	if err != nil {
 		t.Fatalf("supervised sweep: %v", err)
 	}
@@ -164,12 +164,11 @@ func TestSupervisorQuarantine(t *testing.T) {
 	}
 	runner := NewRunner(workload.NewApache1(workload.Standalone),
 		RunnerOptions{Telemetry: telemetry.Options{Enabled: true}})
-	sup := NewSupervisor(SupervisorOptions{
+	sup := SupervisorOptions{
 		Chaos:        true,
 		MaxAttempts:  2,
 		WallDeadline: 100 * time.Millisecond,
-		Backoff:      time.Millisecond,
-	})
+	}
 	set, err := NewCampaign(runner, WithSpecs(specs), WithParallelism(2), WithSupervision(sup)).Run(context.Background())
 	if err != nil {
 		t.Fatalf("campaign failed instead of quarantining: %v", err)
@@ -268,12 +267,12 @@ func TestQuarantineBudget(t *testing.T) {
 		specs = append(specs, s)
 	}
 	runner := NewRunner(workload.NewApache1(workload.Standalone), RunnerOptions{})
-	sup := NewSupervisor(SupervisorOptions{
+	sup := SupervisorOptions{
 		Chaos:          true,
 		MaxAttempts:    1,
 		WallDeadline:   50 * time.Millisecond,
 		MaxQuarantined: 1,
-	})
+	}
 	runs, err := specRuns(runner, specs, 1, WithSupervision(sup))
 	var budget *QuarantineBudgetError
 	if !errors.As(err, &budget) {
@@ -321,7 +320,7 @@ func TestSupervisorInterrupt(t *testing.T) {
 		}
 	}
 	_, err = NewCampaign(runner, WithSpecs(specs), WithParallelism(4), WithProgress(progress),
-		WithSupervision(NewSupervisor(SupervisorOptions{})), WithJournal(jw, nil)).Run(ctx)
+		WithJournal(jw, nil)).Run(ctx)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted campaign returned %v, want ErrInterrupted", err)
 	}
@@ -345,35 +344,33 @@ func TestSupervisorInterrupt(t *testing.T) {
 	}
 }
 
-// TestSupervisorBound: the bound covers every attempt's watchdog period
-// plus the backoffs between attempts, is zero without a watchdog, and
-// saturates instead of overflowing under a huge retry budget.
+// TestSupervisorBound: the retry delay doubles from 5 ms up to the
+// 100 ms ceiling and stays there, so 24 retries sleep about 2 s rather
+// than hours; Bound sums exactly that schedule on top of every
+// attempt's watchdog period, is zero without a watchdog, and saturates
+// instead of overflowing under a huge retry budget.
 func TestSupervisorBound(t *testing.T) {
+	const ms = time.Millisecond
+	want := []time.Duration{5 * ms, 10 * ms, 20 * ms, 40 * ms, 80 * ms}
+	for len(want) < 24 {
+		want = append(want, maxBackoff)
+	}
+	for k := 1; k <= len(want); k++ {
+		if got := backoff(k); got != want[k-1] {
+			t.Errorf("backoff before attempt %d = %v, want %v", k+1, got, want[k-1])
+		}
+	}
 	for _, c := range []struct {
 		opts SupervisorOptions
 		want time.Duration
 	}{
 		{SupervisorOptions{MaxAttempts: 3}, 0},
-		{SupervisorOptions{WallDeadline: 100 * time.Millisecond, MaxAttempts: 3}, 300*time.Millisecond + 4*defaultBackoff},
-		{SupervisorOptions{WallDeadline: time.Second, MaxAttempts: 200}, 100 * 365 * 24 * time.Hour},
+		{SupervisorOptions{WallDeadline: 100 * ms, MaxAttempts: 3}, 300*ms + 5*ms + 10*ms},
+		{SupervisorOptions{WallDeadline: time.Second, MaxAttempts: 25}, 25*time.Second + 155*ms + 19*maxBackoff},
+		{SupervisorOptions{WallDeadline: time.Hour, MaxAttempts: 1 << 30}, 100 * 365 * 24 * time.Hour},
 	} {
-		if got := NewSupervisor(c.opts).Bound(); got != c.want {
+		if got := c.opts.withDefaults().Bound(); got != c.want {
 			t.Errorf("%+v: Bound() = %v, want %v", c.opts, got, c.want)
 		}
-	}
-}
-
-// TestSpecCampaignErrorFingerprint pins the satellite fix: first-error
-// reports carry the FaultSpec fingerprint (the journal key hash), so a
-// failed run is greppable in the journal by the same identifier.
-func TestSpecCampaignErrorFingerprint(t *testing.T) {
-	def := failingRunsDef(errors.New("client refused to start"))
-	spec := inject.FaultSpec{Function: "ReadFile", Param: 0, Invocation: 1, Type: inject.ZeroBits}
-	_, err := specRuns(NewRunner(def, RunnerOptions{}), []inject.FaultSpec{spec}, 1)
-	if err == nil {
-		t.Fatal("no error from failing run")
-	}
-	if !strings.Contains(err.Error(), "["+spec.Fingerprint()+"]") {
-		t.Errorf("error %q does not carry fingerprint %s", err, spec.Fingerprint())
 	}
 }

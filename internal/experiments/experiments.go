@@ -33,15 +33,16 @@ type Config struct {
 	// Invocations are serialized; sets running concurrently never
 	// interleave within a line.
 	Progress func(line string)
-	// Supervise, when non-nil, gives every campaign its own supervisor
-	// with this policy (watchdog, quarantine, retries), on either
-	// executor. Journaling is a single-campaign facility and is not
-	// wired through experiments.
-	Supervise *core.SupervisorOptions
+	// Supervise is the attempt policy (watchdog, quarantine budget,
+	// retries, chaos) every campaign runs under, on either executor;
+	// zero fields take their defaults, and each campaign keeps its own
+	// quarantine list and budget. Journaling is a single-campaign
+	// facility and is not wired through experiments.
+	Supervise core.SupervisorOptions
 	// ShardExec, when non-nil, fans each campaign's run list out over
-	// worker processes, which run it under the campaign's supervisor
-	// when Supervise sets one. Table 1 is calibration-only and runs
-	// neither (dts rejects both under -experiment table1).
+	// worker processes, which run it under the same policy. Table 1 is
+	// calibration-only and runs neither (dts rejects both under
+	// -experiment table1).
 	ShardExec core.ShardExecutor
 }
 
@@ -174,16 +175,10 @@ func RunFigure2(cfg Config) (*core.Experiment, error) {
 }
 
 func runSet(def workload.Definition, cfg Config) (*core.SetResult, error) {
-	opts := []core.Option{
+	c := core.NewCampaign(core.NewRunner(def, cfg.Opts),
 		core.WithParallelism(cfg.Parallelism),
 		core.WithShardExecutor(cfg.ShardExec),
-	}
-	if cfg.Supervise != nil {
-		// One supervisor per set: quarantine lists and budgets are
-		// per-campaign, like the results they annotate.
-		opts = append(opts, core.WithSupervision(core.NewSupervisor(*cfg.Supervise)))
-	}
-	c := core.NewCampaign(core.NewRunner(def, cfg.Opts), opts...)
+		core.WithSupervision(cfg.Supervise))
 	set, err := c.Run(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", def.Name, def.Supervision, err)

@@ -400,7 +400,7 @@ func TestAvailabilityEstimates(t *testing.T) {
 // Figure 2.
 func TestFigure5HonoursSupervision(t *testing.T) {
 	_, err := RunFigure5(Config{Parallelism: 1,
-		Supervise: &core.SupervisorOptions{WallDeadline: 1, MaxQuarantined: 1}})
+		Supervise: core.SupervisorOptions{WallDeadline: 1, MaxQuarantined: 1}})
 	var budget *core.QuarantineBudgetError
 	if !errors.As(err, &budget) {
 		t.Fatalf("RunFigure5 returned %v, want a *core.QuarantineBudgetError", err)

@@ -37,8 +37,7 @@ func TestCampaignRunLinesTakeFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := core.NewSupervisor(core.SupervisorOptions{})
-	if _, err := core.NewCampaign(runner, core.WithSpecs(specs), core.WithSupervision(sup), core.WithJournal(jw, nil),
+	if _, err := core.NewCampaign(runner, core.WithSpecs(specs), core.WithJournal(jw, nil),
 		core.WithParallelism(1)).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

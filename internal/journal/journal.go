@@ -478,7 +478,7 @@ type Replayed struct {
 	Runs        map[int]*Record
 	Quarantined map[int]*Record
 	// Dispatch holds the fleet coordinator's chunk-assignment trail, in
-	// journal order (empty for supervised in-process campaigns).
+	// journal order (empty for in-process campaigns).
 	Dispatch []DispatchEvent
 	// Torn reports that the final line was incomplete or unparsable and
 	// was discarded. ValidBytes is the verified record-complete prefix

@@ -68,9 +68,8 @@ func TestReplayScenarioMatrixEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sup := core.NewSupervisor(core.SupervisorOptions{})
 		if _, err := core.NewCampaign(runner, core.WithSpecs(specs),
-			core.WithSupervision(sup), core.WithJournal(jw, nil), core.WithParallelism(2)).Run(context.Background()); err != nil {
+			core.WithJournal(jw, nil), core.WithParallelism(2)).Run(context.Background()); err != nil {
 			t.Fatalf("source campaign %+v: %v", tp, err)
 		}
 		if err := jw.Close(); err != nil {

@@ -147,11 +147,13 @@ type Options struct {
 }
 
 // Build constructs the target-substrate campaign with the divergence
-// oracle attached. The campaign's runner is rebuilt through the same
-// header codepath shard workers and dts -resume use, with only the
-// substrate fields (and any cluster override) rewritten; telemetry is
-// forced off because archives exclude collectors, so collection could
-// only slow the re-executed runs down.
+// oracle attached. The campaign's runner and its attempt policy are
+// rebuilt through the same header codepath shard workers and dts
+// -resume use, with only the substrate fields (and any cluster
+// override) rewritten, so a re-executed run is retried and quarantined
+// exactly as the source campaign's was; telemetry is forced off because
+// archives exclude collectors, so collection could only slow the
+// re-executed runs down.
 func Build(src *Source, opts Options) (*core.Campaign, *Oracle, error) {
 	srcSpec, err := src.SourceSpec()
 	if err != nil {
@@ -182,7 +184,8 @@ func Build(src *Source, opts Options) (*core.Campaign, *Oracle, error) {
 		clusterChanged: clusterChanged,
 		noElide:        opts.NoElide,
 	}
-	copts := []core.Option{core.WithReplay(oracle), core.WithParallelism(opts.Parallelism)}
+	copts := []core.Option{core.WithReplay(oracle), core.WithParallelism(opts.Parallelism),
+		core.WithSupervision(shard.PolicyFromHeader(h))}
 	if opts.Progress != nil {
 		copts = append(copts, core.WithProgress(opts.Progress))
 	}

@@ -69,8 +69,7 @@ func journalCampaign(t *testing.T, specs []inject.FaultSpec, spec middleware.Spe
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := core.NewSupervisor(core.SupervisorOptions{})
-	c := core.NewCampaign(runner, core.WithSpecs(specs), core.WithSupervision(sup), core.WithJournal(jw, nil), core.WithParallelism(4))
+	c := core.NewCampaign(runner, core.WithSpecs(specs), core.WithJournal(jw, nil), core.WithParallelism(4))
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatalf("source campaign: %v", err)
 	}
@@ -80,8 +79,8 @@ func journalCampaign(t *testing.T, specs []inject.FaultSpec, spec middleware.Spe
 	return path
 }
 
-// fromScratch runs the spec list unsupervised under the substrate — the
-// ground truth a replayed archive must match byte for byte. It boots
+// fromScratch runs the spec list under the substrate — the ground truth
+// a replayed archive must match byte for byte. It boots
 // every run fresh, so no run is a dormant-run copy resting on the same
 // rule (core.Dormant) as the oracle's fault-free synthesis.
 func fromScratch(t *testing.T, specs []inject.FaultSpec, spec middleware.Spec) *core.SetResult {

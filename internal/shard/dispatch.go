@@ -69,8 +69,8 @@ type FleetOptions struct {
 	StallDeadline time.Duration
 	// ProgressDeadline kills a worker that produced no record for this
 	// long even though heartbeats keep arriving (0 =
-	// DefaultProgressDeadline; < 0 disables). Under a supervisor it
-	// counts from the end of core.Supervisor.Bound, so a run the
+	// DefaultProgressDeadline; < 0 disables). It counts from the end of
+	// the campaign policy's core.SupervisorOptions.Bound, so a run the
 	// watchdog will quarantine never reads as a wedged worker.
 	ProgressDeadline time.Duration
 	// MaxRespawns bounds replacement workers per slot (0 =
@@ -184,9 +184,9 @@ type streamLine struct {
 // ExecuteShards implements core.ShardExecutor: dispatch chunks of the
 // ledger's uncommitted jobs on demand, commit streamed records at their
 // global indices through the ledger, survive worker loss, and degrade
-// to in-process execution before failing. A supervisor's policy rides
-// the session header into every worker, and the ledger's stop latch
-// (the quarantine budget, or cancellation) ends dispatch with the
+// to in-process execution before failing. The campaign's attempt policy
+// rides the session header into every worker, and the ledger's stop
+// latch (the quarantine budget, or cancellation) ends dispatch with the
 // partial results. A campaign with nothing left to run spawns no worker.
 func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Prepared) ([]core.RunResult, error) {
 	workers := f.opts.Workers
@@ -221,13 +221,14 @@ func (f *Fleet) ExecuteShards(ctx context.Context, c *core.Campaign, p *core.Pre
 			return nil, err
 		}
 	}
+	// The quarantine budget stays with the ledger; the rest of the
+	// policy rides the header.
+	policy := c.Supervision()
 	header := HeaderFor(c.Runner())
+	header.WallDeadlineNS, header.MaxAttempts, header.Chaos = int64(policy.WallDeadline), policy.MaxAttempts, policy.Chaos
 	d := newDispatcher(f, p, workers, jw)
-	if o, ok := c.Supervision(); ok {
-		header.WallDeadlineNS, header.MaxAttempts, header.Chaos = int64(o.WallDeadline), o.MaxAttempts, o.Chaos
-		if d.progressDeadline > 0 {
-			d.progressDeadline += core.NewSupervisor(PolicyFromHeader(header)).Bound()
-		}
+	if d.progressDeadline > 0 {
+		d.progressDeadline += policy.Bound()
 	}
 
 	// Cancellation watcher: ctx cancellation releases every slot (the
@@ -457,9 +458,11 @@ func (f *Fleet) awaitChunk(d *dispatcher, slot int, a *assignment, lines <-chan 
 			case journal.KindHeartbeat:
 				// Liveness only: any line resets the stall deadline.
 			case journal.KindError:
-				// A worker-side run failure is deterministic — a fresh
-				// worker would fail the same run — so it fails the
-				// campaign, exactly as in the in-process pool.
+				// The worker could not run its chunk at all (a plan key
+				// it cannot parse): deterministic — a fresh worker would
+				// fail the same way — so it fails the campaign. A run's
+				// own failure never gets here; the worker's supervisor
+				// quarantines it.
 				d.fail(m.line.Rec.Index, fmt.Errorf("fleet worker %d: %s", slot, m.line.Rec.Message))
 				return nil
 			case journal.KindDone:

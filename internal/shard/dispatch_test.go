@@ -364,7 +364,7 @@ func TestFleetJournalWriteFailureIsFatal(t *testing.T) {
 			case "campaign journal on a fleet":
 				opts = append(opts, core.WithJournal(jw, nil), core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, WorkerParallelism: 1})))
 			default:
-				opts = append(opts, core.WithJournal(jw, nil), core.WithSupervision(core.NewSupervisor(core.SupervisorOptions{})))
+				opts = append(opts, core.WithJournal(jw, nil))
 			}
 			_, err = core.NewCampaign(r, opts...).Run(context.Background())
 			if err == nil || !strings.Contains(err.Error(), "journal write") {
@@ -381,7 +381,7 @@ func TestFleetJournalWriteFailureIsFatal(t *testing.T) {
 }
 
 // TestFleetCancellation: cancelling mid-campaign surfaces
-// ErrInterrupted with no set, matching the in-process pool.
+// ErrInterrupted with the partial set, matching the in-process pool.
 func TestFleetCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -397,8 +397,8 @@ func TestFleetCancellation(t *testing.T) {
 	if !errors.Is(err, core.ErrInterrupted) {
 		t.Fatalf("error = %v, want ErrInterrupted", err)
 	}
-	if set != nil {
-		t.Fatal("cancelled fleet campaign must not return a set")
+	if set == nil || !set.Partial {
+		t.Fatal("cancelled fleet campaign must return its partial set")
 	}
 }
 

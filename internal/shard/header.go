@@ -40,8 +40,10 @@ func HeaderFor(r *core.Runner) journal.Header {
 	return h
 }
 
-// PolicyFromHeader returns the supervisor policy a header records: the
-// one reading of it that dts, a resume and a fleet worker share.
+// PolicyFromHeader returns the attempt policy a header records: the one
+// reading of it that every campaign shares — dts -config, -experiment,
+// -resume and -replay, dts serve and a fleet worker. A field the header
+// leaves zero takes the policy's default.
 func PolicyFromHeader(h journal.Header) core.SupervisorOptions {
 	return core.SupervisorOptions{
 		WallDeadline:   time.Duration(h.WallDeadlineNS),

@@ -16,8 +16,8 @@ import (
 )
 
 // journaledCampaign runs the 60-spec traced campaign journaled to path,
-// in-process under the default supervisor (as dts -journal runs it) or
-// on a 2-worker in-process fleet. With a non-nil rep it resumes the
+// in-process (as dts -journal runs it) or on a 2-worker in-process
+// fleet. With a non-nil rep it resumes the
 // journal rep was replayed from. It returns the set, the number of
 // workers the fleet spawned and the done counts progress reported.
 func journaledCampaign(t *testing.T, path string, rep *journal.Replayed, fleet bool) (*core.SetResult, int32, []int) {
@@ -34,13 +34,13 @@ func journaledCampaign(t *testing.T, path string, rep *journal.Replayed, fleet b
 		t.Fatal(err)
 	}
 	var spawned atomic.Int32
-	exec := core.WithSupervision(core.NewSupervisor(core.SupervisorOptions{}))
+	var exec core.ShardExecutor // nil keeps the in-process pool
 	if fleet {
 		inner := InProcess()
-		exec = core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, Spawn: func() (*Conn, error) {
+		exec = NewFleet(FleetOptions{Workers: 2, Spawn: func() (*Conn, error) {
 			spawned.Add(1)
 			return inner()
-		}}))
+		}})
 	}
 	var done []int
 	progress := core.WithProgress(func(d, total int) {
@@ -49,7 +49,7 @@ func journaledCampaign(t *testing.T, path string, rep *journal.Replayed, fleet b
 		}
 		done = append(done, d)
 	})
-	set, err := core.NewCampaign(r, core.WithSpecs(campaignSpecs(60)), core.WithJournal(jw, rep), exec, progress).
+	set, err := core.NewCampaign(r, core.WithSpecs(campaignSpecs(60)), core.WithJournal(jw, rep), core.WithShardExecutor(exec), progress).
 		Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"ntdts/internal/core"
 	"ntdts/internal/inject"
 	"ntdts/internal/journal"
+	"ntdts/internal/ntsim"
 	"ntdts/internal/ntsim/win32"
 	"ntdts/internal/telemetry"
 	"ntdts/internal/workload"
@@ -342,24 +344,27 @@ func fakeSpawner(serve func(in io.Reader, out io.Writer, killed <-chan struct{})
 	}
 }
 
-// singleHostHeader hands the worker a single-host copy of the header
-// the coordinator sends first.
-type singleHostHeader struct {
+// garbledKey is a plan key no worker can parse (its param is not a
+// number).
+const garbledKey = "ReadFile/x/1/1"
+
+// badPlanKey garbles the first job key of the first plan line the
+// coordinator sends, the line after the header.
+type badPlanKey struct {
 	io.WriteCloser
-	sent bool
+	lines int
 }
 
-func (w *singleHostHeader) Write(line []byte) (int, error) {
-	if w.sent {
+func (w *badPlanKey) Write(line []byte) (int, error) {
+	if w.lines++; w.lines != 2 {
 		return w.WriteCloser.Write(line)
 	}
-	w.sent = true
-	var h journal.Header
-	if err := json.Unmarshal(line, &h); err != nil {
+	var pl journal.Plan
+	if err := json.Unmarshal(line, &pl); err != nil {
 		return 0, err
 	}
-	h.ClusterNodes = 0
-	data, err := json.Marshal(h)
+	pl.Jobs[0] = garbledKey
+	data, err := json.Marshal(&pl)
 	if err != nil {
 		return 0, err
 	}
@@ -369,18 +374,15 @@ func (w *singleHostHeader) Write(line []byte) (int, error) {
 	return len(line), nil
 }
 
-// TestWorkerErrorRecordIsFatal: a run that fails inside a real worker
-// comes back as an error record that fails the campaign without
-// respawning, spelled exactly as the in-process pool spells it. The
-// coordinator's one-node cluster hosts a cluster scenario fault, so the
-// campaign passes Prepare; each worker is handed a single-host header,
-// on which that run fails.
+// TestWorkerErrorRecordIsFatal: a chunk a real worker cannot run — its
+// plan names a key the worker cannot parse — comes back as an error
+// record that fails the campaign without respawning, spelled exactly as
+// the in-process executor spells it. A run's own failure never makes
+// one: the worker's supervisor quarantines it.
 func TestWorkerErrorRecordIsFatal(t *testing.T) {
-	specs := campaignSpecs(8)
-	specs[5] = inject.FaultSpec{Function: core.ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits}
-	_, local := core.ExecuteChunk(newRunner(false), []string{specs[5].Key()}, 1, nil, nil)
+	_, local := core.ExecuteChunk(newRunner(false), []string{garbledKey}, 1, core.SupervisorOptions{}, nil)
 	if local == nil {
-		t.Fatal("a single host accepted a cluster fault")
+		t.Fatal("the executor parsed a garbled key")
 	}
 
 	inner := InProcess()
@@ -389,14 +391,12 @@ func TestWorkerErrorRecordIsFatal(t *testing.T) {
 		spawned.Add(1)
 		conn, err := inner()
 		if err == nil {
-			conn.In = &singleHostHeader{WriteCloser: conn.In}
+			conn.In = &badPlanKey{WriteCloser: conn.In}
 		}
 		return conn, err
 	}
-	coordinator := newRunner(false)
-	coordinator.Opts.Cluster = core.ClusterConfig{Nodes: 1}
-	_, err := core.NewCampaign(coordinator,
-		core.WithSpecs(specs),
+	_, err := core.NewCampaign(newRunner(false),
+		core.WithSpecs(campaignSpecs(8)),
 		core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, Spawn: counted})),
 	).Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), local.Error()) {
@@ -456,7 +456,8 @@ func TestStallDetectionRespawns(t *testing.T) {
 
 // TestShardedCancellation: cancelling the context kills even a worker
 // no deadline would catch — silent, with stall detection off — and
-// surfaces ErrInterrupted, the same contract as the in-process pool.
+// surfaces ErrInterrupted with the partial set, the same contract as the
+// in-process pool.
 func TestShardedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -488,14 +489,14 @@ func TestShardedCancellation(t *testing.T) {
 	if !errors.Is(err, core.ErrInterrupted) {
 		t.Fatalf("error = %v, want ErrInterrupted", err)
 	}
-	if set != nil {
-		t.Fatal("cancelled fleet campaign must not return a set")
+	if set == nil || !set.Partial {
+		t.Fatal("cancelled fleet campaign must return its partial set")
 	}
 	<-silentKilled
 }
 
-// TestSupervisedFleetMatchesPool: a supervised campaign stays supervised
-// on a fleet. The workers take the policy from the session header: they
+// TestSupervisedFleetMatchesPool: a campaign's attempt policy holds on
+// a fleet. The workers take the policy from the session header: they
 // quarantine the panicking and the hanging chaos spec and retry the
 // flaky one, and the coordinator commits their records as the pool
 // commits its own. So the archive (quarantine list and retries
@@ -509,7 +510,7 @@ func TestSupervisedFleetMatchesPool(t *testing.T) {
 	}
 	run := func(policy core.SupervisorOptions, exec core.ShardExecutor, specs []inject.FaultSpec) (*core.SetResult, error) {
 		return core.NewCampaign(newRunner(true), core.WithSpecs(specs), core.WithParallelism(2),
-			core.WithSupervision(core.NewSupervisor(policy)), core.WithShardExecutor(exec),
+			core.WithSupervision(policy), core.WithShardExecutor(exec),
 		).Run(context.Background())
 	}
 
@@ -567,4 +568,90 @@ func TestSupervisedFleetMatchesPool(t *testing.T) {
 			t.Fatalf("a watchdog-bounded hang read as a wedged worker: %+v", st)
 		}
 	})
+}
+
+// failingDef is IIS whose client spawn, on the harness goroutine, fails
+// every fault run: it panics, or returns an error. With calibrated its
+// first spawn, the coordinator's calibration run, succeeds; a worker's
+// runner never calibrates, so all its spawns fail.
+func failingDef(panics, calibrated bool) workload.Definition {
+	def := workload.NewIIS(workload.Standalone)
+	spawn := def.SpawnClient
+	var calls atomic.Int32
+	def.SpawnClient = func(k *ntsim.Kernel) (*ntsim.Process, *workload.Report, error) {
+		if calibrated && calls.Add(1) == 1 {
+			return spawn(k)
+		}
+		if panics {
+			panic("harness bug")
+		}
+		return nil, nil, errors.New("client refused to start")
+	}
+	return def
+}
+
+// TestHarnessFailureOneArchive: a run whose harness fails — its client
+// spawn panics, or returns an error — is retried and quarantined in
+// every mode, so the campaign completes, and with one archive (a
+// quarantine entry per failing spec, 3 attempts each), in-process at
+// -parallel 1 and 4, journaled, and on an in-process fleet whose workers
+// run their chunks under the policy the session header carries.
+func TestHarnessFailureOneArchive(t *testing.T) {
+	specs := campaignSpecs(6)
+	for _, panics := range []bool{true, false} {
+		reason := core.ReasonError
+		if panics {
+			reason = core.ReasonPanic
+		}
+		var want []byte
+		for _, m := range []struct {
+			name             string
+			par              int
+			journaled, fleet bool
+		}{
+			{"parallel 1", 1, false, false},
+			{"parallel 4", 4, false, false},
+			{"journaled parallel 1", 1, true, false},
+			{"journaled parallel 4", 4, true, false},
+			{"fleet", 2, false, true},
+			{"journaled fleet", 2, true, true},
+		} {
+			runner := core.NewRunner(failingDef(panics, true), core.DefaultRunnerOptions())
+			opts := []core.Option{core.WithSpecs(specs), core.WithParallelism(m.par)}
+			if m.journaled {
+				jw, err := journal.Create(filepath.Join(t.TempDir(), "harness.journal"), HeaderFor(runner))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer jw.Close()
+				opts = append(opts, core.WithJournal(jw, nil))
+			}
+			if m.fleet {
+				worker := fakeSpawner(func(in io.Reader, out io.Writer, _ <-chan struct{}) {
+					serveWorker(in, out, func(journal.Header) (*core.Runner, error) {
+						return core.NewRunner(failingDef(panics, false), core.DefaultRunnerOptions()), nil
+					})
+				})
+				opts = append(opts, core.WithShardExecutor(NewFleet(FleetOptions{Workers: 2, WorkerParallelism: 2, Spawn: worker})))
+			}
+			set, err := core.NewCampaign(runner, opts...).Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s, %s: the campaign failed: %v", reason, m.name, err)
+			}
+			if len(set.Quarantined) != len(specs) {
+				t.Fatalf("%s, %s: %d runs quarantined, want all %d", reason, m.name, len(set.Quarantined), len(specs))
+			}
+			for _, q := range set.Quarantined {
+				if q.Reason != reason || q.Attempts != core.DefaultMaxAttempts {
+					t.Errorf("%s, %s: quarantine %+v, want %s after %d attempts", reason, m.name, q, reason, core.DefaultMaxAttempts)
+				}
+			}
+			archive, _, _ := artifacts(t, set)
+			if want == nil {
+				want = archive
+			} else if !bytes.Equal(archive, want) {
+				t.Errorf("%s, %s: archive differs from the parallel 1 one", reason, m.name)
+			}
+		}
+	}
 }

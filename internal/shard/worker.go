@@ -2,12 +2,12 @@ package shard
 
 // The worker half of the protocol: read the campaign header, then serve
 // plan lines (chunks of global job indices) until the assignment stream
-// ends. Each chunk runs on core's executor — its pool, the supervisor
-// the header's policy asks for, and a ledger over the chunk whose
-// journal is this result stream — so every commit streams back the
-// moment it lands, as a run or quarantine record carrying its global
-// job-list index. A done record closes the session. The coordinator
-// owns ordering, so the worker never buffers or sorts.
+// ends. Each chunk runs on core's executor — its pool, the attempt
+// policy the header records, and a ledger over the chunk whose journal
+// is this result stream — so every commit streams back the moment it
+// lands, as a run or quarantine record carrying its global job-list
+// index. A done record closes the session. The coordinator owns
+// ordering, so the worker never buffers or sorts.
 //
 // The fleet keeps the assignment stream open and feeds chunk after chunk
 // to the same session, which amortizes the runner build and keeps the
@@ -101,6 +101,11 @@ func (s *chunkStream) emit(line []byte, err error) error {
 // worker process's own exit status — the coordinator learns of failures
 // from the error record (or the severed stream).
 func ServeWorker(in io.Reader, out io.Writer) error {
+	return serveWorker(in, out, RunnerFromHeader)
+}
+
+// serveWorker is ServeWorker with the runner built by runnerFor.
+func serveWorker(in io.Reader, out io.Writer, runnerFor func(journal.Header) (*core.Runner, error)) error {
 	st := journal.NewStream(in)
 	hl, err := st.Next()
 	if err != nil {
@@ -109,16 +114,12 @@ func ServeWorker(in io.Reader, out io.Writer) error {
 	if hl.Kind != journal.KindHeader {
 		return fmt.Errorf("shard worker: assignment starts with %q, want header", hl.Kind)
 	}
-	runner, err := RunnerFromHeader(*hl.Header)
+	runner, err := runnerFor(*hl.Header)
 	if err != nil {
 		return fmt.Errorf("shard worker: %w", err)
 	}
-	// A header that records attempts asks for the coordinator's
-	// supervisor; its quarantine budget stays with the coordinator.
-	var sup *core.Supervisor
-	if hl.Header.MaxAttempts > 0 {
-		sup = core.NewSupervisor(PolicyFromHeader(*hl.Header))
-	}
+	// The quarantine budget stays with the coordinator's ledger.
+	policy := PolicyFromHeader(*hl.Header)
 
 	w := &wire{w: out}
 	var written atomic.Int64
@@ -148,7 +149,7 @@ func ServeWorker(in io.Reader, out io.Writer) error {
 			stopHeartbeat = heartbeat(w, &written, time.Duration(plan.HeartbeatNS))
 		}
 		stream := &chunkStream{w: w, index: plan.Index, written: &written, drills: first}
-		if at, err := core.ExecuteChunk(runner, plan.Jobs, max(plan.Parallelism, 1), sup, stream); err != nil {
+		if at, err := core.ExecuteChunk(runner, plan.Jobs, max(plan.Parallelism, 1), policy, stream); err != nil {
 			// The error record must be the stream's final line.
 			stopHeartbeat()
 			w.writeLine(journal.Record{Kind: journal.KindError, Index: plan.Index[at], Message: err.Error()})

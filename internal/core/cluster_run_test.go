@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -29,17 +28,81 @@ func clusterSpecs() []inject.FaultSpec {
 	}
 }
 
-func runClusterSet(t *testing.T, def workload.Definition, cfg ClusterConfig, specs []inject.FaultSpec, par int, freshBoot bool) *SetResult {
+// clusterDormantSpecs adds two kernel faults on each MSCS standby node
+// to clusterSpecs, for three on each. A standby calls nothing under
+// failover routing, so all three are dormant, and at width 1 the second
+// and third on each node are copies.
+func clusterDormantSpecs() []inject.FaultSpec {
+	return append(clusterSpecs(),
+		inject.FaultSpec{Function: "WriteFile", Param: 1, Invocation: 1, Type: inject.ZeroBits, Node: 1},
+		inject.FaultSpec{Function: "CreateEventA", Param: 0, Invocation: 1, Type: inject.ZeroBits, Node: 2},
+		inject.FaultSpec{Function: "CreateMailslotA", Param: 0, Invocation: 1, Type: inject.OneBits, Node: 1},
+		inject.FaultSpec{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits, Node: 2},
+	)
+}
+
+// roundRobinSpecs is ordered against a template shared by every node.
+// Under round-robin routing IIS with no middleware calls ReadFile and
+// InterlockedIncrement on node 1 but not on node 2, so node 2's
+// template, which comes first, would answer node 1's live faults with a
+// fault-free run.
+func roundRobinSpecs() []inject.FaultSpec {
+	return []inject.FaultSpec{
+		{Function: "CreateMailslotA", Param: 0, Invocation: 1, Type: inject.ZeroBits, Node: 2},
+		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.ZeroBits, Node: 1},
+		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits, Node: 1},
+		{Function: "InterlockedIncrement", Param: 0, Invocation: 1, Type: inject.OneBits, Node: 1},
+		{Function: "CreateMailslotA", Param: 0, Invocation: 1, Type: inject.OneBits, Node: 1},
+		{Function: "CreateMailslotA", Param: 0, Invocation: 1, Type: inject.FlipBits, Node: 2},
+	}
+}
+
+// artifacts is what a campaign leaves: its archive and, when traced,
+// its merged JSONL trace and metrics text.
+type artifacts struct {
+	archive, trace []byte
+	metrics        string
+}
+
+// clusterArtifacts runs specs as one campaign and returns its artifacts,
+// the trace and metrics only when opts enables telemetry.
+func clusterArtifacts(t *testing.T, def workload.Definition, opts RunnerOptions, specs []inject.FaultSpec, par int) artifacts {
 	t.Helper()
-	opts := DefaultRunnerOptions()
-	opts.Cluster = cfg
-	opts.FreshBoot = freshBoot
 	c := NewCampaign(NewRunner(def, opts), WithSpecs(specs), WithParallelism(par))
 	set, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return set
+	var a artifacts
+	if a.archive, err = json.Marshal(set); err != nil {
+		t.Fatal(err)
+	}
+	if opts.Telemetry.Enabled {
+		var buf bytes.Buffer
+		if err := set.Telemetry.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		a.trace, a.metrics = buf.Bytes(), set.Telemetry.MetricsText()
+		if len(a.trace) == 0 || a.metrics == "" {
+			t.Fatal("telemetry enabled but the trace or metrics is empty")
+		}
+	}
+	return a
+}
+
+// mustEqual fails unless got's archive, trace and metrics equal want's.
+func (got artifacts) mustEqual(t *testing.T, what string, want artifacts) {
+	t.Helper()
+	if !bytes.Equal(got.archive, want.archive) {
+		t.Fatalf("%s: archive diverges:\ngot:  %s\nwant: %s", what, got.archive, want.archive)
+	}
+	if !bytes.Equal(got.trace, want.trace) {
+		determinism.AssertSameTranscript(t, what+": merged trace", string(got.trace), string(want.trace),
+			func(i int, _, _ string) string { return fmt.Sprintf("trace line %d", i+1) })
+	}
+	if got.metrics != want.metrics {
+		t.Fatalf("%s: metrics diverge:\ngot:\n%s\nwant:\n%s", what, got.metrics, want.metrics)
+	}
 }
 
 // TestClusterOneNodeEquivalence: a 1-node cluster is the same machine —
@@ -56,83 +119,62 @@ func TestClusterOneNodeEquivalence(t *testing.T) {
 		for _, traced := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/telemetry=%t", sup, traced), func(t *testing.T) {
 				t.Parallel()
-				artifacts := func(cfg ClusterConfig) (archive, trace []byte, metrics string) {
-					opts := DefaultRunnerOptions()
-					opts.Cluster = cfg
-					opts.Telemetry = telemetry.Options{Enabled: traced}
-					c := NewCampaign(NewRunner(workload.NewIIS(sup), opts), WithSpecs(specs), WithParallelism(1))
-					set, err := c.Run(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if archive, err = json.Marshal(set); err != nil {
-						t.Fatal(err)
-					}
-					if traced {
-						var buf bytes.Buffer
-						if err := set.Telemetry.WriteJSONL(&buf); err != nil {
-							t.Fatal(err)
-						}
-						trace, metrics = buf.Bytes(), set.Telemetry.MetricsText()
-						if len(trace) == 0 || metrics == "" {
-							t.Fatal("telemetry enabled but the trace or metrics is empty")
-						}
-					}
-					return archive, trace, metrics
-				}
-				host, hostTrace, hostMetrics := artifacts(ClusterConfig{})
-				one, oneTrace, oneMetrics := artifacts(ClusterConfig{Nodes: 1})
-				if !bytes.Equal(host, one) {
-					t.Fatalf("1-node cluster archive diverges from the single host:\nhost:    %s\ncluster: %s", host, one)
-				}
-				if !bytes.Equal(hostTrace, oneTrace) {
-					determinism.AssertSameTranscript(t, "merged trace", string(oneTrace), string(hostTrace),
-						func(i int, _, _ string) string { return fmt.Sprintf("trace line %d", i+1) })
-				}
-				if oneMetrics != hostMetrics {
-					t.Fatalf("1-node cluster metrics diverge from the single host:\nhost:\n%s\ncluster:\n%s", hostMetrics, oneMetrics)
-				}
+				opts := DefaultRunnerOptions()
+				opts.Telemetry = telemetry.Options{Enabled: traced}
+				host := clusterArtifacts(t, workload.NewIIS(sup), opts, specs, 1)
+				opts.Cluster = ClusterConfig{Nodes: 1}
+				one := clusterArtifacts(t, workload.NewIIS(sup), opts, specs, 1)
+				one.mustEqual(t, "1-node cluster vs single host", host)
 			})
 		}
 	}
 }
 
 // TestClusterParallelDeterminism is the cluster acceptance oracle: a
-// 3-node campaign's archive is byte-identical at every worker count.
+// 3-node campaign's archive is byte-identical at every worker count,
+// whichever worker's standby-node run becomes that node's template.
 func TestClusterParallelDeterminism(t *testing.T) {
 	def := workload.NewIIS(workload.MSCS)
-	cfg := ClusterConfig{Nodes: 3}
-	base := runClusterSet(t, def, cfg, clusterSpecs(), 1, false)
-	baseJSON, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := DefaultRunnerOptions()
+	opts.Cluster = ClusterConfig{Nodes: 3}
+	base := clusterArtifacts(t, def, opts, clusterDormantSpecs(), 1)
 	for _, par := range []int{4, 16} {
-		got := runClusterSet(t, def, cfg, clusterSpecs(), par, false)
-		gotJSON, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(baseJSON, gotJSON) {
-			t.Fatalf("par=%d: cluster archive bytes diverge from sequential", par)
-		}
+		clusterArtifacts(t, def, opts, clusterDormantSpecs(), par).mustEqual(t, fmt.Sprintf("par=%d vs sequential", par), base)
 	}
 }
 
-// TestClusterFreshBootMatchesFork: the per-node boot-prefix fork is an
-// optimization only — forcing fresh boots produces the identical set.
+// TestClusterFreshBootMatchesFork: the per-node boot-prefix fork and
+// the per-node dormant-run copies are optimizations only — forcing fresh
+// boots produces the identical archive, merged trace and metrics. Two
+// lists hold several dormant faults per node: the MSCS standbys call
+// nothing, and under round-robin routing nodes 1 and 2 call different
+// functions (see roundRobinSpecs, which runs in order at width 1).
 func TestClusterFreshBootMatchesFork(t *testing.T) {
+	type tc struct {
+		name    string
+		sup     workload.Supervision
+		routing string
+		specs   []inject.FaultSpec
+		par     int
+	}
+	cases := []tc{
+		{"MSCS-failover-dormant", workload.MSCS, "failover", clusterDormantSpecs(), 1},
+		{"none-round-robin-dormant", workload.Standalone, "round-robin", roundRobinSpecs(), 1},
+	}
 	for _, sup := range []workload.Supervision{workload.Standalone, workload.MSCS, workload.Watchd} {
-		sup := sup
-		t.Run(sup.String(), func(t *testing.T) {
+		cases = append(cases, tc{sup.String(), sup, "round-robin", clusterSpecs(), 2})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			def := workload.NewIIS(sup)
-			cfg := ClusterConfig{Nodes: 3, Routing: "round-robin"}
-			fresh := runClusterSet(t, def, cfg, clusterSpecs(), 2, true)
-			forked := runClusterSet(t, def, cfg, clusterSpecs(), 2, false)
-			if !reflect.DeepEqual(fresh, forked) {
-				t.Fatal("forked cluster campaign diverges from fresh-boot")
-			}
+			def := workload.NewIIS(c.sup)
+			opts := DefaultRunnerOptions()
+			opts.Cluster = ClusterConfig{Nodes: 3, Routing: c.routing}
+			opts.Telemetry = telemetry.Options{Enabled: true}
+			forked := clusterArtifacts(t, def, opts, c.specs, c.par)
+			opts.FreshBoot = true
+			fresh := clusterArtifacts(t, def, opts, c.specs, c.par)
+			forked.mustEqual(t, "forked cluster campaign vs fresh-boot", fresh)
 		})
 	}
 }
@@ -151,12 +193,11 @@ func TestClusterForkFallback(t *testing.T) {
 		return def
 	}
 	specs := clusterSpecs()[:3]
-	cfg := ClusterConfig{Nodes: 2}
-	fresh := runClusterSet(t, mkDef(), cfg, specs, 1, true)
-	fallback := runClusterSet(t, mkDef(), cfg, specs, 1, false)
-	if !reflect.DeepEqual(fresh, fallback) {
-		t.Fatal("non-snapshottable cluster fallback diverges from fresh-boot")
-	}
+	opts := DefaultRunnerOptions()
+	opts.Cluster = ClusterConfig{Nodes: 2}
+	fallback := clusterArtifacts(t, mkDef(), opts, specs, 1)
+	opts.FreshBoot = true
+	fallback.mustEqual(t, "non-snapshottable cluster fallback vs fresh-boot", clusterArtifacts(t, mkDef(), opts, specs, 1))
 }
 
 // TestMSCSCrossNodeFailover pins the headline behaviour: crashing the

@@ -222,25 +222,26 @@ func (r *Runner) prefixSnapshot() (*ntsim.PrefixSnapshot, error) {
 
 // Run executes one fault-injection run. A nil spec is the fault-free
 // calibration run. A dormant spec (see Dormant) returns a relabelled
-// copy of the runner's first executed dormant run instead of simulating;
-// until that run exists, dormant specs simply execute.
+// copy of the runner's first executed dormant run on the spec's node
+// instead of simulating; until that run exists, dormant specs on that
+// node simply execute.
 func (r *Runner) Run(spec *inject.FaultSpec) (*RunResult, error) {
 	ok := r.usesTemplate(spec)
 	if ok {
-		if t := r.dormant.get(); t != nil && Dormant(*spec, r.Opts.Cluster.Nodes, t.activated) {
+		if t := r.dormant.get(spec.Node); t != nil && Dormant(*spec, t.activated) {
 			return copyDormant(t.res, *spec), nil
 		}
 	}
 	res, activated, err := r.run(spec)
-	if ok && err == nil && Dormant(*spec, r.Opts.Cluster.Nodes, activated) {
+	if ok && err == nil && Dormant(*spec, activated) {
 		r.dormant.offer(res, activated)
 	}
 	return res, err
 }
 
 // ActivationScan runs the fault-free calibration pass and returns the set
-// of functions the target activates (the paper's Table 1 measurement and
-// the input to the skip rule).
+// of functions the target activates on any node (the paper's Table 1
+// measurement and the input to the skip rule).
 func (r *Runner) ActivationScan() (map[string]bool, *RunResult, error) {
 	res, activated, err := r.run(nil)
 	return activated, res, err
@@ -249,12 +250,16 @@ func (r *Runner) ActivationScan() (map[string]bool, *RunResult, error) {
 // run is the per-run lifecycle of the paper's Figure 1: prepare the
 // workload programs, start the server (injecting the fault), wait for the
 // server to be up, start the client, wait for workload termination, and
-// gather results. Every run executes on max(1, Cluster.Nodes) nodes of one
-// machine under one shared clock, each node with its own SCM, eventlog
-// and injector. A single host is the one-node case, and only four things
-// set it apart: its clients share node 0's kernel, so there is no client
-// host, router or dialer; a node crash spares those clients; a partition
-// has no link to cut; and its record carries no per-node slices.
+// gather results. Besides the record it returns the functions the target
+// called: for a kernel fault those on the faulted node, the set its
+// dormancy is judged by, else those on any node (the record's
+// ActivatedFns counts that union either way). Every run executes on
+// max(1, Cluster.Nodes) nodes of one machine under one shared clock,
+// each node with its own SCM, eventlog and injector. A single host is
+// the one-node case, and only four things set it apart: its clients
+// share node 0's kernel, so there is no client host, router or dialer; a
+// node crash spares those clients; a partition has no link to cut; and
+// its record carries no per-node slices.
 func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error) {
 	def := r.Def
 	n := max(1, r.Opts.Cluster.Nodes)
@@ -535,8 +540,12 @@ func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error
 	if spec != nil {
 		res.Fault = *spec
 		if kspec != nil {
-			res.Activated = injectors[kspec.Node].Activated(kspec.Function)
-			res.Injected = injectors[kspec.Node].Injected()
+			in := injectors[kspec.Node]
+			res.Activated = in.Activated(kspec.Function)
+			res.Injected = in.Injected()
+			if n > 1 { // on one node the union is the node's own set
+				activated = in.ActivatedFunctions()
+			}
 		} else {
 			// A scenario fault "activates" when its trigger fires.
 			res.Activated = scenFired

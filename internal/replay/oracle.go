@@ -17,15 +17,18 @@ import (
 // yield byte-identical records):
 //
 //  1. Fault-free synthesis. A dormant fault (core.Dormant: a catalog
-//     function the target's own calibration run never calls, on a
-//     single host and node 0) can never arm; the run *is* the
+//     function the target's own calibration run calls on no node, so
+//     not on the fault's node either) can never arm; the run *is* the
 //     calibration run carrying a dormant fault spec. The record is
 //     synthesized from the target calibration result, so it is exact
 //     under the target substrate even when the source ran under a
 //     different middleware family with different virtual timings (the
 //     cross-family case, where no recorded byte can be reused). The
-//     runner copies dormant runs by the same rule (core.Dormant), so
-//     with elision on no dormant job ever reaches it.
+//     oracle judges by the calibration's union over every node, which
+//     is sound but weaker than the runner's per-node judgement: the
+//     runner copies dormant runs by the same rule (core.Dormant) with
+//     its node's own set, so on a cluster it still copies the jobs
+//     whose function only other nodes call.
 //
 //  2. Verbatim copy, watchd v2 <-> v3 only. The two generations differ
 //     solely in how they react to a service death; their supervision
@@ -105,7 +108,7 @@ func (o *Oracle) Resolve(p *core.Prepared) ([]*core.RunResult, error) {
 // faultFree returns the synthesized record when the spec provably never
 // arms under the target (core.Dormant), nil otherwise.
 func (o *Oracle) faultFree(spec inject.FaultSpec, p *core.Prepared) *core.RunResult {
-	if !core.Dormant(spec, o.clusterNodes, p.Activated) {
+	if !core.Dormant(spec, p.Activated) {
 		return nil
 	}
 	r := *p.Calib

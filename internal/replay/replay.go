@@ -134,7 +134,8 @@ type Options struct {
 	Target middleware.Spec
 	// Cluster overrides the recorded topology when non-nil (a topology
 	// change disqualifies verbatim-copy elision; fault-free synthesis
-	// still applies on single-host targets).
+	// still applies, on any topology, to a fault whose function the
+	// target calls on no node).
 	Cluster *core.ClusterConfig
 	// Parallelism is the worker-pool width for re-executed runs.
 	Parallelism int

@@ -62,6 +62,13 @@ func journalCampaign(t *testing.T, specs []inject.FaultSpec, spec middleware.Spe
 		runner.Opts.Telemetry.Enabled = true
 		runner.Opts.Telemetry.TraceCap = 256
 	}
+	return journalRun(t, runner, specs)
+}
+
+// journalRun runs the spec list supervised+journaled on runner and
+// returns the journal path.
+func journalRun(t *testing.T, runner *core.Runner, specs []inject.FaultSpec) string {
+	t.Helper()
 	h := shard.HeaderFor(runner)
 	h.FaultList = "testlist"
 	path := filepath.Join(t.TempDir(), "source.journal")
@@ -79,13 +86,13 @@ func journalCampaign(t *testing.T, specs []inject.FaultSpec, spec middleware.Spe
 	return path
 }
 
-// fromScratch runs the spec list under the substrate — the ground truth
-// a replayed archive must match byte for byte. It boots
-// every run fresh, so no run is a dormant-run copy resting on the same
-// rule (core.Dormant) as the oracle's fault-free synthesis.
-func fromScratch(t *testing.T, specs []inject.FaultSpec, spec middleware.Spec) *core.SetResult {
+// fromScratch runs the spec list on runner — the ground truth a
+// replayed archive must match byte for byte. It boots every run fresh,
+// so no run is a dormant-run copy resting on the same rule
+// (core.Dormant) as the oracle's fault-free synthesis.
+func fromScratch(t *testing.T, runner *core.Runner, specs []inject.FaultSpec) *core.SetResult {
 	t.Helper()
-	set, err := core.NewCampaign(runnerFor(t, spec),
+	set, err := core.NewCampaign(runner,
 		core.WithSpecs(specs), core.WithParallelism(4), core.WithFreshBoot()).Run(context.Background())
 	if err != nil {
 		t.Fatalf("from-scratch campaign: %v", err)
@@ -129,7 +136,7 @@ func TestReplayCrossFamilyEquivalence(t *testing.T) {
 	source := middleware.Spec{Supervision: workload.Standalone}
 	target, _ := middleware.Parse("watchd-v3")
 	path := journalCampaign(t, specs, source, false)
-	want := archiveBytes(t, fromScratch(t, specs, target))
+	want := archiveBytes(t, fromScratch(t, runnerFor(t, target), specs))
 
 	for _, par := range []int{1, 4, 16} {
 		set, oracle := replayTo(t, path, target, par, false)
@@ -150,6 +157,35 @@ func TestReplayCrossFamilyEquivalence(t *testing.T) {
 	}
 }
 
+// TestReplayClusterFaultFree: fault-free synthesis holds on a cluster
+// target. A 3-node campaign under no middleware, its catalog faults
+// addressed to nodes 1 and 2, replays to MSCS with the oracle
+// synthesizing every fault whose function the MSCS calibration run
+// calls on no node, and the archive still equals the from-scratch MSCS
+// campaign, which simulates every run.
+func TestReplayClusterFaultFree(t *testing.T) {
+	cluster := core.ClusterConfig{Nodes: 3}
+	specs := testSpecs(30)
+	for i := range specs {
+		specs[i].Node = 1 + i%2
+	}
+	source := runnerFor(t, middleware.Spec{Supervision: workload.Standalone})
+	source.Opts.Cluster = cluster
+	path := journalRun(t, source, specs)
+	target, _ := middleware.Parse("mscs")
+	scratch := runnerFor(t, target)
+	scratch.Opts.Cluster = cluster
+	want := archiveBytes(t, fromScratch(t, scratch, specs))
+
+	set, oracle := replayTo(t, path, target, 4, false)
+	if got := archiveBytes(t, set); got != want {
+		t.Fatal("replayed 3-node archive differs from the from-scratch MSCS archive")
+	}
+	if st := oracle.Stats(); st.FaultFree == 0 || st.Copied != 0 || st.Total != len(specs) {
+		t.Fatalf("want fault-free synthesis and no verbatim copy on a cluster target, got %+v", st)
+	}
+}
+
 // TestReplayWatchdGenerationCopy: watchd v2 -> v3 admits verbatim copy
 // for quiet runs, and the result still matches from-scratch v3 exactly.
 func TestReplayWatchdGenerationCopy(t *testing.T) {
@@ -157,7 +193,7 @@ func TestReplayWatchdGenerationCopy(t *testing.T) {
 	source, _ := middleware.Parse("watchd-v2")
 	target, _ := middleware.Parse("watchd-v3")
 	path := journalCampaign(t, specs, source, true)
-	want := archiveBytes(t, fromScratch(t, specs, target))
+	want := archiveBytes(t, fromScratch(t, runnerFor(t, target), specs))
 
 	set, oracle := replayTo(t, path, target, 4, false)
 	if got := archiveBytes(t, set); got != want {
@@ -177,7 +213,7 @@ func TestReplayNoElide(t *testing.T) {
 	source := middleware.Spec{Supervision: workload.Standalone}
 	target, _ := middleware.Parse("mscs")
 	path := journalCampaign(t, specs, source, false)
-	want := archiveBytes(t, fromScratch(t, specs, target))
+	want := archiveBytes(t, fromScratch(t, runnerFor(t, target), specs))
 
 	set, oracle := replayTo(t, path, target, 4, true)
 	if got := archiveBytes(t, set); got != want {

@@ -119,3 +119,16 @@ func FuzzHandshake(f *testing.F) {
 		}
 	})
 }
+
+// TestHandshakeLineBounded: the server reads a hello before it knows
+// who is asking, so a peer that sends an endless line must cost it one
+// read buffer, not memory without bound.
+func TestHandshakeLineBounded(t *testing.T) {
+	sc := &scriptedConn{script: bytes.Repeat([]byte("a"), 64<<10)}
+	if _, err := NewWorkerServer("", nil).authenticate(sc); err == nil {
+		t.Fatal("server accepted 64 KB of hello with no newline")
+	}
+	if read := len(sc.script) - sc.in.Len(); read > 4096 {
+		t.Fatalf("server read %d bytes of an unterminated hello, want at most 4096", read)
+	}
+}

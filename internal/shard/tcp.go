@@ -58,9 +58,12 @@ func writeCtrl(w io.Writer, c ctrl) error {
 	return err
 }
 
-// readCtrl reads one line and decodes it as a handshake line.
+// readCtrl reads one line and decodes it as a handshake line. The line
+// must fit br's buffer (handshake lines are under 200 bytes), so a peer
+// that never sends a newline costs the reader one buffer, not memory
+// without bound: ReadSlice fails with bufio.ErrBufferFull.
 func readCtrl(br *bufio.Reader) (ctrl, error) {
-	line, err := br.ReadBytes('\n')
+	line, err := br.ReadSlice('\n')
 	if err != nil {
 		return ctrl{}, err
 	}

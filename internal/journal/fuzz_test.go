@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -245,4 +246,159 @@ func FuzzAppendRun(f *testing.F) {
 			t.Fatalf("spliced line with a plain key missed the fast path: %s", line)
 		}
 	})
+}
+
+// FuzzReplayCorrupt damages a journal once, at a fuzzed offset: a byte
+// overwritten, a newline inserted, or the file cut there, with or
+// without its checkpoint sidecar. The journal holds a header, a plan,
+// an assign line, run lines with and without a trace, and a quarantine.
+// Replay must return what replayLineByLine returns for the same bytes:
+// the same Replayed, payload bytes included, or the same error text.
+func FuzzReplayCorrupt(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "full.journal")
+	w, err := Create(path, testHeader())
+	if err != nil {
+		f.Fatal(err)
+	}
+	tel := json.RawMessage(`{"cap":8,"events":[{"at":1,"pid":4,"kind":"exit","name":"w3svc"}],"counters":{"proc.exit":1}}`)
+	for _, write := range []func() error{
+		func() error { return w.WritePlan([]string{"a/0/1/1", "b/0/1/1", "c/0/1/1", "d/0/1/1"}, "fp") },
+		func() error { return w.WriteAssign(1, "assigned", []int{0, 1, 2, 3}) },
+		func() error { return w.WriteRun(0, "a/0/1/1", 1, json.RawMessage(`{"outcome":1}`), tel) },
+		func() error { return w.WriteRun(1, "b/0/1/1", 1, json.RawMessage(`{"outcome":2}`), nil) },
+		func() error {
+			return w.WriteQuarantine(2, "c/0/1/1", json.RawMessage(`{"function":"c"}`), "panic", "boom", "stack", 3)
+		},
+		func() error { return w.WriteRun(3, "d/0/1/1", 2, json.RawMessage(`{"outcome":3}`), tel) },
+		w.Sync,
+		w.Close,
+	} {
+		if err := write(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ckpt, err := os.ReadFile(path + ".ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	// Seed every kind of damage at the start, the middle and the newline
+	// of every line, and at the end of the file.
+	for start := 0; start < len(full); {
+		end := start + bytes.IndexByte(full[start:], '\n') + 1
+		for _, off := range []int{start, (start + end) / 2, end - 1} {
+			for op := uint8(0); op < 3; op++ {
+				f.Add(op, uint64(off), byte('X'), false)
+				f.Add(op, uint64(off), byte('}'), true)
+			}
+		}
+		start = end
+	}
+	f.Add(uint8(1), uint64(len(full)), byte(0), false)
+
+	f.Fuzz(func(t *testing.T, op uint8, off uint64, b byte, withCkpt bool) {
+		var data []byte
+		switch op % 3 {
+		case 0: // one byte overwritten
+			data = bytes.Clone(full)
+			data[off%uint64(len(full))] = b
+		case 1: // a newline inserted
+			i := off % uint64(len(full)+1)
+			data = append(append(bytes.Clone(full[:i]), '\n'), full[i:]...)
+		case 2: // the file cut
+			data = bytes.Clone(full[:off%uint64(len(full)+1)])
+		}
+		p := filepath.Join(t.TempDir(), "damaged.journal")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if withCkpt {
+			if err := os.WriteFile(p+".ckpt", ckpt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, gotErr := Replay(p)
+		want, wantErr := replayLineByLine(p)
+		damage := fmt.Sprintf("damage %d at %d of %d (checkpoint %v)", op%3, off, len(full), withCkpt)
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("%s: error %q, want %q", damage, errText(gotErr), errText(wantErr))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s:\n got %+v\nwant %+v", damage, got, want)
+		}
+	})
+}
+
+// replayLineByLine is the reference FuzzReplayCorrupt holds Replay to:
+// the journal read one line at a time through decodeLine, in file order.
+// An unterminated final line is torn, a line that does not decode is
+// torn when nothing follows it and corrupt otherwise, and the first
+// line that fails to decode or to apply ends the read.
+func replayLineByLine(path string) (*Replayed, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("journal read: %w", err)
+	}
+	rep := &Replayed{
+		Runs:        make(map[int]*Record),
+		Quarantined: make(map[int]*Record),
+	}
+	for n := 1; len(data) > 0; n++ {
+		end := bytes.IndexByte(data, '\n')
+		if end < 0 {
+			rep.Torn = true
+			break
+		}
+		line, err := decodeLine(data[:end])
+		if err != nil {
+			if end+1 == len(data) {
+				rep.Torn = true
+				break
+			}
+			return nil, fmt.Errorf("journal %s: corrupt line %d: %v", path, n, err)
+		}
+		switch line.Kind {
+		case KindHeader:
+			if n != 1 {
+				return nil, fmt.Errorf("journal %s: header on line %d", path, n)
+			}
+			rep.Header = *line.Header
+		case KindPlan:
+			if rep.Plan != nil {
+				return nil, fmt.Errorf("journal %s: duplicate plan on line %d", path, n)
+			}
+			rep.Plan = line.Plan
+		case KindRun:
+			rep.Runs[line.Rec.Index] = line.Rec
+			rep.Records++
+		case KindQuarantine:
+			rep.Quarantined[line.Rec.Index] = line.Rec
+			rep.Records++
+		case KindAssign:
+			rep.Dispatch = append(rep.Dispatch, DispatchEvent{
+				Worker: line.Rec.Worker, Event: line.Rec.Event, Indices: line.Rec.Indices,
+			})
+		default:
+			return nil, fmt.Errorf("journal %s: stray stream record %q on line %d", path, line.Kind, n)
+		}
+		rep.ValidBytes += int64(end + 1)
+		data = data[end+1:]
+	}
+	if rep.Header.Kind != KindHeader {
+		return nil, fmt.Errorf("journal %s: missing header", path)
+	}
+	if rep.Header.Version != Version {
+		return nil, fmt.Errorf("journal %s: version %d, want %d", path, rep.Header.Version, Version)
+	}
+	if ckpt, err := readCheckpoint(path); err == nil && ckpt != nil {
+		if rep.ValidBytes < ckpt.Bytes || rep.Records < ckpt.Records {
+			return nil, fmt.Errorf("journal %s: shorter than checkpoint (%d/%d bytes, %d/%d records) — corrupt, not torn",
+				path, rep.ValidBytes, ckpt.Bytes, rep.Records, ckpt.Records)
+		}
+	}
+	return rep, nil
 }

@@ -28,16 +28,17 @@ package journal
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
 
 	"ntdts/internal/jsonwire"
+	"ntdts/internal/workpool"
 )
 
 // Version is the journal format version; Replay rejects others.
@@ -491,41 +492,53 @@ type Replayed struct {
 // Replay parses a journal, discarding a torn final line (the signature
 // of a killed process) and rejecting corruption anywhere else. The
 // checkpoint sidecar, when present, tightens the classification: a
-// journal shorter than its last checkpoint is corrupt, not torn. Replay
-// is the file-shaped use of the streaming reader the shard protocol
-// reads live pipes with (Stream).
+// journal shorter than its last checkpoint is corrupt, not torn.
+//
+// Replay reads the file in one call and splits it at newlines. The
+// lines decode on workpool.Run, each through decodeRaw, the torn/corrupt
+// rule Stream.Next applies to a live pipe, and every run record's Result
+// and Tel alias the one file buffer instead of copying it, so the buffer
+// lives as long as any record does. The decoded lines then apply in file
+// order: the header must be line 1, there is at most one plan, and a
+// wire-only kind is an error. The first line that fails, whether it
+// does not decode or does not apply, decides the outcome, as it would in
+// a line-by-line read.
 func Replay(path string) (*Replayed, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal read: %w", err)
 	}
-	defer f.Close()
+	// Each line keeps its newline; only the last may lack one.
+	raws := bytes.SplitAfter(data, []byte{'\n'})
+	if len(raws[len(raws)-1]) == 0 {
+		raws = raws[:len(raws)-1]
+	}
+	lines := make([]*Line, len(raws))
+	// The pool reports the lowest line that failed, and every line below
+	// it decoded, so the first nil in lines is the line derr names.
+	derr := workpool.Run(context.TODO(), len(raws), 0, func() func(int) error {
+		return func(i int) (err error) {
+			lines[i], err = decodeRaw(raws[i], i+1, func() bool { return i == len(raws)-1 })
+			return err
+		}
+	})
 	rep := &Replayed{
 		Runs:        make(map[int]*Record),
 		Quarantined: make(map[int]*Record),
 	}
-	st := NewStream(f)
-	for {
-		line, err := st.Next()
-		if err == io.EOF {
+	for i, line := range lines {
+		if line == nil {
 			break
 		}
-		if errors.Is(err, ErrTorn) {
-			rep.Torn = true
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("journal %s: corrupt %v", path, err)
-		}
-		switch line.Kind {
+		switch n := i + 1; line.Kind {
 		case KindHeader:
-			if st.LineNo() != 1 {
-				return nil, fmt.Errorf("journal %s: header on line %d", path, st.LineNo())
+			if n != 1 {
+				return nil, fmt.Errorf("journal %s: header on line %d", path, n)
 			}
 			rep.Header = *line.Header
 		case KindPlan:
 			if rep.Plan != nil {
-				return nil, fmt.Errorf("journal %s: duplicate plan on line %d", path, st.LineNo())
+				return nil, fmt.Errorf("journal %s: duplicate plan on line %d", path, n)
 			}
 			rep.Plan = line.Plan
 		case KindRun:
@@ -542,10 +555,16 @@ func Replay(path string) (*Replayed, error) {
 		default:
 			// Heartbeat/done/error lines live on shard streams only; in a
 			// journal file they mean someone saved a raw worker stream.
-			return nil, fmt.Errorf("journal %s: stray stream record %q on line %d", path, line.Kind, st.LineNo())
+			return nil, fmt.Errorf("journal %s: stray stream record %q on line %d", path, line.Kind, n)
 		}
+		rep.ValidBytes += int64(len(raws[i]))
 	}
-	rep.ValidBytes = st.Offset()
+	switch {
+	case errors.Is(derr, ErrTorn):
+		rep.Torn = true
+	case derr != nil:
+		return nil, fmt.Errorf("journal %s: corrupt %v", path, derr)
+	}
 	if rep.Header.Kind != KindHeader {
 		return nil, fmt.Errorf("journal %s: missing header", path)
 	}

@@ -4,10 +4,11 @@ package journal
 // (internal/shard) reuses journal records as its wire format — a worker
 // process streams one record per completed run back to its coordinator
 // over a pipe — so the reader must work incrementally on a live stream,
-// not just on a finished file. Replay is built on the same reader: a
-// journal file is simply a stream that happens to be complete.
+// not just on a finished file. Replay reads a finished file, whole, and
+// decodes its lines on the pool; both decode every line through
+// decodeRaw, so a line means the same on a pipe and in a file.
 //
-// Torn-tail semantics match the file replay rules: a final line that is
+// Torn-tail semantics are decodeRaw's: a final line that is
 // unterminated, or terminated but unparsable, is the signature of a
 // killed writer and surfaces as ErrTorn; an unparsable line anywhere
 // before the end of the stream is corruption and a hard error.
@@ -62,7 +63,6 @@ type Line struct {
 type Stream struct {
 	br     *bufio.Reader
 	lineNo int
-	offset int64  // bytes consumed through the last successfully decoded line
 	buf    []byte // spill buffer for lines longer than the bufio window, reused across records
 }
 
@@ -71,52 +71,60 @@ func NewStream(r io.Reader) *Stream {
 	return &Stream{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// Offset returns the byte offset of the verified record-complete prefix:
-// everything up to and including the last line Next returned. This is
-// what Replayed.ValidBytes records and Append truncates to.
-func (s *Stream) Offset() int64 { return s.offset }
-
-// LineNo returns the 1-based number of the last line read.
-func (s *Stream) LineNo() int { return s.lineNo }
-
 // Next returns the next decoded line. At a clean end of stream it
 // returns io.EOF; a torn final line returns ErrTorn; garbage before the
 // end of the stream is a hard error.
 func (s *Stream) Next() (*Line, error) {
 	raw, err := s.readLine()
-	if err == io.EOF {
-		if len(raw) == 0 {
-			return nil, io.EOF
-		}
-		// Writers always terminate lines with a single Write, so an
-		// unterminated final line is torn by definition.
-		return nil, ErrTorn
+	if err == io.EOF && len(raw) == 0 {
+		return nil, io.EOF
 	}
-	if err != nil {
+	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("journal stream read: %w", err)
 	}
 	s.lineNo++
-	line, derr := decodeLine(raw[:len(raw)-1])
-	if derr != nil {
-		// Corrupt or torn? A crash can tear mid-buffer, leaving a
-		// terminated but unparsable last line. Peek: if nothing follows,
-		// classify as torn; otherwise the corruption is mid-stream. On a
-		// live pipe Peek blocks until the writer produces more bytes or
-		// dies — either resolves the classification.
-		if _, perr := s.br.Peek(1); perr == io.EOF {
-			return nil, ErrTorn
-		}
-		return nil, fmt.Errorf("line %d: %w", s.lineNo, derr)
+	line, err := decodeRaw(raw, s.lineNo, func() bool {
+		// On a live pipe Peek blocks until the writer produces more
+		// bytes or dies; either resolves the classification.
+		_, perr := s.br.Peek(1)
+		return perr == io.EOF
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.offset += int64(len(raw))
+	if rec := line.Rec; rec != nil {
+		// The run-line payloads alias raw, which the next read reuses.
+		rec.Result, rec.Tel = bytes.Clone(rec.Result), bytes.Clone(rec.Tel)
+	}
 	return line, nil
+}
+
+// decodeRaw decodes one raw line, its newline included when it has one,
+// and tells a torn line from a corrupt one. An unterminated line is torn
+// by definition, since writers terminate every line in a single Write.
+// A terminated line that does not decode is torn when it is the last
+// line (last reports that nothing follows it: a crash can tear
+// mid-buffer) and otherwise corruption, reported by its 1-based number.
+// last is called only for a line that does not decode.
+func decodeRaw(raw []byte, lineNo int, last func() bool) (*Line, error) {
+	if len(raw) == 0 || raw[len(raw)-1] != '\n' {
+		return nil, ErrTorn
+	}
+	line, err := decodeLine(raw[:len(raw)-1])
+	if err == nil {
+		return line, nil
+	}
+	if last() {
+		return nil, ErrTorn
+	}
+	return nil, fmt.Errorf("line %d: %w", lineNo, err)
 }
 
 // readLine returns the next line including its trailing newline (absent
 // only at EOF). The slice aliases the bufio window or the stream's spill
-// buffer and is valid only until the next call — Next decodes it before
-// reading further, and json.Unmarshal copies what it keeps, so no
-// per-record allocation survives. This keeps the shard wire path (one
+// buffer and is valid only until the next call — Next decodes it and
+// copies the payloads a record keeps before reading further, so no
+// per-record buffer survives. This keeps the shard wire path (one
 // record per completed run, streamed over a pipe) allocation-flat.
 func (s *Stream) readLine() ([]byte, error) {
 	raw, err := s.br.ReadSlice('\n')
@@ -138,7 +146,7 @@ func (s *Stream) readLine() ([]byte, error) {
 // A clean decode carrying a record kind is exactly what decodeLineByKind
 // would return. Header and plan lines, and any line the Record decode
 // rejects, take decodeLineByKind, so every other Line and every error
-// stays as that path spells it.
+// stays as that path spells it. A run record's payloads may alias data.
 func decodeLine(data []byte) (*Line, error) {
 	if rec := decodeRunLine(data); rec != nil {
 		return &Line{Kind: KindRun, Rec: rec}, nil
@@ -154,8 +162,10 @@ func decodeLine(data []byte) (*Line, error) {
 }
 
 // decodeRunLine decodes a run line in the canonical form AppendRun
-// writes, validating each payload and copying it once, and returns the
-// Record json.Unmarshal would. On any deviation it returns nil.
+// writes, validating each payload, and returns the Record json.Unmarshal
+// would. The payloads alias data, capped at their own length so that an
+// append cannot overwrite the bytes after them. On any deviation it
+// returns nil.
 func decodeRunLine(data []byte) *Record {
 	rd := jsonwire.NewReader(data)
 	rec := &Record{Kind: KindRun}
@@ -167,10 +177,12 @@ func decodeRunLine(data []byte) *Record {
 		rec.Attempts = int(rd.Int(strconv.IntSize))
 	}
 	if rd.Skip(`,"result":`) {
-		rec.Result = bytes.Clone(rd.Value())
+		v := rd.Value()
+		rec.Result = v[:len(v):len(v)]
 	}
 	if rd.Skip(`,"tel":`) {
-		rec.Tel = bytes.Clone(rd.Value())
+		v := rd.Value()
+		rec.Tel = v[:len(v):len(v)]
 	}
 	rd.Expect("}")
 	if !rd.Done() {

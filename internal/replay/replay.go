@@ -45,8 +45,9 @@ type Source struct {
 	Torn bool
 }
 
-// SourceRun is one recorded run plus the middleware touchpoints of its
-// recorded trace (HasTrace false when the source ran without
+// SourceRun is one recorded run plus the touchpoint counters of its
+// recorded trace, the restarts, retries and quarantines the oracle's
+// quiet check reads (HasTrace false when the source ran without
 // telemetry — the run-record fields then carry the only evidence).
 type SourceRun struct {
 	Result   *core.RunResult
@@ -54,11 +55,12 @@ type SourceRun struct {
 	HasTrace bool
 }
 
-// Load parses a campaign journal into a replay source. The journal is
-// read in one sequential pass; decoding each run's result and trace, the
-// bulk of the work, runs on workpool.Run in journal-index order. A bad
-// record fails the load with the error of the lowest-indexed one,
-// whatever the pool width.
+// Load parses a campaign journal into a replay source. journal.Replay
+// decodes its lines on the pool; Load then decodes each run's result and
+// reads its trace's touchpoints with telemetry.DecodeTouchpoints, which
+// builds no event, on workpool.Run in journal-index order. A bad record
+// fails the load with the error of the lowest-indexed one, whatever the
+// pool width.
 func Load(path string) (*Source, error) {
 	rep, err := journal.Replay(path)
 	if err != nil {
@@ -84,9 +86,6 @@ func Load(path string) (*Source, error) {
 	for n, i := range indices {
 		recs[n] = rep.Runs[i]
 	}
-	// From here recs holds the only reference to each record's raw bytes,
-	// so a record's bytes can be collected as soon as it is decoded.
-	rep.Runs = nil
 	runs := make([]SourceRun, len(recs))
 	err = workpool.Run(context.TODO(), len(recs), 0, func() func(int) error {
 		return func(n int) error {
@@ -97,14 +96,11 @@ func Load(path string) (*Source, error) {
 			}
 			sr := SourceRun{Result: res}
 			if len(rec.Tel) != 0 {
-				var snap telemetry.Snapshot
-				if err := telemetry.DecodeSnapshot(rec.Tel, &snap); err != nil {
+				if sr.Touch, err = telemetry.DecodeTouchpoints(rec.Tel); err != nil {
 					return fmt.Errorf("replay source %s: run %q trace: %w", path, rec.Key, err)
 				}
-				sr.Touch = snap.Touchpoints()
 				sr.HasTrace = true
 			}
-			rec.Result, rec.Tel = nil, nil
 			runs[n] = sr
 			return nil
 		}

@@ -16,7 +16,8 @@ import (
 // TestCampaignSnapshotsTakeFastPath runs 21 IIS/watchd-v2 faults with
 // telemetry on and checks that every run's journal snapshot — the bytes
 // MarshalRunRecord hands the journal and the fleet wire — decodes on
-// the canonical fast path to what encoding/json decodes. Were the
+// the canonical fast path to what encoding/json decodes, and that the
+// touchpoint read takes the same path to the same counters. Were the
 // encoder to drift from the decoder, every output would stay correct
 // through the fallback and only the speed would be lost; this catches it.
 func TestCampaignSnapshotsTakeFastPath(t *testing.T) {
@@ -52,6 +53,9 @@ func TestCampaignSnapshotsTakeFastPath(t *testing.T) {
 		}
 		if !reflect.DeepEqual(fast, want) {
 			t.Fatalf("run %d: fast path decoded %+v, encoding/json %+v", i, fast, want)
+		}
+		if touch, ok := telemetry.CanonicalTouchpoints(tel); !ok || touch != want.Touchpoints() {
+			t.Fatalf("run %d: touchpoint fast path read %+v (canonical %v), want %+v", i, touch, ok, want.Touchpoints())
 		}
 		if want.Counters[telemetry.CtrFaultActivated] > 0 {
 			activated++

@@ -4,9 +4,10 @@ package telemetry
 // writes carries one Snapshot, so its JSON form is written and read by
 // hand: AppendSnapshotJSON writes exactly json.Marshal's bytes, and
 // DecodeSnapshot reads those canonical bytes in one strict pass, leaving
-// anything else to encoding/json. TestSnapshotCodecFieldSet fails when a
-// field is added to Snapshot, SnapshotEvent or Hist, which both
-// functions below must then learn.
+// anything else to encoding/json. DecodeTouchpoints takes the same pass
+// without storing the trace. TestSnapshotCodecFieldSet fails when a
+// field is added to Snapshot, SnapshotEvent or Hist, which
+// AppendSnapshotJSON and decodeCanonical must then learn.
 
 import (
 	"encoding/json"
@@ -115,16 +116,38 @@ func sortedKeys[V any](m map[string]V) []string {
 // pass; any other input goes to encoding/json.
 func DecodeSnapshot(data []byte, s *Snapshot) error {
 	*s = Snapshot{}
-	if decodeCanonical(data, s) {
+	if decodeCanonical(data, s, nil) {
 		return nil
 	}
 	*s = Snapshot{}
 	return json.Unmarshal(data, s)
 }
 
-// decodeCanonical decodes data into the zero *s and reports whether data
-// was in canonical form. On false, *s holds partial garbage.
-func decodeCanonical(data []byte, s *Snapshot) bool {
+// DecodeTouchpoints returns what DecodeSnapshot(data, &s) followed by
+// s.Touchpoints() returns, with DecodeSnapshot's error. Canonical bytes
+// take the same strict pass, which validates every event and histogram
+// but stores none of them and no other counter; any other input goes to
+// DecodeSnapshot.
+func DecodeTouchpoints(data []byte) (Touchpoints, error) {
+	var t Touchpoints
+	if decodeCanonical(data, nil, &t) {
+		return t, nil
+	}
+	var s Snapshot
+	err := DecodeSnapshot(data, &s)
+	return s.Touchpoints(), err
+}
+
+// decodeCanonical reads data in the canonical form in one strict pass
+// and reports whether data was in it. With s non-nil it decodes into the
+// zero *s. With s nil it reads the same bytes, stores no event or
+// histogram, and sets only the touchpoint counters, in the zero *t. On
+// false, *s or *t holds partial garbage.
+func decodeCanonical(data []byte, s *Snapshot, t *Touchpoints) bool {
+	keep := s != nil
+	if !keep {
+		s = &Snapshot{} // the scalars land here
+	}
 	rd := jsonwire.NewReader(data)
 	rd.Expect(`{"cap":`)
 	s.Cap = int(rd.Int(strconv.IntSize))
@@ -139,9 +162,9 @@ func decodeCanonical(data []byte, s *Snapshot) bool {
 			rd.Expect(`,"pid":`)
 			e.PID = uint32(rd.Uint(32))
 			rd.Expect(`,"kind":`)
-			e.Kind = kindName(rd.String())
+			kind := rd.String()
 			rd.Expect(`,"name":`)
-			e.Name = string(rd.String())
+			name := rd.String()
 			if rd.Skip(`,"a":`) {
 				e.A = rd.Uint(64)
 			}
@@ -149,39 +172,57 @@ func decodeCanonical(data []byte, s *Snapshot) bool {
 				e.B = rd.Uint(64)
 			}
 			rd.Expect("}")
-			s.Events = append(s.Events, e)
+			if keep {
+				e.Kind, e.Name = kindName(kind), string(name)
+				s.Events = append(s.Events, e)
+			}
 		}
 		rd.Expect("]")
 	}
 	if rd.Skip(`,"counters":{`) {
-		s.Counters = make(map[string]int64)
+		if keep {
+			s.Counters = make(map[string]int64)
+		}
 		for more := true; more; more = rd.Skip(",") {
-			k := string(rd.String())
+			k := rd.String()
 			rd.Expect(":")
-			s.Counters[k] = rd.Int(64)
+			v := rd.Int(64)
+			if keep {
+				s.Counters[string(k)] = v
+			} else {
+				t.set(k, v)
+			}
 		}
 		rd.Expect("}")
 	}
 	if rd.Skip(`,"hists":{`) {
-		s.Hists = make(map[string]*Hist)
+		if keep {
+			s.Hists = make(map[string]*Hist)
+		}
 		for more := true; more; more = rd.Skip(",") {
-			k := string(rd.String())
-			h := &Hist{}
+			k := rd.String()
+			var counts []uint64
 			rd.Expect(`:{"Counts":`)
 			if !rd.Skip("null") {
 				rd.Expect("[")
-				h.Counts = make([]uint64, 0, len(histBuckets)+1)
+				if keep {
+					counts = make([]uint64, 0, len(histBuckets)+1)
+				}
 				for more := true; more; more = rd.Skip(",") {
-					h.Counts = append(h.Counts, rd.Uint(64))
+					if c := rd.Uint(64); keep {
+						counts = append(counts, c)
+					}
 				}
 				rd.Expect("]")
 			}
 			rd.Expect(`,"N":`)
-			h.N = rd.Uint(64)
+			n := rd.Uint(64)
 			rd.Expect(`,"Sum":`)
-			h.Sum = time.Duration(rd.Int(64))
+			sum := time.Duration(rd.Int(64))
 			rd.Expect("}")
-			s.Hists[k] = h
+			if keep {
+				s.Hists[string(k)] = &Hist{Counts: counts, N: n, Sum: sum}
+			}
 		}
 		rd.Expect("}")
 	}

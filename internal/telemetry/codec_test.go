@@ -13,12 +13,14 @@ import (
 )
 
 // FuzzSnapshotCodec builds a recorder from fuzzed operations (a ring of
-// 1-8 events that wraps and drops, arbitrary names and keys, negative
-// times, unknown kinds, filled and empty histograms) and holds the codec
-// to encoding/json: AppendSnapshotJSON writes json.Marshal(r.Snapshot()),
-// and DecodeSnapshot, on those bytes and on arbitrary ones, leaves the
-// value and returns the error json.Unmarshal does. Bytes whose strings
-// need no escaping must decode on the fast path.
+// 1-8 events that wraps and drops, arbitrary names and keys, the
+// touchpoint counters, negative times, unknown kinds, filled and empty
+// histograms) and holds the codec to encoding/json: AppendSnapshotJSON
+// writes json.Marshal(r.Snapshot()), and DecodeSnapshot, on those bytes
+// and on arbitrary ones, leaves the value and returns the error
+// json.Unmarshal does. DecodeTouchpoints, on the same bytes, returns the
+// value and the error text of DecodeSnapshot followed by Touchpoints.
+// Bytes whose strings need no escaping must decode on the fast path.
 func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 2, 3, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x70}, "GetTickCount", "proc.exit", int64(5), []byte(`{"cap":8}`))
 	f.Add(uint8(0), []byte("a ring that wraps past its cap"), "q\"<>&\x01\t\u2028\xff", "k\\\u2029/", int64(-1<<40),
@@ -33,9 +35,22 @@ func FuzzSnapshotCodec(f *testing.F) {
 	} {
 		f.Add(uint8(1), []byte{0}, "", "", int64(0), []byte(raw))
 	}
+	// The touchpoint counters: canonical, repeated, escaped, beside a
+	// histogram, and in inputs encoding/json rejects part way through.
+	for _, raw := range []string{
+		`{"cap":1,"counters":{"run.restarts":2,"supervise.quarantined":1,"supervise.retry":3}}`,
+		`{"cap":1,"counters":{"supervise.retry":1,"supervise.retry":2}}`,
+		`{"cap":1,"counters":{"run\u002erestarts":4}}`,
+		`{"cap":1,"counters":{"run.restarts":4},"hists":{"h":{"Counts":[1,2],"N":3,"Sum":4}}}`,
+		`{"cap":1,"counters":{"run.restarts":4,"supervise.retry":"x"}}`,
+		`{"cap":1,"counters":{"run.restarts":4}}x`,
+		`{"cap":-0,"counters":{"supervise.quarantined":1}}`,
+	} {
+		f.Add(uint8(1), []byte{0}, "", "", int64(0), []byte(raw))
+	}
 	f.Fuzz(func(t *testing.T, capN uint8, ops []byte, name, key string, at int64, raw []byte) {
 		r := NewRecorder(int(capN%8) + 1)
-		names := []string{name, key, name + key, ""}
+		names := []string{name, key, name + key, "", CtrRunRestarts, CtrSupRetry, CtrSupQuarantine}
 		var empty []string
 		for i, op := range ops {
 			nm := names[int(op>>2)%len(names)]
@@ -63,13 +78,34 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}
 		checkDecode(t, got)
 		checkDecode(t, raw)
+		checkTouchpoints(t, got)
+		checkTouchpoints(t, raw)
 		if plain(name) && plain(key) {
 			var s Snapshot
-			if !decodeCanonical(got, &s) {
+			if !decodeCanonical(got, &s, nil) {
 				t.Fatalf("canonical bytes missed the fast path: %s", got)
+			}
+			if !decodeCanonical(got, nil, &Touchpoints{}) {
+				t.Fatalf("canonical bytes missed the touchpoint fast path: %s", got)
 			}
 		}
 	})
+}
+
+// checkTouchpoints holds DecodeTouchpoints to DecodeSnapshot followed by
+// Touchpoints on data.
+func checkTouchpoints(t *testing.T, data []byte) {
+	t.Helper()
+	var s Snapshot
+	wantErr := DecodeSnapshot(data, &s)
+	want := s.Touchpoints()
+	got, gotErr := DecodeTouchpoints(data)
+	if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("DecodeTouchpoints(%q) error %q, want %q", data, errText(gotErr), errText(wantErr))
+	}
+	if got != want {
+		t.Fatalf("DecodeTouchpoints(%q) = %+v, want %+v", data, got, want)
+	}
 }
 
 // checkDecode holds DecodeSnapshot to json.Unmarshal on data.

@@ -3,34 +3,37 @@ package telemetry
 // Trace introspection: read-side helpers that summarize what a recorded
 // run's telemetry says about middleware activity, without restoring a
 // live Recorder. The replay divergence oracle (internal/replay) reads
-// Touchpoints off journaled snapshots to decide whether a substrate
-// swap could have changed a run's outcome.
+// Touchpoints off journaled snapshots, with DecodeTouchpoints, to decide
+// whether a substrate swap could have changed a run's outcome.
 
-// Touchpoints counts the middleware-visible activity in one run's
-// snapshot: the fault lifecycle plus every event the supervision layer
-// reacted to (or could have). Zero-valued counters mean the trace shows
-// the middleware never had to act.
+// Touchpoints holds the counters that show the middleware or the
+// supervisor acting on a run. All zero means the trace shows neither
+// ever had to act.
 type Touchpoints struct {
-	FaultArmed     int64
-	FaultActivated int64
-	FaultInjected  int64
-	Restarts       int64 // middleware-initiated service restarts
-	Retries        int64 // supervisor retry attempts
-	Quarantines    int64 // supervisor quarantine decisions
-	ProcExits      int64
+	Restarts    int64 // middleware-initiated service restarts
+	Retries     int64 // supervisor retry attempts
+	Quarantines int64 // supervisor quarantine decisions
 }
 
 // Touchpoints summarizes the snapshot's middleware-visible counters.
 func (s *Snapshot) Touchpoints() Touchpoints {
 	c := s.Counters
 	return Touchpoints{
-		FaultArmed:     c[CtrFaultArmed],
-		FaultActivated: c[CtrFaultActivated],
-		FaultInjected:  c[CtrFaultInjected],
-		Restarts:       c[CtrRunRestarts],
-		Retries:        c[CtrSupRetry],
-		Quarantines:    c[CtrSupQuarantine],
-		ProcExits:      c[CtrExit],
+		Restarts:    c[CtrRunRestarts],
+		Retries:     c[CtrSupRetry],
+		Quarantines: c[CtrSupQuarantine],
+	}
+}
+
+// set records counter name's value when it is a touchpoint counter.
+func (t *Touchpoints) set(name []byte, v int64) {
+	switch string(name) {
+	case CtrRunRestarts:
+		t.Restarts = v
+	case CtrSupRetry:
+		t.Retries = v
+	case CtrSupQuarantine:
+		t.Quarantines = v
 	}
 }
 

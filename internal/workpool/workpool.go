@@ -1,7 +1,8 @@
 // Package workpool is the one index-ordered worker pool every DTS job
 // list runs on: the campaign engine, a fleet worker's chunk (the fleet's
 // in-process drain is an ordinary worker), the conformance sweep, the
-// scenario matrix, the experiment fan-outs and the replay source load.
+// scenario matrix, the experiment fan-outs, the journal read and the
+// replay source load.
 // Callers write each result at its index, so the output is identical at
 // any pool width; the pool guarantees that every index runs at most once
 // and that a failure resolves to the error a sequential loop would have

@@ -273,6 +273,9 @@ func (s *campaignServer) execute(ctx context.Context, c *servedCampaign, runner 
 	}
 	var rep bytes.Buffer
 	printSetSummary(set, &rep)
+	if set.Telemetry != nil {
+		fmt.Fprint(&rep, "\n", set.Telemetry.MetricsText()) // as dts -metrics prints it
+	}
 	c.report = rep.String()
 	done := map[string]any{"event": c.state, "runs": len(set.Runs)}
 	if set.Dispatch != nil {

@@ -192,7 +192,9 @@ func TestServeCampaignLifecycle(t *testing.T) {
 // TestServeArchiveMatchesCLI: a served campaign builds its runner from
 // the same header as dts -config, so its archive is byte-identical to
 // the CLI's over the same config and fault list — in process and on a
-// two-worker fleet.
+// two-worker fleet. The fleet campaign collects telemetry, so its
+// report ends with the metrics block dts -metrics prints; the
+// in-process one collects none, and its report has no counters.
 func TestServeArchiveMatchesCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real campaigns")
@@ -210,8 +212,13 @@ func TestServeArchiveMatchesCLI(t *testing.T) {
 	}
 	outPath := filepath.Join(dir, "cli.json")
 	var out bytes.Buffer
-	if err := run([]string{"-config", cfgPath, "-out", outPath, "-q"}, &out); err != nil {
+	if err := run([]string{"-config", cfgPath, "-out", outPath, "-q", "-metrics"}, &out); err != nil {
 		t.Fatal(err)
+	}
+	cli := out.String()
+	metrics := cli[strings.LastIndex(cli, "\nruns ")+1:]
+	if !strings.Contains(metrics, "\ncounters:\n") {
+		t.Fatalf("dts -metrics printed no counters:\n%s", cli)
 	}
 	want, err := os.ReadFile(outPath)
 	if err != nil {
@@ -222,22 +229,33 @@ func TestServeArchiveMatchesCLI(t *testing.T) {
 	ts := httptest.NewServer(cs.mux())
 	defer ts.Close()
 	defer cs.cancelAll()
-	for _, workers := range []string{"", "2"} {
-		id := submitCampaign(t, ts, submitRequest{Config: cfgText, Faults: faults, Parallel: 2, Workers: workers})
-		if st := campaignState(t, ts, id); st["state"] != "done" {
-			t.Fatalf("workers=%q: final state = %v, want done", workers, st["state"])
-		}
-		resp, err := http.Get(ts.URL + "/api/campaigns/" + id + "/archive")
+	get := func(id, artifact string) []byte {
+		resp, err := http.Get(ts.URL + "/api/campaigns/" + id + "/" + artifact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := io.ReadAll(resp.Body)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(want, got) {
+		return body
+	}
+	for _, workers := range []string{"", "2"} {
+		tel := workers != ""
+		id := submitCampaign(t, ts, submitRequest{Config: cfgText, Faults: faults, Parallel: 2, Workers: workers, Telemetry: tel})
+		if st := campaignState(t, ts, id); st["state"] != "done" {
+			t.Fatalf("workers=%q: final state = %v, want done", workers, st["state"])
+		}
+		if !bytes.Equal(want, get(id, "archive")) {
 			t.Errorf("workers=%q: served archive differs from dts -config's", workers)
+		}
+		report := string(get(id, "report"))
+		if strings.Contains(report, "\ncounters:\n") != tel {
+			t.Errorf("workers=%q, telemetry %v: report\n%s", workers, tel, report)
+		}
+		if tel && !strings.HasSuffix(report, "\n"+metrics) {
+			t.Errorf("workers=%q: report does not end with dts -metrics' block\n%s\nwant\n%s", workers, report, metrics)
 		}
 	}
 }

@@ -149,7 +149,9 @@ func (l *Ledger) adoptJournal(rep *journal.Replayed) error {
 // writer wins, the journal record and progress (once attached), and for
 // a quarantine the list entry, the budget and a placeholder. The fleet
 // commits its workers' records with it, and a resume adopts its
-// journal's. It reports whether the record was the index's first.
+// journal's. A committed run's recorder keeps its trace's events as
+// rec.Tel's bytes (UnmarshalRunRecord). It reports whether the record
+// was the index's first.
 func (l *Ledger) CommitRecord(rec *journal.Record) (bool, error) {
 	i := rec.Index
 	if err := l.checkKey(rec.Kind, i, rec.Key); err != nil {

@@ -293,18 +293,20 @@ func MarshalRunRecord(res *RunResult) (result, tel json.RawMessage, err error) {
 }
 
 // UnmarshalRunRecord inverts MarshalRunRecord, restoring the telemetry
-// collector when a snapshot is present.
+// collector when a snapshot is present. The collector keeps the
+// snapshot's events as tel's bytes (telemetry.DecodeRecorder), so tel
+// must not change afterwards.
 func UnmarshalRunRecord(result, tel json.RawMessage) (*RunResult, error) {
 	var res RunResult
 	if err := json.Unmarshal(result, &res); err != nil {
 		return nil, fmt.Errorf("run record result: %w", err)
 	}
 	if len(tel) != 0 {
-		var snap telemetry.Snapshot
-		if err := telemetry.DecodeSnapshot(tel, &snap); err != nil {
+		rec, err := telemetry.DecodeRecorder(tel)
+		if err != nil {
 			return nil, fmt.Errorf("run record telemetry: %w", err)
 		}
-		res.Telemetry = snap.Restore()
+		res.Telemetry = rec
 	}
 	return &res, nil
 }

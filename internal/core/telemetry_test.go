@@ -8,6 +8,8 @@ import (
 
 	"ntdts/internal/determinism"
 	"ntdts/internal/inject"
+	"ntdts/internal/journal"
+	"ntdts/internal/middleware/watchd"
 	"ntdts/internal/ntsim/win32"
 	"ntdts/internal/telemetry"
 	"ntdts/internal/workload"
@@ -149,5 +151,58 @@ func TestCampaignTelemetryEnabled(t *testing.T) {
 		if i > 0 && armed != 1 {
 			t.Fatalf("fault run %d armed %d faults, want 1", i, armed)
 		}
+	}
+}
+
+// TestCommitRecordKeepsTraceEncoded: the fleet coordinator commits a
+// streamed run record without rebuilding its trace's events. One
+// Ledger.CommitRecord of a real IIS/watchd-v2 record, read back off
+// the wire format by journal.Stream, must allocate less than half of
+// what DecodeSnapshot followed by Restore allocates on its snapshot
+// alone.
+func TestCommitRecordKeepsTraceEncoded(t *testing.T) {
+	opts := DefaultRunnerOptions()
+	opts.WatchdVersion = watchd.V2
+	opts.Telemetry = telemetry.Options{Enabled: true}
+	spec := inject.FaultSpec{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits}
+	res, err := NewRunner(workload.NewIIS(workload.Watchd), opts).Run(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Telemetry.Events()); n < 50 {
+		t.Fatalf("the run traced %d events, want a full run's", n)
+	}
+	result, tel, err := MarshalRunRecord(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := journal.AppendRun(nil, 0, spec.Key(), 1, result, tel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := journal.NewStream(bytes.NewReader(line)).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := newLedger([]PlanJob{{Spec: spec}})
+	commit := testing.AllocsPerRun(20, func() {
+		if _, err := ledger.CommitRecord(l.Rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	restore := testing.AllocsPerRun(20, func() {
+		var s telemetry.Snapshot
+		if err := telemetry.DecodeSnapshot(l.Rec.Tel, &s); err != nil {
+			t.Fatal(err)
+		}
+		s.Restore()
+	})
+	t.Logf("allocs: CommitRecord %.0f, DecodeSnapshot+Restore %.0f", commit, restore)
+	if commit >= restore/2 {
+		t.Fatalf("CommitRecord allocated %.0f objects, want under half of DecodeSnapshot+Restore's %.0f: the committed trace is rebuilt",
+			commit, restore)
+	}
+	if !bytes.Equal(ledger.Results()[0].Telemetry.AppendSnapshotJSON(nil), tel) {
+		t.Fatal("the committed recorder re-encodes to other bytes than the record carried")
 	}
 }

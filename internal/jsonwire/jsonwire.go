@@ -267,6 +267,9 @@ func NewReader(data []byte) Reader { return Reader{data: data} }
 // Done reports whether every read succeeded and consumed all the input.
 func (r *Reader) Done() bool { return !r.bad && r.off == len(r.data) }
 
+// Offset returns how many bytes of the input the reader has consumed.
+func (r *Reader) Offset() int { return r.off }
+
 // Expect consumes lit, failing the reader unless the input continues
 // with it.
 func (r *Reader) Expect(lit string) {
@@ -364,6 +367,18 @@ func (r *Reader) String() []byte {
 	}
 	r.bad = true
 	return nil
+}
+
+// Verbatim reports whether AppendString writes the valid UTF-8 s back
+// as its own bytes between quotes, with nothing escaped: whether s holds
+// no control byte, '"', '\\', '<', '>', '&', U+2028 or U+2029.
+func Verbatim(s []byte) bool {
+	for i, c := range s {
+		if stop[c] && (c != 0xE2 || i+2 < len(s) && s[i+1] == 0x80 && s[i+2]&^1 == 0xA8) {
+			return false
+		}
+	}
+	return true
 }
 
 // Value reads one strict value (see Compact) and returns its bytes,

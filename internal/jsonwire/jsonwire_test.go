@@ -5,13 +5,15 @@ import (
 	"encoding/json"
 	"strconv"
 	"testing"
+	"unicode/utf8"
 )
 
 // FuzzJSONWire holds every helper to encoding/json and strconv on the
 // same bytes: AppendString quotes as json.Marshal does, the validator
 // accepts nothing json.Valid rejects and only what json.Marshal of a
-// json.RawMessage leaves unchanged, and the integer reads accept exactly
-// the canonical spellings strconv writes.
+// json.RawMessage leaves unchanged, the integer reads accept exactly
+// the canonical spellings strconv writes, and Verbatim holds for a valid
+// UTF-8 string exactly when AppendString writes it back unescaped.
 func FuzzJSONWire(f *testing.F) {
 	for _, seed := range []string{
 		`{"cap":8,"events":[{"at":-1,"pid":4,"kind":"exit","name":"w3svc"}],"hists":{"run":{"Counts":null,"N":0,"Sum":0}}}`,
@@ -31,6 +33,9 @@ func FuzzJSONWire(f *testing.F) {
 		}
 		if got := AppendString(nil, string(data)); !bytes.Equal(got, want) {
 			t.Fatalf("AppendString(%q) = %s, want %s", data, got, want)
+		}
+		if utf8.Valid(data) && Verbatim(data) != (string(want) == `"`+string(data)+`"`) {
+			t.Fatalf("Verbatim(%q) = %v, but AppendString writes %s", data, Verbatim(data), want)
 		}
 
 		if Compact(data) {

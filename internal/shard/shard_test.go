@@ -349,15 +349,23 @@ func fakeSpawner(serve func(in io.Reader, out io.Writer, killed <-chan struct{})
 const garbledKey = "ReadFile/x/1/1"
 
 // badPlanKey garbles the first job key of the first plan line the
-// coordinator sends, the line after the header.
+// coordinator sends, the line after the header. With hold set, it
+// sends that line only once hold is closed, or after a minute.
 type badPlanKey struct {
 	io.WriteCloser
 	lines int
+	hold  <-chan struct{}
 }
 
 func (w *badPlanKey) Write(line []byte) (int, error) {
 	if w.lines++; w.lines != 2 {
 		return w.WriteCloser.Write(line)
+	}
+	if w.hold != nil {
+		select {
+		case <-w.hold:
+		case <-time.After(time.Minute):
+		}
 	}
 	var pl journal.Plan
 	if err := json.Unmarshal(line, &pl); err != nil {
@@ -378,7 +386,9 @@ func (w *badPlanKey) Write(line []byte) (int, error) {
 // plan names a key the worker cannot parse — comes back as an error
 // record that fails the campaign without respawning, spelled exactly as
 // the in-process executor spells it. A run's own failure never makes
-// one: the worker's supervisor quarantines it.
+// one: the worker's supervisor quarantines it. The first worker gets
+// its plan only once the second slot has spawned, so that the error
+// cannot end the campaign before every slot has had its one spawn.
 func TestWorkerErrorRecordIsFatal(t *testing.T) {
 	_, local := core.ExecuteChunk(newRunner(false), []string{garbledKey}, 1, core.SupervisorOptions{}, nil)
 	if local == nil {
@@ -387,11 +397,19 @@ func TestWorkerErrorRecordIsFatal(t *testing.T) {
 
 	inner := InProcess()
 	var spawned atomic.Int32
+	second := make(chan struct{})
 	counted := func() (*Conn, error) {
-		spawned.Add(1)
+		n := spawned.Add(1)
+		if n == 2 {
+			close(second)
+		}
 		conn, err := inner()
 		if err == nil {
-			conn.In = &badPlanKey{WriteCloser: conn.In}
+			w := &badPlanKey{WriteCloser: conn.In}
+			if n == 1 {
+				w.hold = second
+			}
+			conn.In = w
 		}
 		return conn, err
 	}

@@ -1,6 +1,7 @@
 package telemetry_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
@@ -16,8 +17,10 @@ import (
 // TestCampaignSnapshotsTakeFastPath runs 21 IIS/watchd-v2 faults with
 // telemetry on and checks that every run's journal snapshot — the bytes
 // MarshalRunRecord hands the journal and the fleet wire — decodes on
-// the canonical fast path to what encoding/json decodes, and that the
-// touchpoint read takes the same path to the same counters. Were the
+// the canonical fast path to what encoding/json decodes, that the
+// touchpoint read takes the same path to the same counters, and that
+// UnmarshalRunRecord, the fleet coordinator's and a resume's decode,
+// keeps the events encoded and writes them back unchanged. Were the
 // encoder to drift from the decoder, every output would stay correct
 // through the fallback and only the speed would be lost; this catches it.
 func TestCampaignSnapshotsTakeFastPath(t *testing.T) {
@@ -40,7 +43,7 @@ func TestCampaignSnapshotsTakeFastPath(t *testing.T) {
 	}
 	activated := 0
 	for i := range set.Runs {
-		_, tel, err := core.MarshalRunRecord(&set.Runs[i])
+		result, tel, err := core.MarshalRunRecord(&set.Runs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,6 +59,16 @@ func TestCampaignSnapshotsTakeFastPath(t *testing.T) {
 		}
 		if touch, ok := telemetry.CanonicalTouchpoints(tel); !ok || touch != want.Touchpoints() {
 			t.Fatalf("run %d: touchpoint fast path read %+v (canonical %v), want %+v", i, touch, ok, want.Touchpoints())
+		}
+		res, err := core.UnmarshalRunRecord(result, tel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Events) == 0 || !telemetry.KeepsEvents(res.Telemetry) {
+			t.Fatalf("run %d: the decoded recorder does not keep its %d events encoded", i, len(want.Events))
+		}
+		if got := res.Telemetry.AppendSnapshotJSON(nil); !bytes.Equal(got, tel) {
+			t.Fatalf("run %d: the decoded recorder re-encodes to\n%.300s\nwant\n%.300s", i, got, tel)
 		}
 		if want.Counters[telemetry.CtrFaultActivated] > 0 {
 			activated++

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,8 +20,11 @@ import (
 // writes json.Marshal(r.Snapshot()), and DecodeSnapshot, on those bytes
 // and on arbitrary ones, leaves the value and returns the error
 // json.Unmarshal does. DecodeTouchpoints, on the same bytes, returns the
-// value and the error text of DecodeSnapshot followed by Touchpoints.
-// Bytes whose strings need no escaping must decode on the fast path.
+// value and the error text of DecodeSnapshot followed by Touchpoints,
+// and DecodeRecorder the error text and a recorder that exports, reads
+// and changes as DecodeSnapshot followed by Restore does (checkRecorder).
+// Bytes whose strings need no escaping must decode on the fast path,
+// and DecodeRecorder must keep their events encoded.
 func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 2, 3, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x70}, "GetTickCount", "proc.exit", int64(5), []byte(`{"cap":8}`))
 	f.Add(uint8(0), []byte("a ring that wraps past its cap"), "q\"<>&\x01\t\u2028\xff", "k\\\u2029/", int64(-1<<40),
@@ -32,6 +36,8 @@ func FuzzSnapshotCodec(f *testing.F) {
 		`{"cap":-0}`, `{"cap":1.5}`, `{"CAP":2}`, `{"cap":2} `, `{"cap":99999999999999999999}`,
 		`{"cap":1,"events":[{"at":1,"pid":4294967296,"kind":"x","name":"y"}]}`,
 		`{"cap":1,"counters":{"a":1,"a":2}}`, `{"cap":1,"events":null}`, `[]`, `null`, ``,
+		// More buckets than a histogram has, which MetricsText must merge.
+		`{"cap":1,"hists":{"h":{"Counts":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1],"N":20,"Sum":1}}}`,
 	} {
 		f.Add(uint8(1), []byte{0}, "", "", int64(0), []byte(raw))
 	}
@@ -80,16 +86,105 @@ func FuzzSnapshotCodec(f *testing.F) {
 		checkDecode(t, raw)
 		checkTouchpoints(t, got)
 		checkTouchpoints(t, raw)
+		ev := Event{At: vclock.Time(at), PID: uint32(capN), Kind: Kind(capN >> 4), Name: name, A: uint64(len(ops)), B: 1}
+		checkRecorder(t, got, ev, key)
+		checkRecorder(t, raw, ev, key)
 		if plain(name) && plain(key) {
 			var s Snapshot
-			if !decodeCanonical(got, &s, nil) {
+			if !canonicalSnapshot(got, &s) {
 				t.Fatalf("canonical bytes missed the fast path: %s", got)
 			}
-			if !decodeCanonical(got, nil, &Touchpoints{}) {
+			if _, ok := CanonicalTouchpoints(got); !ok {
 				t.Fatalf("canonical bytes missed the touchpoint fast path: %s", got)
+			}
+			if d, err := DecodeRecorder(got); err != nil || len(r.events) > 0 && d.enc == nil {
+				t.Fatalf("DecodeRecorder did not keep the events of %s (error %v)", got, err)
 			}
 		}
 	})
+}
+
+// checkRecorder holds DecodeRecorder to DecodeSnapshot followed by
+// Restore on data: the same error text, and recorders that match on
+// every export and read (sameRecorder), first as decoded, then after an
+// Emit of ev, an Add to key, a Clone (and an Emit into the clone, which
+// must leave the original as it was), or a Relabel of ev's kind.
+func checkRecorder(t *testing.T, data []byte, ev Event, key string) {
+	t.Helper()
+	var s Snapshot
+	wantErr := DecodeSnapshot(data, &s)
+	_, gotErr := DecodeRecorder(data)
+	if errText(gotErr) != errText(wantErr) {
+		t.Fatalf("DecodeRecorder(%q) error %q, want %q", data, errText(gotErr), errText(wantErr))
+	}
+	if wantErr != nil {
+		return
+	}
+	for _, c := range []struct {
+		op     string
+		change func(r *Recorder) *Recorder
+	}{
+		{"decode", func(r *Recorder) *Recorder { return r }},
+		{"Emit", func(r *Recorder) *Recorder { r.Emit(ev.At, ev.PID, ev.Kind, ev.Name, ev.A, ev.B); return r }},
+		{"Add", func(r *Recorder) *Recorder { r.Add(key, 3); return r }},
+		{"Emit into a Clone", func(r *Recorder) *Recorder {
+			c := r.Clone()
+			c.Emit(ev.At, ev.PID, ev.Kind, ev.Name, ev.A, ev.B)
+			return r
+		}},
+		{"Clone", func(r *Recorder) *Recorder { return r.Clone() }},
+		{"Relabel", func(r *Recorder) *Recorder { r.Relabel(ev.Kind, ev.Name, ev.A, ev.B); return r }},
+	} {
+		got, err := DecodeRecorder(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRecorder(t, fmt.Sprintf("%s of %q", c.op, data), c.change(got), c.change(s.Restore()), key)
+	}
+}
+
+// sameRecorder compares got with want on every export and read. The
+// exports and the reads that leave kept events encoded come first, so
+// they see got as decoded; LastTime, Events and Snapshot decode them,
+// and the exports are compared again after.
+func sameRecorder(t *testing.T, what string, got, want *Recorder, key string) {
+	t.Helper()
+	for pass := 0; pass < 2; pass++ {
+		if g, w := got.AppendSnapshotJSON(nil), want.AppendSnapshotJSON(nil); !bytes.Equal(g, w) {
+			t.Fatalf("%s: AppendSnapshotJSON\n got %s\nwant %s", what, g, w)
+		}
+		var g, w bytes.Buffer
+		if err := NewSet(got).WriteJSONL(&g); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewSet(want).WriteJSONL(&w); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Fatalf("%s: WriteJSONL\n got %s\nwant %s", what, g.Bytes(), w.Bytes())
+		}
+		gs, ws := NewSet(got), NewSet(want)
+		if g, w := gs.MetricsText(), ws.MetricsText(); g != w {
+			t.Fatalf("%s: MetricsText\n got %s\nwant %s", what, g, w)
+		}
+		if gs.Events() != ws.Events() || gs.Dropped() != ws.Dropped() {
+			t.Fatalf("%s: Set.Events, Dropped = %d, %d, want %d, %d", what, gs.Events(), gs.Dropped(), ws.Events(), ws.Dropped())
+		}
+		for _, k := range []string{key, CtrRunRestarts, CtrSupRetry} {
+			if got.Counter(k) != want.Counter(k) {
+				t.Fatalf("%s: Counter(%q) = %d, want %d", what, k, got.Counter(k), want.Counter(k))
+			}
+		}
+		if got.LastTime() != want.LastTime() {
+			t.Fatalf("%s: LastTime = %d, want %d", what, got.LastTime(), want.LastTime())
+		}
+		if g, w := got.Events(), want.Events(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: Events\n got %+v\nwant %+v", what, g, w)
+		}
+		if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: Snapshot\n got %+v\nwant %+v", what, g, w)
+		}
+	}
 }
 
 // checkTouchpoints holds DecodeTouchpoints to DecodeSnapshot followed by

@@ -59,7 +59,7 @@ func (s *Set) Events() int {
 	n := 0
 	for _, r := range s.Runs {
 		if r != nil {
-			n += len(r.events)
+			n += len(r.events) + r.nenc // decoded or kept: one term is zero
 		}
 	}
 	return n
@@ -96,16 +96,29 @@ type jsonEvent struct {
 
 // WriteJSONL streams the merged trace as one JSON object per line, runs
 // in index order, events in emission order — byte-identical for any
-// worker count that produced the recorders.
+// worker count that produced the recorders. A recorder's kept events go
+// straight from their snapshot bytes to trace lines.
 func (s *Set) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for run, r := range s.Runs {
-		if r == nil {
-			continue
-		}
-		for _, e := range r.Events() {
-			if _, err := bw.Write(appendJSONEvent(bw.AvailableBuffer(), run, e)); err != nil {
+		switch {
+		case r == nil:
+		case r.enc != nil:
+			var err error
+			rd := jsonwire.NewReader(r.enc)
+			walkEvents(&rd, func(e walkedEvent) {
+				if err == nil {
+					_, err = bw.Write(e.appendJSONEvent(bw.AvailableBuffer(), run))
+				}
+			})
+			if err != nil {
 				return err
+			}
+		default:
+			for _, e := range r.Events() {
+				if _, err := bw.Write(appendJSONEvent(bw.AvailableBuffer(), run, e)); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -117,20 +130,40 @@ func (s *Set) WriteJSONL(w io.Writer) error {
 // the run-record codecs share, so any name, control bytes and invalid
 // UTF-8 included, yields valid JSON.
 func appendJSONEvent(dst []byte, run int, e Event) []byte {
-	dst = append(dst, `{"run":`...)
-	dst = strconv.AppendInt(dst, int64(run), 10)
-	dst = append(dst, `,"at":`...)
-	dst = strconv.AppendInt(dst, int64(e.At), 10)
-	dst = append(dst, `,"pid":`...)
-	dst = strconv.AppendUint(dst, uint64(e.PID), 10)
-	dst = append(dst, `,"kind":`...)
+	dst = appendLineHead(dst, run, int64(e.At), e.PID)
 	dst = jsonwire.AppendString(dst, e.Kind.String())
 	dst = append(dst, `,"name":`...)
 	dst = jsonwire.AppendString(dst, e.Name)
+	return appendLineTail(dst, e.A, e.B)
+}
+
+// appendJSONEvent appends the trace line of a kept event: the line
+// appendJSONEvent writes for the event it decodes to, since a kept
+// event's kind and name need no escaping (walkedEvent.verbatim).
+func (e *walkedEvent) appendJSONEvent(dst []byte, run int) []byte {
+	dst = appendLineHead(dst, run, e.at, e.pid)
+	dst = append(append(append(dst, '"'), e.kind...), `","name":"`...)
+	dst = append(append(dst, e.name...), '"')
+	return appendLineTail(dst, e.a, e.b)
+}
+
+// appendLineHead appends a trace line up to its kind's opening quote.
+func appendLineHead(dst []byte, run int, at int64, pid uint32) []byte {
+	dst = append(dst, `{"run":`...)
+	dst = strconv.AppendInt(dst, int64(run), 10)
+	dst = append(dst, `,"at":`...)
+	dst = strconv.AppendInt(dst, at, 10)
+	dst = append(dst, `,"pid":`...)
+	dst = strconv.AppendUint(dst, uint64(pid), 10)
+	return append(dst, `,"kind":`...)
+}
+
+// appendLineTail appends a trace line from the end of its name.
+func appendLineTail(dst []byte, a, b uint64) []byte {
 	dst = append(dst, `,"a":`...)
-	dst = strconv.AppendUint(dst, e.A, 10)
+	dst = strconv.AppendUint(dst, a, 10)
 	dst = append(dst, `,"b":`...)
-	dst = strconv.AppendUint(dst, e.B, 10)
+	dst = strconv.AppendUint(dst, b, 10)
 	return append(dst, "}\n"...)
 }
 

@@ -57,7 +57,8 @@ func (r *Recorder) Snapshot() *Snapshot {
 
 // Restore rebuilds a Recorder from a snapshot. The ring starts
 // linearized (read position zero), which renders identically to the
-// original ring in every export path.
+// original ring in every export path. A null histogram, which only
+// hand-written JSON holds, restores as an empty one.
 func (s *Snapshot) Restore() *Recorder {
 	r := NewRecorder(s.Cap)
 	r.dropped = s.Dropped
@@ -71,7 +72,11 @@ func (s *Snapshot) Restore() *Recorder {
 		r.counters[k] = v
 	}
 	for k, h := range s.Hists {
-		r.hists[k] = &Hist{Counts: append([]uint64(nil), h.Counts...), N: h.N, Sum: h.Sum}
+		c := &Hist{}
+		if h != nil {
+			c = &Hist{Counts: append([]uint64(nil), h.Counts...), N: h.N, Sum: h.Sum}
+		}
+		r.hists[k] = c
 	}
 	return r
 }

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"time"
 
+	"ntdts/internal/jsonwire"
 	"ntdts/internal/vclock"
 )
 
@@ -104,15 +105,17 @@ func (k Kind) String() string {
 	}
 }
 
-// kindFromString inverts String for trace ingestion.
-func kindFromString(s string) Kind {
-	for k := KindSyscall; k <= KindRunQuarantine; k++ {
-		if k.String() == s {
-			return k
-		}
+// kindByName maps each kind's String, "unknown" included, to the kind.
+var kindByName = func() map[string]Kind {
+	m := make(map[string]Kind)
+	for k := Kind(0); k <= KindRunQuarantine; k++ {
+		m[k.String()] = k
 	}
-	return 0
-}
+	return m
+}()
+
+// kindFromString inverts String for trace ingestion.
+func kindFromString(s string) Kind { return kindByName[s] }
 
 // Counter and histogram names used across the stack. Centralized so the
 // emitting packages and the report layer agree on spelling.
@@ -235,8 +238,12 @@ func (h *Hist) observe(d time.Duration) {
 	h.Sum += d
 }
 
-// merge folds other into h.
+// merge folds other into h. Only hand-written JSON gives other more
+// buckets than h; h grows to hold them.
 func (h *Hist) merge(other *Hist) {
+	if n := len(other.Counts) - len(h.Counts); n > 0 {
+		h.Counts = append(h.Counts, make([]uint64, n)...)
+	}
 	for i, c := range other.Counts {
 		h.Counts[i] += c
 	}
@@ -248,11 +255,25 @@ func (h *Hist) merge(other *Hist) {
 // plus counters and histograms, for exactly one run. Not safe for
 // concurrent use; the run's cooperative scheduler provides the required
 // serialization.
+//
+// A recorder DecodeRecorder builds keeps its events encoded: the
+// exports (AppendSnapshotJSON, and a Set's WriteJSONL, MetricsText,
+// Events and Dropped) read them as they are, and Counter and Dropped
+// read decoded values. Every other method but Clone decodes them into
+// the ring first, once, so even a method that only reads may change how
+// the recorder holds its events.
 type Recorder struct {
 	cap     int
 	events  []Event
 	start   int // ring read position once len(events) == cap
 	dropped uint64
+
+	// enc, when non-nil, holds the retained events as the canonical
+	// snapshot bytes they were decoded from (the "events" array between
+	// its brackets, in emission order), and nenc counts them. events is
+	// then empty, and enc is never written to.
+	enc  []byte
+	nenc int
 
 	counters map[string]int64
 	hists    map[string]*Hist
@@ -263,15 +284,41 @@ var _ Collector = (*Recorder)(nil)
 // NewRecorder returns an enabled collector whose event trace keeps at
 // most cap events (the newest win; the drop count is retained). cap <= 0
 // selects DefaultTraceCap.
-func NewRecorder(cap int) *Recorder {
+func NewRecorder(cap int) *Recorder { return newRecorder(cap, nil, nil) }
+
+// newRecorder returns an empty recorder that owns counters and hists,
+// making an empty map for a nil one.
+func newRecorder(cap int, counters map[string]int64, hists map[string]*Hist) *Recorder {
 	if cap <= 0 {
 		cap = DefaultTraceCap
 	}
-	return &Recorder{
-		cap:      cap,
-		counters: make(map[string]int64),
-		hists:    make(map[string]*Hist),
+	if counters == nil {
+		counters = make(map[string]int64)
 	}
+	if hists == nil {
+		hists = make(map[string]*Hist)
+	}
+	return &Recorder{cap: cap, counters: counters, hists: hists}
+}
+
+// decodeEvents moves kept events into the ring, linearized as Restore
+// leaves it. It is small enough to inline into the emission methods,
+// which a live recorder calls once per system call.
+func (r *Recorder) decodeEvents() {
+	if r.enc != nil {
+		r.decodeKept()
+	}
+}
+
+func (r *Recorder) decodeKept() {
+	r.events = make([]Event, 0, r.nenc)
+	rd := jsonwire.NewReader(r.enc)
+	walkEvents(&rd, func(e walkedEvent) {
+		r.events = append(r.events, Event{
+			At: vclock.Time(e.at), PID: e.pid, Kind: kindByName[string(e.kind)], Name: string(e.name), A: e.a, B: e.b,
+		})
+	})
+	r.enc, r.nenc = nil, 0
 }
 
 // Enabled implements Collector.
@@ -280,6 +327,7 @@ func (r *Recorder) Enabled() bool { return true }
 // Emit implements Collector: the event lands in the ring buffer,
 // displacing the oldest event once the buffer is full.
 func (r *Recorder) Emit(at vclock.Time, pid uint32, kind Kind, name string, a, b uint64) {
+	r.decodeEvents()
 	e := Event{At: at, PID: pid, Kind: kind, Name: name, A: a, B: b}
 	if len(r.events) < r.cap {
 		r.events = append(r.events, e)
@@ -292,11 +340,13 @@ func (r *Recorder) Emit(at vclock.Time, pid uint32, kind Kind, name string, a, b
 
 // Add implements Collector.
 func (r *Recorder) Add(counter string, delta int64) {
+	r.decodeEvents()
 	r.counters[counter] += delta
 }
 
 // Observe implements Collector.
 func (r *Recorder) Observe(hist string, d time.Duration) {
+	r.decodeEvents()
 	h := r.hists[hist]
 	if h == nil {
 		h = newHist()
@@ -307,6 +357,7 @@ func (r *Recorder) Observe(hist string, d time.Duration) {
 
 // Events returns the retained trace in emission order.
 func (r *Recorder) Events() []Event {
+	r.decodeEvents()
 	out := make([]Event, 0, len(r.events))
 	out = append(out, r.events[r.start:]...)
 	out = append(out, r.events[:r.start]...)
@@ -320,6 +371,7 @@ func (r *Recorder) Dropped() uint64 { return r.dropped }
 // (zero when the trace is empty). The campaign supervisor stamps its
 // post-run provenance events with it, so per-PID timestamps stay monotone.
 func (r *Recorder) LastTime() vclock.Time {
+	r.decodeEvents()
 	var max vclock.Time
 	for _, e := range r.events {
 		if e.At > max {
@@ -333,13 +385,18 @@ func (r *Recorder) LastTime() vclock.Time {
 func (r *Recorder) Counter(name string) int64 { return r.counters[name] }
 
 // Clone returns a deep copy of r, ring position included: later
-// emission into either recorder never shows in the other.
+// emission into either recorder never shows in the other. Kept events
+// stay kept in both, sharing bytes neither writes to, and the copy
+// decodes them on its own first use. Clone only reads r: pool workers
+// clone one shared dormant-run template at once.
 func (r *Recorder) Clone() *Recorder {
 	c := &Recorder{
 		cap:      r.cap,
 		events:   slices.Clone(r.events),
 		start:    r.start,
 		dropped:  r.dropped,
+		enc:      r.enc,
+		nenc:     r.nenc,
 		counters: maps.Clone(r.counters),
 		hists:    make(map[string]*Hist, len(r.hists)),
 	}
@@ -352,6 +409,7 @@ func (r *Recorder) Clone() *Recorder {
 // Relabel rewrites the name and arguments of every retained event of
 // the given kind, leaving its time, PID and ring position as they were.
 func (r *Recorder) Relabel(kind Kind, name string, a, b uint64) {
+	r.decodeEvents()
 	for i := range r.events {
 		if e := &r.events[i]; e.Kind == kind {
 			e.Name, e.A, e.B = name, a, b

@@ -489,19 +489,15 @@ func BenchmarkAblationSkipModes(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadGen measures statistical workload generation: sampling
-// a 10,000-request mixed cohort schedule and rendering its replay trace.
-// Generation must stay a negligible slice of campaign cost — the CI smoke
-// gate bounds gen-ms — and the trace byte count tracks the serialization
-// overhead a recorded campaign carries.
 // BenchmarkClusterCampaign prices the multi-node engine: the same
 // mixed fault campaign (kernel faults plus the three cluster scenario
 // kinds) on a 3-node IIS/MSCS cluster, against a single-host campaign
 // over the kernel faults measured in the same process. Cluster runs
-// simulate N+1 kernels on one shared clock and cannot use scheduler
-// elision (it runs only on a one-node machine), so each run costs a
-// multiple of a single-host run; cost-vs-single-node
-// is that multiple, and the CI bench-smoke gate bounds it at 3x.
+// take the same snapshot fork and scheduler elision as a single host
+// but simulate N+1 kernels on one shared clock, with network delivery
+// and the MSCS peer probes, so each run costs a multiple of a
+// single-host run; cost-vs-single-node is that multiple, and the CI
+// bench-smoke gate bounds it at 3x.
 func BenchmarkClusterCampaign(b *testing.B) {
 	kernelSpecs := []inject.FaultSpec{
 		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits},
@@ -544,6 +540,11 @@ func BenchmarkClusterCampaign(b *testing.B) {
 	b.ReportMetric(perRun/basePerRun, "cost-vs-single-node")
 }
 
+// BenchmarkWorkloadGen measures statistical workload generation: sampling
+// a 10,000-request mixed cohort schedule and rendering its replay trace.
+// Generation must stay a negligible slice of campaign cost — the CI smoke
+// gate bounds gen-ms — and the trace byte count tracks the serialization
+// overhead a recorded campaign carries.
 func BenchmarkWorkloadGen(b *testing.B) {
 	spec, err := workloadgen.Parse("seed=42" +
 		";class=browser,clients=12,requests=500,arrival=poisson,rate=2,mix=static-115k:3/cgi-1k:1" +

@@ -171,7 +171,7 @@ func run(args []string, out io.Writer) error {
 	workerListen := fs.String("worker-listen", "", "host fleet workers for remote -workers coordinators on this TCP address (long-running; authenticate with -worker-key)")
 	workerKey := fs.String("worker-key", "", "shared session key for the TCP transport: with -worker-listen, or with a host:port -workers list (default $DTS_WORKER_KEY)")
 	fs.Bool("shard-worker", false, "internal: serve one shard assignment on stdin/stdout")
-	freshBoot := fs.Bool("fresh-boot", false, "boot a fresh kernel for every run instead of forking the boot-prefix snapshot or copying dormant runs (slower; archives are byte-identical either way)")
+	freshBoot := fs.Bool("fresh-boot", false, "boot a fresh kernel for every run and hand off every scheduling quantum, instead of forking the boot-prefix snapshot, copying dormant runs and eliding solo handoffs (slower; archives are byte-identical either way)")
 	replayPath := fs.String("replay", "", "re-execute a journaled campaign under the -middleware substrate, eliding runs the recorded evidence proves unaffected (archive byte-identical to a from-scratch run)")
 	middlewareSpec := fs.String("middleware", "", `middleware substrate: "none", "watchd", "watchd-v1".."v3" or "mscs" (the -replay target, or a -config override)`)
 	noElide := fs.Bool("no-elide", false, "disable the -replay divergence oracle so every run goes to the target's runner (the equivalence baseline)")

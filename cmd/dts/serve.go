@@ -38,6 +38,7 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 
 	"ntdts/internal/config"
 	"ntdts/internal/core"
@@ -65,7 +66,7 @@ func runServe(args []string, out io.Writer) error {
 		return err
 	}
 	cs := newCampaignServer(*workerKey)
-	hs := &http.Server{Handler: cs.mux()}
+	hs := newHTTPServer(cs.mux())
 	go func() {
 		<-ctx.Done()
 		cs.cancelAll()
@@ -76,6 +77,21 @@ func runServe(args []string, out io.Writer) error {
 		return err
 	}
 	return nil
+}
+
+// The connection deadlines of dts serve. A peer that never finishes its
+// request headers, or leaves a kept-alive connection idle, loses the
+// connection instead of holding it and its goroutine forever. There is
+// no write timeout: /events streams for a campaign's whole life. They
+// are variables, not flags, so tests can shorten them.
+var (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is dts serve's HTTP server over h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: serveReadHeaderTimeout, IdleTimeout: serveIdleTimeout}
 }
 
 // submitRequest is the POST /api/campaigns body.

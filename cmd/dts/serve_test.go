@@ -373,6 +373,95 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
+// TestServeConnectionTimeouts: dts serve closes a connection whose
+// request line never finishes, and a kept-alive connection left idle,
+// once its deadlines pass, while an /events stream that outlives both
+// deadlines still follows its campaign to the terminal event.
+func TestServeConnectionTimeouts(t *testing.T) {
+	defer func(h, i time.Duration) { serveReadHeaderTimeout, serveIdleTimeout = h, i }(serveReadHeaderTimeout, serveIdleTimeout)
+	serveReadHeaderTimeout, serveIdleTimeout = 100*time.Millisecond, 100*time.Millisecond
+	cs := newCampaignServer("")
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = newHTTPServer(cs.mux())
+	ts.Start()
+	defer ts.Close()
+	defer cs.cancelAll()
+
+	// closedAfter writes req on a fresh connection and returns what the
+	// server sent before it closed the connection, which must be no
+	// sooner than the deadline that closed it.
+	closedAfter := func(what, req string, deadline time.Duration) string {
+		t.Helper()
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		start := time.Now()
+		if _, err := io.WriteString(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatalf("%s: the server kept the connection open: %v", what, err)
+		}
+		if took := time.Since(start); took < deadline {
+			t.Fatalf("%s: closed after %v, before its %v deadline", what, took, deadline)
+		}
+		return string(got)
+	}
+	if got := closedAfter("half-sent request line", "GET /api/campaigns/c1 HT", serveReadHeaderTimeout); got != "" && !strings.HasPrefix(got, "HTTP/1.1 400") {
+		t.Fatalf("half-sent request line answered %q, want nothing or a 400", got)
+	}
+	if got := closedAfter("idle keep-alive", "GET /api/campaigns/nope HTTP/1.1\r\nHost: dts\r\n\r\n", serveIdleTimeout); !strings.HasPrefix(got, "HTTP/1.1 404") {
+		t.Fatalf("idle keep-alive connection got %q before closing, want one 404 response", got)
+	}
+
+	// The campaign's fault run waits until both deadlines have passed
+	// several times over, while the events stream is open.
+	def := workload.NewIIS(workload.Standalone)
+	spawn := def.SpawnClient
+	release := make(chan struct{})
+	t.Cleanup(func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	})
+	var calls atomic.Int32
+	def.SpawnClient = func(k *ntsim.Kernel) (*ntsim.Process, *workload.Report, error) {
+		if calls.Add(1) > 1 {
+			<-release
+		}
+		return spawn(k)
+	}
+	spec := inject.FaultSpec{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits}
+	c := cs.launch(core.NewRunner(def, core.DefaultRunnerOptions()), []core.Option{core.WithSpecs([]inject.FaultSpec{spec})})
+	resp, err := http.Get(ts.URL + "/api/campaigns/" + c.id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	if !sc.Scan() || !strings.Contains(sc.Text(), `"accepted"`) {
+		t.Fatalf("first event %q (%v), want accepted", sc.Text(), sc.Err())
+	}
+	time.Sleep(5 * serveIdleTimeout)
+	close(release)
+	var last string
+	for sc.Scan() {
+		last = sc.Text()
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("events stream broke after outliving the deadlines: %v", err)
+	}
+	if !strings.Contains(last, `"event":"done"`) {
+		t.Fatalf("events stream ended with %q, want the done event", last)
+	}
+}
+
 // deadTCPAddr binds an ephemeral loopback port and frees it: a dial
 // target that refuses connections quickly.
 func deadTCPAddr(t *testing.T) string {

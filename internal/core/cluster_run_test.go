@@ -57,6 +57,30 @@ func roundRobinSpecs() []inject.FaultSpec {
 	}
 }
 
+// mixedClusterSpecs mixes every scenario kind with kernel faults on
+// functions Apache, IIS and SQL Server all call, addressed to each of the
+// first nodes nodes. The scenarios fire between 1 and 3 seconds into the
+// client, while it is still sending requests.
+func mixedClusterSpecs(nodes int) []inject.FaultSpec {
+	var specs []inject.FaultSpec
+	for _, s := range []inject.FaultSpec{
+		{Function: ClusterServiceCrashFunction, Invocation: 1, Type: inject.FlipBits},
+		{Function: ClusterNodeCrashFunction, Invocation: 2, Type: inject.FlipBits},
+		{Function: ClusterPartitionFunction, Param: 3, Invocation: 1, Type: inject.FlipBits},
+		{Function: ClusterServiceCrashFunction, Invocation: 3, Type: inject.FlipBits, Node: 1},
+		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits},
+		{Function: "CreateFileA", Param: 0, Invocation: 1, Type: inject.ZeroBits},
+		{Function: "WriteFile", Param: 1, Invocation: 1, Type: inject.ZeroBits, Node: 1},
+		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.OneBits, Node: 1},
+		{Function: "CloseHandle", Param: 0, Invocation: 1, Type: inject.OneBits, Node: 2},
+	} {
+		if s.Node < nodes {
+			specs = append(specs, s)
+		}
+	}
+	return specs
+}
+
 // artifacts is what a campaign leaves: its archive and, when traced,
 // its merged JSONL trace and metrics text.
 type artifacts struct {
@@ -143,37 +167,59 @@ func TestClusterParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestClusterFreshBootMatchesFork: the per-node boot-prefix fork and
-// the per-node dormant-run copies are optimizations only — forcing fresh
-// boots produces the identical archive, merged trace and metrics. Two
+// TestClusterFreshBootMatchesFork: the per-node boot-prefix fork, the
+// per-node dormant-run copies and scheduler elision on the shared-clock
+// machine are optimizations only — forcing fresh boots, which takes none
+// of them, produces the identical archive, merged trace and metrics. Two
 // lists hold several dormant faults per node: the MSCS standbys call
 // nothing, and under round-robin routing nodes 1 and 2 call different
-// functions (see roundRobinSpecs, which runs in order at width 1).
+// functions (see roundRobinSpecs, which runs in order at width 1). The
+// rest mix scenario faults with node-addressed kernel faults across the
+// three servers, both active-active and active/passive middleware, a
+// 2-node least-loaded topology and a multi-client cohort.
 func TestClusterFreshBootMatchesFork(t *testing.T) {
 	type tc struct {
 		name    string
-		sup     workload.Supervision
+		def     workload.Definition
+		nodes   int
 		routing string
 		specs   []inject.FaultSpec
 		par     int
 	}
 	cases := []tc{
-		{"MSCS-failover-dormant", workload.MSCS, "failover", clusterDormantSpecs(), 1},
-		{"none-round-robin-dormant", workload.Standalone, "round-robin", roundRobinSpecs(), 1},
+		{"MSCS-failover-dormant", workload.NewIIS(workload.MSCS), 3, "failover", clusterDormantSpecs(), 1},
+		{"none-round-robin-dormant", workload.NewIIS(workload.Standalone), 3, "round-robin", roundRobinSpecs(), 1},
 	}
 	for _, sup := range []workload.Supervision{workload.Standalone, workload.MSCS, workload.Watchd} {
-		cases = append(cases, tc{sup.String(), sup, "round-robin", clusterSpecs(), 2})
+		cases = append(cases, tc{sup.String(), workload.NewIIS(sup), 3, "round-robin", clusterSpecs(), 2})
 	}
+	for _, mk := range []func(workload.Supervision) workload.Definition{workload.NewApache1, workload.NewSQL} {
+		for _, sup := range []workload.Supervision{workload.MSCS, workload.Watchd} {
+			def := mk(sup)
+			cases = append(cases, tc{def.Name + "-" + sup.String(), def, 3, "failover", mixedClusterSpecs(3), 2})
+		}
+	}
+	cohort, err := workload.Cohort(workload.NewIIS(workload.MSCS), []workload.ClientSchedule{
+		{Class: "browser", Client: 0, Steps: []workload.Step{{Request: "static-115k"}, {Request: "cgi-1k", Think: time.Second}}},
+		{Class: "browser", Client: 1, Steps: []workload.Step{{Request: "cgi-1k", At: 500 * time.Millisecond}, {Request: "static-115k", At: 2 * time.Second}}},
+		{Class: "batch", Client: 0, Steps: []workload.Step{{Request: "static-115k", At: time.Second}, {Request: "static-115k", Think: 2 * time.Second}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases,
+		tc{"watchd-2-node-least-loaded", workload.NewIIS(workload.Watchd), 2, "least-loaded", mixedClusterSpecs(2), 1},
+		tc{"MSCS-cohort", cohort, 3, "failover", mixedClusterSpecs(3), 2},
+	)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			def := workload.NewIIS(c.sup)
 			opts := DefaultRunnerOptions()
-			opts.Cluster = ClusterConfig{Nodes: 3, Routing: c.routing}
+			opts.Cluster = ClusterConfig{Nodes: c.nodes, Routing: c.routing}
 			opts.Telemetry = telemetry.Options{Enabled: true}
-			forked := clusterArtifacts(t, def, opts, c.specs, c.par)
+			forked := clusterArtifacts(t, c.def, opts, c.specs, c.par)
 			opts.FreshBoot = true
-			fresh := clusterArtifacts(t, def, opts, c.specs, c.par)
+			fresh := clusterArtifacts(t, c.def, opts, c.specs, c.par)
 			forked.mustEqual(t, "forked cluster campaign vs fresh-boot", fresh)
 		})
 	}

@@ -392,15 +392,15 @@ func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error
 	// owner; active-active modes race their nodes up together). No
 	// scenario is armed yet, so every node is live. The wait is bounded: a
 	// faulted server may never make it, and the client must still run to
-	// observe that. The scheduling ceiling lets a lone node elide solo
-	// handoffs up to the loop's own exit bound; SetServiceStatus requests
-	// attention, so the poll below observes status transitions at exactly
-	// the quantum boundaries it would have without elision. canElide keeps
-	// elision off machines of more than one node.
+	// observe that. The machine's scheduling ceiling lets a process that
+	// is alone on every node elide its handoffs up to the loop's own exit
+	// bound; SetServiceStatus on any node raises the machine's attention
+	// flag, so the poll below observes status transitions at exactly the
+	// quantum boundaries it would have without elision.
 	elide := !r.Opts.FreshBoot
 	upDeadline := m.Now().Add(r.Opts.ServerUpTimeout)
 	if elide {
-		nodes[0].SetSchedCeiling(upDeadline)
+		m.SetSchedCeiling(upDeadline)
 	}
 	anyUp := func() bool {
 		for _, mgr := range mgrs {
@@ -487,7 +487,7 @@ func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error
 		// Done is the client's final act before exiting — a scheduling
 		// point — so the Done poll needs no attention hook; the ceiling
 		// alone bounds the fast path.
-		nodes[0].SetSchedCeiling(deadline)
+		m.SetSchedCeiling(deadline)
 	}
 	for !report.Done && m.Now().Before(deadline) {
 		if !m.Step() {
@@ -495,7 +495,7 @@ func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error
 		}
 	}
 	if elide {
-		nodes[0].ClearSchedCeiling()
+		m.ClearSchedCeiling()
 	}
 	if report.Done {
 		tel.Emit(m.Now(), 0, telemetry.KindPhase, "client-done", 0, 0)

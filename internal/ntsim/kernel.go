@@ -53,20 +53,6 @@ type Kernel struct {
 	nextPID PID
 	current *Process
 
-	// attn is raised by kernel-side state changes that a harness Step
-	// loop polls for (SCM status transitions). While set, the scheduler
-	// fast path stops eliding handoffs so the harness observes the
-	// change at exactly the quantum boundary it would have without
-	// elision. Cleared at every Step entry.
-	attn bool
-
-	// ceil bounds how far the scheduler fast path may run without
-	// returning control to the harness. Elision is disabled entirely
-	// until a ceiling is set (SetSchedCeiling or Kernel.Run), so bare
-	// Step loops keep the exact legacy handoff-per-quantum behaviour.
-	ceil    vclock.Time
-	ceilSet bool
-
 	vfs   *VFS
 	pipes map[string][]*PipeServer // pipe name -> listening instances
 	named map[string]any           // named kernel objects
@@ -233,69 +219,9 @@ func (k *Kernel) makeReady(p *Process) {
 // the next quantum boundary. Kernel-adjacent services (the SCM) call it
 // when they change state a harness Step loop polls for, so the scheduler
 // fast path never coalesces quanta across an observation the slow path
-// would have made. The flag clears at the next Step entry.
-func (k *Kernel) RequestAttention() { k.attn = true }
-
-// SetSchedCeiling authorizes the scheduler fast path up to (but not
-// including) ceil: while the running process is alone, with no due or
-// intervening timer work and no attention request, its end-of-quantum
-// handoffs and solo sleeps are elided — the clock advances without the
-// park/resume channel round-trip — exactly until the first boundary at
-// which a harness loop stepping with `for cond && k.Now().Before(ceil)`
-// would regain control. Telemetry quanta counters are maintained as if
-// every elided handoff had happened, so traces and archives stay
-// byte-identical. Harness loops that poll other conditions must pair the
-// ceiling with RequestAttention on those conditions' state changes.
-func (k *Kernel) SetSchedCeiling(ceil vclock.Time) {
-	k.ceil = ceil
-	k.ceilSet = true
-}
-
-// ClearSchedCeiling disables the scheduler fast path (the default).
-func (k *Kernel) ClearSchedCeiling() { k.ceilSet = false }
-
-// canElide reports whether the running process may skip the end-of-quantum
-// handoff: a ceiling is set and not yet reached, the kernel is its
-// machine's only node, no other process is ready, no timer is due at or
-// before the current instant, and nothing has requested harness
-// attention. Under those conditions the slow path's next Step would fire
-// no timers and resume this same process — a pure channel round-trip the
-// fast path replaces with one counter increment. The one-node condition
-// keeps elision off clusters: its "running process is alone" reasoning
-// is per-kernel and unsound when a peer node could be woken by the same
-// instant's events.
-func (k *Kernel) canElide() bool {
-	if !k.ceilSet || k.attn || len(k.mach.kernels) != 1 || k.mach.readyCount() != 0 {
-		return false
-	}
-	now := k.clock.Now()
-	if !now.Before(k.ceil) {
-		return false
-	}
-	if next, ok := k.clock.NextAt(); ok && !next.After(now) {
-		return false
-	}
-	return true
-}
-
-// canElideSleep reports whether a solo sleeping process may advance the
-// clock directly to wake instead of scheduling a wake event and parking:
-// additionally to the canElide conditions, the wake must precede the
-// ceiling (or the slow path would abandon the sleeper at the boundary)
-// and strictly precede every queued event (an event at or before the wake
-// instant would fire first and could change what the sleeper observes).
-func (k *Kernel) canElideSleep(wake vclock.Time) bool {
-	if !k.ceilSet || k.attn || len(k.mach.kernels) != 1 || k.mach.readyCount() != 0 {
-		return false
-	}
-	if !wake.Before(k.ceil) {
-		return false
-	}
-	if next, ok := k.clock.NextAt(); ok && !next.After(wake) {
-		return false
-	}
-	return true
-}
+// would have made. It raises the machine's one flag, whichever node's
+// process runs next; the flag clears at the next Step entry.
+func (k *Kernel) RequestAttention() { k.mach.attn = true }
 
 // wake transitions a blocked process to ready with the given wait result.
 // It queues on the process's own kernel: pipe wakes may originate from a
@@ -314,20 +240,9 @@ func (k *Kernel) wake(p *Process, result uint32, errno Errno) {
 // Machine.Step). It reports false when the machine is fully idle.
 func (k *Kernel) Step() bool { return k.mach.Step() }
 
-// Run steps the machine until it is fully idle or the virtual clock
-// passes deadline, with this kernel's scheduling ceiling one tick past
-// deadline. It returns the number of scheduling quanta executed.
-func (k *Kernel) Run(deadline vclock.Time) int {
-	// Run's continue-condition is now <= deadline, so the fast-path
-	// ceiling is one tick past it; the previous ceiling (if any) is
-	// restored so nested harness loops keep their own bound.
-	prevCeil, prevSet := k.ceil, k.ceilSet
-	k.SetSchedCeiling(deadline + 1)
-	defer func() {
-		k.ceil, k.ceilSet = prevCeil, prevSet
-	}()
-	return k.mach.Run(deadline)
-}
+// Run runs the kernel's machine until it is fully idle or the virtual
+// clock passes deadline (see Machine.Run).
+func (k *Kernel) Run(deadline vclock.Time) int { return k.mach.Run(deadline) }
 
 // RunFor is Run with a relative deadline.
 func (k *Kernel) RunFor(d time.Duration) int {

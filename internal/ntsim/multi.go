@@ -14,13 +14,27 @@ import (
 // single global ready ring, and Step resumes them in strict FIFO order,
 // so an N-node run is as deterministic as a single-kernel run. Per-node
 // state (process tables, VFS, pipe namespaces, named objects, telemetry)
-// stays fully isolated; only time and the CPU are shared.
-//
-// Only a one-node machine uses the scheduler-elision fast path (see
-// Kernel.canElide).
+// stays fully isolated; only time and the CPU are shared. The machine
+// also owns the scheduler-elision state (the ceiling and the attention
+// flag, see SetSchedCeiling), so a cluster elides as a single host does.
 type Machine struct {
 	clock   *vclock.Clock
 	kernels []*Kernel
+
+	// attn is raised by kernel-side state changes that a harness Step
+	// loop polls for (SCM status transitions on any node, through
+	// Kernel.RequestAttention). While set, the scheduler fast path stops
+	// eliding handoffs so the harness observes the change at exactly the
+	// quantum boundary it would have without elision. Cleared at every
+	// Step entry.
+	attn bool
+
+	// ceil bounds how far the scheduler fast path may run without
+	// returning control to the harness. Elision is disabled entirely
+	// until a ceiling is set (SetSchedCeiling or Run), so bare Step
+	// loops keep the exact handoff-per-quantum behaviour.
+	ceil    vclock.Time
+	ceilSet bool
 
 	// ready is a ring: entries [readyHead:len) are queued. Popping moves
 	// the head index instead of re-slicing, so the backing array is
@@ -92,9 +106,7 @@ func (m *Machine) popReady() *Process {
 // (no ready processes and no pending events). Step is the only place a
 // process is resumed.
 func (m *Machine) Step() bool {
-	for _, k := range m.kernels {
-		k.attn = false
-	}
+	m.attn = false
 	for {
 		next, ok := m.clock.NextAt()
 		if !ok || next.After(m.clock.Now()) {
@@ -120,9 +132,68 @@ func (m *Machine) Step() bool {
 	return m.clock.RunNext()
 }
 
+// SetSchedCeiling authorizes the scheduler fast path up to (but not
+// including) ceil: while the running process is alone on the machine,
+// with no due or intervening timer work and no attention request, its
+// end-of-quantum handoffs and solo sleeps are elided — the clock
+// advances without the park/resume channel round-trip — exactly until
+// the first boundary at which a harness loop stepping with
+// `for cond && m.Now().Before(ceil)` would regain control. Telemetry
+// quanta counters are maintained as if every elided handoff had
+// happened, so traces and archives stay byte-identical. Harness loops
+// that poll other conditions must pair the ceiling with
+// RequestAttention on those conditions' state changes.
+func (m *Machine) SetSchedCeiling(ceil vclock.Time) { m.ceil, m.ceilSet = ceil, true }
+
+// ClearSchedCeiling disables the scheduler fast path (the default).
+func (m *Machine) ClearSchedCeiling() { m.ceilSet = false }
+
+// canElide reports whether the running process may skip the end-of-quantum
+// handoff: a ceiling is set and not yet reached, no other process is
+// ready on any node, no timer is due at or before the current instant,
+// and nothing has requested harness attention. Under those conditions
+// the slow path's next Step would fire no timers and resume this same
+// process — a pure channel round-trip the fast path replaces with one
+// counter increment. Every condition is machine-wide: a peer node's
+// process can only become runnable through the one ready ring (a
+// cross-node wake) or through an event on the one clock (network
+// delivery, a partition heal, a scenario trigger), so the argument
+// holds on N nodes exactly as on one.
+func (m *Machine) canElide() bool {
+	if !m.ceilSet || m.attn || m.readyCount() != 0 {
+		return false
+	}
+	now := m.clock.Now()
+	if !now.Before(m.ceil) {
+		return false
+	}
+	next, ok := m.clock.NextAt()
+	return !ok || next.After(now)
+}
+
+// canElideSleep reports whether a solo sleeping process may advance the
+// clock directly to wake instead of scheduling a wake event and parking:
+// additionally to the canElide conditions, the wake must precede the
+// ceiling (or the slow path would abandon the sleeper at the boundary)
+// and strictly precede every queued event (an event at or before the wake
+// instant would fire first and could change what the sleeper observes).
+func (m *Machine) canElideSleep(wake vclock.Time) bool {
+	if !m.ceilSet || m.attn || m.readyCount() != 0 || !wake.Before(m.ceil) {
+		return false
+	}
+	next, ok := m.clock.NextAt()
+	return !ok || next.After(wake)
+}
+
 // Run steps the machine until it is fully idle or the shared clock passes
-// deadline. It returns the number of scheduling quanta executed.
+// deadline, with the scheduling ceiling one tick past deadline (Run's
+// continue-condition is now <= deadline). The previous ceiling, if any,
+// is restored so nested harness loops keep their own bound. It returns
+// the number of scheduling quanta executed.
 func (m *Machine) Run(deadline vclock.Time) int {
+	prevCeil, prevSet := m.ceil, m.ceilSet
+	m.SetSchedCeiling(deadline + 1)
+	defer func() { m.ceil, m.ceilSet = prevCeil, prevSet }()
 	n := 0
 	for {
 		if m.clock.Now().After(deadline) {

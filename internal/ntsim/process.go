@@ -201,7 +201,7 @@ func (p *Process) ChargeTime(d time.Duration) {
 func (p *Process) relinquish() {
 	p.checkAlive()
 	k := p.k
-	if k.canElide() {
+	if k.mach.canElide() {
 		k.tel.Add(telemetry.CtrSchedQuanta, 1)
 		return
 	}
@@ -266,7 +266,7 @@ func (p *Process) SleepFor(d time.Duration) {
 // going, charging the one scheduling quantum the resume would have cost.
 func (p *Process) sleepUntil(wake vclock.Time) {
 	k := p.k
-	if k.canElideSleep(wake) {
+	if k.mach.canElideSleep(wake) {
 		k.clock.Advance(wake.Sub(k.clock.Now()))
 		k.tel.Add(telemetry.CtrSchedQuanta, 1)
 		return

@@ -190,9 +190,10 @@ func elisionRun(t *testing.T, nodes int, drive func(*Kernel) int) (obs, quanta s
 // TestElisionMatchesPlainStepping: scheduler elision is exact. The same
 // workload driven by k.RunFor, which sets a ceiling so elision may
 // engage, and by a bare Step loop with no ceiling, which hands off every
-// quantum, gives the same observations and the same CtrSchedQuanta. On a
-// standalone kernel elision must engage (RunFor takes fewer steps); on
-// node 0 of a 2-node machine it must stay off (as many steps).
+// quantum, gives the same observations and the same CtrSchedQuanta.
+// Elision must engage (RunFor takes fewer steps) on a standalone kernel
+// and on node 0 of a 2- and a 3-node machine: the ceiling, the attention
+// flag, the ready ring and the clock are all the machine's.
 func TestElisionMatchesPlainStepping(t *testing.T) {
 	runFor := func(k *Kernel) int { return k.RunFor(10 * time.Second) }
 	bare := func(k *Kernel) int {
@@ -208,7 +209,8 @@ func TestElisionMatchesPlainStepping(t *testing.T) {
 		elide bool
 	}{
 		{"standalone", 1, true},
-		{"2-node machine", 2, false},
+		{"2-node machine", 2, true},
+		{"3-node machine", 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wantObs, wantQuanta, plainSteps := elisionRun(t, tc.nodes, bare)
@@ -222,6 +224,196 @@ func TestElisionMatchesPlainStepping(t *testing.T) {
 			if elided := ceilSteps < plainSteps; elided != tc.elide {
 				t.Fatalf("RunFor took %d steps, plain stepping %d: elision engaged = %v, want %v",
 					ceilSteps, plainSteps, elided, tc.elide)
+			}
+		})
+	}
+}
+
+// crossNodeRun boots build's workload on a fresh machine of the given
+// number of nodes, each with its own recorder, and drives it as
+// Runner.run does: step until done reports true or ten virtual seconds
+// pass — under a machine ceiling when ceil, so elision may engage — then
+// step the machine idle. It returns what the workload and the harness
+// observed (build's notes, the instant the harness saw done, every
+// process's exit), every node's CtrSchedQuanta, and the step count.
+func crossNodeRun(t *testing.T, nodes int, ceil bool, build func(m *Machine, note func(p *Process, what string)) (done func() bool)) (obs, quanta string, steps int) {
+	t.Helper()
+	m := NewMachine()
+	recs := make([]*telemetry.Recorder, nodes)
+	for i := range recs {
+		recs[i] = telemetry.NewRecorder(64)
+		m.AddKernel().SetTelemetry(recs[i])
+	}
+	var log []string
+	node := func(k *Kernel) int {
+		for i, kk := range m.Kernels() {
+			if kk == k {
+				return i
+			}
+		}
+		return -1
+	}
+	done := build(m, func(p *Process, what string) {
+		log = append(log, fmt.Sprintf("%v node%d/%s %s", m.Now(), node(p.Kernel()), p.Image, what))
+	})
+	deadline := m.Now().Add(10 * time.Second)
+	if ceil {
+		m.SetSchedCeiling(deadline)
+	}
+	for !done() && m.Now().Before(deadline) && m.Step() {
+		steps++
+	}
+	log = append(log, fmt.Sprintf("%v harness: done=%v", m.Now(), done()))
+	for m.Now().Before(deadline) && m.Step() {
+		steps++
+	}
+	m.ClearSchedCeiling()
+	q := make([]string, nodes)
+	for i, k := range m.Kernels() {
+		checkNoPanics(t, k)
+		for _, p := range k.Processes() {
+			if !p.Terminated() {
+				t.Fatalf("node%d/%s still live: the workload must finish before the deadline", i, p.Image)
+			}
+			log = append(log, fmt.Sprintf("node%d/%s exit=%d end=%v", i, p.Image, p.ExitCode(), p.EndTime()))
+		}
+		q[i] = fmt.Sprint(recs[i].Counter(telemetry.CtrSchedQuanta))
+	}
+	log = append(log, fmt.Sprintf("now=%v pending=%d", m.Now(), m.Clock().Pending()))
+	return strings.Join(log, "\n"), strings.Join(q, " "), steps
+}
+
+// never is the done condition of a harness loop that only steps.
+func never() bool { return false }
+
+// TestElisionAcrossNodes: elision stays exact where another node's work
+// must interrupt a process that runs alone on node 0. Each workload,
+// stepped by the harness loop under a machine ceiling, gives the
+// observations and per-node CtrSchedQuanta of plain stepping, and takes
+// fewer steps (elision engaged).
+func TestElisionAcrossNodes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		build func(m *Machine, note func(p *Process, what string)) func() bool
+	}{
+		{
+			// The write lands on the global ready ring, so the writer's
+			// next quantum boundary must hand off to the reader.
+			name:  "pipe write wakes a reader on another node",
+			nodes: 2,
+			build: func(m *Machine, note func(*Process, string)) func() bool {
+				k0, k1 := m.Kernels()[0], m.Kernels()[1]
+				const path = `\\.\pipe\elide`
+				k1.RegisterImage("reader.exe", func(p *Process) uint32 {
+					ps, errno := k1.CreatePipeServer(path)
+					if errno != ErrSuccess {
+						panic(errno)
+					}
+					if errno := ps.Listen(p); errno != ErrSuccess {
+						panic(errno)
+					}
+					buf := make([]byte, 8)
+					n, errno := ps.Read(p, buf)
+					if errno != ErrSuccess {
+						panic(errno)
+					}
+					note(p, "read "+string(buf[:n]))
+					p.ChargeTime(25 * time.Millisecond)
+					note(p, "done")
+					return 0
+				})
+				k0.RegisterImage("writer.exe", func(p *Process) uint32 {
+					pc, errno := k1.ConnectPipeClient(path)
+					if errno != ErrSuccess {
+						panic(errno)
+					}
+					p.ChargeTime(45 * time.Millisecond) // alone once the reader blocks in Read
+					if _, errno := pc.Write([]byte("ping")); errno != ErrSuccess {
+						panic(errno)
+					}
+					p.ChargeTime(60 * time.Millisecond)
+					note(p, "done")
+					return 0
+				})
+				mustSpawn(t, k1, "reader.exe", "")
+				mustSpawn(t, k0, "writer.exe", "")
+				return never
+			},
+		},
+		{
+			// Node 1's and node 2's sleepers fall due at 40 ms and 90 ms,
+			// quantum boundaries of node 0's lone 150 ms burst: the due
+			// event, not the ready ring, is what stops elision there.
+			name:  "peer timer falls due on a lone runner's quantum boundary",
+			nodes: 3,
+			build: func(m *Machine, note func(*Process, string)) func() bool {
+				for i, k := range m.Kernels()[1:] {
+					d := time.Duration(40+50*i) * time.Millisecond
+					k.RegisterImage("timer.exe", func(p *Process) uint32 {
+						p.SleepFor(d)
+						note(p, "woke")
+						p.ChargeTime(15 * time.Millisecond)
+						note(p, "done")
+						return 0
+					})
+					mustSpawn(t, k, "timer.exe", "")
+				}
+				k0 := m.Kernels()[0]
+				k0.RegisterImage("cpu.exe", func(p *Process) uint32 {
+					p.ChargeTime(150 * time.Millisecond)
+					note(p, "done")
+					return 0
+				})
+				mustSpawn(t, k0, "cpu.exe", "")
+				return never
+			},
+		},
+		{
+			// Node 1's process arms an event that, 55 ms in, raises the
+			// flag the harness polls through node 1's RequestAttention,
+			// as a network delivery or a scenario trigger changes a
+			// node's state. The event fires in the Step that resumes
+			// node 0's lone burst, so that burst's next boundary must
+			// hand off for the harness to see the flag where plain
+			// stepping does: the attention flag is the machine's, not
+			// the running node's.
+			name:  "harness polls a flag node 1 raises while node 0 runs alone",
+			nodes: 2,
+			build: func(m *Machine, note func(*Process, string)) func() bool {
+				k0, k1 := m.Kernels()[0], m.Kernels()[1]
+				raised := false
+				k1.RegisterImage("svc.exe", func(p *Process) uint32 {
+					k1.Clock().ScheduleAfter(55*time.Millisecond, func() {
+						raised = true
+						k1.RequestAttention()
+					})
+					p.SleepFor(100 * time.Millisecond)
+					note(p, "woke")
+					return 0
+				})
+				k0.RegisterImage("cpu.exe", func(p *Process) uint32 {
+					p.ChargeTime(200 * time.Millisecond)
+					note(p, "done")
+					return 0
+				})
+				mustSpawn(t, k1, "svc.exe", "")
+				mustSpawn(t, k0, "cpu.exe", "")
+				return func() bool { return raised }
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantObs, wantQuanta, plainSteps := crossNodeRun(t, tc.nodes, false, tc.build)
+			gotObs, gotQuanta, ceilSteps := crossNodeRun(t, tc.nodes, true, tc.build)
+			if gotObs != wantObs {
+				t.Fatalf("elided run diverged from plain stepping:\n plain:\n%s\n elided:\n%s", wantObs, gotObs)
+			}
+			if gotQuanta != wantQuanta {
+				t.Fatalf("quanta per node: plain %s, elided %s", wantQuanta, gotQuanta)
+			}
+			if ceilSteps >= plainSteps {
+				t.Fatalf("elided run took %d steps, plain stepping %d: elision never engaged", ceilSteps, plainSteps)
 			}
 		})
 	}

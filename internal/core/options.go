@@ -88,7 +88,7 @@ func WithSpecs(specs []inject.FaultSpec) Option {
 }
 
 // WithReplay installs a replay source: before execution the source
-// resolves every job whose recorded trace proves the outcome cannot
+// resolves every job whose recorded evidence proves the outcome cannot
 // change under this campaign's substrate, the ledger adopts those
 // records, and only the rest re-execute (see internal/replay for the
 // divergence oracle).
@@ -118,7 +118,13 @@ func WithPaperFaithfulSkips() Option {
 // kernel (no prefix-snapshot forks, no scheduler elision, no dormant-run
 // copies).
 // Archives are byte-identical either way; this exists as the benchmark
-// and regression baseline for the snapshot-fork path.
+// and regression baseline for the snapshot-fork path. The runner is
+// cloned, as WithTelemetry clones it, so a campaign sharing the runner
+// keeps its fast paths; the clone may share the prefix and dormant
+// caches, which FreshBoot leaves unread.
 func WithFreshBoot() Option {
-	return func(c *Campaign) { c.runner.Opts.FreshBoot = true }
+	return func(c *Campaign) {
+		c.runner = c.runner.Clone()
+		c.runner.Opts.FreshBoot = true
+	}
 }

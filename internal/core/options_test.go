@@ -49,19 +49,30 @@ func TestNewCampaignEquivalentToLiteral(t *testing.T) {
 	}
 }
 
-// TestWithTelemetryClonesRunner: enabling telemetry on one campaign must
-// not flip it on for other campaigns sharing the runner.
+// TestWithTelemetryClonesRunner: an option that changes the runner's
+// options (telemetry on, fresh boot) must clone it, never flip the
+// change on for other campaigns sharing the runner.
 func TestWithTelemetryClonesRunner(t *testing.T) {
-	shared := NewRunner(workload.NewApache1(workload.Standalone), RunnerOptions{})
-	c := NewCampaign(shared, WithTelemetry(telemetry.Options{Enabled: true, TraceCap: 7}))
-	if c.Runner() == shared {
-		t.Fatal("WithTelemetry must clone the runner")
-	}
-	if !c.Runner().Opts.Telemetry.Enabled || c.Runner().Opts.Telemetry.TraceCap != 7 {
-		t.Fatalf("campaign runner telemetry = %+v", c.Runner().Opts.Telemetry)
-	}
-	if shared.Opts.Telemetry.Enabled {
-		t.Fatal("shared runner's options were mutated")
+	for _, c := range []struct {
+		name    string
+		opt     Option
+		changed func(o RunnerOptions) bool
+	}{
+		{"WithTelemetry", WithTelemetry(telemetry.Options{Enabled: true, TraceCap: 7}),
+			func(o RunnerOptions) bool { return o.Telemetry.Enabled && o.Telemetry.TraceCap == 7 }},
+		{"WithFreshBoot", WithFreshBoot(), func(o RunnerOptions) bool { return o.FreshBoot }},
+	} {
+		shared := NewRunner(workload.NewApache1(workload.Standalone), RunnerOptions{})
+		camp := NewCampaign(shared, c.opt)
+		if camp.Runner() == shared {
+			t.Fatalf("%s must clone the runner", c.name)
+		}
+		if !c.changed(camp.Runner().Opts) {
+			t.Fatalf("%s: campaign runner options = %+v", c.name, camp.Runner().Opts)
+		}
+		if c.changed(shared.Opts) {
+			t.Fatalf("%s mutated the shared runner's options: %+v", c.name, shared.Opts)
+		}
 	}
 }
 

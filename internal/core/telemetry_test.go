@@ -158,8 +158,8 @@ func TestCampaignTelemetryEnabled(t *testing.T) {
 // streamed run record without rebuilding its trace's events. One
 // Ledger.CommitRecord of a real IIS/watchd-v2 record, read back off
 // the wire format by journal.Stream, must allocate less than half of
-// what DecodeSnapshot followed by Restore allocates on its snapshot
-// alone.
+// what DecodeRecorder followed by Events, which rebuilds them,
+// allocates on its snapshot alone.
 func TestCommitRecordKeepsTraceEncoded(t *testing.T) {
 	opts := DefaultRunnerOptions()
 	opts.WatchdVersion = watchd.V2
@@ -190,17 +190,17 @@ func TestCommitRecordKeepsTraceEncoded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	restore := testing.AllocsPerRun(20, func() {
-		var s telemetry.Snapshot
-		if err := telemetry.DecodeSnapshot(l.Rec.Tel, &s); err != nil {
+	rebuild := testing.AllocsPerRun(20, func() {
+		r, err := telemetry.DecodeRecorder(l.Rec.Tel)
+		if err != nil {
 			t.Fatal(err)
 		}
-		s.Restore()
+		r.Events()
 	})
-	t.Logf("allocs: CommitRecord %.0f, DecodeSnapshot+Restore %.0f", commit, restore)
-	if commit >= restore/2 {
-		t.Fatalf("CommitRecord allocated %.0f objects, want under half of DecodeSnapshot+Restore's %.0f: the committed trace is rebuilt",
-			commit, restore)
+	t.Logf("allocs: CommitRecord %.0f, DecodeRecorder+Events %.0f", commit, rebuild)
+	if commit >= rebuild/2 {
+		t.Fatalf("CommitRecord allocated %.0f objects, want under half of DecodeRecorder+Events's %.0f: the committed trace is rebuilt",
+			commit, rebuild)
 	}
 	if !bytes.Equal(ledger.Results()[0].Telemetry.AppendSnapshotJSON(nil), tel) {
 		t.Fatal("the committed recorder re-encodes to other bytes than the record carried")

@@ -127,11 +127,10 @@ type Plan struct {
 	// files written by the campaign supervisor never carry them, so the
 	// on-disk format is unchanged.
 	//
-	// Shard is the assignment's shard number; Index[i] is the global
-	// job-list position of Jobs[i] (re-dispatched remainders are not
-	// contiguous); Parallelism sizes the worker's run pool; HeartbeatNS
-	// is the liveness beacon period the coordinator expects.
-	Shard       int   `json:"shard,omitempty"`
+	// Index[i] is the global job-list position of Jobs[i] (re-dispatched
+	// remainders are not contiguous); Parallelism sizes the worker's run
+	// pool; HeartbeatNS is the liveness beacon period the coordinator
+	// expects.
 	Index       []int `json:"index,omitempty"`
 	Parallelism int   `json:"parallelism,omitempty"`
 	HeartbeatNS int64 `json:"heartbeatNS,omitempty"`

@@ -141,22 +141,14 @@ func (s *Stream) readLine() ([]byte, error) {
 
 // decodeLine parses one newline-stripped journal line. Nearly every line
 // is a run record (one per run on the journal and on the shard wire), so
-// it first tries decodeRunLine, then decodes straight into a Record: one
-// pass over the bytes instead of a kind probe plus a second full decode.
-// A clean decode carrying a record kind is exactly what decodeLineByKind
-// would return. Header and plan lines, and any line the Record decode
-// rejects, take decodeLineByKind, so every other Line and every error
-// stays as that path spells it. A run record's payloads may alias data.
+// it first tries decodeRunLine, which returns exactly what
+// decodeLineByKind would; every other line, and any run line the fast
+// path declines, takes decodeLineByKind, so every other Line and every
+// error stays as that path spells it. A run record's payloads may alias
+// data.
 func decodeLine(data []byte) (*Line, error) {
 	if rec := decodeRunLine(data); rec != nil {
 		return &Line{Kind: KindRun, Rec: rec}, nil
-	}
-	rec := &Record{}
-	if json.Unmarshal(data, rec) == nil {
-		switch rec.Kind {
-		case KindRun, KindQuarantine, KindAssign, KindHeartbeat, KindDone, KindError:
-			return &Line{Kind: rec.Kind, Rec: rec}, nil
-		}
 	}
 	return decodeLineByKind(data)
 }

@@ -35,9 +35,8 @@ import (
 //     paths are virtual-time identical while the service stays up. A
 //     source record whose middleware demonstrably never acted — no
 //     server crash, no restarts, no retries, not quarantined, not a
-//     harness hang, and quiet middleware touchpoints in the recorded
-//     trace when one exists — is bit-exact under the other generation
-//     and is adopted verbatim. Disqualified by any topology change.
+//     harness hang — is bit-exact under the other generation and is
+//     adopted verbatim. Disqualified by any topology change.
 //
 // Everything else re-executes from the boot-prefix snapshot.
 type Oracle struct {
@@ -89,9 +88,9 @@ func (o *Oracle) Resolve(p *core.Prepared) ([]*core.RunResult, error) {
 				continue
 			}
 			if copyOK {
-				if sr, ok := o.src.Runs[job.Key()]; ok && quiet(sr) {
-					r := *sr.Result
-					resolved[i] = &r
+				if r, ok := o.src.Runs[job.Key()]; ok && quiet(r) {
+					c := *r
+					resolved[i] = &c
 					st.Copied++
 				}
 			}
@@ -132,17 +131,10 @@ func (o *Oracle) copySound() bool {
 }
 
 // quiet reports whether the recorded run shows zero middleware
-// reaction, cross-checking the trace touchpoints when one was recorded.
-func quiet(sr SourceRun) bool {
-	r := sr.Result
-	if r.ServerCrash || r.Restarts != 0 || r.Retries != 0 || r.Quarantined {
-		return false
-	}
-	if r.Outcome == core.HarnessHang {
-		return false
-	}
-	if sr.HasTrace && !sr.Touch.Quiet() {
-		return false
-	}
-	return true
+// reaction. The record is the only evidence: its Restarts and Retries
+// are what the trace's restart and retry counters are written from, and
+// a quarantined run is journaled as a quarantine record, never as a run.
+func quiet(r *core.RunResult) bool {
+	return !r.ServerCrash && r.Restarts == 0 && r.Retries == 0 && !r.Quarantined &&
+		r.Outcome != core.HarnessHang
 }

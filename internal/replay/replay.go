@@ -21,7 +21,6 @@ import (
 	"ntdts/internal/middleware"
 	"ntdts/internal/middleware/watchd"
 	"ntdts/internal/shard"
-	"ntdts/internal/telemetry"
 	"ntdts/internal/workload"
 	"ntdts/internal/workpool"
 )
@@ -36,7 +35,7 @@ type Source struct {
 	// their "/probe" suffix).
 	PlanKeys []string
 	// Runs indexes every completed run record by job key.
-	Runs map[string]SourceRun
+	Runs map[string]*core.RunResult
 	// Quarantined counts journaled quarantine records (those runs have
 	// no trustworthy outcome to elide from).
 	Quarantined int
@@ -45,22 +44,11 @@ type Source struct {
 	Torn bool
 }
 
-// SourceRun is one recorded run plus the touchpoint counters of its
-// recorded trace, the restarts, retries and quarantines the oracle's
-// quiet check reads (HasTrace false when the source ran without
-// telemetry — the run-record fields then carry the only evidence).
-type SourceRun struct {
-	Result   *core.RunResult
-	Touch    telemetry.Touchpoints
-	HasTrace bool
-}
-
 // Load parses a campaign journal into a replay source. journal.Replay
-// decodes its lines on the pool; Load then decodes each run's result and
-// reads its trace's touchpoints with telemetry.DecodeTouchpoints, which
-// builds no event, on workpool.Run in journal-index order. A bad record
-// fails the load with the error of the lowest-indexed one, whatever the
-// pool width.
+// decodes its lines on the pool; Load then decodes each run's result,
+// and never its trace, on workpool.Run in journal-index order. A bad
+// result fails the load with the error of the lowest-indexed one,
+// whatever the pool width.
 func Load(path string) (*Source, error) {
 	rep, err := journal.Replay(path)
 	if err != nil {
@@ -73,7 +61,7 @@ func Load(path string) (*Source, error) {
 		Path:        path,
 		Header:      rep.Header,
 		PlanKeys:    rep.Plan.Jobs,
-		Runs:        make(map[string]SourceRun, len(rep.Runs)),
+		Runs:        make(map[string]*core.RunResult, len(rep.Runs)),
 		Quarantined: len(rep.Quarantined),
 		Torn:        rep.Torn,
 	}
@@ -82,34 +70,23 @@ func Load(path string) (*Source, error) {
 		indices = append(indices, i)
 	}
 	sort.Ints(indices)
-	recs := make([]*journal.Record, len(indices))
-	for n, i := range indices {
-		recs[n] = rep.Runs[i]
-	}
-	runs := make([]SourceRun, len(recs))
-	err = workpool.Run(context.TODO(), len(recs), 0, func() func(int) error {
+	runs := make([]*core.RunResult, len(indices))
+	err = workpool.Run(context.TODO(), len(indices), 0, func() func(int) error {
 		return func(n int) error {
-			rec := recs[n]
+			rec := rep.Runs[indices[n]]
 			res, err := core.UnmarshalRunRecord(rec.Result, nil)
 			if err != nil {
 				return fmt.Errorf("replay source %s: run %q: %w", path, rec.Key, err)
 			}
-			sr := SourceRun{Result: res}
-			if len(rec.Tel) != 0 {
-				if sr.Touch, err = telemetry.DecodeTouchpoints(rec.Tel); err != nil {
-					return fmt.Errorf("replay source %s: run %q trace: %w", path, rec.Key, err)
-				}
-				sr.HasTrace = true
-			}
-			runs[n] = sr
+			runs[n] = res
 			return nil
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	for n := range recs {
-		src.Runs[recs[n].Key] = runs[n]
+	for n, i := range indices {
+		src.Runs[rep.Runs[i].Key] = runs[n]
 	}
 	return src, nil
 }

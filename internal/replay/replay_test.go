@@ -19,6 +19,7 @@ import (
 	"ntdts/internal/ntsim/win32"
 	"ntdts/internal/replay"
 	"ntdts/internal/shard"
+	"ntdts/internal/telemetry"
 	"ntdts/internal/workload"
 )
 
@@ -65,9 +66,9 @@ func journalCampaign(t *testing.T, specs []inject.FaultSpec, spec middleware.Spe
 	return journalRun(t, runner, specs)
 }
 
-// journalRun runs the spec list supervised+journaled on runner and
-// returns the journal path.
-func journalRun(t *testing.T, runner *core.Runner, specs []inject.FaultSpec) string {
+// journalRun runs the spec list supervised+journaled on runner, with
+// any further campaign options, and returns the journal path.
+func journalRun(t *testing.T, runner *core.Runner, specs []inject.FaultSpec, opts ...core.Option) string {
 	t.Helper()
 	h := shard.HeaderFor(runner)
 	h.FaultList = "testlist"
@@ -76,8 +77,8 @@ func journalRun(t *testing.T, runner *core.Runner, specs []inject.FaultSpec) str
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := core.NewCampaign(runner, core.WithSpecs(specs), core.WithJournal(jw, nil), core.WithParallelism(4))
-	if _, err := c.Run(context.Background()); err != nil {
+	opts = append([]core.Option{core.WithSpecs(specs), core.WithJournal(jw, nil), core.WithParallelism(4)}, opts...)
+	if _, err := core.NewCampaign(runner, opts...).Run(context.Background()); err != nil {
 		t.Fatalf("source campaign: %v", err)
 	}
 	if err := jw.Close(); err != nil {
@@ -188,20 +189,87 @@ func TestReplayClusterFaultFree(t *testing.T) {
 
 // TestReplayWatchdGenerationCopy: watchd v2 -> v3 admits verbatim copy
 // for quiet runs, and the result still matches from-scratch v3 exactly.
+// The oracle reads the run record, never its trace, so an untraced
+// source elides exactly as a traced one does.
 func TestReplayWatchdGenerationCopy(t *testing.T) {
 	specs := testSpecs(45)
 	source, _ := middleware.Parse("watchd-v2")
 	target, _ := middleware.Parse("watchd-v3")
-	path := journalCampaign(t, specs, source, true)
 	want := archiveBytes(t, fromScratch(t, runnerFor(t, target), specs))
 
-	set, oracle := replayTo(t, path, target, 4, false)
-	if got := archiveBytes(t, set); got != want {
-		t.Fatal("replayed v2->v3 archive differs from from-scratch v3 archive")
+	var traced replay.Stats
+	for _, telem := range []bool{true, false} {
+		set, oracle := replayTo(t, journalCampaign(t, specs, source, telem), target, 4, false)
+		if got := archiveBytes(t, set); got != want {
+			t.Fatalf("traced source %v: replayed v2->v3 archive differs from from-scratch v3 archive", telem)
+		}
+		st := oracle.Stats()
+		if st.Copied == 0 {
+			t.Fatalf("traced source %v: expected verbatim copies for quiet watchd runs, got %+v", telem, st)
+		}
+		if telem {
+			traced = st
+		} else if st != traced {
+			t.Fatalf("untraced source elided %+v, traced source %+v", st, traced)
+		}
 	}
-	st := oracle.Stats()
-	if st.Copied == 0 {
-		t.Fatalf("expected verbatim copies for quiet watchd runs, got %+v", st)
+}
+
+// TestRunRecordCarriesTraceCounters pins the premise the oracle's copy
+// proof rests on when it reads no trace: a run record's Restarts and
+// Retries are what its trace's run.restarts and supervise.retry
+// counters say, and no run record's trace counts a quarantine, because
+// a quarantined run is journaled as a quarantine record. The traced
+// IIS/watchd-v2 list restarts the service, retries a flaky run and
+// quarantines a panicking one, journaled in-process and on a 2-worker
+// in-process fleet.
+func TestRunRecordCarriesTraceCounters(t *testing.T) {
+	specs := append(testSpecs(12),
+		inject.FaultSpec{Function: "CreateFileA", Invocation: 1, Type: inject.OneBits},
+		inject.FaultSpec{Function: "CreateFileA", Invocation: 1, Type: inject.FlipBits},
+		inject.FaultSpec{Function: core.ChaosFlakyFunction, Invocation: 1, Type: inject.ZeroBits},
+		inject.FaultSpec{Function: core.ChaosPanicFunction, Invocation: 1, Type: inject.ZeroBits})
+	source, _ := middleware.Parse("watchd-v2")
+	runner := runnerFor(t, source)
+	runner.Opts.Telemetry = telemetry.Options{Enabled: true, TraceCap: 256}
+	chaos := core.WithSupervision(core.SupervisorOptions{Chaos: true})
+	for _, c := range []struct {
+		name string
+		opts []core.Option
+	}{
+		{"in-process", []core.Option{chaos}},
+		{"fleet", []core.Option{chaos, core.WithShardExecutor(shard.NewFleet(shard.FleetOptions{Workers: 2}))}},
+	} {
+		rep, err := journal.Replay(journalRun(t, runner, specs, c.opts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		restarts, retries := 0, 0
+		for _, rec := range rep.Runs {
+			var res core.RunResult
+			var snap telemetry.Snapshot
+			if err := json.Unmarshal(rec.Result, &res); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(rec.Tel, &snap); err != nil {
+				t.Fatal(err)
+			}
+			ctr := snap.Counters
+			if ctr[telemetry.CtrRunRestarts] != int64(res.Restarts) || ctr[telemetry.CtrSupRetry] != int64(res.Retries) {
+				t.Fatalf("%s: run %q records %d restarts and %d retries, its trace %d and %d", c.name, rec.Key,
+					res.Restarts, res.Retries, ctr[telemetry.CtrRunRestarts], ctr[telemetry.CtrSupRetry])
+			}
+			if n, ok := ctr[telemetry.CtrSupQuarantine]; ok {
+				t.Fatalf("%s: run %q's trace counts %d quarantines", c.name, rec.Key, n)
+			}
+			restarts += res.Restarts
+			retries += res.Retries
+		}
+		t.Logf("%s: %d restarts, %d retries, %d quarantines", c.name, restarts, retries, len(rep.Quarantined))
+		if restarts == 0 || retries == 0 || len(rep.Quarantined) == 0 {
+			t.Fatalf("%s: %d restarts, %d retries and %d quarantines, want each above 0",
+				c.name, restarts, retries, len(rep.Quarantined))
+		}
 	}
 }
 
@@ -279,32 +347,37 @@ func TestOracleSoundnessSampled(t *testing.T) {
 	}
 }
 
-// TestLoadNamesLowestIndexedBadRecord: Load decodes every run's result
-// and full trace, and a journal with two bad records fails naming the
-// lower-indexed one on every call, at any GOMAXPROCS.
+// TestLoadNamesLowestIndexedBadRecord: Load decodes every run's result,
+// and a journal with two bad results fails naming the lower-indexed one
+// on every call, at any GOMAXPROCS. Load reads no trace: the same two
+// records with a corrupt trace event load, and replay to the clean
+// source's archive and Stats.
 func TestLoadNamesLowestIndexedBadRecord(t *testing.T) {
 	source, _ := middleware.Parse("watchd-v2")
 	path := journalCampaign(t, testSpecs(12), source, true)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, c := range []struct {
-		name  string
-		field func(*journal.Record) *json.RawMessage
-		bad   *regexp.Regexp
-		with  string
-	}{
-		{"trace event", func(r *journal.Record) *json.RawMessage { return &r.Tel }, regexp.MustCompile(`"at":\d+`), `"at":"x"`},
-		{"result", func(r *journal.Record) *json.RawMessage { return &r.Result }, regexp.MustCompile(`"restarts":\d+`), `"restarts":"x"`},
-	} {
-		bad, low, high := corruptTwoRuns(t, path, c.field, c.bad, c.with)
-		for _, procs := range []int{1, 4} {
-			runtime.GOMAXPROCS(procs)
-			for call := 0; call < 20; call++ {
-				_, err := replay.Load(bad)
-				if err == nil || !strings.Contains(err.Error(), strconv.Quote(low)) || strings.Contains(err.Error(), strconv.Quote(high)) {
-					t.Fatalf("%s, GOMAXPROCS %d, call %d: error %v, want one naming %q", c.name, procs, call, err, low)
-				}
+	bad, low, high := corruptTwoRuns(t, path, func(r *journal.Record) *json.RawMessage { return &r.Result },
+		regexp.MustCompile(`"restarts":\d+`), `"restarts":"x"`)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for call := 0; call < 20; call++ {
+			_, err := replay.Load(bad)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(low)) || strings.Contains(err.Error(), strconv.Quote(high)) {
+				t.Fatalf("GOMAXPROCS %d, call %d: error %v, want one naming %q", procs, call, err, low)
 			}
 		}
+	}
+
+	badTrace, _, _ := corruptTwoRuns(t, path, func(r *journal.Record) *json.RawMessage { return &r.Tel },
+		regexp.MustCompile(`"at":\d+`), `"at":"x"`)
+	target, _ := middleware.Parse("watchd-v3")
+	want, wantOracle := replayTo(t, path, target, 4, false)
+	got, gotOracle := replayTo(t, badTrace, target, 4, false)
+	if archiveBytes(t, got) != archiveBytes(t, want) {
+		t.Fatal("the source with corrupt traces replays to another archive than the clean source")
+	}
+	if st := gotOracle.Stats(); st != wantOracle.Stats() || st.Copied == 0 {
+		t.Fatalf("the source with corrupt traces elided %+v, the clean source %+v", st, wantOracle.Stats())
 	}
 }
 

@@ -371,7 +371,7 @@ func (f *Fleet) session(ctx context.Context, slot int, d *dispatcher, header jou
 		}
 		plan := journal.Plan{
 			Kind: journal.KindPlan, Jobs: keys,
-			Shard: slot, Index: append([]int(nil), a.indices...),
+			Index:       append([]int(nil), a.indices...),
 			Parallelism: f.opts.WorkerParallelism,
 			HeartbeatNS: int64(f.opts.Heartbeat),
 		}

@@ -3,12 +3,12 @@ package telemetry
 // The snapshot codec. Every run record a journal or a fleet worker
 // writes carries one Snapshot, so its JSON form is written and read by
 // hand: AppendSnapshotJSON writes exactly json.Marshal's bytes, and
-// DecodeSnapshot reads those canonical bytes in one strict pass, leaving
-// anything else to encoding/json. DecodeRecorder and DecodeTouchpoints
-// take the same pass without storing the trace, and WriteJSONL walks a
-// kept trace with the same event reader. TestSnapshotCodecFieldSet
-// fails when a field is added to Snapshot, SnapshotEvent or Hist, which
-// AppendSnapshotJSON and decodeCanonical must then learn.
+// DecodeRecorder reads those canonical bytes in one strict pass into a
+// recorder that keeps the events encoded, leaving anything else to
+// encoding/json. WriteJSONL walks a kept trace with the same event
+// reader. TestSnapshotCodecFieldSet fails when a field is added to
+// Snapshot, SnapshotEvent or Hist, which AppendSnapshotJSON and
+// DecodeRecorder must then learn.
 
 import (
 	"encoding/json"
@@ -115,142 +115,78 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// DecodeSnapshot sets *s to what json.Unmarshal(data, s) leaves in a
-// zero Snapshot, and returns the error json.Unmarshal returns. The
-// canonical bytes AppendSnapshotJSON writes are decoded in one strict
-// pass; any other input goes to encoding/json.
-func DecodeSnapshot(data []byte, s *Snapshot) error {
-	*s = Snapshot{}
-	if canonicalSnapshot(data, s) {
-		return nil
-	}
-	*s = Snapshot{}
-	return json.Unmarshal(data, s)
-}
-
-// canonicalSnapshot is DecodeSnapshot's strict pass: it decodes data
-// into the zero *s and reports whether data was canonical.
-func canonicalSnapshot(data []byte, s *Snapshot) bool {
-	_, ok := decodeCanonical(data, s, nil, func(e walkedEvent) {
-		s.Events = append(s.Events, SnapshotEvent{
-			At: e.at, PID: e.pid, Kind: kindName(e.kind), Name: string(e.name), A: e.a, B: e.b,
-		})
-	})
-	return ok
-}
-
-// DecodeRecorder returns a recorder equal to what DecodeSnapshot(data,
-// &s) followed by s.Restore() returns, with DecodeSnapshot's error.
-// Canonical bytes take one strict pass that decodes the scalars,
-// counters and histograms and validates and counts the events, which
-// the recorder keeps as the bytes of data they were read from (see
-// Recorder), so data must not change afterwards. Input the pass
-// declines, and events AppendSnapshotJSON would not write back as they
-// are, go to DecodeSnapshot.
+// DecodeRecorder returns a recorder equal to what json.Unmarshal(data,
+// &s) followed by s.Restore() returns, with json.Unmarshal's error.
+// The canonical bytes AppendSnapshotJSON writes take one strict pass
+// that decodes the scalars, counters and histograms and validates and
+// counts the events, which the recorder keeps as the bytes of data they
+// were read from (see Recorder), so data must not change afterwards.
+// Input the pass declines, and events AppendSnapshotJSON would not write
+// back as they are (walkedEvent.verbatim), go to encoding/json.
 func DecodeRecorder(data []byte) (*Recorder, error) {
-	var s Snapshot
-	n, verbatim := 0, true
-	events, ok := decodeCanonical(data, &s, nil, func(e walkedEvent) {
-		n++
-		verbatim = verbatim && e.verbatim()
-	})
-	if ok && verbatim {
-		r := newRecorder(s.Cap, s.Counters, s.Hists)
-		r.dropped, r.enc, r.nenc = s.Dropped, events, n
-		return r, nil
-	}
-	var slow Snapshot
-	if err := DecodeSnapshot(data, &slow); err != nil {
-		return nil, err
-	}
-	return slow.Restore(), nil
-}
-
-// DecodeTouchpoints returns what DecodeSnapshot(data, &s) followed by
-// s.Touchpoints() returns, with DecodeSnapshot's error. Canonical bytes
-// take the same strict pass, which validates every event and histogram
-// but stores none of them and no other counter; any other input goes to
-// DecodeSnapshot.
-func DecodeTouchpoints(data []byte) (Touchpoints, error) {
-	var t Touchpoints
-	if _, ok := decodeCanonical(data, &Snapshot{}, &t, nil); ok {
-		return t, nil
-	}
-	var s Snapshot
-	err := DecodeSnapshot(data, &s)
-	return s.Touchpoints(), err
-}
-
-// decodeCanonical reads data in the canonical form in one strict pass
-// and reports whether data was in it, returning the bytes of its events
-// array between the brackets (nil when it has none). It decodes the
-// scalars into the zero *s and hands each event to each (nil: none).
-// With t nil it stores the counters and histograms in s; with t non-nil
-// it stores no histogram and sets only the touchpoint counters, in the
-// zero *t. On false, *s and *t hold partial garbage.
-func decodeCanonical(data []byte, s *Snapshot, t *Touchpoints, each func(walkedEvent)) (events []byte, ok bool) {
-	keep := t == nil
 	rd := jsonwire.NewReader(data)
 	rd.Expect(`{"cap":`)
-	s.Cap = int(rd.Int(strconv.IntSize))
+	capN := int(rd.Int(strconv.IntSize))
+	var dropped uint64
 	if rd.Skip(`,"dropped":`) {
-		s.Dropped = rd.Uint(64)
+		dropped = rd.Uint(64)
 	}
+	var events []byte
+	n, verbatim := 0, true
 	if rd.Skip(`,"events":[`) {
 		start := rd.Offset()
-		walkEvents(&rd, each)
+		walkEvents(&rd, func(e walkedEvent) {
+			n++
+			verbatim = verbatim && e.verbatim()
+		})
 		events = data[start:rd.Offset():rd.Offset()]
 		rd.Expect("]")
 	}
+	var counters map[string]int64
 	if rd.Skip(`,"counters":{`) {
-		if keep {
-			s.Counters = make(map[string]int64)
-		}
+		counters = make(map[string]int64)
 		for more := true; more; more = rd.Skip(",") {
 			k := rd.String()
 			rd.Expect(":")
-			v := rd.Int(64)
-			if keep {
-				s.Counters[internName(k)] = v
-			} else {
-				t.set(k, v)
-			}
+			counters[internName(k)] = rd.Int(64)
 		}
 		rd.Expect("}")
 	}
+	var hists map[string]*Hist
 	if rd.Skip(`,"hists":{`) {
-		if keep {
-			s.Hists = make(map[string]*Hist)
-		}
+		hists = make(map[string]*Hist)
 		for more := true; more; more = rd.Skip(",") {
 			k := rd.String()
-			var counts []uint64
+			h := &Hist{}
 			rd.Expect(`:{"Counts":`)
 			if !rd.Skip("null") {
 				rd.Expect("[")
-				if keep {
-					counts = make([]uint64, 0, len(histBuckets)+1)
-				}
+				h.Counts = make([]uint64, 0, len(histBuckets)+1)
 				for more := true; more; more = rd.Skip(",") {
-					if c := rd.Uint(64); keep {
-						counts = append(counts, c)
-					}
+					h.Counts = append(h.Counts, rd.Uint(64))
 				}
 				rd.Expect("]")
 			}
 			rd.Expect(`,"N":`)
-			n := rd.Uint(64)
+			h.N = rd.Uint(64)
 			rd.Expect(`,"Sum":`)
-			sum := time.Duration(rd.Int(64))
+			h.Sum = time.Duration(rd.Int(64))
 			rd.Expect("}")
-			if keep {
-				s.Hists[internName(k)] = &Hist{Counts: counts, N: n, Sum: sum}
-			}
+			hists[internName(k)] = h
 		}
 		rd.Expect("}")
 	}
 	rd.Expect("}")
-	return events, rd.Done()
+	if rd.Done() && verbatim {
+		r := newRecorder(capN, counters, hists)
+		r.dropped, r.enc, r.nenc = dropped, events, n
+		return r, nil
+	}
+	var s Snapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, err
+	}
+	return s.Restore(), nil
 }
 
 // walkedEvent is one event as the canonical walker reads it. kind and
@@ -264,7 +200,7 @@ type walkedEvent struct {
 }
 
 // walkEvents reads canonical event objects at rd, separated by commas,
-// up to the byte after the last one, and hands each to each (nil: none).
+// up to the byte after the last one, and hands each to each.
 func walkEvents(rd *jsonwire.Reader, each func(walkedEvent)) {
 	for more := true; more; more = rd.Skip(",") {
 		var e walkedEvent
@@ -285,9 +221,7 @@ func walkEvents(rd *jsonwire.Reader, each func(walkedEvent)) {
 			e.zeroAB = e.zeroAB || e.b == 0
 		}
 		rd.Expect("}")
-		if each != nil {
-			each(e)
-		}
+		each(e)
 	}
 }
 
@@ -299,17 +233,8 @@ func (e *walkedEvent) verbatim() bool {
 	return known && !e.zeroAB && jsonwire.Verbatim(e.name)
 }
 
-// kindName returns the kind spelled by b, sharing the constant string
-// when b names a known kind.
-func kindName(b []byte) string {
-	if k, ok := kindByName[string(b)]; ok {
-		return k.String()
-	}
-	return string(b)
-}
-
 // knownNames holds the counter and histogram names the stack records,
-// which internName shares as kindName shares kinds.
+// which internName shares.
 var knownNames = func() map[string]string {
 	m := make(map[string]string)
 	for _, n := range []string{

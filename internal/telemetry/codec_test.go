@@ -15,16 +15,14 @@ import (
 
 // FuzzSnapshotCodec builds a recorder from fuzzed operations (a ring of
 // 1-8 events that wraps and drops, arbitrary names and keys, the
-// touchpoint counters, negative times, unknown kinds, filled and empty
-// histograms) and holds the codec to encoding/json: AppendSnapshotJSON
-// writes json.Marshal(r.Snapshot()), and DecodeSnapshot, on those bytes
-// and on arbitrary ones, leaves the value and returns the error
-// json.Unmarshal does. DecodeTouchpoints, on the same bytes, returns the
-// value and the error text of DecodeSnapshot followed by Touchpoints,
-// and DecodeRecorder the error text and a recorder that exports, reads
-// and changes as DecodeSnapshot followed by Restore does (checkRecorder).
-// Bytes whose strings need no escaping must decode on the fast path,
-// and DecodeRecorder must keep their events encoded.
+// restart, retry and quarantine counters, negative times, unknown
+// kinds, filled and empty histograms) and holds the codec to
+// encoding/json: AppendSnapshotJSON writes json.Marshal(r.Snapshot()),
+// and DecodeRecorder, on those bytes and on arbitrary ones, returns the
+// error text and a recorder that exports, reads and changes as
+// json.Unmarshal followed by Restore does (checkRecorder). Bytes whose
+// strings need no escaping must decode on the fast path, which keeps
+// their events encoded.
 func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 2, 3, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x70}, "GetTickCount", "proc.exit", int64(5), []byte(`{"cap":8}`))
 	f.Add(uint8(0), []byte("a ring that wraps past its cap"), "q\"<>&\x01\t\u2028\xff", "k\\\u2029/", int64(-1<<40),
@@ -41,8 +39,9 @@ func FuzzSnapshotCodec(f *testing.F) {
 	} {
 		f.Add(uint8(1), []byte{0}, "", "", int64(0), []byte(raw))
 	}
-	// The touchpoint counters: canonical, repeated, escaped, beside a
-	// histogram, and in inputs encoding/json rejects part way through.
+	// The restart, retry and quarantine counters: canonical, repeated,
+	// escaped, beside a histogram, and in inputs encoding/json rejects
+	// part way through.
 	for _, raw := range []string{
 		`{"cap":1,"counters":{"run.restarts":2,"supervise.quarantined":1,"supervise.retry":3}}`,
 		`{"cap":1,"counters":{"supervise.retry":1,"supervise.retry":2}}`,
@@ -82,21 +81,10 @@ func FuzzSnapshotCodec(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("AppendSnapshotJSON\n got %s\nwant %s", got, want)
 		}
-		checkDecode(t, got)
-		checkDecode(t, raw)
-		checkTouchpoints(t, got)
-		checkTouchpoints(t, raw)
 		ev := Event{At: vclock.Time(at), PID: uint32(capN), Kind: Kind(capN >> 4), Name: name, A: uint64(len(ops)), B: 1}
 		checkRecorder(t, got, ev, key)
 		checkRecorder(t, raw, ev, key)
 		if plain(name) && plain(key) {
-			var s Snapshot
-			if !canonicalSnapshot(got, &s) {
-				t.Fatalf("canonical bytes missed the fast path: %s", got)
-			}
-			if _, ok := CanonicalTouchpoints(got); !ok {
-				t.Fatalf("canonical bytes missed the touchpoint fast path: %s", got)
-			}
 			if d, err := DecodeRecorder(got); err != nil || len(r.events) > 0 && d.enc == nil {
 				t.Fatalf("DecodeRecorder did not keep the events of %s (error %v)", got, err)
 			}
@@ -104,7 +92,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 	})
 }
 
-// checkRecorder holds DecodeRecorder to DecodeSnapshot followed by
+// checkRecorder holds DecodeRecorder to json.Unmarshal followed by
 // Restore on data: the same error text, and recorders that match on
 // every export and read (sameRecorder), first as decoded, then after an
 // Emit of ev, an Add to key, a Clone (and an Emit into the clone, which
@@ -112,7 +100,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 func checkRecorder(t *testing.T, data []byte, ev Event, key string) {
 	t.Helper()
 	var s Snapshot
-	wantErr := DecodeSnapshot(data, &s)
+	wantErr := json.Unmarshal(data, &s)
 	_, gotErr := DecodeRecorder(data)
 	if errText(gotErr) != errText(wantErr) {
 		t.Fatalf("DecodeRecorder(%q) error %q, want %q", data, errText(gotErr), errText(wantErr))
@@ -187,36 +175,6 @@ func sameRecorder(t *testing.T, what string, got, want *Recorder, key string) {
 	}
 }
 
-// checkTouchpoints holds DecodeTouchpoints to DecodeSnapshot followed by
-// Touchpoints on data.
-func checkTouchpoints(t *testing.T, data []byte) {
-	t.Helper()
-	var s Snapshot
-	wantErr := DecodeSnapshot(data, &s)
-	want := s.Touchpoints()
-	got, gotErr := DecodeTouchpoints(data)
-	if errText(gotErr) != errText(wantErr) {
-		t.Fatalf("DecodeTouchpoints(%q) error %q, want %q", data, errText(gotErr), errText(wantErr))
-	}
-	if got != want {
-		t.Fatalf("DecodeTouchpoints(%q) = %+v, want %+v", data, got, want)
-	}
-}
-
-// checkDecode holds DecodeSnapshot to json.Unmarshal on data.
-func checkDecode(t *testing.T, data []byte) {
-	t.Helper()
-	var got, want Snapshot
-	gotErr := DecodeSnapshot(data, &got)
-	wantErr := json.Unmarshal(data, &want)
-	if errText(gotErr) != errText(wantErr) {
-		t.Fatalf("DecodeSnapshot(%q) error %q, want %q", data, errText(gotErr), errText(wantErr))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DecodeSnapshot(%q)\n got %+v\nwant %+v", data, got, want)
-	}
-}
-
 // plain reports whether s is quoted without escapes, so that the fast
 // decoder reads it back.
 func plain(s string) bool {
@@ -232,7 +190,7 @@ func errText(err error) string {
 
 // TestSnapshotCodecFieldSet pins the JSON shape the hand-written codec
 // knows. A new or changed field must be taught to AppendSnapshotJSON and
-// decodeCanonical (codec.go) before this list is updated.
+// DecodeRecorder (codec.go) before this list is updated.
 func TestSnapshotCodecFieldSet(t *testing.T) {
 	for _, c := range []struct {
 		v    any
@@ -244,7 +202,7 @@ func TestSnapshotCodecFieldSet(t *testing.T) {
 		{Hist{}, "Counts []uint64; N uint64; Sum time.Duration"},
 	} {
 		if got := jsonFields(reflect.TypeOf(c.v)); got != c.want {
-			t.Errorf("%T fields changed: update AppendSnapshotJSON and decodeCanonical in codec.go, then this test\n got %s\nwant %s",
+			t.Errorf("%T fields changed: update AppendSnapshotJSON and DecodeRecorder in codec.go, then this test\n got %s\nwant %s",
 				c.v, got, c.want)
 		}
 	}

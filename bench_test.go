@@ -4,9 +4,9 @@
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the paper's results end to end. The Ablation* benchmarks
-// cover the design choices called out in DESIGN.md §4 (scheduler cost per
-// system call, per-run cost of the injection harness).
+// reproduces the paper's results end to end. BenchmarkAblationSkipModes
+// prices the skip rule (DESIGN.md §3), and the Campaign*, Cluster* and
+// WorkloadGen benchmarks back the CI performance gates.
 package ntdts_test
 
 import (
@@ -23,13 +23,8 @@ import (
 	"ntdts/internal/experiments"
 	"ntdts/internal/inject"
 	"ntdts/internal/journal"
-	"ntdts/internal/middleware"
 	"ntdts/internal/middleware/watchd"
-	"ntdts/internal/ntsim"
-	"ntdts/internal/ntsim/win32"
-	replaypkg "ntdts/internal/replay"
 	"ntdts/internal/shard"
-	"ntdts/internal/sqlengine"
 	"ntdts/internal/telemetry"
 	"ntdts/internal/workload"
 	"ntdts/internal/workloadgen"
@@ -160,91 +155,6 @@ func BenchmarkFigure5(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md §4) -------------------------------------
-
-// BenchmarkAblationSyscallDispatch measures the cost of one system call
-// through the cooperative scheduler and interception path — the overhead
-// the deterministic-simulation design pays per KERNEL32 call.
-func BenchmarkAblationSyscallDispatch(b *testing.B) {
-	k := ntsim.NewKernel()
-	k.SetInterceptor(inject.New(k, inject.ByImage("bench.exe"), nil))
-	done := make(chan struct{})
-	k.RegisterImage("bench.exe", func(p *ntsim.Process) uint32 {
-		a := win32.New(p)
-		for i := 0; i < b.N; i++ {
-			a.GetTickCount()
-		}
-		close(done)
-		return 0
-	})
-	if _, err := k.Spawn("bench.exe", "bench.exe", 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for k.Step() {
-		select {
-		case <-done:
-			return
-		default:
-		}
-	}
-}
-
-// BenchmarkAblationSingleRun measures one complete fault-injection run —
-// the unit of work Figure 1's loops repeat thousands of times.
-func BenchmarkAblationSingleRun(b *testing.B) {
-	fault := inject.FaultSpec{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits}
-	runner := core.NewRunner(workload.NewIIS(workload.Standalone), core.RunnerOptions{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(&fault); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationActivationScan measures the fault-free calibration run
-// that feeds the skip rule.
-func BenchmarkAblationActivationScan(b *testing.B) {
-	runner := core.NewRunner(workload.NewSQL(workload.Standalone), core.RunnerOptions{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := runner.ActivationScan(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationSQLEngine measures the SQL substrate on the workload's
-// actual query.
-func BenchmarkAblationSQLEngine(b *testing.B) {
-	db := sqlengine.NewDB()
-	if err := db.Load(sqlengine.NewDB().Dump()); err != nil {
-		b.Fatal(err)
-	}
-	seed := mustSeed(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := seed.Exec(workload.SQLQuery); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func mustSeed(b *testing.B) *sqlengine.DB {
-	b.Helper()
-	db := sqlengine.NewDB()
-	if _, err := db.Exec("CREATE TABLE orders (id INT, customer TEXT, total INT)"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 1; i <= 48; i++ {
-		if _, err := db.Exec("INSERT INTO orders VALUES (1, 'acme', 120)"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return db
-}
-
 // BenchmarkAvailability regenerates the §5 availability estimates from the
 // Figure 2 campaign.
 func BenchmarkAvailability(b *testing.B) {
@@ -257,31 +167,6 @@ func BenchmarkAvailability(b *testing.B) {
 			if e.Workload == "IIS" {
 				b.ReportMetric(e.NinesCount, "IIS-"+e.Supervision+"-nines")
 			}
-		}
-	}
-}
-
-// BenchmarkAblationCostModel sweeps the I/O cost model and reports the
-// fault-free response-time sensitivity (DESIGN.md §4(5): the Figure 4
-// magnitudes hang off one tunable table).
-func BenchmarkAblationCostModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, scale := range []int{1, 2, 4} {
-			runner := core.NewRunner(workload.NewIIS(workload.Standalone), core.RunnerOptions{})
-			def := runner.Def
-			base := def.Setup
-			def.Setup = func(k *ntsim.Kernel) {
-				base(k)
-				costs := k.Costs()
-				costs.IOPerKB *= time.Duration(scale)
-				k.SetCosts(costs)
-			}
-			runner.Def = def
-			_, res, err := runner.ActivationScan()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.ResponseSec, fmt.Sprintf("io-x%d-sec", scale))
 		}
 	}
 }
@@ -627,92 +512,4 @@ func BenchmarkCampaignFleet(b *testing.B) {
 		bench(fmt.Sprintf("workers=%d", w), w, "")
 	}
 	bench("straggler/workers=4", 4, "0:5")
-}
-
-// BenchmarkReplay measures what the divergence oracle buys: a campaign
-// journaled under watchd-v2, replayed to watchd-v3, once with elision on
-// (the oracle adopts every run the recorded evidence proves unaffected)
-// and once with -no-elide semantics (every run goes to the target's
-// runner — the rerun baseline; the runner still simulates only its first
-// dormant run and copies the rest, see core.Dormant). Both arms produce
-// byte-identical archives (the replay equivalence tests pin that); the
-// metric is wall-clock. Reported: "speedup-vs-rerun" (rerun time over
-// elided-replay time) and "elision-rate" (fraction of the plan never
-// re-executed).
-func BenchmarkReplay(b *testing.B) {
-	var specs []inject.FaultSpec
-	i := 0
-	for _, e := range win32.Catalog() {
-		if e.Params == 0 {
-			continue
-		}
-		if i++; i%9 != 0 {
-			continue
-		}
-		specs = append(specs, inject.FaultSpec{Function: e.Name, Param: 0, Invocation: 1, Type: inject.ZeroBits})
-		if len(specs) >= 60 {
-			break
-		}
-	}
-	source := middleware.Spec{Supervision: workload.Watchd, WatchdVersion: watchd.V2}
-	target := middleware.Spec{Supervision: workload.Watchd, WatchdVersion: watchd.V3}
-
-	opts := core.DefaultRunnerOptions()
-	opts.WatchdVersion = source.WatchdVersion
-	opts.Telemetry = telemetry.Options{Enabled: true, TraceCap: 256}
-	runner := core.NewRunner(workload.NewIIS(source.Supervision), opts)
-	h := shard.HeaderFor(runner)
-	h.FaultList = "benchlist"
-	jpath := filepath.Join(b.TempDir(), "bench.journal")
-	jw, err := journal.Create(jpath, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := core.NewCampaign(runner, core.WithSpecs(specs), core.WithJournal(jw, nil),
-		core.WithParallelism(1)).Run(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	if err := jw.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	replayArm := func(noElide bool) (*core.SetResult, replaypkg.Stats) {
-		src, err := replaypkg.Load(jpath)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, oracle, err := replaypkg.Build(src, replaypkg.Options{Target: target, Parallelism: 1, NoElide: noElide})
-		if err != nil {
-			b.Fatal(err)
-		}
-		set, err := c.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return set, oracle.Stats()
-	}
-
-	// Interleave the arms so load drift cancels (the journaled-overhead
-	// benchmark's trick).
-	replayArm(false)
-	var elidedNS, rerunNS int64
-	var stats replaypkg.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		elided, st := replayArm(false)
-		t1 := time.Now()
-		rerun, _ := replayArm(true)
-		elidedNS += int64(t1.Sub(t0))
-		rerunNS += int64(time.Since(t1))
-		if len(elided.Runs) != len(rerun.Runs) {
-			b.Fatalf("elided replay ran %d faults, rerun %d", len(elided.Runs), len(rerun.Runs))
-		}
-		if st.Elided == 0 {
-			b.Fatal("oracle elided nothing on a v2->v3 replay")
-		}
-		stats = st
-	}
-	b.ReportMetric(float64(rerunNS)/float64(elidedNS), "speedup-vs-rerun")
-	b.ReportMetric(stats.Rate(), "elision-rate")
 }

@@ -18,10 +18,11 @@ import (
 	"ntdts/internal/journal"
 )
 
-// TestFleetArchiveMatchesUnsharded runs the 200-spec campaign through a
-// work-stealing fleet of four real worker processes, with a journal
-// attached, and requires the archive to byte-match the unsharded run
-// and the journal to carry the dispatch provenance trail.
+// TestFleetArchiveMatchesUnsharded runs the 200-spec campaign through
+// work-stealing fleets of four real worker processes and requires each
+// archive to byte-match the unsharded run: with one-wide worker pools
+// and a journal, which must carry the dispatch provenance trail, and
+// with two-wide worker pools.
 func TestFleetArchiveMatchesUnsharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec fleet test")
@@ -31,42 +32,58 @@ func TestFleetArchiveMatchesUnsharded(t *testing.T) {
 	cfgPath := chaosCampaign(t, dir)
 	golden := unshardedArchive(t, dir, cfgPath)
 
-	outPath := filepath.Join(dir, "fleet.json")
-	jPath := filepath.Join(dir, "fleet.journal")
-	var out bytes.Buffer
-	if err := run([]string{"-config", cfgPath, "-out", outPath,
-		"-workers", "4", "-parallel", "1", "-journal", jPath}, &out); err != nil {
-		t.Fatalf("fleet campaign: %v", err)
-	}
-	fleet, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(golden, fleet) {
-		t.Fatal("archive from dts -workers 4 differs from the unsharded run")
-	}
-	if !strings.Contains(out.String(), "fleet: 4 workers (exec)") {
-		t.Fatalf("summary missing the fleet line:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "DEGRADED") {
-		t.Fatalf("clean fleet run printed a degraded summary:\n%s", out.String())
-	}
-
-	rep, err := journal.Replay(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Plan == nil || len(rep.Runs) != len(rep.Plan.Jobs) {
-		t.Fatalf("journal incomplete: plan %v, %d runs", rep.Plan != nil, len(rep.Runs))
-	}
-	assigns := 0
-	for _, ev := range rep.Dispatch {
-		if ev.Event == "assign" {
-			assigns++
-		}
-	}
-	if assigns < 4 {
-		t.Fatalf("journal records %d assign events, want >= 4", assigns)
+	for _, c := range []struct {
+		name    string
+		args    []string
+		journal bool
+	}{
+		{"workers=4,parallel=1,journal", []string{"-workers", "4", "-parallel", "1"}, true},
+		{"workers=4,parallel=2", []string{"-workers", "4", "-parallel", "2", "-q"}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			outPath := filepath.Join(dir, c.name+".json")
+			jPath := filepath.Join(dir, c.name+".journal")
+			args := append([]string{"-config", cfgPath, "-out", outPath}, c.args...)
+			if c.journal {
+				args = append(args, "-journal", jPath)
+			}
+			var out bytes.Buffer
+			if err := run(args, &out); err != nil {
+				t.Fatalf("fleet campaign: %v", err)
+			}
+			fleet, err := os.ReadFile(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(golden, fleet) {
+				t.Fatalf("archive from dts %s differs from the unsharded run", strings.Join(c.args, " "))
+			}
+			if !c.journal {
+				return
+			}
+			if !strings.Contains(out.String(), "fleet: 4 workers (exec)") {
+				t.Fatalf("summary missing the fleet line:\n%s", out.String())
+			}
+			if strings.Contains(out.String(), "DEGRADED") {
+				t.Fatalf("clean fleet run printed a degraded summary:\n%s", out.String())
+			}
+			rep, err := journal.Replay(jPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Plan == nil || len(rep.Runs) != len(rep.Plan.Jobs) {
+				t.Fatalf("journal incomplete: plan %v, %d runs", rep.Plan != nil, len(rep.Runs))
+			}
+			assigns := 0
+			for _, ev := range rep.Dispatch {
+				if ev.Event == "assign" {
+					assigns++
+				}
+			}
+			if assigns < 4 {
+				t.Fatalf("journal records %d assign events, want >= 4", assigns)
+			}
+		})
 	}
 }
 
@@ -101,30 +118,44 @@ func TestFleetChaosHangRedispatch(t *testing.T) {
 }
 
 // TestFleetChaosKillRedispatch: the SIGKILL drill through the stealing
-// dispatcher — worker 1's first process kills itself mid-chunk and the
-// merged archive still byte-matches.
+// dispatcher (the DTS_SHARD_CHAOS_KILL hook behind -chaos). Worker 1's
+// first process kills itself mid-chunk on a fleet of four, and worker
+// 0's after its first record while its two-wide pool still has runs in
+// flight on a fleet of two. The coordinator keeps what streamed,
+// re-dispatches the rest, and the merged archive still byte-matches the
+// unsharded run.
 func TestFleetChaosKillRedispatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec fleet test")
 	}
 	t.Setenv("DTS_HELPER_PROCESS", "1")
-	t.Setenv("DTS_SHARD_CHAOS_KILL", "1:5")
 	dir := t.TempDir()
 	cfgPath := chaosCampaign(t, dir)
 	golden := unshardedArchive(t, dir, cfgPath)
 
-	outPath := filepath.Join(dir, "kill.json")
-	var out bytes.Buffer
-	if err := run([]string{"-config", cfgPath, "-out", outPath, "-q",
-		"-workers", "4", "-chaos"}, &out); err != nil {
-		t.Fatalf("fleet campaign with killed worker: %v", err)
-	}
-	got, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(golden, got) {
-		t.Fatal("archive after worker SIGKILL differs from the unsharded run")
+	for _, c := range []struct {
+		kill string
+		args []string
+	}{
+		{"1:5", []string{"-workers", "4"}},
+		{"0:1", []string{"-workers", "2", "-parallel", "2"}},
+	} {
+		t.Run("kill="+c.kill, func(t *testing.T) {
+			t.Setenv("DTS_SHARD_CHAOS_KILL", c.kill)
+			outPath := filepath.Join(dir, "kill-"+c.kill+".json")
+			var out bytes.Buffer
+			args := append([]string{"-config", cfgPath, "-out", outPath, "-q", "-chaos"}, c.args...)
+			if err := run(args, &out); err != nil {
+				t.Fatalf("fleet campaign with killed worker: %v", err)
+			}
+			got, err := os.ReadFile(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(golden, got) {
+				t.Fatalf("archive after worker SIGKILL (%s) differs from the unsharded run", c.kill)
+			}
+		})
 	}
 }
 

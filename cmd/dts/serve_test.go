@@ -389,16 +389,18 @@ func TestServeConnectionTimeouts(t *testing.T) {
 
 	// closedAfter writes req on a fresh connection and returns what the
 	// server sent before it closed the connection, which must be no
-	// sooner than the deadline that closed it.
+	// sooner than the deadline that closed it. The clock starts before
+	// the dial: the server's read-header deadline can start at accept,
+	// before Dial returns.
 	closedAfter := func(what, req string, deadline time.Duration) string {
 		t.Helper()
+		start := time.Now()
 		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
-		start := time.Now()
 		if _, err := io.WriteString(conn, req); err != nil {
 			t.Fatal(err)
 		}

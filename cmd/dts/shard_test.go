@@ -2,10 +2,9 @@ package main
 
 // Fleet self-tests with real worker processes: the coordinator in this
 // process spawns dts workers (this test binary re-exec'd through
-// TestHelperProcess, exactly like the chaos tests) and the merged
-// archive must be byte-identical to the unsharded run — including after
-// a worker SIGKILLs itself mid-chunk and its remainder is re-dispatched,
-// and for a whole -experiment fanned out over fleets.
+// TestHelperProcess, exactly like the chaos tests) and a whole
+// -experiment fanned out over fleets must archive byte-identically to
+// the in-process one; fleet_test.go holds the single-campaign drills.
 
 import (
 	"bytes"
@@ -28,33 +27,6 @@ func unshardedArchive(t *testing.T, dir, cfgPath string) []byte {
 		t.Fatal(err)
 	}
 	return data
-}
-
-// TestShardedArchiveMatchesUnsharded fans the 200-spec campaign out over
-// four real worker processes, each running a two-wide run pool, and
-// byte-compares the merged archive with the unsharded run.
-func TestShardedArchiveMatchesUnsharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-exec fleet test")
-	}
-	t.Setenv("DTS_HELPER_PROCESS", "1") // workerSpawner re-enters via TestHelperProcess
-	dir := t.TempDir()
-	cfgPath := chaosCampaign(t, dir)
-	golden := unshardedArchive(t, dir, cfgPath)
-
-	outPath := filepath.Join(dir, "sharded.json")
-	var out bytes.Buffer
-	if err := run([]string{"-config", cfgPath, "-out", outPath, "-q",
-		"-workers", "4", "-parallel", "2"}, &out); err != nil {
-		t.Fatalf("fleet campaign: %v", err)
-	}
-	sharded, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(golden, sharded) {
-		t.Fatal("archive from dts -workers 4 -parallel 2 differs from the unsharded run")
-	}
 }
 
 // TestExperimentWorkersMatchesInProcess runs a whole paper experiment —
@@ -86,36 +58,6 @@ func TestExperimentWorkersMatchesInProcess(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Fatal("figure5 archive from -workers 2 differs from the in-process experiment")
-	}
-}
-
-// TestShardedWorkerSigkillRedispatch is the SIGKILL drill on a small
-// fleet: worker 0 kills itself after its first record (the
-// DTS_SHARD_CHAOS_KILL hook behind -chaos) while its two-wide pool still
-// has runs in flight; the coordinator keeps what streamed, re-dispatches
-// the rest, and the merged archive still byte-matches the unsharded run.
-func TestShardedWorkerSigkillRedispatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-exec fleet test")
-	}
-	t.Setenv("DTS_HELPER_PROCESS", "1")
-	t.Setenv("DTS_SHARD_CHAOS_KILL", "0:1")
-	dir := t.TempDir()
-	cfgPath := chaosCampaign(t, dir)
-	golden := unshardedArchive(t, dir, cfgPath)
-
-	outPath := filepath.Join(dir, "chaos-sharded.json")
-	var out bytes.Buffer
-	if err := run([]string{"-config", cfgPath, "-out", outPath, "-q",
-		"-workers", "2", "-parallel", "2", "-chaos"}, &out); err != nil {
-		t.Fatalf("fleet campaign with killed worker: %v", err)
-	}
-	sharded, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(golden, sharded) {
-		t.Fatal("archive after worker SIGKILL + re-dispatch differs from the unsharded run")
 	}
 }
 

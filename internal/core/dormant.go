@@ -55,11 +55,10 @@ type dormantTemplate struct {
 }
 
 // usesTemplate reports whether spec's run may be served by, or become,
-// its node's template. The calibration run, a zero-literal Runner, a kernel
-// Trace sink and FreshBoot, which stays the full-execution oracle, all
-// execute.
+// its node's template. The calibration run, a kernel Trace sink and
+// FreshBoot, which stays the full-execution oracle, all execute.
 func (r *Runner) usesTemplate(spec *inject.FaultSpec) bool {
-	return spec != nil && r.dormant != nil && !r.Opts.FreshBoot && r.Opts.Trace == nil
+	return spec != nil && !r.Opts.FreshBoot && r.Opts.Trace == nil
 }
 
 func (c *dormantCache) get(node int) *dormantTemplate {

@@ -144,6 +144,8 @@ func DefaultRunnerOptions() RunnerOptions {
 }
 
 // Runner executes fault-injection runs for one workload definition.
+// Runners come from NewRunner, which sets up the caches below; Clone
+// copies one.
 type Runner struct {
 	Def  workload.Definition
 	Opts RunnerOptions
@@ -205,13 +207,6 @@ func (r *Runner) Clone() *Runner {
 // the quiescent pre-spawn instant. Safe for concurrent callers.
 func (r *Runner) prefixSnapshot() (*ntsim.PrefixSnapshot, error) {
 	c := r.prefix
-	if c == nil {
-		// Zero-literal Runner (no NewRunner): no cache to share, so
-		// snapshot fresh per call — still correct, just unmemoized.
-		donor := ntsim.NewKernel()
-		r.Def.Setup(donor)
-		return donor.SnapshotPrefix()
-	}
 	c.once.Do(func() {
 		donor := ntsim.NewKernel()
 		r.Def.Setup(donor)

@@ -7,6 +7,7 @@ import (
 	"ntdts/internal/inject"
 	"ntdts/internal/middleware"
 	"ntdts/internal/middleware/watchd"
+	"ntdts/internal/ntsim/win32"
 	"ntdts/internal/workload"
 )
 
@@ -33,7 +34,9 @@ import (
 //  2. Verbatim copy, watchd v2 <-> v3 only. The two generations differ
 //     solely in how they react to a service death; their supervision
 //     paths are virtual-time identical while the service stays up. A
-//     source record whose middleware demonstrably never acted — no
+//     source record of a catalog fault (never a cluster scenario, which
+//     can kill the service without the record showing it) whose
+//     middleware demonstrably never acted — no
 //     server crash, no restarts, no retries, not quarantined, not a
 //     harness hang — is bit-exact under the other generation and is
 //     adopted verbatim. Disqualified by any topology change.
@@ -134,7 +137,14 @@ func (o *Oracle) copySound() bool {
 // reaction. The record is the only evidence: its Restarts and Retries
 // are what the trace's restart and retry counters are written from, and
 // a quarantined run is journaled as a quarantine record, never as a run.
+// Only a catalog fault's record can show it: a cluster scenario kills a
+// service, a node or a link outside any call, and a killed service
+// process the workload's target selector does not match is no server
+// crash, so under watchd v2 it can read as quiet where v3 restarts it.
 func quiet(r *core.RunResult) bool {
+	if _, catalog := win32.CatalogLookup(r.Fault.Function); !catalog {
+		return false
+	}
 	return !r.ServerCrash && r.Restarts == 0 && r.Retries == 0 && !r.Quarantined &&
 		r.Outcome != core.HarnessHang
 }

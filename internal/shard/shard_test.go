@@ -428,7 +428,9 @@ func TestWorkerErrorRecordIsFatal(t *testing.T) {
 // TestStallDetectionRespawns: a worker that accepts its chunk and then
 // goes silent — no records, no heartbeats — is killed at the stall
 // deadline, its slot respawns, and the chunk is re-dispatched. One slot,
-// so no sibling can speculate the silent chunk away.
+// so no sibling can speculate the silent chunk away. The deadline is 50
+// heartbeats long, so a loaded host that delays the respawned worker's
+// beacon does not kill it too.
 func TestStallDetectionRespawns(t *testing.T) {
 	specs := campaignSpecs(20)
 	base, err := core.NewCampaign(newRunner(false),
@@ -454,7 +456,7 @@ func TestStallDetectionRespawns(t *testing.T) {
 		core.WithShardExecutor(NewFleet(FleetOptions{
 			Workers:       1,
 			Spawn:         spawn,
-			StallDeadline: 50 * time.Millisecond,
+			StallDeadline: 500 * time.Millisecond,
 			Heartbeat:     10 * time.Millisecond,
 		})),
 	).Run(context.Background())

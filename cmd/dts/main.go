@@ -31,8 +31,9 @@
 //
 // With -config, dts runs a single workload set as configured (workload,
 // middleware, fault list). With -fault, dts runs exactly one fault —
-// optionally with a kernel trace — which is the §4.3 debugging workflow:
-// replay a failure-producing fault and watch what the system did. With
+// with -trace it prints the run's telemetry events, one per line, before
+// the summary — which is the §4.3 debugging workflow: replay a
+// failure-producing fault and watch what the system did. With
 // -experiment, dts runs one of the paper's evaluation campaigns wholesale.
 // With -conformance, dts sweeps the whole KERNEL32 catalog through the
 // fault set and prints (or checks against a golden file) the per-call
@@ -43,7 +44,9 @@
 // on, collect one recorder per run (so parallel workers never contend),
 // and export the merged virtual-time trace (JSONL) and metrics summary —
 // byte-identical at any -parallel setting. dtsreport -trace summarizes an
-// exported trace.
+// exported trace. -trace switches the layer on for -fault's one run, and
+// -trace-cap bounds that run's event ring as it bounds every run's: the
+// telemetry recorder is the only trace a run leaves.
 //
 // -cohort replaces the canned client with a generated multi-client cohort
 // (seeded arrival processes, per-class request mixes — see DESIGN.md §4h);
@@ -118,12 +121,10 @@ import (
 	"ntdts/internal/inject"
 	"ntdts/internal/journal"
 	"ntdts/internal/middleware"
-	"ntdts/internal/ntsim"
 	"ntdts/internal/ntsim/cluster"
 	"ntdts/internal/report"
 	"ntdts/internal/shard"
 	"ntdts/internal/telemetry"
-	"ntdts/internal/vclock"
 	"ntdts/internal/workload"
 	"ntdts/internal/workloadgen"
 )
@@ -150,7 +151,7 @@ func run(args []string, out io.Writer) error {
 	experiment := fs.String("experiment", "", "paper experiment to run: table1, figure2, figure5")
 	outPath := fs.String("out", "", "results archive path (overrides config)")
 	faultSpec := fs.String("fault", "", `single fault to replay: "Function param invocation type"`)
-	trace := fs.Bool("trace", false, "print the kernel trace (with -fault)")
+	trace := fs.Bool("trace", false, "print the run's telemetry trace (with -fault)")
 	quiet := fs.Bool("q", false, "suppress progress output")
 	parallel := fs.Int("parallel", 0, "concurrent fault-injection runs per campaign (0 = all CPUs, 1 = sequential; results are identical either way)")
 	fs.Bool("conformance", false, "run the catalog-wide API conformance sweep")
@@ -494,19 +495,21 @@ func recordSchedule(cohort, path string) error {
 
 // runSingleFault replays one fault with full result detail — the paper's
 // "individual fault injection runs provide reproducible feedback" workflow.
+// With trace the run records telemetry, and its events print first.
 func runSingleFault(runner *core.Runner, faultSpec string, trace bool, tflags telemetryFlags, out io.Writer) error {
 	specs, err := config.ParseFaultList(strings.NewReader(faultSpec))
 	if err != nil || len(specs) != 1 {
 		return fmt.Errorf("bad -fault %q (want \"Function param invocation type\")", faultSpec)
 	}
 	if trace {
-		runner.Opts.Trace = func(at vclock.Time, pid ntsim.PID, msg string) {
-			fmt.Fprintf(out, "%-14s pid%-3d %s\n", at, pid, msg)
-		}
+		runner.Opts.Telemetry.Enabled = true
 	}
 	res, err := runner.Run(&specs[0])
 	if err != nil {
 		return err
+	}
+	if trace {
+		printTrace(res.Telemetry, out)
 	}
 	if res.Telemetry != nil {
 		if err := tflags.emit(telemetry.NewSet(res.Telemetry), out); err != nil {
@@ -528,6 +531,18 @@ func runSingleFault(runner *core.Runner, faultSpec string, trace bool, tflags te
 		fmt.Fprintf(out, "response:  none (client never finished)\n")
 	}
 	return nil
+}
+
+// printTrace prints a run's retained events one per line: virtual time,
+// PID, kind, name, A and B. A note first counts the events the ring
+// dropped, which are the earliest.
+func printTrace(rec *telemetry.Recorder, out io.Writer) {
+	if n := rec.Dropped(); n > 0 {
+		fmt.Fprintf(out, "(%d earlier events dropped; raise -trace-cap to keep them)\n", n)
+	}
+	for _, e := range rec.Events() {
+		fmt.Fprintf(out, "%-14s pid%-3d %s %s %d %d\n", e.At, e.PID, e.Kind, e.Name, e.A, e.B)
+	}
 }
 
 // runConformance sweeps the catalog through the fault set. Without -golden

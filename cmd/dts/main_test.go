@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -139,6 +140,9 @@ func TestRunBadConfigPath(t *testing.T) {
 	}
 }
 
+// TestRunSingleFaultWithTrace: -trace prints the run's telemetry events,
+// one per line, before the summary block the same command prints without
+// it, and a ring too small for the run says how many events it dropped.
 func TestRunSingleFaultWithTrace(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "dts.cfg")
@@ -146,21 +150,48 @@ func TestRunSingleFaultWithTrace(t *testing.T) {
 		"workload = SQL\nmiddleware = watchd\nwatchd_version = 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	err := run([]string{"-config", cfgPath, "-fault", "ReadFileEx 2 1 zero", "-trace"}, &out)
-	if err != nil {
-		t.Fatal(err)
+	runFault := func(extra ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(append([]string{"-config", cfgPath, "-fault", "ReadFileEx 2 1 zero"}, extra...), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
 	}
-	text := out.String()
+	summary := runFault()
 	for _, want := range []string{
 		"fault:     ReadFileEx p2 i1 zero",
 		"workload:  SQL/watchd",
 		"outcome:   failure",
-		"spawn image=sqlservr.exe", // the kernel trace
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q:\n%s", want, text)
+		if !strings.Contains(summary, want) {
+			t.Errorf("summary missing %q:\n%s", want, summary)
 		}
+	}
+	for _, c := range []struct {
+		flags []string
+		want  []*regexp.Regexp
+	}{
+		{[]string{"-trace"}, []*regexp.Regexp{
+			regexp.MustCompile(`(?m)^\S+ +pid2 +spawn sqlservr\.exe 0 0$`),
+			regexp.MustCompile(`(?m)^\S+ +pid2 +fault-injected ReadFileEx p2 i1 zero 4096 0$`),
+		}},
+		{[]string{"-trace", "-trace-cap", "16"}, []*regexp.Regexp{
+			regexp.MustCompile(`(?m)^\(\d+ earlier events dropped; raise -trace-cap to keep them\)$`),
+		}},
+	} {
+		t.Run(strings.Join(c.flags, " "), func(t *testing.T) {
+			text := runFault(c.flags...)
+			trace, rest, ok := strings.Cut(text, summary)
+			if !ok || rest != "" {
+				t.Fatalf("output does not end in the untraced summary block:\n%s", text)
+			}
+			for _, re := range c.want {
+				if !re.MatchString(trace) {
+					t.Errorf("trace matches no %q:\n%s", re, trace)
+				}
+			}
+		})
 	}
 }
 

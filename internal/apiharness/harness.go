@@ -177,24 +177,19 @@ func (s *SweepResult) ClassCounts() map[string]int {
 	return counts
 }
 
-// dispatchObserver records the probe's dispatch trace and captures the
-// last-error value observed at the first dispatch after the injector
-// fired — i.e. the error state the corrupted call left behind.
+// dispatchObserver captures the last-error value observed at the probe's
+// first dispatch after the injector fired — i.e. the error state the
+// corrupted call left behind.
 type dispatchObserver struct {
 	k        *ntsim.Kernel
 	injector *inject.Injector
 
-	trace    []string
 	captured bool
 	errno    ntsim.Errno
 }
 
 func (o *dispatchObserver) BeforeSyscall(pid ntsim.PID, image, fn string, raw []uint64) {
-	if image != win32.ProbeImage {
-		return
-	}
-	o.trace = append(o.trace, fmt.Sprintf("%s/%d", fn, len(raw)))
-	if o.injector == nil || o.captured || !o.injector.Injected() {
+	if image != win32.ProbeImage || o.captured || !o.injector.Injected() {
 		return
 	}
 	// The injector fired on an earlier dispatch (it runs after this
@@ -219,7 +214,7 @@ func (c chain) BeforeSyscall(pid ntsim.PID, image, fn string, raw []uint64) {
 // runCell executes one matrix cell on a fresh kernel and applies the
 // per-cell oracles. With telemetry enabled the cell gets its own
 // collector (returned alongside the result) recording the probe's
-// kernel trace plus the cell's virtual-time cost.
+// events plus the cell's virtual-time cost.
 func runCell(fn string, param int, fault inject.FaultType, oracles []Oracle, topts telemetry.Options) (CellResult, *telemetry.Recorder, error) {
 	cell := CellResult{Function: fn, Param: param, Fault: fault}
 	spec := inject.FaultSpec{Function: fn, Param: param, Invocation: 1, Type: fault}
@@ -271,13 +266,14 @@ func runCell(fn string, param int, fault inject.FaultType, oracles []Oracle, top
 }
 
 // recordBaseline runs the probe fault-free and returns its dispatch
-// transcript. Unlike win32.ProbeDispatchTrace this is never memoized:
-// every sweep re-proves the baseline, so two sweeps — whatever their
-// seeds — comparing equal is a live determinism check, not a tautology.
+// transcript, one "fn/arity" line per syscall event of the probe
+// process. It is never memoized: every sweep re-proves the baseline, so
+// two sweeps — whatever their seeds — comparing equal is a live
+// determinism check, not a tautology.
 func recordBaseline(oracles []Oracle) (string, error) {
 	k := ntsim.NewKernel()
-	obs := &dispatchObserver{k: k}
-	k.SetInterceptor(obs)
+	rec := telemetry.NewRecorder(1 << 14) // room for the whole run
+	k.SetTelemetry(rec)
 	win32.SetupProbe(k)
 	probe, err := win32.RunProbe(k)
 	if err != nil {
@@ -292,7 +288,16 @@ func recordBaseline(oracles []Oracle) (string, error) {
 			return "", fmt.Errorf("oracle %q violated on the baseline run: %w", o.Name, err)
 		}
 	}
-	return strings.Join(obs.trace, "\n") + "\n", nil
+	if n := rec.Dropped(); n > 0 {
+		return "", fmt.Errorf("the baseline trace dropped %d events", n)
+	}
+	var b strings.Builder
+	for _, e := range rec.Events() {
+		if e.Kind == telemetry.KindSyscall && e.PID == uint32(probe.ID) {
+			fmt.Fprintf(&b, "%s/%d\n", e.Name, e.A)
+		}
+	}
+	return b.String(), nil
 }
 
 // cellJob pairs a pending cell with its position in the result slice.

@@ -154,19 +154,6 @@ func TestClusterOneNodeEquivalence(t *testing.T) {
 	}
 }
 
-// TestClusterParallelDeterminism is the cluster acceptance oracle: a
-// 3-node campaign's archive is byte-identical at every worker count,
-// whichever worker's standby-node run becomes that node's template.
-func TestClusterParallelDeterminism(t *testing.T) {
-	def := workload.NewIIS(workload.MSCS)
-	opts := DefaultRunnerOptions()
-	opts.Cluster = ClusterConfig{Nodes: 3}
-	base := clusterArtifacts(t, def, opts, clusterDormantSpecs(), 1)
-	for _, par := range []int{4, 16} {
-		clusterArtifacts(t, def, opts, clusterDormantSpecs(), par).mustEqual(t, fmt.Sprintf("par=%d vs sequential", par), base)
-	}
-}
-
 // TestClusterFreshBootMatchesFork: the per-node boot-prefix fork, the
 // per-node dormant-run copies and scheduler elision on the shared-clock
 // machine are optimizations only — forcing fresh boots, which takes none

@@ -41,9 +41,9 @@ func Dormant(spec inject.FaultSpec, activated map[string]bool) bool {
 // the armed event sits where that node's injector emitted it. A node
 // the topology lacks never gets one, because its runs fail. Templates
 // serve the options they were recorded under, so Opts must not change
-// after the first run either, except FreshBoot and Trace, which turn
-// templates off and are checked on every run. WithTelemetry's clone
-// gets a cache of its own.
+// after the first run either, except FreshBoot, which turns templates
+// off and is checked on every run. WithTelemetry's clone gets a cache
+// of its own.
 type dormantCache struct {
 	mu sync.Mutex
 	t  map[int]*dormantTemplate // by FaultSpec.Node
@@ -55,10 +55,10 @@ type dormantTemplate struct {
 }
 
 // usesTemplate reports whether spec's run may be served by, or become,
-// its node's template. The calibration run, a kernel Trace sink and
-// FreshBoot, which stays the full-execution oracle, all execute.
+// its node's template. The calibration run and FreshBoot, which stays
+// the full-execution oracle, both execute.
 func (r *Runner) usesTemplate(spec *inject.FaultSpec) bool {
-	return spec != nil && !r.Opts.FreshBoot && r.Opts.Trace == nil
+	return spec != nil && !r.Opts.FreshBoot
 }
 
 func (c *dormantCache) get(node int) *dormantTemplate {

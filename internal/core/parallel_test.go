@@ -131,32 +131,6 @@ func failingRunsDef(failure error) workload.Definition {
 	return def
 }
 
-// TestSpecCampaignParallel checks the explicit-fault-list entry point
-// (the dts -config path) against its sequential result.
-func TestSpecCampaignParallel(t *testing.T) {
-	specs := []inject.FaultSpec{
-		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits},
-		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.ZeroBits},
-		{Function: "GetVersionExA", Param: 0, Invocation: 1, Type: inject.OneBits},
-		{Function: "CreateFileA", Param: 0, Invocation: 1, Type: inject.ZeroBits},
-	}
-	runner := NewRunner(workload.NewIIS(workload.Standalone), RunnerOptions{})
-	seq, err := specRuns(runner, specs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := specRuns(runner, specs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	determinism.AssertEqualSlices(t, "fault-list campaign runs", par, seq, func(i int) string {
-		return fmt.Sprintf("dts -config <IIS/none> -fault %q -parallel 4", specs[i].String())
-	})
-	if len(seq) != len(specs) {
-		t.Fatalf("%d results for %d specs", len(seq), len(specs))
-	}
-}
-
 // TestSpecCampaignRunErrorsQuarantined: a run error is retried and then
 // quarantined with its message, as a panic is, so a campaign whose every
 // run fails still completes, with the same set at any worker count.

@@ -14,7 +14,6 @@ import (
 	"ntdts/internal/ntsim/cluster"
 	"ntdts/internal/scm"
 	"ntdts/internal/telemetry"
-	"ntdts/internal/vclock"
 	"ntdts/internal/workload"
 )
 
@@ -66,14 +65,10 @@ type RunnerOptions struct {
 	RunDeadline time.Duration
 	// WatchdVersion selects the watchd iteration for Watchd workloads.
 	WatchdVersion watchd.Version
-	// Trace, when non-nil, receives one line per kernel event (process
-	// spawn/exit, access violations) — the single-fault debugging view
-	// behind the paper's §4.3 feedback workflow.
-	Trace func(at vclock.Time, pid ntsim.PID, msg string)
 	// Telemetry enables the structured per-run telemetry layer: every
 	// run builds its own collector (so parallel workers never contend)
-	// capturing the kernel trace ring, counters and virtual-time
-	// histograms, attached to RunResult.Telemetry.
+	// capturing the event ring, counters and virtual-time histograms,
+	// attached to RunResult.Telemetry. It is the only trace a run leaves.
 	Telemetry telemetry.Options
 	// FreshBoot disables every run-engine fast path: no prefix-snapshot
 	// forks, no scheduler quantum elision, no dormant-run copies — the
@@ -195,8 +190,7 @@ func NewRunner(def workload.Definition, opts RunnerOptions) *Runner {
 // holds no per-run state — every run builds its own kernel — so a shallow
 // copy suffices (the boot-prefix snapshot and dormant-run caches are
 // deliberately shared); Clone exists to make per-worker ownership
-// explicit. The Trace sink, if any, is shared, so parallel campaigns
-// should not trace.
+// explicit.
 func (r *Runner) Clone() *Runner {
 	c := *r
 	return &c
@@ -324,11 +318,6 @@ func (r *Runner) run(spec *inject.FaultSpec) (*RunResult, map[string]bool, error
 			k.SetTelemetry(rec)
 		}
 		tel = rec
-	}
-	if r.Opts.Trace != nil {
-		for _, k := range m.Kernels() {
-			k.SetTrace(r.Opts.Trace)
-		}
 	}
 	runSpan := telemetry.StartSpan(tel, m.Now(), 0, telemetry.SpanRun)
 

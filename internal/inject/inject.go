@@ -184,15 +184,6 @@ func ChildProcessOf(image string) TargetSelector {
 	}
 }
 
-// Event records one injection occurrence for the run trace.
-type Event struct {
-	PID      ntsim.PID
-	Function string
-	Param    int
-	Before   uint64
-	After    uint64
-}
-
 // Injector intercepts system calls of target processes, recording function
 // activation and applying at most one fault per run.
 type Injector struct {
@@ -203,7 +194,6 @@ type Injector struct {
 	counts    map[string]int
 	activated map[string]bool
 	injected  bool
-	events    []Event
 
 	// tel is the kernel's telemetry collector captured at construction;
 	// specStr is the fault spec pre-rendered once so the per-dispatch
@@ -268,10 +258,6 @@ func (in *Injector) BeforeSyscall(pid ntsim.PID, image, fn string, raw []uint64)
 	before := raw[s.Param]
 	raw[s.Param] = s.Type.Apply(before)
 	in.injected = true
-	in.events = append(in.events, Event{
-		PID: pid, Function: fn, Param: s.Param,
-		Before: before, After: raw[s.Param],
-	})
 	in.tel.Emit(in.k.Now(), uint32(pid), telemetry.KindFaultInjected, in.specStr,
 		before, raw[s.Param])
 	in.tel.Add(telemetry.CtrFaultInjected, 1)
@@ -298,10 +284,3 @@ func (in *Injector) ActivatedCount() int { return len(in.activated) }
 
 // CallCount reports how many times the target called fn.
 func (in *Injector) CallCount(fn string) int { return in.counts[fn] }
-
-// Events returns the injection trace (at most one event per run).
-func (in *Injector) Events() []Event {
-	out := make([]Event, len(in.events))
-	copy(out, in.events)
-	return out
-}

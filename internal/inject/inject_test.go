@@ -6,6 +6,7 @@ import (
 
 	"ntdts/internal/ntsim"
 	"ntdts/internal/ntsim/win32"
+	"ntdts/internal/telemetry"
 )
 
 func TestFaultTypeApply(t *testing.T) {
@@ -51,10 +52,12 @@ func TestFaultSpecString(t *testing.T) {
 }
 
 // runWorkload spawns a target making a known call sequence and returns the
-// injector after the simulation drains.
+// injector after the simulation drains. The kernel records telemetry,
+// which injections reads.
 func runWorkload(t *testing.T, spec *FaultSpec, target TargetSelector) (*Injector, *ntsim.Process) {
 	t.Helper()
 	k := ntsim.NewKernel()
+	k.SetTelemetry(telemetry.NewRecorder(0))
 	in := New(k, target, spec)
 	k.SetInterceptor(in)
 	k.RegisterImage("target.exe", func(p *ntsim.Process) uint32 {
@@ -92,6 +95,17 @@ func runWorkload(t *testing.T, spec *FaultSpec, target TargetSelector) (*Injecto
 	return in, p
 }
 
+// injections returns the fault-injected events of a runWorkload trace.
+func injections(in *Injector) []telemetry.Event {
+	var out []telemetry.Event
+	for _, e := range in.tel.(*telemetry.Recorder).Events() {
+		if e.Kind == telemetry.KindFaultInjected {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestObserverRecordsActivation(t *testing.T) {
 	in, _ := runWorkload(t, nil, ByImage("target.exe"))
 	if !in.Activated("ReadFile") || !in.Activated("WriteFile") || !in.Activated("CreateFileA") {
@@ -117,12 +131,12 @@ func TestInjectsOnlyFirstInvocation(t *testing.T) {
 	if !in.Injected() {
 		t.Fatal("fault did not fire")
 	}
-	ev := in.Events()
+	ev := injections(in)
 	if len(ev) != 1 {
 		t.Fatalf("injected %d times, want 1", len(ev))
 	}
-	if ev[0].Before != 3 || ev[0].After != 0 {
-		t.Fatalf("event %+v", ev[0])
+	if ev[0].A != 3 || ev[0].B != 0 {
+		t.Fatalf("event %+v, want the count 3 before and 0 after", ev[0])
 	}
 	if p.ExitCode() != 0 {
 		t.Fatalf("zero-count read should be benign; exit 0x%X", p.ExitCode())
@@ -135,8 +149,8 @@ func TestInjectsSecondInvocation(t *testing.T) {
 	if !in.Injected() {
 		t.Fatal("fault did not fire on invocation 2")
 	}
-	if in.Events()[0].Before != 3 {
-		t.Fatalf("event %+v", in.Events()[0])
+	if ev := injections(in); len(ev) != 1 || ev[0].A != 3 {
+		t.Fatalf("events %+v", ev)
 	}
 }
 

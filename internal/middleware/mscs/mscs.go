@@ -121,8 +121,8 @@ func StartCluster(nodes []ClusterNode, serviceName string, params Params, reacha
 		node.Kernel.RegisterImage(Image, func(p *ntsim.Process) uint32 {
 			return clusterMonitor(p, self, node, len(nodes), g, serviceName, params, reachable)
 		})
-		// A lone monitor keeps the single-node command line, which the
-		// kernel trace prints.
+		// A lone monitor keeps the single host's command line, so a
+		// one-node cluster spawns the very same process.
 		cmd := Image + " " + serviceName
 		if len(nodes) > 1 {
 			cmd = fmt.Sprintf("%s node=%d", cmd, self)

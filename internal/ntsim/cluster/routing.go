@@ -58,7 +58,6 @@ type Router struct {
 	policy   Policy
 	rrNext   int
 	inflight []int
-	trace    []int
 }
 
 // NewRouter returns a router over the topology's nodes.
@@ -89,7 +88,6 @@ func (r *Router) Dial(p *ntsim.Process, path string) (*Conn, ntsim.Errno) {
 			continue
 		}
 		r.inflight[i]++
-		r.trace = append(r.trace, i)
 		return &Conn{
 			pc:     pc,
 			up:     r.topo.Network().Link(r.topo.ClientHost(), i),
@@ -129,15 +127,6 @@ func (r *Router) order() []int {
 			out[j] = j
 		}
 	}
-	return out
-}
-
-// Trace returns the node index chosen by every successful dial so far,
-// in dial order. Tests use it to pin that routing is a pure function of
-// cluster state.
-func (r *Router) Trace() []int {
-	out := make([]int, len(r.trace))
-	copy(out, r.trace)
 	return out
 }
 

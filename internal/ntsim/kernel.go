@@ -12,7 +12,6 @@
 package ntsim
 
 import (
-	"fmt"
 	"time"
 
 	"ntdts/internal/telemetry"
@@ -72,8 +71,6 @@ type Kernel struct {
 
 	// liveProcs counts processes that have started but not yet finished.
 	liveProcs int
-
-	traceFn func(at vclock.Time, pid PID, msg string)
 }
 
 // NewKernel returns a kernel with an empty process table, a fresh virtual
@@ -95,10 +92,6 @@ func (k *Kernel) VFS() *VFS { return k.vfs }
 // SetInterceptor installs the system-call interceptor (the fault injector).
 func (k *Kernel) SetInterceptor(i SyscallInterceptor) { k.interceptor = i }
 
-// SetTrace installs a trace sink receiving one line per noteworthy kernel
-// event. A nil sink disables tracing.
-func (k *Kernel) SetTrace(fn func(at vclock.Time, pid PID, msg string)) { k.traceFn = fn }
-
 // SetTelemetry installs the telemetry collector. Install it before any
 // process is spawned (and before inject.New, which emits the arming
 // event through it) so the whole run is observed. A nil collector
@@ -118,12 +111,6 @@ func (k *Kernel) SetCosts(c CostModel) { k.costs = c }
 
 // Costs returns the active cost model.
 func (k *Kernel) Costs() CostModel { return k.costs }
-
-func (k *Kernel) trace(pid PID, format string, args ...any) {
-	if k.traceFn != nil {
-		k.traceFn(k.clock.Now(), pid, fmt.Sprintf(format, args...))
-	}
-}
 
 // RegisterImage installs a program image under the given name, making it
 // launchable via Spawn (and, through the win32 layer, CreateProcessA).
@@ -190,7 +177,6 @@ func (k *Kernel) Spawn(image, cmdLine string, parent PID) (*Process, error) {
 	}
 	k.procs[p.ID] = p
 	k.liveProcs++
-	k.trace(p.ID, "spawn image=%s cmd=%q parent=%d", image, cmdLine, parent)
 	k.tel.Emit(k.clock.Now(), uint32(p.ID), telemetry.KindSpawn, image, uint64(parent), 0)
 	k.tel.Add(telemetry.CtrSpawn, 1)
 	go p.run(entry)

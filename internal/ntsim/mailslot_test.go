@@ -3,8 +3,6 @@ package ntsim
 import (
 	"testing"
 	"time"
-
-	"ntdts/internal/vclock"
 )
 
 func TestMailslotKernelAPI(t *testing.T) {
@@ -112,19 +110,5 @@ func TestKernelAccessors(t *testing.T) {
 	}
 	if k.Process(PID(99)) != nil {
 		t.Fatal("found nonexistent process")
-	}
-}
-
-func TestKernelTraceSink(t *testing.T) {
-	k := NewKernel()
-	var lines []string
-	k.SetTrace(func(at vclock.Time, pid PID, msg string) {
-		lines = append(lines, msg)
-	})
-	k.RegisterImage("t.exe", func(p *Process) uint32 { return 5 })
-	mustSpawn(t, k, "t.exe", "t.exe")
-	runAll(t, k)
-	if len(lines) < 2 { // spawn + exit
-		t.Fatalf("trace lines %v", lines)
 	}
 }

@@ -121,7 +121,6 @@ func (p *Process) finalize(code uint32) {
 	p.exitCode = code
 	p.endTime = p.k.clock.Now()
 	p.k.liveProcs--
-	p.k.trace(p.ID, "exit code=0x%X", code)
 	p.k.tel.Emit(p.endTime, uint32(p.ID), telemetry.KindExit, p.Image, uint64(code), 0)
 	p.k.tel.Add(telemetry.CtrExit, 1)
 	// Close all handles (releases owned mutexes, pipe ends, etc.) in
@@ -287,7 +286,6 @@ func (p *Process) Exit(code uint32) {
 // RaiseAccessViolation terminates the calling process as if it dereferenced
 // an invalid pointer. It does not return.
 func (p *Process) RaiseAccessViolation() {
-	p.k.trace(p.ID, "access violation")
 	panic(killSignal{ExitAccessViolation})
 }
 

@@ -442,18 +442,14 @@ func TestTlsRoundtrip(t *testing.T) {
 
 // TestCatalogArityMatchesDispatch cross-checks the catalog's parameter
 // counts against the live raw-parameter arity of every implemented API
-// function, using the canonical probe program's dispatch trace (probe.go).
+// function, using the canonical probe program's syscall events (probe.go).
 func TestCatalogArityMatchesDispatch(t *testing.T) {
-	trace, err := ProbeDispatchTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
 	arity := make(map[string]int)
-	for _, d := range trace {
-		if prev, seen := arity[d.Fn]; seen && prev != d.Arity {
-			t.Errorf("%s dispatched with both %d and %d raw params", d.Fn, prev, d.Arity)
+	for _, e := range probeSyscalls(t) {
+		if prev, seen := arity[e.Name]; seen && prev != int(e.A) {
+			t.Errorf("%s dispatched with both %d and %d raw params", e.Name, prev, e.A)
 		}
-		arity[d.Fn] = d.Arity
+		arity[e.Name] = int(e.A)
 	}
 	if len(arity) < 80 {
 		t.Fatalf("probe exercised only %d functions", len(arity))

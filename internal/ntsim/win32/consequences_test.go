@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ntdts/internal/ntsim"
+	"ntdts/internal/telemetry"
 )
 
 // TestConsequenceMatrix exhaustively corrupts every parameter of every
@@ -17,9 +18,9 @@ import (
 // apiharness conformance sweep layers the failure-mode classification and
 // golden matrix on top of the same probe program.
 func TestConsequenceMatrix(t *testing.T) {
-	arity, err := ProbeArity()
-	if err != nil {
-		t.Fatal(err)
+	arity := make(map[string]int)
+	for _, e := range probeSyscalls(t) {
+		arity[e.Name] = int(e.A)
 	}
 	if len(arity) < 80 {
 		t.Fatalf("probe exercised only %d functions", len(arity))
@@ -82,4 +83,32 @@ func probeOnce(t *testing.T, intercept func(fn string, raw []uint64)) *ntsim.Pro
 		t.Fatalf("simulated code panicked: %v", pan)
 	}
 	return probe
+}
+
+// probeSyscalls runs the probe once, fault-free, and returns the probe
+// process's syscall events in dispatch order: Name is the function, A
+// the raw arity that crossed the dispatch boundary.
+func probeSyscalls(t *testing.T) []telemetry.Event {
+	t.Helper()
+	k := ntsim.NewKernel()
+	rec := telemetry.NewRecorder(1 << 14)
+	k.SetTelemetry(rec)
+	SetupProbe(k)
+	probe, err := RunProbe(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := probe.ExitCode(); code != 0 {
+		t.Fatalf("fault-free probe exited 0x%X", code)
+	}
+	if n := rec.Dropped(); n > 0 {
+		t.Fatalf("the probe's trace dropped %d events", n)
+	}
+	var out []telemetry.Event
+	for _, e := range rec.Events() {
+		if e.Kind == telemetry.KindSyscall && e.PID == uint32(probe.ID) {
+			out = append(out, e)
+		}
+	}
+	return out
 }

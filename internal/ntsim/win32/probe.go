@@ -1,7 +1,6 @@
 package win32
 
 import (
-	"sync"
 	"time"
 
 	"ntdts/internal/ntsim"
@@ -20,9 +19,10 @@ import (
 //     paper's three corruptions and pins the failure-mode matrix.
 //
 // Because the kernel is a deterministic single-CPU simulation, the probe's
-// dispatch trace — the ordered sequence of (function, raw arity) pairs that
-// cross the system-call boundary — is a pure constant of the build, which is
-// what makes golden-matrix conformance testing possible.
+// dispatch trace — the ordered syscall events, each a function and the raw
+// arity that crossed the system-call boundary, in the run's telemetry — is
+// a pure constant of the build, which is what makes golden-matrix
+// conformance testing possible.
 
 // Image names of the probe workload's processes.
 const (
@@ -92,75 +92,6 @@ func RunProbe(k *ntsim.Kernel) (*ntsim.Process, error) {
 	k.KillAll()
 	span.End(k.Now())
 	return probe, nil
-}
-
-// DispatchRecord is one probe system call: the function name and the raw
-// parameter count that crossed the dispatch boundary.
-type DispatchRecord struct {
-	Fn    string
-	Arity int
-}
-
-// traceRecorder captures the probe process's dispatch sequence.
-type traceRecorder struct {
-	trace []DispatchRecord
-}
-
-func (r *traceRecorder) BeforeSyscall(_ ntsim.PID, image, fn string, raw []uint64) {
-	if image == ProbeImage {
-		r.trace = append(r.trace, DispatchRecord{Fn: fn, Arity: len(raw)})
-	}
-}
-
-var (
-	probeTraceOnce sync.Once
-	probeTrace     []DispatchRecord
-	probeTraceErr  error
-)
-
-// ProbeDispatchTrace runs the probe once, fault-free, and returns its
-// ordered dispatch trace. The run is memoized: the trace is a deterministic
-// constant, so every caller shares one baseline. Callers must treat the
-// returned slice as read-only.
-func ProbeDispatchTrace() ([]DispatchRecord, error) {
-	probeTraceOnce.Do(func() {
-		k := ntsim.NewKernel()
-		rec := &traceRecorder{}
-		k.SetInterceptor(rec)
-		SetupProbe(k)
-		probe, err := RunProbe(k)
-		if err != nil {
-			probeTraceErr = err
-			return
-		}
-		if code := probe.ExitCode(); code != 0 {
-			probeTraceErr = errProbeExit(code)
-			return
-		}
-		probeTrace = rec.trace
-	})
-	return probeTrace, probeTraceErr
-}
-
-// errProbeExit reports a fault-free probe run that did not exit cleanly.
-type errProbeExit uint32
-
-func (e errProbeExit) Error() string {
-	return "win32: fault-free probe run exited abnormally"
-}
-
-// ProbeArity returns the raw dispatch arity of every function the probe
-// exercises, derived from the memoized dispatch trace.
-func ProbeArity() (map[string]int, error) {
-	trace, err := ProbeDispatchTrace()
-	if err != nil {
-		return nil, err
-	}
-	arity := make(map[string]int, len(trace))
-	for _, d := range trace {
-		arity[d.Fn] = d.Arity
-	}
-	return arity, nil
 }
 
 // probeBody exercises every implemented API function once with valid

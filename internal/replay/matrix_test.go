@@ -86,7 +86,7 @@ func TestReplayScenarioMatrixEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("from-scratch %+v -> %s: %v", tp, name, err)
 			}
-			set, oracle := replayTo(t, path, target, 2, false)
+			set, oracle := replayTo(t, path, target, 2)
 			if archiveBytes(t, set) != archiveBytes(t, want) {
 				t.Fatalf("topology %+v target %s: replayed archive differs from from-scratch", tp, name)
 			}

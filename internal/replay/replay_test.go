@@ -110,13 +110,13 @@ func archiveBytes(t *testing.T, set *core.SetResult) string {
 	return string(b)
 }
 
-func replayTo(t *testing.T, path string, target middleware.Spec, par int, noElide bool) (*core.SetResult, *replay.Oracle) {
+func replayTo(t *testing.T, path string, target middleware.Spec, par int) (*core.SetResult, *replay.Oracle) {
 	t.Helper()
 	src, err := replay.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, oracle, err := replay.Build(src, replay.Options{Target: target, Parallelism: par, NoElide: noElide})
+	c, oracle, err := replay.Build(src, replay.Options{Target: target, Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestReplayCrossFamilyEquivalence(t *testing.T) {
 	want := archiveBytes(t, fromScratch(t, runnerFor(t, target), specs))
 
 	for _, par := range []int{1, 4, 16} {
-		set, oracle := replayTo(t, path, target, par, false)
+		set, oracle := replayTo(t, path, target, par)
 		got := archiveBytes(t, set)
 		if got != want {
 			t.Fatalf("parallel=%d: replayed archive differs from from-scratch target archive", par)
@@ -178,7 +178,7 @@ func TestReplayClusterFaultFree(t *testing.T) {
 	scratch.Opts.Cluster = cluster
 	want := archiveBytes(t, fromScratch(t, scratch, specs))
 
-	set, oracle := replayTo(t, path, target, 4, false)
+	set, oracle := replayTo(t, path, target, 4)
 	if got := archiveBytes(t, set); got != want {
 		t.Fatal("replayed 3-node archive differs from the from-scratch MSCS archive")
 	}
@@ -199,7 +199,7 @@ func TestReplayWatchdGenerationCopy(t *testing.T) {
 
 	var traced replay.Stats
 	for _, telem := range []bool{true, false} {
-		set, oracle := replayTo(t, journalCampaign(t, specs, source, telem), target, 4, false)
+		set, oracle := replayTo(t, journalCampaign(t, specs, source, telem), target, 4)
 		if got := archiveBytes(t, set); got != want {
 			t.Fatalf("traced source %v: replayed v2->v3 archive differs from from-scratch v3 archive", telem)
 		}
@@ -270,25 +270,6 @@ func TestRunRecordCarriesTraceCounters(t *testing.T) {
 			t.Fatalf("%s: %d restarts, %d retries and %d quarantines, want each above 0",
 				c.name, restarts, retries, len(rep.Quarantined))
 		}
-	}
-}
-
-// TestReplayNoElide: with the oracle disabled every run goes to the
-// target's runner (which still copies dormant runs) and the archive
-// still matches.
-func TestReplayNoElide(t *testing.T) {
-	specs := testSpecs(18)
-	source := middleware.Spec{Supervision: workload.Standalone}
-	target, _ := middleware.Parse("mscs")
-	path := journalCampaign(t, specs, source, false)
-	want := archiveBytes(t, fromScratch(t, runnerFor(t, target), specs))
-
-	set, oracle := replayTo(t, path, target, 4, true)
-	if got := archiveBytes(t, set); got != want {
-		t.Fatal("no-elide replay archive differs from from-scratch archive")
-	}
-	if st := oracle.Stats(); st.Elided != 0 || st.Executed != st.Total {
-		t.Fatalf("no-elide must execute everything, got %+v", st)
 	}
 }
 
@@ -371,8 +352,8 @@ func TestLoadNamesLowestIndexedBadRecord(t *testing.T) {
 	badTrace, _, _ := corruptTwoRuns(t, path, func(r *journal.Record) *json.RawMessage { return &r.Tel },
 		regexp.MustCompile(`"at":\d+`), `"at":"x"`)
 	target, _ := middleware.Parse("watchd-v3")
-	want, wantOracle := replayTo(t, path, target, 4, false)
-	got, gotOracle := replayTo(t, badTrace, target, 4, false)
+	want, wantOracle := replayTo(t, path, target, 4)
+	got, gotOracle := replayTo(t, badTrace, target, 4)
 	if archiveBytes(t, got) != archiveBytes(t, want) {
 		t.Fatal("the source with corrupt traces replays to another archive than the clean source")
 	}

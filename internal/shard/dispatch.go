@@ -500,10 +500,9 @@ type chunk struct {
 
 // assignment is one copy of a chunk handed to one executor.
 type assignment struct {
-	ch          *chunk
-	indices     []int
-	slot        int
-	speculative bool
+	ch      *chunk
+	indices []int
+	slot    int
 }
 
 // dispatcher is the fleet's shared state: the job list, the ledger the
@@ -682,7 +681,7 @@ func (d *dispatcher) speculateLocked(slot int) *assignment {
 	best.live++
 	d.stats.Speculated++
 	d.journalEvent(slot, "speculate", bestUn)
-	return &assignment{ch: best, indices: bestUn, slot: slot, speculative: true}
+	return &assignment{ch: best, indices: bestUn, slot: slot}
 }
 
 // commit merges one streamed run or quarantine record at its global

@@ -194,6 +194,98 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzReadJSONL feeds arbitrary bytes to ReadJSONL, which must not
+// panic, and draws from the same bytes a merged trace of events with
+// known kinds and valid UTF-8 names, which WriteJSONL then ReadJSONL
+// must give back exactly, run index and every field. Runs without a
+// recorder, and recorders that keep their events encoded as a decoded
+// snapshot does, are drawn too.
+func FuzzReadJSONL(f *testing.F) {
+	golden, err := os.ReadFile("testdata/probe_trace.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Its first lines: a whole golden trace makes every new input slow
+	// to minimize.
+	lines := bytes.SplitAfter(golden, []byte("\n"))
+	f.Add(bytes.Join(lines[:min(8, len(lines))], nil))
+	// A run kept encoded (op 0x09) holding one syscall event named "Read"
+	// with A 7 and B 8, so the seeds take the kept-bytes export too.
+	f.Add([]byte("\x09\x22Read" + "\x00\x00\x00\x00\x00\x00\x00\x05" + "\x00\x00\x00\x02" + "\x00" +
+		"\x00\x00\x00\x00\x00\x00\x00\x07" + "\x00\x00\x00\x00\x00\x00\x00\x08"))
+	for _, raw := range []string{
+		`{"run":0,"at":9,"pid":0,"kind":"fault-injected","name":"odd \"name\", with comma","a":7,"b":8}`,
+		"{\"run\":1,\"at\":-5,\"pid\":2,\"kind\":\"newer-kind\",\"name\":\"Rea\xffd\",\"a\":18446744073709551615,\"b\":0}\n\n",
+		`{"run":0,"pid":4294967296}`, `{"a":-1}`, `{"kind":1}`, "{}\n[]", "null", "",
+	} {
+		f.Add([]byte(raw))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		telemetry.ReadJSONL(bytes.NewReader(data))
+
+		set, want := drawTrace(t, data)
+		var buf bytes.Buffer
+		if err := set.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := telemetry.ReadJSONL(&buf)
+		if err != nil {
+			t.Fatalf("ReadJSONL of WriteJSONL's output: %v\n%s", err, buf.Bytes())
+		}
+		determinism.AssertEqualSlices(t, "trace line", got, want, nil)
+	})
+}
+
+// drawTrace reads a merged trace out of fuzz bytes and returns it with
+// the lines ReadJSONL must read back. Each op byte starts a run without
+// a recorder, starts a run, or emits one event, whose fields the
+// following bytes give.
+func drawTrace(t *testing.T, data []byte) (*telemetry.Set, []telemetry.TraceLine) {
+	t.Helper()
+	take := func(n int) uint64 {
+		var v uint64
+		for ; n > 0 && len(data) > 0; n-- {
+			v, data = v<<8|uint64(data[0]), data[1:]
+		}
+		return v
+	}
+	set := telemetry.NewSet()
+	var encoded []bool
+	var want []telemetry.TraceLine
+	for len(data) > 0 {
+		op := take(1)
+		if op%8 < 2 || len(set.Runs) == 0 {
+			var r *telemetry.Recorder
+			if op%8 != 0 {
+				r = telemetry.NewRecorder(len(data) + 1) // never wraps
+			}
+			set.Append(r)
+			encoded = append(encoded, op%8 == 1 && op&8 != 0)
+			continue
+		}
+		run := len(set.Runs) - 1
+		name := data[:min(int(op>>3), len(data))]
+		data = data[len(name):]
+		e := telemetry.Event{At: vclock.Time(take(8)), PID: uint32(take(4)),
+			Kind: telemetry.Kind(1 + take(1)%uint64(telemetry.KindRunQuarantine)),
+			Name: strings.ToValidUTF8(string(name), "\uFFFD"), A: take(8), B: take(8)}
+		if r := set.Runs[run]; r != nil {
+			r.Emit(e.At, e.PID, e.Kind, e.Name, e.A, e.B)
+			want = append(want, telemetry.TraceLine{Run: run, Event: e})
+		}
+	}
+	for i, r := range set.Runs {
+		if encoded[i] {
+			d, err := telemetry.DecodeRecorder(r.AppendSnapshotJSON(nil))
+			if err != nil {
+				t.Fatalf("DecodeRecorder of run %d's snapshot: %v", i, err)
+			}
+			set.Runs[i] = d
+		}
+	}
+	return set, want
+}
+
 func TestMetricsTextMerges(t *testing.T) {
 	a := telemetry.NewRecorder(0)
 	a.Add("c", 1)

@@ -396,6 +396,9 @@ func (d draw) check(t *testing.T) {
 	traced := d.traceCap > 0 && d.mode != modeReplay // replay runs untraced
 	h := d.header(d.target, traced)
 	want := d.campaign(t, h, core.WithFreshBoot(), core.WithParallelism(1))
+	if len(want.Runs) != len(d.specs) {
+		t.Fatalf("%d runs for %d specs:\n%v", len(want.Runs), len(d.specs), d)
+	}
 	var got *core.SetResult
 	switch d.mode {
 	case modeRun:

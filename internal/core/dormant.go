@@ -70,9 +70,19 @@ func (c *dormantCache) get(node int) *dormantTemplate {
 // offer makes res its node's template unless that node has one. The
 // template is a deep copy because callers mutate what Run returns: the
 // ledger marks probes Skipped, and the supervisor sets Retries and
-// emits into the recorder.
+// emits into the recorder. Its recorder keeps the events encoded
+// (telemetry.DecodeRecorder of its snapshot), so that each copy's
+// Relabel patches the one fault-armed event over bytes every copy
+// shares, and a copy's snapshot is written from those bytes.
 func (c *dormantCache) offer(res *RunResult, activated map[string]bool) {
 	t := &dormantTemplate{res: copyDormant(res, res.Fault), activated: activated}
+	if rec := t.res.Telemetry; rec != nil {
+		// A snapshot always decodes; on the impossible error the
+		// template keeps its ring.
+		if kept, err := telemetry.DecodeRecorder(rec.AppendSnapshotJSON(nil)); err == nil {
+			t.res.Telemetry = kept
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.t == nil {
@@ -87,7 +97,9 @@ func (c *dormantCache) offer(res *RunResult, activated map[string]bool) {
 // own RunResult, Classes and Nodes slices and recorder, with Fault and
 // the one fault-armed event naming spec. Nothing else in a dormant run
 // depends on its spec, so the ring holds the same events at the same
-// positions, even when it wrapped and dropped the armed event.
+// positions, even when it wrapped and dropped the armed event. A
+// template's recorder keeps its events encoded, and the copy's shares
+// those bytes under a patch of the armed event (Recorder.Relabel).
 func copyDormant(res *RunResult, spec inject.FaultSpec) *RunResult {
 	c := *res
 	c.Fault = spec

@@ -5,13 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
-	"ntdts/internal/determinism"
 	"ntdts/internal/inject"
 	"ntdts/internal/ntsim"
 	"ntdts/internal/workload"
@@ -23,30 +21,6 @@ func apache1Campaign(par int, progress func(done, total int)) *Campaign {
 		opts = append(opts, WithProgress(progress))
 	}
 	return NewCampaign(NewRunner(workload.NewApache1(workload.Standalone), RunnerOptions{}), opts...)
-}
-
-// TestCampaignParallelDeterministic is the engine's core guarantee: any
-// worker count yields a SetResult deep-equal to the sequential sweep,
-// runs in fault-list order included.
-func TestCampaignParallelDeterministic(t *testing.T) {
-	run := func(par int) *SetResult {
-		set, err := apache1Campaign(par, nil).Run(context.Background())
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		return set
-	}
-	seq := run(1)
-	par := run(8)
-	if len(seq.Runs) == 0 {
-		t.Fatal("empty campaign")
-	}
-	determinism.AssertEqualSlices(t, "parallel campaign runs", par.Runs, seq.Runs, func(i int) string {
-		return fmt.Sprintf("dts -config <Apache1/none> -fault %q -parallel 8", seq.Runs[i].Fault.String())
-	})
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("set results diverge outside Runs:\n seq: %+v\n par: %+v", seq, par)
-	}
 }
 
 // TestCampaignParallelProgress exercises the serialized Progress contract

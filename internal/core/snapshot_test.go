@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -117,13 +118,8 @@ func TestSnapshotForkMatchesFreshBoot(t *testing.T) {
 	baseJSON, baseTrace, baseMetrics := artifacts(baseline)
 	for _, par := range []int{1, 4, 16} {
 		forked := runSet(false, par)
-		determinism.AssertEqualSlices(t, fmt.Sprintf("snapshot-forked runs (par=%d)", par),
-			forked.Runs, baseline.Runs, func(i int) string {
-				return fmt.Sprintf("dts -config <Apache1/none> -fault %q -fresh-boot", baseline.Runs[i].Fault.String())
-			})
-		if !reflect.DeepEqual(baseline, forked) {
-			t.Fatalf("par=%d: set diverges outside Runs", par)
-		}
+		// The exports first, while dormant copies still share their
+		// template's encoded trace; Events below decodes it.
 		forkedJSON, forkedTrace, forkedMetrics := artifacts(forked)
 		if !bytes.Equal(baseJSON, forkedJSON) {
 			t.Fatalf("par=%d: archive bytes diverge from fresh-boot", par)
@@ -133,6 +129,52 @@ func TestSnapshotForkMatchesFreshBoot(t *testing.T) {
 		}
 		if forkedMetrics != baseMetrics {
 			t.Fatalf("par=%d: metrics text diverges from fresh-boot", par)
+		}
+		determinism.AssertEqualSlices(t, fmt.Sprintf("snapshot-forked runs (par=%d)", par),
+			withoutRecorders(forked.Runs), withoutRecorders(baseline.Runs), func(i int) string {
+				return fmt.Sprintf("dts -config <Apache1/none> -fault %q -fresh-boot", baseline.Runs[i].Fault.String())
+			})
+		sameTraces(t, fmt.Sprintf("par=%d: snapshot-forked", par), forked.Telemetry.Runs, baseline.Telemetry.Runs)
+		b, f := *baseline, *forked
+		b.Runs, b.Telemetry, f.Runs, f.Telemetry = nil, nil, nil, nil
+		if !reflect.DeepEqual(b, f) {
+			t.Fatalf("par=%d: set diverges outside Runs", par)
+		}
+	}
+}
+
+// withoutRecorders returns a copy of runs with every Telemetry cleared.
+// A dormant copy's recorder holds its trace in another form than a
+// fresh-boot run's, so reflect.DeepEqual compares the records without
+// them and sameTraces compares the traces.
+func withoutRecorders(runs []RunResult) []RunResult {
+	out := slices.Clone(runs)
+	for i := range out {
+		out[i].Telemetry = nil
+	}
+	return out
+}
+
+// sameTraces fails unless got and want hold, recorder by recorder, the
+// same snapshot bytes and then the same Events, which decode a recorder
+// that keeps its events encoded.
+func sameTraces(t *testing.T, what string, got, want []*telemetry.Recorder) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d recorders, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if (got[i] == nil) != (want[i] == nil) {
+			t.Fatalf("%s: recorder %d is %v, want %v", what, i, got[i], want[i])
+		}
+		if got[i] == nil {
+			continue
+		}
+		if !bytes.Equal(got[i].AppendSnapshotJSON(nil), want[i].AppendSnapshotJSON(nil)) {
+			t.Fatalf("%s: trace %d differs from the fresh-boot trace", what, i)
+		}
+		if !reflect.DeepEqual(got[i].Events(), want[i].Events()) {
+			t.Fatalf("%s: events of trace %d differ from the fresh-boot events", what, i)
 		}
 	}
 }

@@ -176,10 +176,7 @@ func TestCommitRecordKeepsTraceEncoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	line, err := journal.AppendRun(nil, 0, spec.Key(), 1, result, tel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	line := journal.AppendRun(nil, 0, spec.Key(), 1, result, tel)
 	l, err := journal.NewStream(bytes.NewReader(line)).Next()
 	if err != nil {
 		t.Fatal(err)

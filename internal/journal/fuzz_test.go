@@ -15,7 +15,9 @@ import (
 
 // FuzzDecodeLine: the one-decode record path returns exactly the Line
 // and the error text that the probe-then-kind path returns for the same
-// bytes.
+// bytes. Every run record either path returns holds strict payloads,
+// AppendRun's precondition, so AppendRun writes the record back as
+// json.Marshal would.
 func FuzzDecodeLine(f *testing.F) {
 	for _, seed := range []string{
 		// One line of every kind.
@@ -55,6 +57,15 @@ func FuzzDecodeLine(f *testing.F) {
 		`{"kind":"run","index":7,"key":"a/0/1/1","tel":{"cap":8},"result":{"outcome":1}}`,
 		`{"kind":"run","index":7,"index":8,"key":"a/0/1/1","result":{"outcome":1}}`,
 		`{"kind":"run","index":7,"key":"a/0/1/1","result":{"outcome":1}} `,
+		// Run lines whose payloads are valid but not strict, which
+		// decodeLineByKind rewrites.
+		`{"kind":"run","index":3,"key":"ReadFile/0/1/1","result":{"outcome": 1},"tel": {"cap":8}` + "\n}",
+		`{"kind":"run","index":3,"key":"ReadFile/0/1/1","result":{"name":"<a&b>"},"tel":"\u2028"}`,
+		"{\"kind\":\"run\",\"index\":3,\"key\":\"ReadFile/0/1/1\",\"result\":\"\u2028\",\"tel\":null}",
+		`{"kind":"run","index":3,"key":"ReadFile/0/1/1","result":{"outcome":1,"tel":{"cap":8}}`,
+		`{"kind":"run","index":3,"key":"ReadFile/0/1/1","result":{"outcome":1},"tel":nul}`,
+		`{"kind":"run","index":3,"key":"ReadFile/0/1/1","result": ,"tel":{}}`,
+		`{"kind":"run","index":3,"key":"ReadFile/0/1/1","result":[1, 2],"tel":[[[[]]]]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -66,6 +77,23 @@ func FuzzDecodeLine(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("line %+v, want %+v", got, want)
+		}
+		if got == nil || got.Kind != KindRun {
+			return
+		}
+		r := got.Rec
+		for _, p := range [][]byte{r.Result, r.Tel} {
+			if len(p) != 0 && !jsonwire.Compact(p) {
+				t.Fatalf("run record of %q holds a payload that is not strict: %q", data, p)
+			}
+		}
+		line := AppendRun(nil, r.Index, r.Key, r.Attempts, r.Result, r.Tel)
+		marshalled, err := json.Marshal(Record{Kind: KindRun, Index: r.Index, Key: r.Key, Attempts: r.Attempts, Result: r.Result, Tel: r.Tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(marshalled, '\n'); !bytes.Equal(line, want) {
+			t.Fatalf("AppendRun of the record of %q\n got %s\nwant %s", data, line, want)
 		}
 	})
 }
@@ -197,10 +225,11 @@ func FuzzReplayTruncate(f *testing.F) {
 	})
 }
 
-// FuzzAppendRun: a run line built by AppendRun is exactly json.Marshal
-// of the same Record plus a newline, or fails with json.Marshal's error,
-// whatever the payloads hold; and the reader decodes it as the
-// probe-then-kind path does.
+// FuzzAppendRun: a run line AppendRun builds from strict payloads, its
+// precondition, is exactly json.Marshal of the same Record plus a
+// newline, and the reader decodes it as the probe-then-kind path does,
+// on the fast path whenever the key needs no escaping. Lines whose
+// payloads are not strict are FuzzDecodeLine's seeds.
 func FuzzAppendRun(f *testing.F) {
 	for _, seed := range []struct {
 		result, tel string
@@ -208,29 +237,28 @@ func FuzzAppendRun(f *testing.F) {
 		{`{"outcome":1,"responseSec":18.9}`, `{"cap":8,"events":[{"at":1,"pid":4,"kind":"exit","name":"w3svc"}]}`},
 		{`{"outcome":1}`, ``},
 		{``, ``},
-		{`{"outcome": 1}`, " {\"cap\":8}\n"},
-		{`{"name":"<a&b>"}`, `"\u2028"`},
-		{"\"\u2028\"", `null`},
-		{`{"outcome":1`, `{"cap":8}`},
-		{`{"outcome":1}`, `nul`},
-		{` `, `{}`},
+		// Strict payloads of every JSON kind, among them the strict forms
+		// of the payloads FuzzDecodeLine's seeds rewrite.
+		{`{"outcome":1}`, `{"cap":8}`},
+		{`{"name":"\u003ca\u0026b\u003e"}`, `"\u2028"`},
+		{`"\u2028"`, `null`},
+		{`[1,2]`, `[[[[]]]]`},
+		{"\"\xff\"", `{}`},
+		{`-0.5e+7`, `true`},
 	} {
 		f.Add(3, "ReadFile/0/1/1", 0, []byte(seed.result), []byte(seed.tel))
 	}
 	f.Add(-1, "q\"<>&\x01\u2028\xff", 2, []byte(`[]`), []byte(`0`))
 	f.Fuzz(func(t *testing.T, index int, key string, attempts int, result, tel []byte) {
-		got, gotErr := AppendRun([]byte("prefix"), index, key, attempts, result, tel)
-		want, wantErr := json.Marshal(Record{
+		if len(result) != 0 && !jsonwire.Compact(result) || len(tel) != 0 && !jsonwire.Compact(tel) {
+			return
+		}
+		got := AppendRun([]byte("prefix"), index, key, attempts, result, tel)
+		want, err := json.Marshal(Record{
 			Kind: KindRun, Index: index, Key: key, Attempts: attempts, Result: result, Tel: tel,
 		})
-		if errText(gotErr) != errText(wantErr) {
-			t.Fatalf("error %q, want %q", errText(gotErr), errText(wantErr))
-		}
-		if wantErr != nil {
-			if string(got) != "prefix" {
-				t.Fatalf("failed AppendRun returned %q, want dst unchanged", got)
-			}
-			return
+		if err != nil {
+			t.Fatalf("json.Marshal of strict payloads: %v", err)
 		}
 		if want = append([]byte("prefix"), append(want, '\n')...); !bytes.Equal(got, want) {
 			t.Fatalf("line\n got %s\nwant %s", got, want)
@@ -241,9 +269,8 @@ func FuzzAppendRun(f *testing.F) {
 		if errText(gotErr) != errText(wantErr) || !reflect.DeepEqual(gotLine, wantLine) {
 			t.Fatalf("decodeLine(%s) = %+v, %v; want %+v, %v", line, gotLine, gotErr, wantLine, wantErr)
 		}
-		spliced := (len(result) == 0 || jsonwire.Compact(result)) && (len(tel) == 0 || jsonwire.Compact(tel))
-		if spliced && string(jsonwire.AppendString(nil, key)) == `"`+key+`"` && decodeRunLine(line) == nil {
-			t.Fatalf("spliced line with a plain key missed the fast path: %s", line)
+		if string(jsonwire.AppendString(nil, key)) == `"`+key+`"` && decodeRunLine(line) == nil {
+			t.Fatalf("line with a plain key missed the fast path: %s", line)
 		}
 	})
 }

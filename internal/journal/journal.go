@@ -21,9 +21,13 @@
 // journal does not import internal/core (core imports journal) and the
 // replayed bytes are exactly the written bytes — the foundation of the
 // byte-identical resume guarantee. Run lines, the bulk of every journal
-// and of the fleet wire, are built by AppendRun, which splices already
-// compact payloads in verbatim instead of re-marshalling them, and the
-// reader decodes them on a matching fast path.
+// and of the fleet wire, are built by AppendRun, which splices strict
+// payloads in verbatim instead of re-marshalling them, and the reader
+// decodes them on a matching fast path. Strict payloads are the bytes
+// json.Marshal leaves as they are when it writes them as a
+// json.RawMessage (jsonwire.Compact); every producer hands over only
+// such bytes: core.MarshalRunRecord writes them with json.Marshal and
+// AppendSnapshotJSON, and a decoded run record holds them (decodeLine).
 package journal
 
 import (
@@ -305,33 +309,18 @@ func (w *Writer) WritePlan(jobs []string, fingerprint string) error {
 	return w.writeLine(Plan{Kind: KindPlan, Jobs: jobs, Fingerprint: fingerprint})
 }
 
-// WriteRun appends one completed-run record, built by AppendRun.
+// WriteRun appends one completed-run record, built by AppendRun from
+// strict payloads.
 func (w *Writer) WriteRun(index int, key string, attempts int, result, tel json.RawMessage) error {
-	data, err := AppendRun(nil, index, key, attempts, result, tel)
-	if err != nil {
-		return fmt.Errorf("journal marshal: %w", err)
-	}
-	return w.appendRecord(data)
+	return w.appendRecord(AppendRun(nil, index, key, attempts, result, tel))
 }
 
 // AppendRun appends one newline-terminated run line to dst: exactly
 // json.Marshal(Record{Kind: KindRun, Index: index, Key: key, Attempts:
-// attempts, Result: result, Tel: tel}) plus "\n", or that call's error.
-// Payloads that are already compact (jsonwire.Compact), as every
-// payload json.Marshal or AppendSnapshotJSON writes is, are spliced in
-// verbatim; any other payload sends the whole line through json.Marshal,
-// which compacts and validates it.
-func AppendRun(dst []byte, index int, key string, attempts int, result, tel json.RawMessage) ([]byte, error) {
-	if (len(result) != 0 && !jsonwire.Compact(result)) || (len(tel) != 0 && !jsonwire.Compact(tel)) {
-		data, err := json.Marshal(Record{
-			Kind: KindRun, Index: index, Key: key, Attempts: attempts,
-			Result: result, Tel: tel,
-		})
-		if err != nil {
-			return dst, err
-		}
-		return append(append(dst, data...), '\n'), nil
-	}
+// attempts, Result: result, Tel: tel}) plus "\n". result and tel must
+// each be empty or strict (see the package comment), and are spliced in
+// verbatim: AppendRun neither checks nor rewrites them.
+func AppendRun(dst []byte, index int, key string, attempts int, result, tel json.RawMessage) []byte {
 	dst = append(dst, `{"kind":"run","index":`...)
 	dst = strconv.AppendInt(dst, int64(index), 10)
 	dst = append(dst, `,"key":`...)
@@ -348,7 +337,7 @@ func AppendRun(dst []byte, index int, key string, attempts int, result, tel json
 		dst = append(dst, `,"tel":`...)
 		dst = append(dst, tel...)
 	}
-	return append(dst, "}\n"...), nil
+	return append(dst, "}\n"...)
 }
 
 // WriteAssign appends one fleet-dispatch provenance line. It uses the

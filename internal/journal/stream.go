@@ -145,7 +145,8 @@ func (s *Stream) readLine() ([]byte, error) {
 // decodeLineByKind would; every other line, and any run line the fast
 // path declines, takes decodeLineByKind, so every other Line and every
 // error stays as that path spells it. A run record's payloads may alias
-// data.
+// data, and are strict on both paths, so AppendRun can write the record
+// again as it is.
 func decodeLine(data []byte) (*Line, error) {
 	if rec := decodeRunLine(data); rec != nil {
 		return &Line{Kind: KindRun, Rec: rec}, nil
@@ -154,10 +155,10 @@ func decodeLine(data []byte) (*Line, error) {
 }
 
 // decodeRunLine decodes a run line in the canonical form AppendRun
-// writes, validating each payload, and returns the Record json.Unmarshal
-// would. The payloads alias data, capped at their own length so that an
-// append cannot overwrite the bytes after them. On any deviation it
-// returns nil.
+// writes, validating each payload as strict (jsonwire.Reader.Value),
+// and returns the Record decodeLineByKind would. The payloads alias
+// data, capped at their own length so that an append cannot overwrite
+// the bytes after them. On any deviation it returns nil.
 func decodeRunLine(data []byte) *Record {
 	rd := jsonwire.NewReader(data)
 	rec := &Record{Kind: KindRun}
@@ -184,7 +185,9 @@ func decodeRunLine(data []byte) *Record {
 }
 
 // decodeLineByKind probes a line's kind, then decodes it into the type
-// that kind names.
+// that kind names. A run record's payloads come back strict: json.Marshal
+// of each as a json.RawMessage, which compacts it and escapes what
+// encoding/json escapes, and which leaves strict bytes as they are.
 func decodeLineByKind(data []byte) (*Line, error) {
 	var probe struct {
 		Kind string `json:"kind"`
@@ -208,6 +211,14 @@ func decodeLineByKind(data []byte) (*Line, error) {
 		l.Rec = &Record{}
 		if err := json.Unmarshal(data, l.Rec); err != nil {
 			return nil, err
+		}
+		if l.Kind == KindRun {
+			for _, p := range []*json.RawMessage{&l.Rec.Result, &l.Rec.Tel} {
+				if len(*p) != 0 {
+					// Bytes json.Unmarshal accepted always marshal.
+					*p, _ = json.Marshal(*p)
+				}
+			}
 		}
 	default:
 		return nil, fmt.Errorf("unknown kind %q", probe.Kind)

@@ -1,8 +1,8 @@
 // Package jsonwire holds the byte-level pieces shared by the run-record
 // codecs (telemetry snapshots and journal run lines): encoding/json's
-// exact string quoting, a strict validator for payloads that may be
-// spliced into a line verbatim, and a Reader for the canonical bytes
-// those codecs write.
+// exact string quoting, the definition of a strict payload, one that
+// may be spliced into a line verbatim, and a Reader for the canonical
+// bytes those codecs write.
 //
 // Every function either reproduces encoding/json exactly or reports that
 // it cannot, and the caller then falls back to encoding/json. Strictness
@@ -70,15 +70,18 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// maxDepth bounds the nesting the validator follows. encoding/json
-// allows 10000; deeper strict values are simply not recognized.
-const maxDepth = 512
+// maxDepth bounds the nesting the validator follows: encoding/json's own
+// limit, so that whatever json.Marshal writes for a json.RawMessage is
+// strict.
+const maxDepth = 10000
 
 // Compact reports whether b is exactly one strict JSON value: valid
 // JSON with no whitespace outside strings, no '<', '>' or '&', and no
-// U+2028 or U+2029. Those are the bytes json.Marshal leaves unchanged
-// when it writes b as a json.RawMessage, so a strict payload can be
-// spliced into a line where encoding/json would re-compact it.
+// U+2028 or U+2029. Those are exactly the bytes json.Marshal leaves
+// unchanged when it writes b as a json.RawMessage, so a strict payload
+// can be spliced into a line where encoding/json would re-compact it.
+// No encoder calls it: the run-record codecs write strict bytes by
+// construction, and Compact is the oracle their tests hold them to.
 func Compact(b []byte) bool {
 	return len(b) > 0 && valueEnd(b, 0, 0) == len(b)
 }
@@ -372,9 +375,9 @@ func (r *Reader) String() []byte {
 // Verbatim reports whether AppendString writes the valid UTF-8 s back
 // as its own bytes between quotes, with nothing escaped: whether s holds
 // no control byte, '"', '\\', '<', '>', '&', U+2028 or U+2029.
-func Verbatim(s []byte) bool {
-	for i, c := range s {
-		if stop[c] && (c != 0xE2 || i+2 < len(s) && s[i+1] == 0x80 && s[i+2]&^1 == 0xA8) {
+func Verbatim[S ~string | ~[]byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; stop[c] && (c != 0xE2 || i+2 < len(s) && s[i+1] == 0x80 && s[i+2]&^1 == 0xA8) {
 			return false
 		}
 	}

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"strconv"
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
 
 // FuzzJSONWire holds every helper to encoding/json and strconv on the
 // same bytes: AppendString quotes as json.Marshal does, the validator
-// accepts nothing json.Valid rejects and only what json.Marshal of a
-// json.RawMessage leaves unchanged, the integer reads accept exactly
+// accepts nothing json.Valid rejects, only what json.Marshal of a
+// json.RawMessage leaves unchanged, and everything that marshal writes
+// for valid input, the integer reads accept exactly
 // the canonical spellings strconv writes, and Verbatim holds for a valid
 // UTF-8 string exactly when AppendString writes it back unescaped.
 func FuzzJSONWire(f *testing.F) {
@@ -45,6 +47,10 @@ func FuzzJSONWire(f *testing.F) {
 			got, err := json.Marshal(json.RawMessage(data))
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("Compact accepts %q, which json.Marshal rewrites to %q (%v)", data, got, err)
+			}
+		} else if json.Valid(data) {
+			if got, err := json.Marshal(json.RawMessage(data)); err != nil || !Compact(got) {
+				t.Fatalf("Compact rejects %q, which json.Marshal writes for %q (%v)", got, data, err)
 			}
 		}
 		for i := range data {
@@ -97,6 +103,13 @@ func TestCompact(t *testing.T) {
 	} {
 		if got := Compact([]byte(in)); got != want {
 			t.Errorf("Compact(%q) = %v, want %v", in, got, want)
+		}
+	}
+	// Nesting: as deep as encoding/json goes, and no deeper.
+	for _, depth := range []int{600, 10000, 10001} {
+		in := []byte(strings.Repeat("[", depth) + strings.Repeat("]", depth))
+		if got, want := Compact(in), json.Valid(in); got != want || want != (depth <= 10000) {
+			t.Errorf("Compact of %d nested arrays = %v, json.Valid = %v", depth, got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ntdts/internal/middleware/watchd"
+	"ntdts/internal/ntsim/cluster"
 	"ntdts/internal/workload"
 )
 
@@ -55,4 +56,28 @@ func TestVersionDefault(t *testing.T) {
 	if v := (Spec{Supervision: workload.MSCS}).Version(); v != 0 {
 		t.Errorf("mscs version = %v, want 0", v)
 	}
+}
+
+// FuzzParseMiddleware: no input panics Parse or cluster.ParsePolicy,
+// the parsers of -middleware and -routing, and for any input either
+// accepts, parsing its String gives back the same value.
+func FuzzParseMiddleware(f *testing.F) {
+	for _, s := range []string{
+		"none", "standalone", "NONE", " mscs ", "watchd", "Watchd-V2", "watchd-v1", "watchd-v3",
+		"watchd-v9", "", "failover", "round-robin", "least-loaded", "Round-Robin", "least-loaded ",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if spec, err := Parse(s); err == nil {
+			if again, err := Parse(spec.String()); err != nil || again != spec {
+				t.Fatalf("Parse(%q) = %+v, but Parse(%q) = %+v, %v", s, spec, spec.String(), again, err)
+			}
+		}
+		if p, err := cluster.ParsePolicy(s); err == nil {
+			if again, err := cluster.ParsePolicy(p.String()); err != nil || again != p {
+				t.Fatalf("ParsePolicy(%q) = %v, but ParsePolicy(%q) = %v, %v", s, p, p.String(), again, err)
+			}
+		}
+	})
 }

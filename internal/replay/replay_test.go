@@ -158,35 +158,6 @@ func TestReplayCrossFamilyEquivalence(t *testing.T) {
 	}
 }
 
-// TestReplayClusterFaultFree: fault-free synthesis holds on a cluster
-// target. A 3-node campaign under no middleware, its catalog faults
-// addressed to nodes 1 and 2, replays to MSCS with the oracle
-// synthesizing every fault whose function the MSCS calibration run
-// calls on no node, and the archive still equals the from-scratch MSCS
-// campaign, which simulates every run.
-func TestReplayClusterFaultFree(t *testing.T) {
-	cluster := core.ClusterConfig{Nodes: 3}
-	specs := testSpecs(30)
-	for i := range specs {
-		specs[i].Node = 1 + i%2
-	}
-	source := runnerFor(t, middleware.Spec{Supervision: workload.Standalone})
-	source.Opts.Cluster = cluster
-	path := journalRun(t, source, specs)
-	target, _ := middleware.Parse("mscs")
-	scratch := runnerFor(t, target)
-	scratch.Opts.Cluster = cluster
-	want := archiveBytes(t, fromScratch(t, scratch, specs))
-
-	set, oracle := replayTo(t, path, target, 4)
-	if got := archiveBytes(t, set); got != want {
-		t.Fatal("replayed 3-node archive differs from the from-scratch MSCS archive")
-	}
-	if st := oracle.Stats(); st.FaultFree == 0 || st.Copied != 0 || st.Total != len(specs) {
-		t.Fatalf("want fault-free synthesis and no verbatim copy on a cluster target, got %+v", st)
-	}
-}
-
 // TestReplayWatchdGenerationCopy: watchd v2 -> v3 admits verbatim copy
 // for quiet runs, and the result still matches from-scratch v3 exactly.
 // The oracle reads the run record, never its trace, so an untraced

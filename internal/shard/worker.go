@@ -64,21 +64,24 @@ type chunkStream struct {
 	drills  *journal.Plan
 }
 
+// WriteRun streams a run record. The ledger hands it strict payloads
+// (core.MarshalRunRecord), which journal.AppendRun splices as they are.
 func (s *chunkStream) WriteRun(i int, key string, attempts int, result, tel json.RawMessage) error {
 	return s.emit(journal.AppendRun(nil, s.index[i], key, attempts, result, tel))
 }
 
 func (s *chunkStream) WriteQuarantine(i int, key string, fault json.RawMessage, reason, message, stack string, attempts int) error {
-	return s.emit(journal.AppendQuarantine(nil, s.index[i], key, fault, reason, message, stack, attempts))
+	line, err := journal.AppendQuarantine(nil, s.index[i], key, fault, reason, message, stack, attempts)
+	if err != nil {
+		return err
+	}
+	return s.emit(line)
 }
 
 // emit streams one encoded record: the slow drill delays every record
 // (a deliberate straggler), and the kill and hang drills fire once the
 // session has streamed their count.
-func (s *chunkStream) emit(line []byte, err error) error {
-	if err != nil {
-		return err
-	}
+func (s *chunkStream) emit(line []byte) error {
 	if s.drills.ChaosSlowMS > 0 {
 		time.Sleep(time.Duration(s.drills.ChaosSlowMS) * time.Millisecond)
 	}

@@ -6,9 +6,10 @@ package telemetry
 // DecodeRecorder reads those canonical bytes in one strict pass into a
 // recorder that keeps the events encoded, leaving anything else to
 // encoding/json. WriteJSONL walks a kept trace with the same event
-// reader. TestSnapshotCodecFieldSet fails when a field is added to
-// Snapshot, SnapshotEvent or Hist, which AppendSnapshotJSON and
-// DecodeRecorder must then learn.
+// reader, and Relabel can rewrite one kept event as a patch over those
+// bytes (patchKept, telemetry.go). TestSnapshotCodecFieldSet fails when a
+// field is added to Snapshot, SnapshotEvent or Hist, which
+// AppendSnapshotJSON and DecodeRecorder must then learn.
 
 import (
 	"encoding/json"
@@ -31,7 +32,9 @@ func (r *Recorder) AppendSnapshotJSON(dst []byte) []byte {
 	}
 	if r.enc != nil {
 		dst = append(dst, `,"events":[`...)
-		dst = append(dst, r.enc...)
+		dst = append(dst, r.enc[:r.patchAt]...) // all of enc when there is no patch
+		dst = append(dst, r.patch...)
+		dst = append(dst, r.enc[r.patchEnd:]...)
 		dst = append(dst, ']')
 	} else if n := len(r.events); n > 0 {
 		dst = append(dst, `,"events":[`...)
@@ -39,24 +42,7 @@ func (r *Recorder) AppendSnapshotJSON(dst []byte) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			e := &r.events[(r.start+i)%n] // emission order, as Events returns it
-			dst = append(dst, `{"at":`...)
-			dst = strconv.AppendInt(dst, int64(e.At), 10)
-			dst = append(dst, `,"pid":`...)
-			dst = strconv.AppendUint(dst, uint64(e.PID), 10)
-			dst = append(dst, `,"kind":`...)
-			dst = jsonwire.AppendString(dst, e.Kind.String())
-			dst = append(dst, `,"name":`...)
-			dst = jsonwire.AppendString(dst, e.Name)
-			if e.A != 0 {
-				dst = append(dst, `,"a":`...)
-				dst = strconv.AppendUint(dst, e.A, 10)
-			}
-			if e.B != 0 {
-				dst = append(dst, `,"b":`...)
-				dst = strconv.AppendUint(dst, e.B, 10)
-			}
-			dst = append(dst, '}')
+			dst = appendEvent(dst, &r.events[(r.start+i)%n]) // emission order, as Events returns it
 		}
 		dst = append(dst, ']')
 	}
@@ -101,6 +87,27 @@ func (r *Recorder) AppendSnapshotJSON(dst []byte) []byte {
 			dst = append(dst, '}')
 		}
 		dst = append(dst, '}')
+	}
+	return append(dst, '}')
+}
+
+// appendEvent appends e's SnapshotEvent as json.Marshal writes it.
+func appendEvent(dst []byte, e *Event) []byte {
+	dst = append(dst, `{"at":`...)
+	dst = strconv.AppendInt(dst, int64(e.At), 10)
+	dst = append(dst, `,"pid":`...)
+	dst = strconv.AppendUint(dst, uint64(e.PID), 10)
+	dst = append(dst, `,"kind":`...)
+	dst = jsonwire.AppendString(dst, e.Kind.String())
+	dst = append(dst, `,"name":`...)
+	dst = jsonwire.AppendString(dst, e.Name)
+	if e.A != 0 {
+		dst = append(dst, `,"a":`...)
+		dst = strconv.AppendUint(dst, e.A, 10)
+	}
+	if e.B != 0 {
+		dst = append(dst, `,"b":`...)
+		dst = strconv.AppendUint(dst, e.B, 10)
 	}
 	return append(dst, '}')
 }

@@ -18,11 +18,12 @@ import (
 // restart, retry and quarantine counters, negative times, unknown
 // kinds, filled and empty histograms) and holds the codec to
 // encoding/json: AppendSnapshotJSON writes json.Marshal(r.Snapshot()),
-// and DecodeRecorder, on those bytes and on arbitrary ones, returns the
-// error text and a recorder that exports, reads and changes as
-// json.Unmarshal followed by Restore does (checkRecorder). Bytes whose
-// strings need no escaping must decode on the fast path, which keeps
-// their events encoded.
+// which is strict (jsonwire.Compact), and DecodeRecorder, on those bytes
+// and on arbitrary ones, returns the error text and a recorder that
+// exports, reads and changes as json.Unmarshal followed by Restore does
+// (checkRecorder), Relabel included. Bytes whose strings need no
+// escaping must decode on the fast path, which keeps their events
+// encoded.
 func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 2, 3, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x70}, "GetTickCount", "proc.exit", int64(5), []byte(`{"cap":8}`))
 	f.Add(uint8(0), []byte("a ring that wraps past its cap"), "q\"<>&\x01\t\u2028\xff", "k\\\u2029/", int64(-1<<40),
@@ -53,6 +54,28 @@ func FuzzSnapshotCodec(f *testing.F) {
 	} {
 		f.Add(uint8(1), []byte{0}, "", "", int64(0), []byte(raw))
 	}
+	// Relabel on a kept recorder: capN>>4 is the relabelled kind, here
+	// fault-armed, which op 0x64 emits and op 0x10 does not.
+	for _, c := range []struct {
+		capN uint8
+		ops  []byte
+		name string
+	}{
+		{0x60, []byte{0x64}, "ReadFile 1 1 flip"},                   // the only event
+		{0x67, []byte{0x64, 0x10, 0x10}, "ReadFile 1 1 flip"},       // the first
+		{0x67, []byte{0x10, 0x10, 0x64}, "ReadFile 1 1 flip"},       // the last
+		{0x62, []byte{0x10, 0x10, 0x64, 0x10}, "ReadFile 1 1 flip"}, // a wrapped ring keeps it
+		{0x61, []byte{0x64, 0x10, 0x10, 0x10}, "ReadFile 1 1 flip"}, // a wrapped ring dropped it
+		{0x67, []byte{0x64, 0x10, 0x64}, "ReadFile 1 1 flip"},       // two match
+		{0x67, []byte{0x64, 0x10, 0xB0}, "ReadFile 1 1 flip"},       // one, and one phase event
+		{0x67, []byte{0x10, 0x64, 0x10}, "a<b\"c\u2028"},            // a name that needs escaping
+		{0x67, []byte{0x10, 0x64, 0x10}, "ReadFile\xff"},            // a name that is not UTF-8
+		{0x67, []byte{0x10, 0x64, 0x10}, ""},                        // an empty name
+		{0xF7, []byte{0x10, 0xF0, 0x10}, "x"},                       // a kind no decoded event holds
+		{0x07, []byte{0x10, 0xF0, 0x10}, "x"},                       // kind 0, which that event decodes to
+	} {
+		f.Add(c.capN, c.ops, c.name, "k", int64(9), []byte(`{"cap":8}`))
+	}
 	f.Fuzz(func(t *testing.T, capN uint8, ops []byte, name, key string, at int64, raw []byte) {
 		r := NewRecorder(int(capN%8) + 1)
 		names := []string{name, key, name + key, "", CtrRunRestarts, CtrSupRetry, CtrSupQuarantine}
@@ -81,6 +104,9 @@ func FuzzSnapshotCodec(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("AppendSnapshotJSON\n got %s\nwant %s", got, want)
 		}
+		if !jsonwire.Compact(got) {
+			t.Fatalf("AppendSnapshotJSON wrote bytes that are not strict: %s", got)
+		}
 		ev := Event{At: vclock.Time(at), PID: uint32(capN), Kind: Kind(capN >> 4), Name: name, A: uint64(len(ops)), B: 1}
 		checkRecorder(t, got, ev, key)
 		checkRecorder(t, raw, ev, key)
@@ -96,7 +122,11 @@ func FuzzSnapshotCodec(f *testing.F) {
 // Restore on data: the same error text, and recorders that match on
 // every export and read (sameRecorder), first as decoded, then after an
 // Emit of ev, an Add to key, a Clone (and an Emit into the clone, which
-// must leave the original as it was), or a Relabel of ev's kind.
+// must leave the original as it was), or a Relabel of ev's kind: alone,
+// twice, beside a Relabel of another kind, followed by an Emit, and of
+// a Clone, which must leave the original as it was too. A Relabel that
+// matches one kept event and names it plainly must keep the events
+// encoded, as a patch.
 func checkRecorder(t *testing.T, data []byte, ev Event, key string) {
 	t.Helper()
 	var s Snapshot
@@ -122,12 +152,49 @@ func checkRecorder(t *testing.T, data []byte, ev Event, key string) {
 		}},
 		{"Clone", func(r *Recorder) *Recorder { return r.Clone() }},
 		{"Relabel", func(r *Recorder) *Recorder { r.Relabel(ev.Kind, ev.Name, ev.A, ev.B); return r }},
+		{"Relabel twice", func(r *Recorder) *Recorder {
+			r.Relabel(ev.Kind, ev.Name, ev.A, ev.B)
+			r.Relabel(ev.Kind, key, ev.B, 0)
+			return r
+		}},
+		{"Relabel two kinds", func(r *Recorder) *Recorder {
+			r.Relabel(ev.Kind, ev.Name, ev.A, ev.B)
+			r.Relabel(KindPhase, key, ev.B, 0)
+			return r
+		}},
+		{"Relabel, then Emit", func(r *Recorder) *Recorder {
+			r.Relabel(ev.Kind, ev.Name, ev.A, ev.B)
+			r.Emit(ev.At, ev.PID, ev.Kind, key, ev.A, ev.B)
+			return r
+		}},
+		{"Relabel a Clone", func(r *Recorder) *Recorder {
+			r.Clone().Relabel(ev.Kind, ev.Name, ev.A, ev.B)
+			return r
+		}},
+		{"Clone, then Relabel", func(r *Recorder) *Recorder {
+			c := r.Clone()
+			c.Relabel(ev.Kind, ev.Name, ev.A, ev.B)
+			return c
+		}},
 	} {
 		got, err := DecodeRecorder(data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameRecorder(t, fmt.Sprintf("%s of %q", c.op, data), c.change(got), c.change(s.Restore()), key)
+	}
+
+	kept, _ := DecodeRecorder(data)
+	matches := 0
+	for _, e := range s.Restore().Events() {
+		if e.Kind == ev.Kind {
+			matches++
+		}
+	}
+	if kept.enc != nil && matches == 1 && plain(ev.Name) {
+		if kept.Relabel(ev.Kind, ev.Name, ev.A, ev.B); kept.enc == nil || kept.patch == nil {
+			t.Fatalf("Relabel of the one %v event of %q decoded the kept events", ev.Kind, data)
+		}
 	}
 }
 
@@ -140,6 +207,8 @@ func sameRecorder(t *testing.T, what string, got, want *Recorder, key string) {
 	for pass := 0; pass < 2; pass++ {
 		if g, w := got.AppendSnapshotJSON(nil), want.AppendSnapshotJSON(nil); !bytes.Equal(g, w) {
 			t.Fatalf("%s: AppendSnapshotJSON\n got %s\nwant %s", what, g, w)
+		} else if !jsonwire.Compact(g) {
+			t.Fatalf("%s: AppendSnapshotJSON wrote bytes that are not strict: %s", what, g)
 		}
 		var g, w bytes.Buffer
 		if err := NewSet(got).WriteJSONL(&g); err != nil {

@@ -105,8 +105,7 @@ func (s *Set) WriteJSONL(w io.Writer) error {
 		case r == nil:
 		case r.enc != nil:
 			var err error
-			rd := jsonwire.NewReader(r.enc)
-			walkEvents(&rd, func(e walkedEvent) {
+			r.walkKept(func(e walkedEvent) {
 				if err == nil {
 					_, err = bw.Write(e.appendJSONEvent(bw.AvailableBuffer(), run))
 				}

@@ -18,9 +18,11 @@
 package telemetry
 
 import (
+	"bytes"
 	"maps"
 	"slices"
 	"time"
+	"unicode/utf8"
 
 	"ntdts/internal/jsonwire"
 	"ntdts/internal/vclock"
@@ -259,8 +261,9 @@ func (h *Hist) merge(other *Hist) {
 // A recorder DecodeRecorder builds keeps its events encoded: the
 // exports (AppendSnapshotJSON, and a Set's WriteJSONL, MetricsText,
 // Events and Dropped) read them as they are, and Counter and Dropped
-// read decoded values. Every other method but Clone decodes them into
-// the ring first, once, so even a method that only reads may change how
+// read decoded values. Relabel may keep them too, as one patched event
+// (see Relabel). Every other method but Clone decodes them into the
+// ring first, once, so even a method that only reads may change how
 // the recorder holds its events.
 type Recorder struct {
 	cap     int
@@ -271,9 +274,14 @@ type Recorder struct {
 	// enc, when non-nil, holds the retained events as the canonical
 	// snapshot bytes they were decoded from (the "events" array between
 	// its brackets, in emission order), and nenc counts them. events is
-	// then empty, and enc is never written to.
-	enc  []byte
-	nenc int
+	// then empty, and neither enc nor patch is ever written to. patch,
+	// when non-nil, is one event's canonical bytes, which stand in for
+	// the event at enc[patchAt:patchEnd]; with no patch both offsets
+	// are 0.
+	enc               []byte
+	nenc              int
+	patch             []byte
+	patchAt, patchEnd int
 
 	counters map[string]int64
 	hists    map[string]*Hist
@@ -312,13 +320,36 @@ func (r *Recorder) decodeEvents() {
 
 func (r *Recorder) decodeKept() {
 	r.events = make([]Event, 0, r.nenc)
-	rd := jsonwire.NewReader(r.enc)
-	walkEvents(&rd, func(e walkedEvent) {
+	r.walkKept(func(e walkedEvent) {
 		r.events = append(r.events, Event{
 			At: vclock.Time(e.at), PID: e.pid, Kind: kindByName[string(e.kind)], Name: string(e.name), A: e.a, B: e.b,
 		})
 	})
-	r.enc, r.nenc = nil, 0
+	r.enc, r.nenc, r.patch, r.patchAt, r.patchEnd = nil, 0, nil, 0, 0
+}
+
+// walkKept hands each kept event to each, in emission order, with the
+// patch in place of the event it stands for.
+func (r *Recorder) walkKept(each func(walkedEvent)) {
+	runs := [3][]byte{r.enc}
+	if r.patch != nil {
+		// The events before and after the patched one, each run without
+		// the comma that joined it to that event.
+		before, after := r.enc[:r.patchAt], r.enc[r.patchEnd:]
+		if len(before) > 0 {
+			before = before[:len(before)-1]
+		}
+		if len(after) > 0 {
+			after = after[1:]
+		}
+		runs = [3][]byte{before, r.patch, after}
+	}
+	for _, run := range runs {
+		if len(run) > 0 {
+			rd := jsonwire.NewReader(run)
+			walkEvents(&rd, each)
+		}
+	}
 }
 
 // Enabled implements Collector.
@@ -397,6 +428,9 @@ func (r *Recorder) Clone() *Recorder {
 		dropped:  r.dropped,
 		enc:      r.enc,
 		nenc:     r.nenc,
+		patch:    r.patch,
+		patchAt:  r.patchAt,
+		patchEnd: r.patchEnd,
 		counters: maps.Clone(r.counters),
 		hists:    make(map[string]*Hist, len(r.hists)),
 	}
@@ -408,13 +442,61 @@ func (r *Recorder) Clone() *Recorder {
 
 // Relabel rewrites the name and arguments of every retained event of
 // the given kind, leaving its time, PID and ring position as they were.
+// A recorder that keeps its events encoded, and has no patch yet, keeps
+// them when no event has the kind, and when exactly one has it and name
+// needs no escaping: the rewritten event becomes its patch, and the
+// bytes around it stay shared with every Clone. Otherwise it decodes
+// them first.
 func (r *Recorder) Relabel(kind Kind, name string, a, b uint64) {
+	if r.enc != nil && r.patch == nil && r.patchKept(kind, name, a, b) {
+		return
+	}
 	r.decodeEvents()
 	for i := range r.events {
 		if e := &r.events[i]; e.Kind == kind {
 			e.Name, e.A, e.B = name, a, b
 		}
 	}
+}
+
+// kindFields[k] is how a kept event of kind k spells its kind field.
+var kindFields = func() (t [KindRunQuarantine + 1][]byte) {
+	for k := range t {
+		t[k] = []byte(`"kind":"` + Kind(k).String() + `"`)
+	}
+	return t
+}()
+
+// patchKept is Relabel on kept events without decoding them: it records
+// the patch and reports true, or reports false when Relabel must decode
+// them instead. Kept events are canonical and no string in them holds
+// a '"' (walkedEvent.verbatim), so a kind field's bytes occur only in
+// an event of that kind, and the rest of the event is found by byte
+// search.
+func (r *Recorder) patchKept(kind Kind, name string, a, b uint64) bool {
+	if int(kind) >= len(kindFields) {
+		return true // a kind no kept event holds: nothing to rewrite
+	}
+	field := kindFields[kind]
+	i := bytes.Index(r.enc, field)
+	if i < 0 {
+		return true
+	}
+	nameAt := i + len(field) + len(`,"name":"`)
+	if bytes.Index(r.enc[nameAt:], field) >= 0 || !utf8.ValidString(name) || !jsonwire.Verbatim(name) {
+		return false // two events to rewrite, or a name a kept event cannot hold
+	}
+	start := bytes.LastIndexByte(r.enc[:i], '{')
+	rd := jsonwire.NewReader(r.enc[start:i])
+	rd.Expect(`{"at":`)
+	at := rd.Int(64)
+	rd.Expect(`,"pid":`)
+	pid := rd.Uint(32)
+	nameEnd := nameAt + bytes.IndexByte(r.enc[nameAt:], '"')
+	e := Event{At: vclock.Time(at), PID: uint32(pid), Kind: kind, Name: name, A: a, B: b}
+	r.patch = appendEvent(make([]byte, 0, 128+len(name)), &e) // room for any event with this name
+	r.patchAt, r.patchEnd = start, nameEnd+bytes.IndexByte(r.enc[nameEnd:], '}')+1
+	return true
 }
 
 // Span is an open interval of virtual time bracketed by a begin/end event

@@ -115,8 +115,9 @@ func WithPaperFaithfulSkips() Option {
 }
 
 // WithFreshBoot forces the legacy run engine: every run boots a fresh
-// kernel (no prefix-snapshot forks, no scheduler elision, no dormant-run
-// copies).
+// kernel (no prefix-snapshot forks, no scheduler elision, no burst
+// continuation, no dormant-run copies), and its scheduler resumes the
+// running process's goroutine at every quantum.
 // Archives are byte-identical either way; this exists as the benchmark
 // and regression baseline for the snapshot-fork path. The runner is
 // cloned, as WithTelemetry clones it, so a campaign sharing the runner

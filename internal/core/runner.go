@@ -71,11 +71,12 @@ type RunnerOptions struct {
 	// attached to RunResult.Telemetry. It is the only trace a run leaves.
 	Telemetry telemetry.Options
 	// FreshBoot disables every run-engine fast path: no prefix-snapshot
-	// forks, no scheduler quantum elision, no dormant-run copies — the
-	// engine exactly as it was before those optimizations. It is the
-	// regression baseline: archives must be byte-identical with it on or
-	// off (the CI bench gate cmp's them) and the benchmarks report the
-	// snapshot path's speedup against it.
+	// forks, no scheduler quantum elision or burst continuation (both
+	// ride the machine's scheduling ceiling, which FreshBoot never sets),
+	// no dormant-run copies — the engine exactly as it was before those
+	// optimizations. It is the regression baseline: archives must be
+	// byte-identical with it on or off (the CI bench gate cmp's them) and
+	// the benchmarks report the snapshot path's speedup against it.
 	FreshBoot bool
 	// Cluster sizes the machine every run executes on (see
 	// ClusterConfig). The zero value is the paper's single host.

@@ -30,9 +30,10 @@ type Machine struct {
 	attn bool
 
 	// ceil bounds how far the scheduler fast path may run without
-	// returning control to the harness. Elision is disabled entirely
-	// until a ceiling is set (SetSchedCeiling or Run), so bare Step
-	// loops keep the exact handoff-per-quantum behaviour.
+	// returning control to the harness. Elision and the burst
+	// continuation are disabled entirely until a ceiling is set
+	// (SetSchedCeiling or Run), so bare Step loops keep the exact
+	// handoff-per-quantum behaviour.
 	ceil    vclock.Time
 	ceilSet bool
 
@@ -47,6 +48,10 @@ type Machine struct {
 	// terminates, or otherwise relinquishes the CPU. One process runs
 	// machine-wide, so one channel serves every node.
 	yield chan struct{}
+
+	// resumes counts the process goroutines Step has resumed; only
+	// tests read it.
+	resumes int
 }
 
 // NewMachine returns an empty machine with a fresh shared clock.
@@ -104,7 +109,9 @@ func (m *Machine) popReady() *Process {
 // lives on — until it yields, or, if none is ready, advances the clock to
 // the next timer event. It reports false when the whole machine is idle
 // (no ready processes and no pending events). Step is the only place a
-// process is resumed.
+// process is resumed. Under a scheduling ceiling, a process preempted
+// mid-burst is resumed only for the burst's last quantum; Step runs the
+// ones before it itself (runBurst).
 func (m *Machine) Step() bool {
 	m.attn = false
 	for {
@@ -124,12 +131,41 @@ func (m *Machine) Step() bool {
 		p.state = procRunning
 		k.current = p
 		k.tel.Add(telemetry.CtrSchedQuanta, 1)
-		p.resume <- resumeAction{kill: p.pendingKill, killCode: p.pendingKillCode}
-		<-m.yield
+		if !m.ceilSet || p.pendingKill || !m.runBurst(p) {
+			m.resumes++
+			p.resume <- resumeAction{kill: p.pendingKill, killCode: p.pendingKillCode}
+			<-m.yield
+		}
 		k.current = nil
 		return true
 	}
 	return m.clock.RunNext()
+}
+
+// runBurst is the burst continuation. p is parked in relinquish (every
+// ready process with more than a quantum of charge left is) and, once
+// resumed, would spend those quanta only advancing the clock, so runBurst
+// runs them here: ChargeTime's loop body, then relinquish's decision —
+// count an elided handoff and go on, or requeue p and report true, so
+// Step returns where the resumed process would have handed the CPU back.
+// It reports false, and Step resumes p, once the burst's last quantum
+// and then p's own code come next. It is exact because nothing else runs
+// between those quanta (Advance is a pure add that fires no timer) and
+// Step pops p after firing due timers, when the resumed goroutine would
+// have run. Step never calls it for a pending kill, which must unwind in
+// p's goroutine, nor without a ceiling, so fresh boot and bare Step
+// loops stay the slow-path reference.
+func (m *Machine) runBurst(p *Process) bool {
+	for p.charge > schedQuantum {
+		m.clock.Advance(schedQuantum)
+		p.charge -= schedQuantum
+		if !m.canElide() {
+			p.k.makeReady(p)
+			return true
+		}
+		p.k.tel.Add(telemetry.CtrSchedQuanta, 1)
+	}
+	return false
 }
 
 // SetSchedCeiling authorizes the scheduler fast path up to (but not
@@ -142,10 +178,13 @@ func (m *Machine) Step() bool {
 // quanta counters are maintained as if every elided handoff had
 // happened, so traces and archives stay byte-identical. Harness loops
 // that poll other conditions must pair the ceiling with
-// RequestAttention on those conditions' state changes.
+// RequestAttention on those conditions' state changes. The ceiling also
+// turns on the burst continuation (runBurst), which needs no solo
+// process: a preempted burst's quanta run on the scheduler.
 func (m *Machine) SetSchedCeiling(ceil vclock.Time) { m.ceil, m.ceilSet = ceil, true }
 
-// ClearSchedCeiling disables the scheduler fast path (the default).
+// ClearSchedCeiling disables the scheduler fast path and the burst
+// continuation (the default).
 func (m *Machine) ClearSchedCeiling() { m.ceilSet = false }
 
 // canElide reports whether the running process may skip the end-of-quantum

@@ -47,6 +47,10 @@ type Process struct {
 	pendingKill     bool
 	pendingKillCode uint32
 
+	// charge is what is left of the current ChargeTime burst; Step may
+	// run its quanta while the process is parked (see Machine.runBurst).
+	charge time.Duration
+
 	// waitResult/waitErrno communicate the outcome of a blocking wait
 	// from the waker to the woken process.
 	waitResult uint32
@@ -180,15 +184,19 @@ const schedQuantum = 10 * time.Millisecond
 
 // ChargeTime advances the virtual clock by d, modeling CPU or I/O time
 // consumed by the running process. Bursts longer than the scheduling
-// quantum are sliced, with the CPU relinquished between slices.
+// quantum are sliced, with the CPU relinquished between slices. What is
+// left of the burst lives in p.charge, because under a scheduling
+// ceiling Step may run the preempted burst's quanta without resuming
+// this goroutine.
 func (p *Process) ChargeTime(d time.Duration) {
 	p.checkAlive()
-	for d > schedQuantum {
+	p.charge = d
+	for p.charge > schedQuantum {
 		p.k.clock.Advance(schedQuantum)
-		d -= schedQuantum
+		p.charge -= schedQuantum
 		p.relinquish()
 	}
-	p.k.clock.Advance(d)
+	p.k.clock.Advance(p.charge)
 }
 
 // relinquish requeues the running process at the back of the ready queue
@@ -197,6 +205,9 @@ func (p *Process) ChargeTime(d time.Duration) {
 // scheduling ceiling, the handoff is elided: the slow path's next Step
 // would only resume this same process, so the park/resume channel
 // round-trip collapses to the quanta counter it would have produced.
+// ChargeTime is its only caller, so a process parked here is mid-burst;
+// under a ceiling, Step resumes it only for the burst's last quantum
+// (Machine.runBurst).
 func (p *Process) relinquish() {
 	p.checkAlive()
 	k := p.k

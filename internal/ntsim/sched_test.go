@@ -418,3 +418,121 @@ func TestElisionAcrossNodes(t *testing.T) {
 		})
 	}
 }
+
+// burstRun is crossNodeRun on a standalone machine that also returns how
+// many process goroutines Step resumed.
+func burstRun(t *testing.T, ceil bool, build func(m *Machine, note func(p *Process, what string)) (done func() bool)) (obs, quanta string, resumes int) {
+	t.Helper()
+	var m *Machine
+	obs, quanta, _ = crossNodeRun(t, 1, ceil, func(mm *Machine, note func(*Process, string)) func() bool {
+		m = mm
+		return build(mm, note)
+	})
+	return obs, quanta, m.resumes
+}
+
+// burner returns an image that charges burst and notes when it is done.
+func burner(burst time.Duration, note func(*Process, string)) EntryFunc {
+	return func(p *Process) uint32 {
+		p.ChargeTime(burst)
+		note(p, "done")
+		return 0
+	}
+}
+
+// TestBurstContinuationMatchesPlainStepping: the burst continuation is
+// exact. Under a ceiling, Step runs a preempted burst's middle quanta
+// itself and resumes the process only for its last one; stepped that
+// way, each workload gives the observations (exit codes and end times
+// included) and CtrSchedQuanta of plain stepping, which resumes the
+// process every quantum, with the goroutine resumes pinned for both.
+func TestBurstContinuationMatchesPlainStepping(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		build             func(m *Machine, note func(*Process, string)) func() bool
+		plainRes, ceilRes int
+	}{
+		{
+			// The victim is parked mid-burst, in relinquish, when the
+			// killer's Terminate marks it: Step must resume it so the
+			// kill unwinds in its own goroutine at the next boundary
+			// (80 ms), not run the rest of its burst first.
+			name: "peer terminates a process parked mid-burst",
+			build: func(m *Machine, note func(*Process, string)) func() bool {
+				k := m.Kernels()[0]
+				k.RegisterImage("victim.exe", burner(500*time.Millisecond, note))
+				victim := mustSpawn(t, k, "victim.exe", "")
+				k.RegisterImage("killer.exe", func(p *Process) uint32 {
+					p.SleepFor(45 * time.Millisecond)
+					note(p, "kill")
+					victim.Terminate(7)
+					p.ChargeTime(30 * time.Millisecond)
+					note(p, "done")
+					return 0
+				})
+				mustSpawn(t, k, "killer.exe", "")
+				return never
+			},
+			plainRes: 12, ceilRes: 5,
+		},
+		{
+			// 100 ms is ten quanta exactly: the continuation stops with
+			// one quantum left, which the resumed goroutine charges.
+			name: "burst an exact multiple of the quantum beside a peer burst",
+			build: func(m *Machine, note func(*Process, string)) func() bool {
+				k := m.Kernels()[0]
+				k.RegisterImage("a.exe", burner(100*time.Millisecond, note))
+				k.RegisterImage("b.exe", burner(70*time.Millisecond, note))
+				mustSpawn(t, k, "a.exe", "")
+				mustSpawn(t, k, "b.exe", "")
+				return never
+			},
+			plainRes: 17, ceilRes: 4,
+		},
+		{
+			// A 15 ms burst parks once with 5 ms left, which is its last
+			// quantum: Step must resume it at once.
+			name: "burst between one and two quanta beside a peer burst",
+			build: func(m *Machine, note func(*Process, string)) func() bool {
+				k := m.Kernels()[0]
+				k.RegisterImage("a.exe", burner(15*time.Millisecond, note))
+				k.RegisterImage("b.exe", burner(60*time.Millisecond, note))
+				mustSpawn(t, k, "a.exe", "")
+				mustSpawn(t, k, "b.exe", "")
+				return never
+			},
+			plainRes: 8, ceilRes: 4,
+		},
+		{
+			// The two hand the CPU back and forth every quantum, so
+			// elision never applies until one is left alone. Under a
+			// ceiling each goroutine is resumed only to start and for
+			// its burst's last quantum, against once per quantum
+			// without one.
+			name: "two concurrent 1 s bursts",
+			build: func(m *Machine, note func(*Process, string)) func() bool {
+				k := m.Kernels()[0]
+				k.RegisterImage("cpu.exe", burner(time.Second, note))
+				mustSpawn(t, k, "cpu.exe", "")
+				mustSpawn(t, k, "cpu.exe", "")
+				return never
+			},
+			plainRes: 200, ceilRes: 4,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantObs, wantQuanta, plainRes := burstRun(t, false, tc.build)
+			gotObs, gotQuanta, ceilRes := burstRun(t, true, tc.build)
+			if gotObs != wantObs {
+				t.Fatalf("continued run diverged from plain stepping:\n plain:\n%s\n continued:\n%s", wantObs, gotObs)
+			}
+			if gotQuanta != wantQuanta {
+				t.Fatalf("quanta: plain %s, continued %s", wantQuanta, gotQuanta)
+			}
+			if plainRes != tc.plainRes || ceilRes != tc.ceilRes {
+				t.Fatalf("goroutine resumes: plain %d, under a ceiling %d; want %d and %d",
+					plainRes, ceilRes, tc.plainRes, tc.ceilRes)
+			}
+		})
+	}
+}

@@ -538,7 +538,12 @@ func TestSupervisedFleetMatchesPool(t *testing.T) {
 	specs = append(specs[:3], append([]inject.FaultSpec{chaos(core.ChaosPanicFunction)}, specs[3:]...)...)
 	specs = append(specs[:8], append([]inject.FaultSpec{chaos(core.ChaosFlakyFunction)}, specs[8:]...)...)
 	specs = append(specs, chaos(core.ChaosHangFunction))
-	policy := core.SupervisorOptions{WallDeadline: 100 * time.Millisecond, MaxAttempts: 2, Chaos: true}
+	// The wall deadline must quarantine the hang and no normal run. Under
+	// -race a normal attempt here took at most 7 ms on an idle 2-vCPU
+	// host and 24 ms with three busy loops competing for both vCPUs, so
+	// 500 ms leaves a loaded host a 20x margin; the hang costs each of
+	// the three campaigns below two deadlines.
+	policy := core.SupervisorOptions{WallDeadline: 500 * time.Millisecond, MaxAttempts: 2, Chaos: true}
 	pool, err := run(policy, nil, specs)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ import (
 // functions per workload and configuration.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable1(experiments.Config{})
+		res, err := experiments.RunTable1(context.Background(), experiments.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

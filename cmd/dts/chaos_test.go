@@ -7,9 +7,11 @@ package main
 // TestHelperProcess — the standard os/exec self-test pattern.
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -230,5 +232,46 @@ func TestChaosSigtermResume(t *testing.T) {
 				t.Fatal("archive resumed after SIGTERM differs from uninterrupted golden run")
 			}
 		})
+	}
+}
+
+// TestExperimentInterrupt: SIGINT stops -experiment within its running
+// set. The child prints the interrupted line instead of the figure,
+// writes no archive, and exits with the interrupted code.
+func TestExperimentInterrupt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec chaos test")
+	}
+	outPath := filepath.Join(t.TempDir(), "fig2.json")
+	child := dtsChild("-experiment", "figure2", "-parallel", "1", "-out", outPath)
+	var stderr bytes.Buffer
+	child.Stderr = &stderr
+	stdout, err := child.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(stdout)
+	first, err := r.ReadString('\n') // the first set's progress line
+	if err != nil {
+		t.Fatalf("no progress line: %v\n%s", err, stderr.String())
+	}
+	sent := time.Now()
+	child.Process.Signal(os.Interrupt)
+	rest, _ := io.ReadAll(r)
+	err = child.Wait()
+	t.Logf("exited %v after SIGINT", time.Since(sent))
+	text := first + string(rest)
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != exitInterrupted {
+		t.Fatalf("SIGINT exit: %v, want exit code %d\noutput:\n%s%s", err, exitInterrupted, text, stderr.String())
+	}
+	if !strings.Contains(text, "interrupted") || strings.Contains(text, "Figure 2.") {
+		t.Fatalf("output after SIGINT, want the interrupted line and no figure:\n%s", text)
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatalf("archive after SIGINT: stat error %v, want none written", err)
 	}
 }

@@ -245,7 +245,8 @@ func run(args []string, out io.Writer) error {
 	// SIGINT/SIGTERM cancel this context; the campaign engine converts
 	// the cancellation into a graceful stop (the campaign drains,
 	// flushes the journal, and prints the resume command — the fleet
-	// coordinator cancels its workers through the same path).
+	// coordinator cancels its workers through the same path). An
+	// experiment stops in its running campaign and writes no archive.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -298,7 +299,12 @@ func run(args []string, out io.Writer) error {
 		if fleet != nil {
 			ecfg.ShardExec = shard.NewFleet(*fleet)
 		}
-		return runExperiment(*experiment, *outPath, ecfg, tflags, out)
+		err := runExperiment(ctx, *experiment, *outPath, ecfg, tflags, out)
+		if errors.Is(err, core.ErrInterrupted) {
+			fmt.Fprintf(out, "\ninterrupted (experiment stopped, no archive written)\n")
+			return &exitError{code: exitInterrupted, msg: "experiment interrupted"}
+		}
+		return err
 	}
 
 	// -fault and -config: the config file plus the flags give the
@@ -588,12 +594,12 @@ func runConformance(golden string, update bool, sample int, seed int64, parallel
 	return nil
 }
 
-func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemetryFlags, out io.Writer) error {
+func runExperiment(ctx context.Context, name, outPath string, ecfg experiments.Config, tflags telemetryFlags, out io.Writer) error {
 	archive := &experiments.Archive{}
 	var tset *telemetry.Set
 	switch name {
 	case "table1":
-		res, err := experiments.RunTable1(ecfg)
+		res, err := experiments.RunTable1(ctx, ecfg)
 		if err != nil {
 			return err
 		}
@@ -601,7 +607,7 @@ func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemet
 		tset = res.Telemetry
 		fmt.Fprint(out, report.Table1(res))
 	case "figure2":
-		exp, err := experiments.RunFigure2(ecfg)
+		exp, err := experiments.RunFigure2(ctx, ecfg)
 		if err != nil {
 			return err
 		}
@@ -609,7 +615,7 @@ func runExperiment(name, outPath string, ecfg experiments.Config, tflags telemet
 		tset = experiments.MergedTelemetry(exp.Sets)
 		fmt.Fprint(out, report.Figure2(exp))
 	case "figure5":
-		res, err := experiments.RunFigure5(ecfg)
+		res, err := experiments.RunFigure5(ctx, ecfg)
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -17,7 +18,7 @@ func main() {
 	cfg := experiments.Config{Progress: func(line string) {
 		fmt.Fprintln(os.Stderr, line)
 	}}
-	exp, err := experiments.RunFigure2(cfg)
+	exp, err := experiments.RunFigure2(context.Background(), cfg)
 	if err != nil {
 		log.Fatalf("campaign: %v", err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,13 +20,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, line)
 	}}
 
-	table1, err := experiments.RunTable1(cfg)
+	table1, err := experiments.RunTable1(context.Background(), cfg)
 	if err != nil {
 		log.Fatalf("table 1: %v", err)
 	}
 	fmt.Print(report.Table1(table1), "\n")
 
-	exp, err := experiments.RunFigure2(cfg)
+	exp, err := experiments.RunFigure2(context.Background(), cfg)
 	if err != nil {
 		log.Fatalf("figure 2: %v", err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,7 +21,7 @@ func main() {
 	cfg := experiments.Config{Progress: func(line string) {
 		fmt.Fprintln(os.Stderr, line)
 	}}
-	res, err := experiments.RunFigure5(cfg)
+	res, err := experiments.RunFigure5(context.Background(), cfg)
 	if err != nil {
 		log.Fatalf("figure 5: %v", err)
 	}

@@ -413,24 +413,22 @@ func executeCells(jobs []cellJob, cells []CellResult, recs []*telemetry.Recorder
 		progressMu sync.Mutex
 		done       int
 	)
-	return workpool.Run(context.Background(), len(jobs), opts.Parallelism, func() func(int) error {
-		return func(i int) error {
-			job := jobs[i]
-			cell, rec, err := runCell(job.fn, job.param, job.fault, oracles, opts.Telemetry)
-			if err != nil {
-				return err
-			}
-			cells[job.index] = cell
-			if recs != nil {
-				recs[job.index] = rec
-			}
-			if opts.Progress != nil {
-				progressMu.Lock()
-				done++
-				opts.Progress(done, len(jobs))
-				progressMu.Unlock()
-			}
-			return nil
+	return workpool.Run(context.Background(), len(jobs), opts.Parallelism, func(i int) error {
+		job := jobs[i]
+		cell, rec, err := runCell(job.fn, job.param, job.fault, oracles, opts.Telemetry)
+		if err != nil {
+			return err
 		}
+		cells[job.index] = cell
+		if recs != nil {
+			recs[job.index] = rec
+		}
+		if opts.Progress != nil {
+			progressMu.Lock()
+			done++
+			opts.Progress(done, len(jobs))
+			progressMu.Unlock()
+		}
+		return nil
 	})
 }

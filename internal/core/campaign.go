@@ -241,9 +241,8 @@ func (c *Campaign) Prepare() (*Prepared, error) {
 		return nil, fmt.Errorf("calibration run did not succeed: %v", calib.Outcome)
 	}
 	// The fault list is a pure function of the activation set (plus the
-	// corruption types and skip mode), so the catalog walk is memoized
-	// per process and the job list executes on the worker pool.
-	plan := planFor(activated, types, invocation, c.paperFaithfulSkips)
+	// corruption types and skip mode): one walk of the export catalog.
+	plan := buildPlan(activated, types, invocation, c.paperFaithfulSkips)
 	p.Jobs, p.Faults = plan.jobs, plan.faults
 	p.SkippedFns, p.SkippedFaults = plan.skippedFns, plan.skippedFaults
 	return p, nil

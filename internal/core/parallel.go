@@ -12,10 +12,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
 
 	"ntdts/internal/inject"
 	"ntdts/internal/ntsim/win32"
@@ -58,56 +55,12 @@ func ParseJobKey(key string) (PlanJob, error) {
 
 // faultPlan is the prepared run list for one (activation set, fault
 // types, invocation, skip mode) combination, plus the skip accounting
-// the catalog walk produces. Plans are immutable once built.
+// the catalog walk produces.
 type faultPlan struct {
 	jobs          []PlanJob
 	faults        int // non-probe jobs (the Progress total)
 	skippedFns    int
 	skippedFaults int
-}
-
-// planCache memoizes fault plans per process: the 681-entry catalog walk
-// and spec-list construction run once per (types, invocation, skip mode,
-// activation set) rather than once per campaign. Campaigns for the same
-// workload/supervision pair — benchmarks, repeated experiments, Figure 5
-// version sweeps — reuse the cached plan.
-var planCache sync.Map // string -> *faultPlan
-
-// planFor returns the (possibly cached) fault plan for an activation set.
-func planFor(activated map[string]bool, types []inject.FaultType, invocation int, faithfulSkips bool) *faultPlan {
-	key := planKey(activated, types, invocation, faithfulSkips)
-	if p, ok := planCache.Load(key); ok {
-		return p.(*faultPlan)
-	}
-	p := buildPlan(activated, types, invocation, faithfulSkips)
-	actual, _ := planCache.LoadOrStore(key, p)
-	return actual.(*faultPlan)
-}
-
-// planKey canonicalizes the plan inputs. The activation set is small
-// (tens of functions) and deterministic per workload, so sorting it is
-// cheap relative to one simulation run.
-func planKey(activated map[string]bool, types []inject.FaultType, invocation int, faithfulSkips bool) string {
-	fns := make([]string, 0, len(activated))
-	for fn, on := range activated {
-		if on {
-			fns = append(fns, fn)
-		}
-	}
-	sort.Strings(fns)
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(invocation))
-	b.WriteByte('/')
-	b.WriteString(strconv.FormatBool(faithfulSkips))
-	for _, t := range types {
-		b.WriteByte('/')
-		b.WriteString(strconv.Itoa(int(t)))
-	}
-	for _, fn := range fns {
-		b.WriteByte('|')
-		b.WriteString(fn)
-	}
-	return b.String()
 }
 
 // buildPlan walks the export catalog in order and lays out the campaign's
@@ -153,33 +106,30 @@ func buildPlan(activated map[string]bool, types []inject.FaultType, invocation i
 // executeJobs runs the ledger's uncommitted jobs on the shared worker
 // pool, each under the attempt policy (SupervisorOptions.run), which
 // commits it to l at its job index, so results are in job order
-// regardless of completion order or worker count. Each pool goroutine
-// owns its own Runner clone. A run never fails the campaign — it
-// commits or is quarantined — so the only errors are the ledger's (a
-// journal write); the lowest-indexed one wins (the workpool.Run
-// contract).
+// regardless of completion order or worker count. Every pool goroutine
+// runs on r: a Runner holds no per-run state, only the caches its runs
+// share. A run never fails the campaign — it commits or is quarantined
+// — so the only errors are the ledger's (a journal write); the
+// lowest-indexed one wins (the workpool.Run contract).
 //
 // Every claim checks ctx first: once it is done, the claim latches the
 // ledger's stop (ErrInterrupted), as the quarantine budget does, so no
 // run starts after cancellation. In-flight runs finish (every run is
 // bounded in virtual time) and the stop cause is returned; the
 // committed results stay in the ledger.
-func executeJobs(ctx context.Context, l *Ledger, base *Runner, parallelism int, policy SupervisorOptions) error {
+func executeJobs(ctx context.Context, l *Ledger, r *Runner, parallelism int, policy SupervisorOptions) error {
 	pending := l.Pending()
 	if len(pending) == 0 {
 		return nil
 	}
-	err := workpool.Run(context.WithoutCancel(ctx), len(pending), parallelism, func() func(int) error {
-		runner := base.Clone()
-		return func(k int) error {
-			if ctx.Err() != nil {
-				l.Stop(ErrInterrupted)
-			}
-			if l.StopCause() != nil {
-				return nil // unexecuted slots stay zero-valued
-			}
-			return policy.run(ctx, l, runner, pending[k])
+	err := workpool.Run(context.WithoutCancel(ctx), len(pending), parallelism, func(k int) error {
+		if ctx.Err() != nil {
+			l.Stop(ErrInterrupted)
 		}
+		if l.StopCause() != nil {
+			return nil // unexecuted slots stay zero-valued
+		}
+		return policy.run(ctx, l, r, pending[k])
 	})
 	if err != nil {
 		return err

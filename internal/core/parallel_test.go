@@ -145,22 +145,3 @@ func TestSpecCampaignRunErrorsQuarantined(t *testing.T) {
 		}
 	}
 }
-
-// TestPlanCacheReuse asserts the fault-plan memoization: two campaigns
-// over the same activation set share one plan instance.
-func TestPlanCacheReuse(t *testing.T) {
-	activated := map[string]bool{"ReadFile": true, "WriteFile": true}
-	types := inject.AllFaultTypes()
-	a := planFor(activated, types, 1, false)
-	b := planFor(map[string]bool{"WriteFile": true, "ReadFile": true}, types, 1, false)
-	if a != b {
-		t.Fatal("identical activation sets built distinct plans")
-	}
-	c := planFor(activated, types, 1, true)
-	if a == c {
-		t.Fatal("skip-mode change must not share a plan")
-	}
-	if a.faults == 0 || len(a.jobs) != a.faults {
-		t.Fatalf("plan shape: %d jobs, %d faults", len(a.jobs), a.faults)
-	}
-}

@@ -187,11 +187,11 @@ func NewRunner(def workload.Definition, opts RunnerOptions) *Runner {
 	return &Runner{Def: def, Opts: opts, prefix: &prefixCache{}, dormant: &dormantCache{}}
 }
 
-// Clone returns an independent Runner for a campaign worker. A Runner
-// holds no per-run state — every run builds its own kernel — so a shallow
-// copy suffices (the boot-prefix snapshot and dormant-run caches are
-// deliberately shared); Clone exists to make per-worker ownership
-// explicit.
+// Clone returns a Runner whose Def and Opts can change without touching
+// r's (WithTelemetry and WithFreshBoot clone before they change Opts). A
+// Runner holds no per-run state — every run builds its own kernel — so a
+// shallow copy suffices: the boot-prefix snapshot and dormant-run caches
+// stay shared until the caller replaces them.
 func (r *Runner) Clone() *Runner {
 	c := *r
 	return &c

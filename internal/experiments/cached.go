@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 
 	"ntdts/internal/core"
@@ -39,12 +40,12 @@ func Cached(cfg Config) *Shared {
 
 // Figure2 runs (or returns the memoized) full Figure 2 experiment.
 func (s *Shared) Figure2() (*core.Experiment, error) {
-	s.fig2Once.Do(func() { s.fig2, s.fig2Err = RunFigure2(s.cfg) })
+	s.fig2Once.Do(func() { s.fig2, s.fig2Err = RunFigure2(context.Background(), s.cfg) })
 	return s.fig2, s.fig2Err
 }
 
 // Figure5 runs (or returns the memoized) watchd-evolution sweep.
 func (s *Shared) Figure5() (*Figure5Result, error) {
-	s.fig5Once.Do(func() { s.fig5, s.fig5Err = RunFigure5(s.cfg) })
+	s.fig5Once.Do(func() { s.fig5, s.fig5Err = RunFigure5(context.Background(), s.cfg) })
 	return s.fig5, s.fig5Err
 }

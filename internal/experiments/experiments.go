@@ -7,8 +7,8 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 
 	"ntdts/internal/avail"
 	"ntdts/internal/core"
@@ -24,14 +24,14 @@ type Config struct {
 	// Opts are the per-run options (defaults apply when zero).
 	Opts core.RunnerOptions
 	// Parallelism bounds concurrent fault-injection runs within each
-	// campaign (0 = GOMAXPROCS, 1 = sequential). The experiment entry
-	// points additionally fan their independent workload sets out
-	// concurrently; results keep their canonical order and value
-	// regardless, because every run is deterministic and isolated.
+	// campaign, and Table 1's concurrent calibration scans (0 =
+	// GOMAXPROCS, 1 = sequential). An experiment runs its campaigns one
+	// after another in canonical order, so this is its only parallelism;
+	// results keep their order and value at any setting, because every
+	// run is deterministic and isolated.
 	Parallelism int
-	// Progress, when non-nil, receives one line per completed set.
-	// Invocations are serialized; sets running concurrently never
-	// interleave within a line.
+	// Progress, when non-nil, receives one line per completed set, in
+	// canonical order, on the caller's goroutine.
 	Progress func(line string)
 	// Supervise is the attempt policy (watchdog, quarantine budget,
 	// retries, chaos) every campaign runs under, on either executor;
@@ -50,22 +50,6 @@ func (c Config) progress(format string, args ...any) {
 	if c.Progress != nil {
 		c.Progress(fmt.Sprintf(format, args...))
 	}
-}
-
-// serialized returns a copy of the config whose Progress sink is safe to
-// call from concurrent workload sets.
-func (c Config) serialized() Config {
-	if c.Progress == nil {
-		return c
-	}
-	var mu sync.Mutex
-	inner := c.Progress
-	c.Progress = func(line string) {
-		mu.Lock()
-		defer mu.Unlock()
-		inner(line)
-	}
-	return c
 }
 
 // Supervisions is the paper's configuration order: stand-alone, MSCS,
@@ -100,26 +84,28 @@ func PaperTable1() map[string]map[string]int {
 
 // RunTable1 measures the activated-function census with fault-free
 // calibration runs (no injection required). The twelve scans are
-// independent and run concurrently, cfg.Parallelism at a time.
-func RunTable1(cfg Config) (*Table1Result, error) {
-	cfg = cfg.serialized()
+// independent and run concurrently, cfg.Parallelism at a time; their
+// progress lines follow in canonical order once all have finished. Once
+// ctx is done no further scan starts, and RunTable1 returns
+// core.ErrInterrupted.
+func RunTable1(ctx context.Context, cfg Config) (*Table1Result, error) {
 	defs := standardPairs()
 	counts := make([]int, len(defs))
 	recs := make([]*telemetry.Recorder, len(defs))
-	err := workpool.Run(context.Background(), len(defs), cfg.Parallelism, func() func(int) error {
-		return func(i int) error {
-			def := defs[i]
-			_, res, err := core.NewRunner(def, cfg.Opts).ActivationScan()
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", def.Name, def.Supervision, err)
-			}
-			counts[i] = res.ActivatedFns
-			recs[i] = res.Telemetry
-			cfg.progress("table1 %s/%s: %d activated functions", def.Name, def.Supervision, res.ActivatedFns)
-			return nil
+	err := workpool.Run(ctx, len(defs), cfg.Parallelism, func(i int) error {
+		def := defs[i]
+		_, res, err := core.NewRunner(def, cfg.Opts).ActivationScan()
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", def.Name, def.Supervision, err)
 		}
+		counts[i] = res.ActivatedFns
+		recs[i] = res.Telemetry
+		return nil
 	})
 	if err != nil {
+		if errors.Is(err, ctx.Err()) {
+			err = core.ErrInterrupted
+		}
 		return nil, err
 	}
 	out := &Table1Result{Counts: make(map[string]map[string]int)}
@@ -127,6 +113,7 @@ func RunTable1(cfg Config) (*Table1Result, error) {
 		out.Telemetry = telemetry.NewSet(recs...)
 	}
 	for i, def := range defs {
+		cfg.progress("table1 %s/%s: %d activated functions", def.Name, def.Supervision, counts[i])
 		if out.Counts[def.Name] == nil {
 			out.Counts[def.Name] = make(map[string]int)
 		}
@@ -149,37 +136,36 @@ func standardPairs() []workload.Definition {
 
 // RunFigure2 runs the full campaign: every workload under every
 // supervision mode (watchd at version 3, as the paper's Figure 2 uses the
-// improved watchd). The twelve workload sets are independent campaigns
-// and run concurrently; Sets keeps the canonical supervision-major order.
-func RunFigure2(cfg Config) (*core.Experiment, error) {
-	cfg = cfg.serialized()
+// improved watchd). The twelve workload sets run one after another in
+// the canonical supervision-major order that Sets keeps, each on its own
+// campaign pool. Cancelling ctx stops the running set between runs, and
+// no later set starts: RunFigure2 returns core.ErrInterrupted.
+func RunFigure2(ctx context.Context, cfg Config) (*core.Experiment, error) {
 	if cfg.Opts.WatchdVersion == 0 {
 		cfg.Opts.WatchdVersion = watchd.V3
 	}
-	defs := standardPairs()
-	sets := make([]*core.SetResult, len(defs))
-	err := workpool.Run(context.Background(), len(defs), len(defs), func() func(int) error {
-		return func(i int) error {
-			set, err := runSet(defs[i], cfg)
-			if err != nil {
-				return err
-			}
-			sets[i] = set
-			return nil
+	exp := &core.Experiment{}
+	for _, def := range standardPairs() {
+		set, err := runSet(ctx, def, cfg)
+		if err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
-		return nil, err
+		exp.Sets = append(exp.Sets, set)
 	}
-	return &core.Experiment{Sets: sets}, nil
+	return exp, nil
 }
 
-func runSet(def workload.Definition, cfg Config) (*core.SetResult, error) {
+// runSet runs one workload set as a campaign under cfg, unless ctx is
+// already done.
+func runSet(ctx context.Context, def workload.Definition, cfg Config) (*core.SetResult, error) {
+	if ctx.Err() != nil {
+		return nil, core.ErrInterrupted
+	}
 	c := core.NewCampaign(core.NewRunner(def, cfg.Opts),
 		core.WithParallelism(cfg.Parallelism),
 		core.WithShardExecutor(cfg.ShardExec),
 		core.WithSupervision(cfg.Supervise))
-	set, err := c.Run(context.Background())
+	set, err := c.Run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", def.Name, def.Supervision, err)
 	}
@@ -192,11 +178,11 @@ func runSet(def workload.Definition, cfg Config) (*core.SetResult, error) {
 // MergedTelemetry concatenates the per-set telemetry of an experiment in
 // canonical set order: set 0's calibration run first, then its fault-list
 // runs, then set 1, and so on. Nil per-run placeholders are preserved so
-// run numbering in the merged export matches each set's fault list. The
-// sets execute concurrently, but because every run owns its collector and
-// sets keep their canonical positions, the merge — like the outcome data —
-// is byte-identical at any parallelism. Returns nil when no set carried
-// telemetry (i.e. the campaign ran with telemetry disabled).
+// run numbering in the merged export matches each set's fault list.
+// Because every run owns its collector and sets keep their canonical
+// positions, the merge — like the outcome data — is byte-identical at any
+// parallelism. Returns nil when no set carried telemetry (i.e. the
+// campaign ran with telemetry disabled).
 func MergedTelemetry(sets []*core.SetResult) *telemetry.Set {
 	tels := make([]*telemetry.Set, len(sets))
 	for i, s := range sets {
@@ -380,42 +366,26 @@ type Figure5Result struct {
 func Figure5Workloads() []string { return []string{"Apache1", "IIS", "SQL"} }
 
 // RunFigure5 sweeps the three watchd versions. The version×workload sets
-// are independent campaigns and run concurrently; each version's set list
-// keeps the canonical workload order.
-func RunFigure5(cfg Config) (*Figure5Result, error) {
-	cfg = cfg.serialized()
-	type cell struct {
-		version watchd.Version
-		def     workload.Definition
-	}
-	var cells []cell
+// run one after another, version-major, each version's sets in the
+// canonical workload order. Cancelling ctx stops the running set between
+// runs, and no later set starts: RunFigure5 returns core.ErrInterrupted.
+func RunFigure5(ctx context.Context, cfg Config) (*Figure5Result, error) {
+	out := &Figure5Result{Sets: make(map[int][]*core.SetResult)}
+	var sets []*core.SetResult
 	for _, v := range []watchd.Version{watchd.V1, watchd.V2, watchd.V3} {
+		vcfg := cfg
+		vcfg.Opts.WatchdVersion = v
 		for _, def := range workload.StandardSet(workload.Watchd) {
 			if def.Name == "Apache2" {
 				continue
 			}
-			cells = append(cells, cell{version: v, def: def})
-		}
-	}
-	sets := make([]*core.SetResult, len(cells))
-	err := workpool.Run(context.Background(), len(cells), len(cells), func() func(int) error {
-		return func(i int) error {
-			cellCfg := cfg
-			cellCfg.Opts.WatchdVersion = cells[i].version
-			set, err := runSet(cells[i].def, cellCfg)
+			set, err := runSet(ctx, def, vcfg)
 			if err != nil {
-				return fmt.Errorf("%v: %w", cells[i].version, err)
+				return nil, fmt.Errorf("%v: %w", v, err)
 			}
-			sets[i] = set
-			return nil
+			out.Sets[int(v)] = append(out.Sets[int(v)], set)
+			sets = append(sets, set)
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Figure5Result{Sets: make(map[int][]*core.SetResult)}
-	for i, c := range cells {
-		out.Sets[int(c.version)] = append(out.Sets[int(c.version)], sets[i])
 	}
 	out.Telemetry = MergedTelemetry(sets)
 	return out, nil

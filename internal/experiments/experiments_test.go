@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ntdts/internal/avail"
 	"ntdts/internal/core"
 	"ntdts/internal/middleware/watchd"
+	"ntdts/internal/shard"
 	"ntdts/internal/stats"
 )
 
@@ -45,7 +49,7 @@ func failPct(t *testing.T, exp *core.Experiment, wl, sup string) float64 {
 // TestTable1MatchesPaper asserts the activated-function census reproduces
 // the paper's Table 1 exactly.
 func TestTable1MatchesPaper(t *testing.T) {
-	res, err := RunTable1(Config{})
+	res, err := RunTable1(context.Background(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,22 +62,94 @@ func TestTable1MatchesPaper(t *testing.T) {
 	}
 }
 
-// TestTable1HonoursParallelism: at Parallelism 1 the twelve calibration
-// scans run one at a time, so their progress lines arrive in the
-// canonical pair order.
+// TestTable1HonoursParallelism: the twelve calibration scans run on the
+// pool at any width, and their progress lines arrive once they have all
+// finished, in the canonical pair order.
 func TestTable1HonoursParallelism(t *testing.T) {
+	defs := standardPairs()
+	for _, par := range []int{1, 4} {
+		var lines []string
+		if _, err := RunTable1(context.Background(), Config{Parallelism: par,
+			Progress: func(l string) { lines = append(lines, l) }}); err != nil {
+			t.Fatal(err)
+		}
+		if len(lines) != len(defs) {
+			t.Fatalf("parallelism %d: %d progress lines, want %d", par, len(lines), len(defs))
+		}
+		for i, def := range defs {
+			if want := fmt.Sprintf("table1 %s/%s:", def.Name, def.Supervision); !strings.HasPrefix(lines[i], want) {
+				t.Errorf("parallelism %d: progress line %d = %q, want %s ...", par, i, lines[i], want)
+			}
+		}
+	}
+}
+
+// TestExperimentStopsWhenCancelled: once ctx is done an experiment
+// starts nothing more and returns core.ErrInterrupted. Cancelling as
+// Figure 2's first set reports leaves that one progress line; Table 1
+// under a cancelled ctx runs no scan.
+func TestExperimentStopsWhenCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var lines []string
-	if _, err := RunTable1(Config{Parallelism: 1, Progress: func(l string) { lines = append(lines, l) }}); err != nil {
+	_, err := RunFigure2(ctx, Config{Parallelism: 1, Progress: func(l string) {
+		lines = append(lines, l)
+		cancel()
+	}})
+	if !errors.Is(err, core.ErrInterrupted) {
+		t.Fatalf("RunFigure2 returned %v, want core.ErrInterrupted", err)
+	}
+	if len(lines) != 1 {
+		t.Fatalf("progress after the cancel: %q", lines)
+	}
+	lines = nil
+	if _, err := RunTable1(ctx, Config{Progress: func(l string) { lines = append(lines, l) }}); !errors.Is(err, core.ErrInterrupted) || len(lines) != 0 {
+		t.Fatalf("RunTable1 under a cancelled ctx: %v, progress %q", err, lines)
+	}
+}
+
+// campaignCounter is a ShardExecutor that records how many campaigns are
+// in its executor at once.
+type campaignCounter struct {
+	core.ShardExecutor
+	mu             sync.Mutex
+	inFlight, peak int
+}
+
+func (c *campaignCounter) ExecuteShards(ctx context.Context, camp *core.Campaign, p *core.Prepared) ([]core.RunResult, error) {
+	c.mu.Lock()
+	c.inFlight++
+	c.peak = max(c.peak, c.inFlight)
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.inFlight--
+		c.mu.Unlock()
+	}()
+	return c.ShardExecutor.ExecuteShards(ctx, camp, p)
+}
+
+// TestExperimentRunsOneCampaignAtATime: an experiment's campaigns run in
+// order, so the nine Figure 5 campaigns sharing one two-worker fleet
+// reach it one at a time, and the archive equals the in-process one.
+func TestExperimentRunsOneCampaignAtATime(t *testing.T) {
+	counter := &campaignCounter{ShardExecutor: shard.NewFleet(shard.FleetOptions{Workers: 2})}
+	res, err := RunFigure5(context.Background(), Config{ShardExec: counter})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defs := standardPairs()
-	if len(lines) != len(defs) {
-		t.Fatalf("%d progress lines, want %d", len(lines), len(defs))
+	if counter.peak != 1 {
+		t.Fatalf("%d campaigns in the executor at once, want 1", counter.peak)
 	}
-	for i, def := range defs {
-		if want := fmt.Sprintf("table1 %s/%s:", def.Name, def.Supervision); !strings.HasPrefix(lines[i], want) {
-			t.Errorf("progress line %d = %q, want %s ...", i, lines[i], want)
-		}
+	var got, want bytes.Buffer
+	if err := (&Archive{Kind: "figure5", Figure5: res}).Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := (&Archive{Kind: "figure5", Figure5: figure5(t)}).Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("figure5 archive on a shared fleet differs from the in-process one")
 	}
 }
 
@@ -343,7 +419,7 @@ func TestFigure5WatchdEvolution(t *testing.T) {
 // same fault list yields byte-identical outcome distributions.
 func TestDeterministicCampaign(t *testing.T) {
 	run := func() core.Distribution {
-		exp, err := RunFigure2(Config{})
+		exp, err := RunFigure2(context.Background(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +475,7 @@ func TestAvailabilityEstimates(t *testing.T) {
 // budget of 1 stops the sweep with the budget error, as it stops
 // Figure 2.
 func TestFigure5HonoursSupervision(t *testing.T) {
-	_, err := RunFigure5(Config{Parallelism: 1,
+	_, err := RunFigure5(context.Background(), Config{Parallelism: 1,
 		Supervise: core.SupervisorOptions{WallDeadline: 1, MaxQuarantined: 1}})
 	var budget *core.QuarantineBudgetError
 	if !errors.As(err, &budget) {

@@ -8,8 +8,6 @@ package inject
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"strconv"
 	"strings"
 
@@ -129,16 +127,6 @@ func ParseKey(key string) (FaultSpec, error) {
 // the same function, so the copy's trace reads as if s had been armed.
 func (s FaultSpec) ArmedEvent() (name string, a, b uint64) {
 	return s.String(), uint64(s.Param), uint64(s.Invocation)
-}
-
-// Fingerprint returns a short stable hash of Key — the identifier the
-// results journal keys records by and the campaign engine includes in
-// run-failure errors, so a failed run is greppable in the journal by the
-// same string the error names.
-func (s FaultSpec) Fingerprint() string {
-	h := fnv.New64a()
-	io.WriteString(h, s.Key())
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // TargetSelector decides whether a process belongs to the injection target.

@@ -504,11 +504,9 @@ func Replay(path string) (*Replayed, error) {
 	lines := make([]*Line, len(raws))
 	// The pool reports the lowest line that failed, and every line below
 	// it decoded, so the first nil in lines is the line derr names.
-	derr := workpool.Run(context.TODO(), len(raws), 0, func() func(int) error {
-		return func(i int) (err error) {
-			lines[i], err = decodeRaw(raws[i], i+1, func() bool { return i == len(raws)-1 })
-			return err
-		}
+	derr := workpool.Run(context.TODO(), len(raws), 0, func(i int) (err error) {
+		lines[i], err = decodeRaw(raws[i], i+1, func() bool { return i == len(raws)-1 })
+		return err
 	})
 	rep := &Replayed{
 		Runs:        make(map[int]*Record),

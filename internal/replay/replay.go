@@ -71,16 +71,14 @@ func Load(path string) (*Source, error) {
 	}
 	sort.Ints(indices)
 	runs := make([]*core.RunResult, len(indices))
-	err = workpool.Run(context.TODO(), len(indices), 0, func() func(int) error {
-		return func(n int) error {
-			rec := rep.Runs[indices[n]]
-			res, err := core.UnmarshalRunRecord(rec.Result, nil)
-			if err != nil {
-				return fmt.Errorf("replay source %s: run %q: %w", path, rec.Key, err)
-			}
-			runs[n] = res
-			return nil
+	err = workpool.Run(context.TODO(), len(indices), 0, func(n int) error {
+		rec := rep.Runs[indices[n]]
+		res, err := core.UnmarshalRunRecord(rec.Result, nil)
+		if err != nil {
+			return fmt.Errorf("replay source %s: run %q: %w", path, rec.Key, err)
 		}
+		runs[n] = res
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -127,37 +127,6 @@ func replayTo(t *testing.T, path string, target middleware.Spec, par int) (*core
 	return set, oracle
 }
 
-// TestReplayCrossFamilyEquivalence is the headline property: a campaign
-// journaled under no middleware, replayed to watchd-v3 with elision on,
-// yields an archive byte-identical to a from-scratch watchd-v3 campaign
-// at every worker-pool width — while eliding every fault the target
-// workload can never activate.
-func TestReplayCrossFamilyEquivalence(t *testing.T) {
-	specs := testSpecs(45)
-	source := middleware.Spec{Supervision: workload.Standalone}
-	target, _ := middleware.Parse("watchd-v3")
-	path := journalCampaign(t, specs, source, false)
-	want := archiveBytes(t, fromScratch(t, runnerFor(t, target), specs))
-
-	for _, par := range []int{1, 4, 16} {
-		set, oracle := replayTo(t, path, target, par)
-		got := archiveBytes(t, set)
-		if got != want {
-			t.Fatalf("parallel=%d: replayed archive differs from from-scratch target archive", par)
-		}
-		st := oracle.Stats()
-		if st.FaultFree == 0 || st.Elided == 0 {
-			t.Fatalf("parallel=%d: expected fault-free elisions, got %+v", par, st)
-		}
-		if st.Copied != 0 {
-			t.Fatalf("parallel=%d: cross-family replay must not copy verbatim, got %+v", par, st)
-		}
-		if st.Executed+st.Elided != st.Total || st.Total != len(set.Runs) {
-			t.Fatalf("parallel=%d: inconsistent stats %+v for %d runs", par, st, len(set.Runs))
-		}
-	}
-}
-
 // TestReplayWatchdGenerationCopy: watchd v2 -> v3 admits verbatim copy
 // for quiet runs, and the result still matches from-scratch v3 exactly.
 // The oracle reads the run record, never its trace, so an untraced

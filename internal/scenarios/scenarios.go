@@ -129,11 +129,9 @@ func (r Row) String() string {
 func Matrix(parallelism int) (string, error) {
 	cells := Cells()
 	rows := make([]Row, len(cells))
-	err := workpool.Run(context.Background(), len(cells), max(parallelism, 1), func() func(int) error {
-		return func(i int) (err error) {
-			rows[i], err = Run(cells[i])
-			return err
-		}
+	err := workpool.Run(context.Background(), len(cells), max(parallelism, 1), func(i int) (err error) {
+		rows[i], err = Run(cells[i])
+		return err
 	})
 	if err != nil {
 		return "", err

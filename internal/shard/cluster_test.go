@@ -38,46 +38,6 @@ func TestClusterHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedClusterMatchesUnsharded: a 3-node cluster campaign fanned
-// out over fleet workers with two-wide run pools produces archive, trace
-// and metrics byte-identical to the in-process run.
-func TestShardedClusterMatchesUnsharded(t *testing.T) {
-	specs := []inject.FaultSpec{
-		{Function: core.ClusterNodeCrashFunction, Invocation: 5, Type: inject.FlipBits},
-		{Function: core.ClusterServiceCrashFunction, Invocation: 5, Type: inject.FlipBits, Node: 1},
-		{Function: core.ClusterPartitionFunction, Param: 15, Invocation: 5, Type: inject.FlipBits},
-		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.FlipBits},
-		{Function: "ReadFile", Param: 1, Invocation: 1, Type: inject.ZeroBits, Node: 2},
-		{Function: "WriteFile", Param: 1, Invocation: 1, Type: inject.OneBits},
-	}
-	base, err := core.NewCampaign(newClusterRunner(3, "round-robin"),
-		core.WithParallelism(2), core.WithSpecs(specs)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantArchive, wantTrace, wantMetrics := artifacts(t, base)
-
-	for _, workers := range []int{2, 4} {
-		set, err := core.NewCampaign(newClusterRunner(3, "round-robin"),
-			core.WithSpecs(specs),
-			core.WithShardExecutor(NewFleet(FleetOptions{Workers: workers, WorkerParallelism: 2})),
-		).Run(context.Background())
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		archive, trace, metrics := artifacts(t, set)
-		if !bytes.Equal(archive, wantArchive) {
-			t.Errorf("workers %d: cluster archive differs from unsharded run", workers)
-		}
-		if !bytes.Equal(trace, wantTrace) {
-			t.Errorf("workers %d: cluster telemetry trace differs from unsharded run", workers)
-		}
-		if metrics != wantMetrics {
-			t.Errorf("workers %d: cluster metrics text differs from unsharded run", workers)
-		}
-	}
-}
-
 // TestClusterFleetMatrix is the cross-transport equivalence drill: one
 // 3-node cluster campaign executed as {fleet of 4, fleet of 4 with one
 // worker killed mid-stream, TCP loopback fleet} must produce archive, trace and metrics byte-identical to the

@@ -1,8 +1,9 @@
 // Package workpool is the one index-ordered worker pool every DTS job
-// list runs on: the campaign engine, a fleet worker's chunk (the fleet's
-// in-process drain is an ordinary worker), the conformance sweep, the
-// scenario matrix, the experiment fan-outs, the journal read and the
-// replay source load.
+// list runs on: a campaign's run list (and so a fleet worker's chunk; the
+// fleet's in-process drain is an ordinary worker), Table 1's calibration
+// scans, the conformance sweep, the scenario matrix, the journal read and
+// the replay source load. An experiment runs its campaigns one after
+// another, each on its own pool.
 // Callers write each result at its index, so the output is identical at
 // any pool width; the pool guarantees that every index runs at most once
 // and that a failure resolves to the error a sequential loop would have
@@ -18,15 +19,14 @@ import (
 
 // Run calls fn(i) for every i in [0, n) on width goroutines (width <= 0
 // means GOMAXPROCS; never more than n). Indices are claimed in ascending
-// order from a shared cursor. worker is called once per goroutine, before
-// it claims anything, and returns that goroutine's fn — so each goroutine
-// can own unshared state such as a cloned runner.
+// order from a shared cursor, and fn is shared by every goroutine, so it
+// must be safe for concurrent calls.
 //
 // After the first error, or once ctx is done, no new index is claimed;
 // calls already in flight finish. Run returns the error of the lowest
 // index that failed — the error a sequential loop would have returned —
 // or, when no call failed, ctx.Err().
-func Run(ctx context.Context, n, width int, worker func() func(i int) error) error {
+func Run(ctx context.Context, n, width int, fn func(i int) error) error {
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
@@ -44,7 +44,6 @@ func Run(ctx context.Context, n, width int, worker func() func(i int) error) err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn := worker()
 			for !stop.Load() && ctx.Err() == nil {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {

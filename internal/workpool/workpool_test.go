@@ -7,21 +7,31 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestEveryIndexOnce: every index runs exactly once at any width,
-// including widths above n, and an empty list returns at once.
+// including widths above n, no more than width calls are ever in flight,
+// and an empty list returns at once.
 func TestEveryIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 10, 100} {
 		for _, width := range []int{1, 3, 16} {
 			counts := make([]atomic.Int32, n)
-			var workers atomic.Int32
-			err := Run(context.Background(), n, width, func() func(int) error {
-				workers.Add(1)
-				return func(i int) error {
-					counts[i].Add(1)
-					return nil
-				}
+			var (
+				mu                  sync.Mutex
+				inFlight, highWater int
+			)
+			err := Run(context.Background(), n, width, func(i int) error {
+				mu.Lock()
+				inFlight++
+				highWater = max(highWater, inFlight)
+				mu.Unlock()
+				time.Sleep(50 * time.Microsecond) // let the other goroutines claim
+				counts[i].Add(1)
+				mu.Lock()
+				inFlight--
+				mu.Unlock()
+				return nil
 			})
 			if err != nil {
 				t.Fatalf("n=%d width=%d: %v", n, width, err)
@@ -31,8 +41,8 @@ func TestEveryIndexOnce(t *testing.T) {
 					t.Fatalf("n=%d width=%d: index %d ran %d times", n, width, i, c)
 				}
 			}
-			if w := int(workers.Load()); w > min(width, n) {
-				t.Fatalf("n=%d width=%d: %d goroutines started", n, width, w)
+			if highWater > min(width, n) {
+				t.Fatalf("n=%d width=%d: %d calls in flight at once", n, width, highWater)
 			}
 		}
 	}
@@ -43,13 +53,11 @@ func TestEveryIndexOnce(t *testing.T) {
 func TestLowestIndexedErrorWins(t *testing.T) {
 	failing := map[int]bool{17: true, 40: true, 63: true, 90: true}
 	for trial := 0; trial < 20; trial++ {
-		err := Run(context.Background(), 100, 8, func() func(int) error {
-			return func(i int) error {
-				if failing[i] {
-					return fmt.Errorf("index %d", i)
-				}
-				return nil
+		err := Run(context.Background(), 100, 8, func(i int) error {
+			if failing[i] {
+				return fmt.Errorf("index %d", i)
 			}
+			return nil
 		})
 		if err == nil || err.Error() != "index 17" {
 			t.Fatalf("trial %d: error = %v, want index 17", trial, err)
@@ -62,14 +70,12 @@ func TestLowestIndexedErrorWins(t *testing.T) {
 func TestNoClaimAfterFailure(t *testing.T) {
 	var ran []int
 	boom := errors.New("boom")
-	err := Run(context.Background(), 10, 1, func() func(int) error {
-		return func(i int) error {
-			ran = append(ran, i)
-			if i == 4 {
-				return boom
-			}
-			return nil
+	err := Run(context.Background(), 10, 1, func(i int) error {
+		ran = append(ran, i)
+		if i == 4 {
+			return boom
 		}
+		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want boom", err)
@@ -86,16 +92,14 @@ func TestCancelStopsClaiming(t *testing.T) {
 	defer cancel()
 	var mu sync.Mutex
 	ran := 0
-	err := Run(ctx, 1000, 4, func() func(int) error {
-		return func(i int) error {
-			mu.Lock()
-			defer mu.Unlock()
-			ran++
-			if ran == 10 {
-				cancel()
-			}
-			return nil
+	err := Run(ctx, 1000, 4, func(i int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		ran++
+		if ran == 10 {
+			cancel()
 		}
+		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
